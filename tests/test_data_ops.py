@@ -4634,6 +4634,30 @@ def test_gap_cluster_hand_checked():
         == (2, 20, 90, 900, 200, 6500)
 
 
+def test_gap_cluster_guard_covers_y_leg():
+    """One user's gaps are (1 s, ~98 years): the x-leg holds only 1 s, the
+    y-leg's gap squared passes 2**63.  The int64 guard must see the y-leg,
+    or Σy² and Σxy would wrap silently."""
+    import pandas as pd
+
+    from wavelet_decomposition_ray.pipelines import queries as cq
+
+    s = 1_000_000
+    df = pd.DataFrame({
+        "event_id": np.arange(3, dtype=np.int64),
+        "ts": np.array([0, s, s + 3_100_000_000 * s],
+                       dtype="datetime64[us]"),
+        "user_id": np.ones(3, dtype=np.int64),
+    })
+    with pytest.raises(OverflowError, match="gap_cluster int64 guard"):
+        cq._gap_pair_moments(df)
+    # the same gaps in the other order trip the guard on the x-leg
+    df["ts"] = np.array([0, 3_100_000_000 * s, 3_100_000_000 * s + s],
+                        dtype="datetime64[us]")
+    with pytest.raises(OverflowError, match="gap_cluster int64 guard"):
+        cq._gap_pair_moments(df)
+
+
 def test_case_profile_hand_checked():
     """'AaB1 !' -> 2 upper, 1 lower, 1 digit, 2 other (space + !);
     upper_ppm over cased letters only."""

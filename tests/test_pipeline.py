@@ -168,9 +168,78 @@ def test_metrics_and_lineage_written(seq_dir, tmp_path):
     assert m["summary"]["n_windows"] > 0
     assert len(m["per_stage"]) >= 2
     assert any("rows_out" in s for s in m["per_stage"])
+    # the bucket groupby's Sort is its own row, and its sub-operators do
+    # not overwrite the fused map chain's task totals
+    by_op = {s["operator"]: s for s in m["per_stage"]}
+    sort = by_op["Sort"]
+    assert [x["operator"] for x in sort["suboperators"]] == ["SortMap", "SortReduce"]
+    fused = next(s for s in m["per_stage"] if "DwtTransform" in s["operator"])
+    assert fused["task_cpu_total_s"] > sort["task_cpu_total_s"]
+    assert "BucketFinalize" in m["per_stage"][-1]["operator"]
     lin = json.load(open(os.path.join(out, "lineage.json")))
     assert lin["config"]["bank"] == "haar"
     assert len(lin["input_files"]) >= 1
+
+
+# ``ds.stats()`` of a 4-bucket flagship job on Ray 2.49 (throughput lines cut)
+_STATS_TEXT = """\
+Operator 1 ReadParquet->SplitBlocks(4): 1 tasks executed, 4 blocks produced in 0.02s
+* Remote wall time: 472.41us min, 14.48ms max, 4.0ms mean, 16.02ms total
+* Remote cpu time: 614.22us min, 11.32ms max, 3.37ms mean, 13.47ms total
+* Output num rows per block: 51 min, 52 max, 51 mean, 205 total
+
+Operator 2 MapBatches(add_bucket)->MapBatches(gapfill_batch)->MapBatches(DwtTransform): 2 tasks executed, 2 blocks produced in 0.23s
+* Remote wall time: 46.4ms min, 170.04ms max, 108.22ms mean, 216.45ms total
+* Remote cpu time: 41.74ms min, 46.76ms max, 44.25ms mean, 88.5ms total
+* Output num rows per block: 8 min, 8 max, 8 mean, 16 total
+* Output size bytes per block: 416 min, 416 max, 416 mean, 832 total
+* Operator throughput:
+\t* Ray Data throughput: 69.603800290934 rows/s
+
+Operator 3 Sort: executed in 0.53s
+
+\tSuboperator 0 SortMap: 1 tasks executed, 2 blocks produced
+\t* Remote wall time: 324.4us min, 399.96us max, 362.18us mean, 724.37us total
+\t* Remote cpu time: 348.81us min, 398.43us max, 373.62us mean, 747.24us total
+\t* Output num rows per block: 8 min, 8 max, 8 mean, 16 total
+
+\tSuboperator 1 SortReduce: 1 tasks executed, 2 blocks produced
+\t* Remote wall time: 278.56us min, 308.64us max, 293.6us mean, 587.19us total
+\t* Remote cpu time: 277.02us min, 307.79us max, 292.4us mean, 584.81us total
+\t* Output num rows per block: 4 min, 12 max, 8 mean, 16 total
+
+Operator 4 MapBatches(BucketFinalize): 2 tasks executed, 2 blocks produced in 0.11s
+* Remote wall time: 45.96ms min, 54.06ms max, 50.01ms mean, 100.03ms total
+* Remote cpu time: 34.22ms min, 50.42ms max, 42.32ms mean, 84.64ms total
+* Output num rows per block: 36 min, 104 max, 70 mean, 140 total
+
+Dataset throughput:
+\t* Ray Data throughput: 294.3009068732452 rows/s
+"""
+
+
+def test_parse_dataset_stats_gives_sort_its_own_row():
+    from wavelet_decomposition_ray.state.metrics import parse_dataset_stats
+
+    rows = parse_dataset_stats(_STATS_TEXT)
+    assert [r["operator"] for r in rows] == [
+        "ReadParquet->SplitBlocks(4)",
+        "MapBatches(add_bucket)->MapBatches(gapfill_batch)->MapBatches(DwtTransform)",
+        "Sort",
+        "MapBatches(BucketFinalize)",
+    ]
+    fused, sort = rows[1], rows[2]
+    assert (fused["tasks"], fused["blocks"], fused["wall_s"]) == (2, 2, 0.23)
+    assert fused["task_wall_total_s"] == 0.2165
+    assert fused["task_cpu_total_s"] == 0.0885
+    assert fused["rows_out"] == 16 and fused["bytes_out"] == 832
+    assert sort["wall_s"] == 0.53
+    assert [(x["operator"], x["tasks"], x["blocks"], x["task_wall_total_s"])
+            for x in sort["suboperators"]] == [
+        ("SortMap", 1, 2, 0.0007), ("SortReduce", 1, 2, 0.0006)]
+    assert sort["task_wall_total_s"] == 0.0013
+    assert sort["task_cpu_total_s"] == 0.0013
+    assert rows[3]["task_cpu_total_s"] == 0.0846
 
 
 def test_staged_write_retry_idempotent(tmp_path):

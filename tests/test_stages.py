@@ -15,8 +15,18 @@ from wavelet_decomposition_ray.functions.listops import (
 )
 from wavelet_decomposition_ray.stages.dwt import DwtTransform, InverseDwt, roundtrip_verify_batch
 from wavelet_decomposition_ray.stages.gapfill import gapfill_batch, make_resample_batch, normalize_batch
-from wavelet_decomposition_ray.stages.rollup import TierRollup, explode_rollup_batch
-from wavelet_decomposition_ray.stages.encode import GorillaEncoder, decode_blocks_batch
+from wavelet_decomposition_ray.stages.rollup import (
+    STAT_NAMES,
+    TierRollup,
+    explode_rollup_batch,
+    tier_tree,
+)
+from wavelet_decomposition_ray.stages.encode import (
+    GorillaEncoder,
+    RollupEncode,
+    decode_blocks_batch,
+    slice_name,
+)
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +126,78 @@ def test_rollup_stage_matches_oracle(batch):
         np.testing.assert_array_equal(mins[moff[j] : moff[j + 1]], want["wmin"])
         np.testing.assert_array_equal(sums[moff[j] : moff[j + 1]], want["wsum"])
         np.testing.assert_array_equal(counts[moff[j] : moff[j + 1]], want["wcount"])
+
+
+def _tree_case(dtype):
+    """Rows of length 1, 2, odd, 2**k and 2**k +- 1, plus int32 extremes."""
+    rng = np.random.default_rng(7)
+    lens = [1, 2, 3, 5, 31, 63, 64, 65, 127, 128, 129, 1023, 1024, 1025]
+    lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
+    rows = [rng.integers(lo, hi, n, endpoint=True) for n in lens]
+    rows += [np.full(33, hi), np.full(17, lo), np.array([lo, hi] * 40)]
+    off = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    return np.concatenate(rows).astype(dtype), off, rows
+
+
+@pytest.mark.parametrize("n_tiers", [1, 10, 30])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_tier_tree_native_matches_numpy_and_oracle(monkeypatch, n_tiers, dtype):
+    """tier_tree: native kernel == numpy reduceat fallback, and both equal
+    oracle.rollup_tree row by row in the tier-major stream layout."""
+    from wavelet_decomposition_ray import native
+
+    vals, off, rows = _tree_case(dtype)
+    got, toff = tier_tree(vals, off, n_tiers)
+    monkeypatch.setattr(native, "tier_tree", lambda: None)
+    fallback, toff2 = tier_tree(vals, off, n_tiers)
+    np.testing.assert_array_equal(toff, toff2)
+    for k in STAT_NAMES:
+        assert got[k].dtype == np.int64
+        np.testing.assert_array_equal(got[k], fallback[k], err_msg=k)
+    n = len(rows)
+    for r, toks in enumerate(rows):
+        want = oc.rollup_tree(toks, n_tiers)
+        for t in range(1, n_tiers + 1):
+            a, b = toff[(t - 1) * n + r], toff[(t - 1) * n + r + 1]
+            for k in STAT_NAMES:
+                np.testing.assert_array_equal(got[k][a:b], want[t][k],
+                                              err_msg=f"row {r} tier {t} {k}")
+
+
+def test_tier_tree_rejects_empty_rows():
+    with pytest.raises(ValueError):
+        tier_tree(np.arange(3, dtype=np.int32), np.array([0, 3, 3]), 2)
+
+
+def test_rollup_encode_matches_rollup_then_encoder(batch, monkeypatch):
+    """RollupEncode (native and numpy tier tree) == TierRollup ->
+    GorillaEncoder, row for row and byte for byte."""
+    from wavelet_decomposition_ray import native
+
+    want = GorillaEncoder()(TierRollup(6)(batch))
+    cols = ["doc_id", "source", "tier", "n_windows", "blob", "nbytes"]
+    got = RollupEncode(n_tiers=6)(batch)
+    monkeypatch.setattr(native, "tier_tree", lambda: None)
+    got_np = RollupEncode(n_tiers=6)(batch)
+    for c in cols:
+        assert got[c].to_pylist() == want[c].to_pylist(), c
+        assert got_np[c].to_pylist() == want[c].to_pylist(), c
+
+
+def test_slice_name_depends_only_on_doc_ids():
+    """A staged slice's name is a function of its doc ids alone: the same
+    docs cut from different batches or offsets name alike; other docs do
+    not."""
+    docs = ["a1", "bb22", "ccc333", "d4"]
+    direct = slice_name(pa.array(docs))
+    assert slice_name(pa.array(["zz"] + docs + ["y"]).slice(1, 4)) == direct
+    assert slice_name(pa.chunked_array([["q", "r"] + docs]).combine_chunks()
+                      .slice(2, 4)) == direct
+    big = pa.array([f"x{i}" for i in range(50)] + docs)
+    assert slice_name(big.slice(50)) == direct
+    assert slice_name(pa.array(docs[:3])) != direct
+    assert slice_name(pa.array(["a1b", "b22", "ccc333", "d4"])) != direct
+    assert slice_name(pa.array(["a1", "bb22", "ccc333", "d5"])) != direct
 
 
 def test_explode_rollup(batch):

@@ -486,10 +486,11 @@ def jaccard_sorted(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def containment_sorted(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact one-way containment |A∩B| / min(|A|,|B|) of two SORTED unique
-    arrays (Broder's containment, the asymmetric complement to Jaccard:
-    it stays high when a short doc is quoted inside a long one, where
-    Jaccard collapses). Same searchsorted merge as :func:`jaccard_sorted`."""
+    """Exact max one-way containment |A∩B| / min(|A|,|B|) of two SORTED
+    unique arrays: the containment of the smaller set in the larger, so it
+    is symmetric in its arguments.  Unlike Jaccard it stays high when a
+    short doc is quoted inside a long one.  Same searchsorted merge as
+    :func:`jaccard_sorted`."""
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 0:

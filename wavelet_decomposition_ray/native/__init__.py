@@ -1,11 +1,13 @@
-"""Build-on-first-import ctypes loader for the native DoD codec.
+"""Build-on-first-import ctypes loader for the native DoD codec and the
+one-pass rollup tier tree.
 
 No pip, no Python headers: ``dod.c`` is plain C compiled once with the
 system compiler into a shared library cached next to the source (atomic
 rename, so concurrent Ray workers race safely).  Every caller must handle
-``decoder()/encoder()/gather() is None`` — machines without a C compiler
-fall back to the pure-numpy paths in ``oracle.py``, which are the semantic
-reference (property tests pin C == Python bit-for-bit).
+``decoder()/encoder()/gather()/tier_tree() is None`` — machines without a
+C compiler fall back to the pure-numpy paths (``oracle.py`` for the codec,
+the reduceat ladder in ``stages/rollup.py`` for the tier tree), which are
+the semantic reference (property tests pin C == Python bit-for-bit).
 """
 
 from __future__ import annotations
@@ -79,6 +81,9 @@ _SIGS = {
     "dod_encode_streams_c": [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 3,
     # src, src_off, lens, dst, dst_off, n
     "gather_segments_c": [ctypes.c_void_p] * 5 + [ctypes.c_int64],
+    # vals, val_off, is64, n_rows, n_tiers, out_off, wmin, wmax, wsum, wcnt
+    "tier_tree_c": [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3
+    + [ctypes.c_void_p] * 5,
 }
 
 
@@ -117,3 +122,8 @@ def encoder():
 def gather():
     """ctypes handle of ``gather_segments_c`` or None (no compiler)."""
     return _load().get("gather_segments_c")
+
+
+def tier_tree():
+    """ctypes handle of ``tier_tree_c`` or None (no compiler)."""
+    return _load().get("tier_tree_c")

@@ -157,3 +157,60 @@ void gather_segments_c(const uint8_t *src, const int64_t *src_off,
     for (int64_t s = 0; s < n; s++)
         memcpy(dst + dst_off[s], src + src_off[s], (size_t)lens[s]);
 }
+
+/* ---------------- tier tree: all dyadic rollup tiers in one pass -------- */
+
+/* Min/max/sum/count of every tumbling window at widths 2, 4, ..., 2^n_tiers
+ * for n_rows rows of raw tokens (row r is vals[val_off[r] .. val_off[r+1]),
+ * int32 when is64 == 0, else int64).  Tier 1 folds raw pairs; tier t folds
+ * pairs of tier t-1 windows, which are already in the output (exact:
+ * dyadic windows nest).  Output is the tier-major stream layout the DoD
+ * encoder takes: (tier t, row r) owns windows out_off[(t-1)*n_rows + r] ..
+ * out_off[(t-1)*n_rows + r + 1), and the caller sizes out_off from
+ * ceil(len / 2^t).  Sums wrap mod 2^64, matching numpy int64 adds. */
+void tier_tree_c(const void *vals, const int64_t *val_off, int64_t is64,
+                 int64_t n_rows, int64_t n_tiers, const int64_t *out_off,
+                 int64_t *wmin, int64_t *wmax, int64_t *wsum, int64_t *wcnt) {
+    const int32_t *v32 = (const int32_t *)vals;
+    const int64_t *v64 = (const int64_t *)vals;
+    for (int64_t r = 0; r < n_rows; r++) {
+        int64_t lo = val_off[r], n = val_off[r + 1] - lo;
+        int64_t o = out_off[r];
+        for (int64_t i = 0; i < n; i += 2) {
+            int64_t a = is64 ? v64[lo + i] : (int64_t)v32[lo + i];
+            int64_t mn = a, mx = a, c = 1;
+            uint64_t s = (uint64_t)a;
+            if (i + 1 < n) {
+                int64_t b = is64 ? v64[lo + i + 1] : (int64_t)v32[lo + i + 1];
+                mn = b < a ? b : a;
+                mx = b > a ? b : a;
+                s += (uint64_t)b;
+                c = 2;
+            }
+            wmin[o] = mn;
+            wmax[o] = mx;
+            wsum[o] = (int64_t)s;
+            wcnt[o] = c;
+            o++;
+        }
+        for (int64_t t = 1; t < n_tiers; t++) {
+            int64_t p = out_off[(t - 1) * n_rows + r];
+            int64_t np = out_off[(t - 1) * n_rows + r + 1] - p;
+            o = out_off[t * n_rows + r];
+            for (int64_t i = 0; i < np; i += 2, o++) {
+                int64_t j = p + i;
+                if (i + 1 < np) {
+                    wmin[o] = wmin[j + 1] < wmin[j] ? wmin[j + 1] : wmin[j];
+                    wmax[o] = wmax[j + 1] > wmax[j] ? wmax[j + 1] : wmax[j];
+                    wsum[o] = (int64_t)((uint64_t)wsum[j] + (uint64_t)wsum[j + 1]);
+                    wcnt[o] = wcnt[j] + wcnt[j + 1];
+                } else {
+                    wmin[o] = wmin[j];
+                    wmax[o] = wmax[j];
+                    wsum[o] = wsum[j];
+                    wcnt[o] = wcnt[j];
+                }
+            }
+        }
+    }
+}

@@ -226,29 +226,18 @@ ROUNDTRIP_SQL = (
 # --------------------------------------------------------------------------
 
 def q_aggtree_ok(sf_dir: str) -> "ray.data.Dataset":
-    """All-true invariant: the tier-tree aggregates folded bottom-up equal the flat per-tier rollups recomputed from raw tokens (continuous-aggregate correctness)."""
+    """All-true invariant: the engine's tier tree (``stages.rollup.tier_tree``, tiers folded bottom-up) equals the flat per-tier rollups recomputed from raw tokens (continuous-aggregate correctness)."""
+    from ..stages.rollup import tier_tree
+
     def check(t: pa.Table) -> pa.Table:
         vals, off = list_to_numpy(t["tokens"])
         v64 = vals.astype(np.int64)
         n = len(off) - 1
-        # tree path
-        starts, toff, counts = tumble_starts(off, 2)
-        tier = {
-            "wmin": np.minimum.reduceat(v64, starts),
-            "wmax": np.maximum.reduceat(v64, starts),
-            "wsum": np.add.reduceat(v64, starts),
-            "wcount": counts,
-        }
+        tree, toff = tier_tree(vals, off, 10)
         docs, tiers, oks = [], [], []
         for tr in range(2, 11):
-            s2, toff2, _ = tumble_starts(toff, 2)
-            tier = {
-                "wmin": np.minimum.reduceat(tier["wmin"], s2),
-                "wmax": np.maximum.reduceat(tier["wmax"], s2),
-                "wsum": np.add.reduceat(tier["wsum"], s2),
-                "wcount": np.add.reduceat(tier["wcount"], s2),
-            }
-            toff = toff2
+            lo, hi = int(toff[(tr - 1) * n]), int(toff[tr * n])
+            tier = {k: v[lo:hi] for k, v in tree.items()}
             # direct path from raw at width 2**tr
             ds_, doff, dcounts = tumble_starts(off, 1 << tr)
             ok_flat = (
@@ -10482,6 +10471,40 @@ PARTS_PER_SUPPLIER_HIST_SQL = (
 )
 
 
+def _gap_pair_moments(df: "pd.DataFrame") -> "pd.DataFrame":
+    """One partition's gap-pair moments for :func:`q_gap_cluster`: whole
+    second gaps g_t per user, pairs (x, y) = (g_t, g_{t+1}) within one
+    user, one row of (n_pairs, Σx, Σy, Σxy, Σx², Σy²).  The int64 guard
+    bounds the largest gap over BOTH legs, so Σy² and Σxy are covered as
+    well as Σx²."""
+    import pandas as pd
+
+    df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
+    uid = df["user_id"].to_numpy().astype(np.int64)
+    ts = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
+    n = len(df)
+    cols = ("n_pairs", "sx", "sy", "sxy", "sxx", "syy")
+    if n < 3:
+        return pd.DataFrame({c: np.zeros(1, dtype=np.int64) for c in cols})
+    g = (ts[1:] - ts[:-1]) // 1_000_000
+    vg = uid[1:] == uid[:-1]
+    ok = vg[:-1] & vg[1:]
+    if ok.any():
+        mg = int(max(g[:-1][ok].max(), g[1:][ok].max()))
+        if mg * mg * int(ok.sum()) >= (1 << 63):
+            raise OverflowError(
+                "gap_cluster int64 guard: coarsen gap granularity")
+    x = np.where(ok, g[:-1], 0)
+    y = np.where(ok, g[1:], 0)
+    return pd.DataFrame(
+        {"n_pairs": np.array([int(ok.sum())], dtype=np.int64),
+         "sx": np.array([int(x.sum())], dtype=np.int64),
+         "sy": np.array([int(y.sum())], dtype=np.int64),
+         "sxy": np.array([int((x * y).sum())], dtype=np.int64),
+         "sxx": np.array([int((x * x).sum())], dtype=np.int64),
+         "syy": np.array([int((y * y).sum())], dtype=np.int64)})
+
+
 def q_gap_cluster(sf_dir: str) -> "pa.Table":
     """Inter-arrival clustering — the exact integer moments of
     consecutive per-user gap pairs (g_t, g_{t+1}) in whole seconds,
@@ -10500,37 +10523,10 @@ def q_gap_cluster(sf_dir: str) -> "pa.Table":
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id"]
     )
 
-    def fold(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.sort_values(["user_id", "ts", "event_id"],
-                            kind="mergesort")
-        uid = df["user_id"].to_numpy().astype(np.int64)
-        ts = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        n = len(df)
-        cols = ("n_pairs", "sx", "sy", "sxy", "sxx", "syy")
-        if n < 3:
-            return pd.DataFrame({c: np.zeros(1, dtype=np.int64)
-                                 for c in cols})
-        g = (ts[1:] - ts[:-1]) // 1_000_000
-        vg = uid[1:] == uid[:-1]
-        ok = vg[:-1] & vg[1:]
-        if ok.any():
-            mg, npairs = int(g[:-1][ok].max()), int(ok.sum())
-            assert mg * mg * max(npairs, 1) < (1 << 63), \
-                "gap_cluster int64 guard: coarsen gap granularity"
-        x = np.where(ok, g[:-1], 0)
-        y = np.where(ok, g[1:], 0)
-        return pd.DataFrame(
-            {"n_pairs": np.array([int(ok.sum())], dtype=np.int64),
-             "sx": np.array([int(x.sum())], dtype=np.int64),
-             "sy": np.array([int(y.sum())], dtype=np.int64),
-             "sxy": np.array([int((x * y).sum())], dtype=np.int64),
-             "sxx": np.array([int((x * x).sum())], dtype=np.int64),
-             "syy": np.array([int((y * y).sum())], dtype=np.int64)})
-
     parts = (
         ds.map_batches(_add_user_part, batch_format="pyarrow")
         .groupby("part")
-        .map_groups(fold, batch_format="pandas")
+        .map_groups(_gap_pair_moments, batch_format="pandas")
         .to_pandas()  # N_EVENT_PARTS rows
     )
     # final fold in arbitrary-precision Python ints: each partition's

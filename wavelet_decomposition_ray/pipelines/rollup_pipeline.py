@@ -7,8 +7,10 @@ analog):
      -> map_batches(add_bucket + resume filter)          [S3/S4 cache skip]
      -> map_batches(gapfill)            stateless        [M1-M3]
      -> map_batches(DwtTransform)       stateless        [T1-T6 + invariant]
-     -> map_batches(rollup_encode)      stateless tasks  [A2 + ST1], writes
-          per-bucket staged IPC slices in-task, emits metadata rows only
+     -> map_batches(RollupEncode)       stateless tasks  [A2 + ST1]: the
+          tier tree (native one-pass kernel, numpy reduceat fallback)
+          straight into the DoD codec; writes per-bucket staged IPC
+          slices in-task, emits metadata rows only
      -> groupby(bucket).map_groups(BucketFinalize)       tiny metadata
           exchange -> merge slices, sort, atomic file + manifest [S5/S6]
          -> per-(source,tier) partials -> driver final fold [A1/A2]
@@ -41,7 +43,7 @@ import ray.data
 from ..stages.gapfill import gapfill_batch
 from ..stages.dwt import DwtTransform
 from ..stages.rollup import TierRollup, source_partials_batch
-from ..stages.encode import GorillaEncoder, RollupEncode
+from ..stages.encode import RollupEncode
 from ..state import manifest as mf
 
 SEQ_COLUMNS = ["doc_id", "tokens", "n_tok", "source"]
@@ -112,27 +114,6 @@ def source_tier_aggregate(rollup_ds: "ray.data.Dataset") -> "ray.data.Dataset":
         Sum("pcount", alias_name="n_points"),
         Sum("pwindows", alias_name="n_windows"),
     )
-
-
-_ENCODER_CACHE: dict = {}
-
-
-def _make_rollup_encode_fn(n_tiers, fault_flag, stage_dir):
-    """Stateless-task wrapper around :class:`RollupEncode`: one encoder
-    instance cached per (config, worker process), so tasks run on Ray's
-    warm reusable workers instead of a cold-booted actor pool."""
-
-    def rollup_encode_batch(batch):
-        key = (n_tiers, fault_flag, stage_dir)
-        enc = _ENCODER_CACHE.get(key)
-        if enc is None:
-            enc = RollupEncode(
-                n_tiers=n_tiers, fault_flag=fault_flag, stage_dir=stage_dir
-            )
-            _ENCODER_CACHE[key] = enc
-        return enc(batch)
-
-    return rollup_encode_batch
 
 
 def run_rollup_job(
@@ -293,7 +274,8 @@ def _run_rollup_job_inner(
         batch_size=batch_size,
     )
     # rollup + encode + staged write fused into the task chain: the tier
-    # stat streams go straight from reduceat arrays into the codec, and each
+    # stat streams go straight from the tier tree (native one-pass kernel,
+    # numpy reduceat fallback) into the codec, and each
     # task writes its own rows as per-bucket Arrow IPC slices under
     # out_dir/staging — the encoded bytes NEVER enter the object store.
     # Only (bucket, stage_file) metadata rows flow into the groupby, so the
@@ -319,20 +301,21 @@ def _run_rollup_job_inner(
     import shutil as _shutil
 
     _shutil.rmtree(stage_dir, ignore_errors=True)
-    # STATELESS task stage, not an actor pool: RollupEncode holds no real
-    # per-process state (no model/index — just counters), so a pool buys
-    # nothing and costs plenty: pool actors are FRESH processes booted per
-    # execution (cold imports, seconds), a fixed pool reserves CPUs that
-    # starve the read/finalize stages, and an autoscaling pool ramps too
-    # slowly to fill a short job (measured 3.8 effective CPUs of 14 at 16
-    # cpus, sf0.4).  A per-worker-process instance cache keeps whatever the
-    # encoder wants warm; tasks schedule elastically on every CPU.  Worker
-    # death mid-task is retried by Ray core exactly as for pool actors
-    # (the fault-injection pytest covers it, byte-identical output).
+    # STATELESS task stage, not an actor pool: RollupEncode holds no
+    # per-process state (no model/index), so a pool buys nothing and costs
+    # plenty: pool actors are FRESH processes booted per execution (cold
+    # imports, seconds), a fixed pool reserves CPUs that starve the
+    # read/finalize stages, and an autoscaling pool ramps too slowly to
+    # fill a short job (measured 3.8 effective CPUs of 14 at 16 cpus,
+    # sf0.4).  The instance ships with each task, like DwtTransform; tasks
+    # schedule elastically on every CPU.  Worker death mid-task is retried
+    # by Ray core exactly as for pool actors (the fault-injection pytest
+    # covers it, byte-identical output).
     # ``encoder_concurrency`` (when given) caps concurrent encode tasks —
     # pool semantics kept for tests/CLI; None = let the scheduler pack.
     ds = ds.map_batches(
-        _make_rollup_encode_fn(n_tiers, fault_flag, stage_dir),
+        RollupEncode(n_tiers=n_tiers, fault_flag=fault_flag,
+                     stage_dir=stage_dir),
         batch_format="pyarrow",
         batch_size=batch_size,
         **(

@@ -73,14 +73,9 @@ def _frame_blob_column(n_win, w_arr, last_arr, streams):
 class GorillaEncoder:
     """Actor-pool encoder: rollup list rows -> framed compressed blobs.
 
-    State held per actor: throughput counters (points/bytes encoded) that are
-    attached to every output batch as lineage columns, and nothing else —
-    encoding must stay a pure per-row function (resume invariant).
+    Holds no state: encoding must stay a pure per-row function (resume
+    invariant).
     """
-
-    def __init__(self):
-        self.points_encoded = 0
-        self.bytes_out = 0
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         mins, off = list_to_numpy(batch["mins"])
@@ -100,8 +95,6 @@ class GorillaEncoder:
         w_arr = counts[off[:-1]]
         last_arr = counts[off[1:] - 1]
         blob_arr, nbytes = _frame_blob_column(n_win, w_arr, last_arr, streams)
-        self.points_encoded += int(n_win.sum())
-        self.bytes_out += int(nbytes.sum())
         bits_per_point = np.where(n_win > 0, nbytes * 8.0 / np.maximum(n_win, 1), 0.0)
         cols = {
             "doc_id": batch["doc_id"],
@@ -117,22 +110,40 @@ class GorillaEncoder:
         return pa.table(cols)
 
 
-class RollupEncode:
-    """Fused rollup + encode actor stage for the flagship job.
+def slice_name(doc_ids: pa.Array) -> str:
+    """Staged-slice file name: md5 of the slice's ``doc_id`` offsets
+    (rebased to 0) and of the data bytes those offsets cover.  A pure
+    function of the slice's doc ids, wherever the slice sits in its batch,
+    so a retried task overwrites its own slices instead of duplicating
+    rows."""
+    import hashlib
 
-    Computes the continuous-aggregate tier tree (same reduceat machinery as
-    ``TierRollup``) and feeds each tier's stat streams STRAIGHT into the
+    _, obuf, dbuf = doc_ids.buffers()
+    odt = np.int64 if pa.types.is_large_string(doc_ids.type) else np.int32
+    off = np.frombuffer(obuf, dtype=odt)[
+        doc_ids.offset : doc_ids.offset + len(doc_ids) + 1
+    ]
+    sig = hashlib.md5((off - off[0]).tobytes())
+    if dbuf is not None:
+        sig.update(memoryview(dbuf)[int(off[0]) : int(off[-1])])
+    return f"part-{sig.hexdigest()[:20]}.arrow"
+
+
+class RollupEncode:
+    """Fused rollup + encode stage for the flagship job.
+
+    Computes every tier of the continuous-aggregate tree with
+    :func:`stages.rollup.tier_tree` (native one-pass kernel, numpy
+    fallback) and feeds its flat tier-major stat streams STRAIGHT into the
     vectorized codec — the intermediate Arrow list columns that
     TierRollup|GorillaEncoder would build and re-parse are never
-    materialized, which removes ~a third of the hot path's allocations.
-    Output rows and blob bytes are identical to TierRollup -> GorillaEncoder.
+    materialized.  Output rows and blob bytes are identical to
+    TierRollup -> GorillaEncoder.
     """
 
     def __init__(self, n_tiers: int = 10, fault_flag: str | None = None,
                  stage_dir: str | None = None):
         self.n_tiers = n_tiers
-        self.points_encoded = 0
-        self.bytes_out = 0
         # test hook: path of a flag file; the FIRST actor task to claim it
         # kills its own worker process mid-stage (simulated node loss).
         # Inert in production (None). The retry pytest proves the job
@@ -146,37 +157,35 @@ class RollupEncode:
 
     def _stage_batch(self, full: pa.Table) -> pa.Table:
         """Write this batch's rows as per-bucket staged IPC slices; return
-        one metadata row per slice.  File names are content hashes of the
-        slice's doc ids, so a retried task overwrites its own slices
-        idempotently instead of duplicating rows."""
-        import hashlib
+        one metadata row per slice.  The batch is sorted by bucket once
+        (stable, so each slice keeps its row order) and cut into one
+        contiguous slice per bucket, named by :func:`slice_name`."""
         import os
         import uuid
 
-        b = full["bucket"].to_numpy(zero_copy_only=False)
-        out_b: list[int] = []
+        b = full["bucket"].to_numpy()
+        order = np.argsort(b, kind="stable")
+        bs = b[order]
+        full = full.take(pa.array(order)).combine_chunks()
+        keys, starts = np.unique(bs, return_index=True)
+        ends = np.append(starts[1:], len(bs))
         out_f: list[str] = []
-        for k in np.unique(b):
-            sub = full.filter(pa.array(b == k))
-            sig = hashlib.md5()
-            for s in sub.column("doc_id").to_pylist():
-                sig.update(str(s).encode())
-                sig.update(b";")
-            rel_dir = f"bucket={int(k):05d}"
+        for k, lo, hi in zip(keys.tolist(), starts.tolist(), ends.tolist()):
+            sub = full.slice(lo, hi - lo)
+            rel_dir = f"bucket={k:05d}"
             d = os.path.join(self.stage_dir, rel_dir)
             os.makedirs(d, exist_ok=True)
-            name = f"part-{sig.hexdigest()[:20]}.arrow"
+            name = slice_name(sub.column("doc_id").chunk(0))
             tmp = os.path.join(d, f".{name}.{uuid.uuid4().hex[:8]}.tmp")
             with pa.OSFile(tmp, "wb") as fh, pa.ipc.new_file(
                 fh, sub.schema
             ) as w:
                 w.write_table(sub)
             os.replace(tmp, os.path.join(d, name))
-            out_b.append(int(k))
             out_f.append(f"{rel_dir}/{name}")
         return pa.table(
             {
-                "bucket": pa.array(out_b, type=pa.int32()),
+                "bucket": pa.array(keys, type=pa.int32()),
                 "stage_file": pa.array(out_f, type=pa.string()),
             }
         )
@@ -195,88 +204,48 @@ class RollupEncode:
         #              an actor death, and would fail the job instead
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.listops import tumble_starts
+        from .rollup import tier_tree
 
         self._maybe_inject_fault()
 
         values, offsets = list_to_numpy(batch["tokens"])
-        v64 = values.astype(np.int64)
         n_rows = len(offsets) - 1
-
-        # build every tier's stat streams first (aggregate-tree folds), then
-        # encode ALL tiers of each stat in ONE codec call — the vectorized
-        # encoder amortizes much better over (rows x tiers) blocks at once
-        starts, off, counts = tumble_starts(offsets, 2)
-        tier_vals = {
-            "wmin": np.minimum.reduceat(v64, starts),
-            "wmax": np.maximum.reduceat(v64, starts),
-            "wsum": np.add.reduceat(v64, starts),
-            "wcount": counts,
+        # every tier's stat streams in one tier-major layout, then ALL
+        # tiers of each stat in ONE codec call and one framed-blob column
+        tv, out_off = tier_tree(values, offsets, self.n_tiers)
+        streams = [
+            oc.dod_encode_blocks_raw(tv[k], out_off)
+            for k in ("wmin", "wmax", "wsum")
+        ]
+        n_win = np.diff(out_off)
+        cnts = tv["wcount"]
+        blob_arr, nbytes = _frame_blob_column(
+            n_win, cnts[out_off[:-1]], cnts[out_off[1:] - 1], streams
+        )
+        tiers = np.repeat(np.arange(1, self.n_tiers + 1, dtype=np.int8), n_rows)
+        cols = {
+            "doc_id": _tile(batch["doc_id"], self.n_tiers),
+            "source": _tile(batch["source"], self.n_tiers),
+            "tier": pa.array(tiers),
+            "n_windows": pa.array(n_win.astype(np.int32)),
+            "blob": blob_arr,
+            "nbytes": pa.array(nbytes),
+            "bits_per_point": pa.array(
+                nbytes * 8.0 / np.maximum(n_win, 1), type=pa.float64()
+            ),
         }
-        tier_off = off
-        per_tier = []
-        for t in range(1, self.n_tiers + 1):
-            if t > 1:
-                s2, off2, _ = tumble_starts(tier_off, 2)
-                tier_vals = {
-                    "wmin": np.minimum.reduceat(tier_vals["wmin"], s2),
-                    "wmax": np.maximum.reduceat(tier_vals["wmax"], s2),
-                    "wsum": np.add.reduceat(tier_vals["wsum"], s2),
-                    "wcount": np.add.reduceat(tier_vals["wcount"], s2),
-                }
-                tier_off = off2
-            per_tier.append((tier_vals, tier_off))
-
-        def concat_offsets():
-            parts = [np.diff(toff) for _, toff in per_tier]
-            lens = np.concatenate(parts)
-            out = np.zeros(len(lens) + 1, dtype=np.int64)
-            np.cumsum(lens, out=out[1:])
-            return out
-
-        all_off = concat_offsets()
-        streams = {}
-        for k in ("wmin", "wmax", "wsum"):
-            flat = np.concatenate([tv[k] for tv, _ in per_tier])
-            streams[k] = oc.dod_encode_blocks_raw(flat, all_off)
-
-        pieces = []
-        base = 0
-        for t, (tv, toff) in enumerate(per_tier, start=1):
-            n_win = np.diff(toff)
-            cnts = tv["wcount"]
-            w_arr = cnts[toff[:-1]]
-            last_arr = cnts[toff[1:] - 1]
-            tier_streams = [
-                (buf, starts[base : base + n_rows], lens[base : base + n_rows])
-                for buf, starts, lens in (
-                    streams["wmin"], streams["wmax"], streams["wsum"]
-                )
-            ]
-            base += n_rows
-            blob_arr, nbytes = _frame_blob_column(
-                n_win, w_arr, last_arr, tier_streams
-            )
-            cols = {
-                "doc_id": batch["doc_id"],
-                "source": batch["source"],
-                "tier": pa.array(np.full(n_rows, t, dtype=np.int8)),
-                "n_windows": pa.array(n_win.astype(np.int32)),
-                "blob": blob_arr,
-                "nbytes": pa.array(nbytes),
-                "bits_per_point": pa.array(
-                    nbytes * 8.0 / np.maximum(n_win, 1), type=pa.float64()
-                ),
-            }
-            if "bucket" in batch.column_names:
-                cols["bucket"] = batch["bucket"]
-            pieces.append(pa.table(cols))
-            self.points_encoded += int(n_win.sum())
-            self.bytes_out += int(nbytes.sum())
-        full = pa.concat_tables(pieces)
+        if "bucket" in batch.column_names:
+            cols["bucket"] = _tile(batch["bucket"], self.n_tiers)
+        full = pa.table(cols)
         if self.stage_dir is not None and "bucket" in full.column_names:
             return self._stage_batch(full)
         return full
+
+
+def _tile(col, n: int) -> pa.ChunkedArray:
+    """``col`` repeated ``n`` times end to end, zero-copy."""
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+    return pa.chunked_array(chunks * n, type=col.type)
 
 
 def decode_blocks_batch(batch: pa.Table) -> pa.Table:

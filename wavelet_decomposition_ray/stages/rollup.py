@@ -4,6 +4,11 @@ single stateless ``map_batches`` pass — the Ray analog of the reference's
 per-scale statistics ladder (``/root/reference/calc_EPN.py:3-43``; tutorial
 cell 6 time_scales), per SURVEY.md §4.3.
 
+The fold itself is :func:`tier_tree`: a native one-pass kernel
+(``native/dod.c`` ``tier_tree_c``) with the numpy reduceat ladder as the
+fallback when no C compiler exists.  ``RollupEncode`` calls the same
+function and feeds its flat streams straight into the codec.
+
 Output layout: one row per (doc, tier) with the four stat streams as list
 columns — the shape the Gorilla/DoD encoder stage consumes, and the shape
 that explodes cheaply to the long (window_idx) format for SQL-checked
@@ -15,23 +20,80 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .. import native
 from ..functions.listops import list_to_numpy, numpy_to_list, tumble_starts
 
 STAT_NAMES = ("wmin", "wmax", "wsum", "wcount")
 
 
-def _tier_from(vals: dict[str, np.ndarray], offsets: np.ndarray, w: int):
-    """One fold step: tumble each stat stream at width w (2 for tree folds)."""
-    starts, new_off, _ = tumble_starts(offsets, w)
-    return (
-        {
-            "wmin": np.minimum.reduceat(vals["wmin"], starts),
-            "wmax": np.maximum.reduceat(vals["wmax"], starts),
-            "wsum": np.add.reduceat(vals["wsum"], starts),
-            "wcount": np.add.reduceat(vals["wcount"], starts),
-        },
-        new_off,
-    )
+def _tier_offsets(offsets: np.ndarray, n_tiers: int) -> np.ndarray:
+    """Window offsets of the tier-major ``(tier, row)`` stream layout:
+    (tier t, row r) owns windows ``[out[(t-1)*n_rows + r], out[(t-1)*n_rows
+    + r + 1])``, ceil(len_r / 2**t) of them."""
+    lens = np.diff(np.asarray(offsets, dtype=np.int64))
+    if (lens <= 0).any():
+        raise ValueError("empty rows are not supported in tumbling rollups")
+    shifts = np.arange(1, n_tiers + 1, dtype=np.int64)[:, None]
+    out = np.zeros(n_tiers * len(lens) + 1, dtype=np.int64)
+    np.cumsum((((lens - 1)[None, :] >> shifts) + 1).ravel(), out=out[1:])
+    return out
+
+
+def _tier_tree_np(v64: np.ndarray, offsets: np.ndarray, n_tiers: int):
+    """Numpy fallback of the native kernel: the reduceat ladder, tier 1
+    from raw tokens and every further tier folded from the previous one."""
+    starts, off, counts = tumble_starts(offsets, 2)
+    tv = {
+        "wmin": np.minimum.reduceat(v64, starts),
+        "wmax": np.maximum.reduceat(v64, starts),
+        "wsum": np.add.reduceat(v64, starts),
+        "wcount": counts,
+    }
+    tiers = [tv]
+    for _ in range(1, n_tiers):
+        starts, off, _ = tumble_starts(off, 2)
+        tv = {
+            "wmin": np.minimum.reduceat(tv["wmin"], starts),
+            "wmax": np.maximum.reduceat(tv["wmax"], starts),
+            "wsum": np.add.reduceat(tv["wsum"], starts),
+            "wcount": np.add.reduceat(tv["wcount"], starts),
+        }
+        tiers.append(tv)
+    return {k: np.concatenate([t[k] for t in tiers]) for k in STAT_NAMES}
+
+
+def tier_tree(values: np.ndarray, offsets: np.ndarray, n_tiers: int):
+    """Every dyadic tier (window width 2**t, t = 1..n_tiers) of every row
+    of one flat ``(values, offsets)`` batch.
+
+    Returns ``(stats, out_off)``: four flat int64 arrays (``STAT_NAMES``)
+    in the tier-major stream layout of :func:`_tier_offsets` — the layout
+    ``oracle.dod_encode_blocks_raw`` takes.  The native kernel makes one
+    scan per row (tier 1 from raw tokens, tier t from tier t-1 in the
+    output); without a C compiler the numpy reduceat ladder computes the
+    same arrays.  Sums wrap mod 2**64, like numpy's int64 adds.
+    """
+    out_off = _tier_offsets(offsets, n_tiers)
+    n_rows = len(offsets) - 1
+    total = int(out_off[-1])
+    if total == 0:
+        z = np.zeros(0, dtype=np.int64)
+        return {k: z for k in STAT_NAMES}, out_off
+    fn = native.tier_tree()
+    if fn is None:
+        return _tier_tree_np(np.asarray(values).astype(np.int64), offsets,
+                             n_tiers), out_off
+    v = np.asarray(values)
+    if v.dtype != np.int32:
+        v = v.astype(np.int64)
+    v = np.ascontiguousarray(v)
+    off = np.ascontiguousarray(offsets, dtype=np.int64)
+    if off[0] < 0 or off[-1] > len(v):
+        raise ValueError("offsets run past the values array")
+    stats = {k: np.empty(total, dtype=np.int64) for k in STAT_NAMES}
+    fn(v.ctypes.data, off.ctypes.data, int(v.dtype == np.int64), n_rows,
+       n_tiers, out_off.ctypes.data, *(stats[k].ctypes.data for k in STAT_NAMES))
+    return stats, out_off
 
 
 class TierRollup:
@@ -40,7 +102,8 @@ class TierRollup:
     Tier t has window width 2**t; tier 1 reduces the raw tokens, every
     further tier folds the previous one (exact for dyadic tumbling windows —
     FIXTURES.md invariant 3), so total work is O(n_tokens), not
-    O(n_tokens * n_tiers).
+    O(n_tokens * n_tiers).  The fold is :func:`tier_tree` (native, with a
+    numpy fallback).
     """
 
     def __init__(self, n_tiers: int = 10):
@@ -49,18 +112,8 @@ class TierRollup:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         values, offsets = list_to_numpy(batch["tokens"])
-        v64 = values.astype(np.int64)
         n_rows = len(offsets) - 1
-
-        # tier 1 directly from raw tokens
-        starts, off, counts = tumble_starts(offsets, 2)
-        tier_vals = {
-            "wmin": np.minimum.reduceat(v64, starts),
-            "wmax": np.maximum.reduceat(v64, starts),
-            "wsum": np.add.reduceat(v64, starts),
-            "wcount": counts,
-        }
-        tier_off = off
+        tv, out_off = tier_tree(values, offsets, self.n_tiers)
 
         doc = batch["doc_id"]
         src = batch["source"]
@@ -69,9 +122,9 @@ class TierRollup:
         }
         pieces = []
         for t in range(1, self.n_tiers + 1):
-            if t > 1:
-                tier_vals, tier_off = _tier_from(tier_vals, tier_off, 2)
-            n_win = np.diff(tier_off)
+            toff = out_off[(t - 1) * n_rows : t * n_rows + 1]
+            lo, hi = int(toff[0]), int(toff[-1])
+            toff = toff - lo
             pieces.append(
                 pa.table(
                     {
@@ -79,12 +132,12 @@ class TierRollup:
                         "source": src,
                         **passthrough,
                         "tier": pa.array(np.full(n_rows, t, dtype=np.int8)),
-                        "n_windows": pa.array(n_win.astype(np.int32)),
-                        "mins": numpy_to_list(tier_vals["wmin"], tier_off, pa.int64()),
-                        "maxs": numpy_to_list(tier_vals["wmax"], tier_off, pa.int64()),
-                        "sums": numpy_to_list(tier_vals["wsum"], tier_off, pa.int64()),
+                        "n_windows": pa.array(np.diff(toff).astype(np.int32)),
+                        "mins": numpy_to_list(tv["wmin"][lo:hi], toff, pa.int64()),
+                        "maxs": numpy_to_list(tv["wmax"][lo:hi], toff, pa.int64()),
+                        "sums": numpy_to_list(tv["wsum"][lo:hi], toff, pa.int64()),
                         "counts": numpy_to_list(
-                            tier_vals["wcount"].astype(np.int32), tier_off, pa.int32()
+                            tv["wcount"][lo:hi].astype(np.int32), toff, pa.int32()
                         ),
                     }
                 )

@@ -22,6 +22,7 @@ import zlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 
@@ -100,7 +101,7 @@ def mark_empty_buckets(out_dir: str, n_buckets: int) -> None:
 
 def read_all_partials(out_dir: str):
     """Concatenate every bucket's persisted per-(source, tier) partials
-    (written atomically by :class:`PartitionWriter`) into one pandas frame —
+    (written atomically by :func:`write_bucket_table`) into one pandas frame —
     the input of the finalize fold. Covers buckets completed by PREVIOUS
     runs, which a resumed run never re-executes. Returns None when NO
     partials exist (legacy store or empty run — callers fall back to
@@ -257,26 +258,6 @@ def read_manifest(out_dir: str) -> list[dict]:
     return rows
 
 
-class PartitionWriter:
-    """``groupby("bucket").map_groups`` callable: write one bucket's encoded
-    rollup rows atomically, record lineage + metrics, return the manifest row
-    plus per-(source, tier) partial aggregates (the combiner half — the
-    driver's final fold over these tiny rows replaces a second shuffle).
-
-    This is the DATA-SHUFFLE writer shape (every encoded byte crosses the
-    object store to reach its bucket's writer).  The flagship job now uses
-    :class:`BucketFinalize` over task-staged files instead — same final
-    bytes, no data all-to-all — but this class remains the simple one-hop
-    writer for ad-hoc pipelines."""
-
-    def __init__(self, out_dir: str):
-        self.out_dir = out_dir
-        self.__name__ = "PartitionWriter"  # map_groups wants a named callable
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        return write_bucket_table(self.out_dir, group)
-
-
 def write_bucket_table(out_dir: str, group: pa.Table) -> pa.Table:
     """Write ONE bucket's full rollup table as its final atomic partition
     file + manifest row + persisted partials.  Deterministic: the bucket is
@@ -295,29 +276,35 @@ def write_bucket_table(out_dir: str, group: pa.Table) -> pa.Table:
     rel = f"data/bucket={bucket:05d}.parquet"
     path = os.path.join(out_dir, rel)
     os.makedirs(os.path.dirname(path), exist_ok=True)
+    # serialize in memory and hash those bytes: the checksum costs no
+    # re-read of the file just written
+    sink = pa.BufferOutputStream()
+    pq.write_table(group, sink, row_group_size=4096)
+    data = sink.getvalue()
+    checksum = hashlib.md5(data).hexdigest()
     tmp = path + ".tmp"
-    pq.write_table(group, tmp, row_group_size=4096)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
-    with open(path, "rb") as fh:
-        checksum = hashlib.md5(fh.read()).hexdigest()
 
-    # per-(source, tier) partials for the driver-side final aggregate
-    import pandas as pd
-
-    pdf = pd.DataFrame(
+    # per-(source, tier) partials for the driver-side final aggregate,
+    # sorted by (source, tier) like a pandas groupby
+    partials = (
+        group.group_by(["source", "tier"])
+        .aggregate([([], "count_all"), ("n_windows", "sum"),
+                    ("nbytes", "sum")])
+        .sort_by([("source", "ascending"), ("tier", "ascending")])
+    )
+    partials = pa.table(
         {
-            "source": group["source"].to_pandas(),
-            "tier": group["tier"].to_pandas(),
-            "n_windows": group["n_windows"].to_pandas().astype("int64"),
-            "nbytes": group["nbytes"].to_pandas(),
+            "bucket": pa.array(np.full(partials.num_rows, bucket, dtype=np.int64)),
+            "source": partials["source"],
+            "tier": partials["tier"],
+            "n_docs": partials["count_all"],
+            "n_windows": partials["n_windows_sum"],
+            "nbytes": partials["nbytes_sum"],
         }
     )
-    partials = pdf.groupby(["source", "tier"], as_index=False).agg(
-        n_docs=("n_windows", "size"),
-        n_windows=("n_windows", "sum"),
-        nbytes=("nbytes", "sum"),
-    )
-    partials.insert(0, "bucket", bucket)
 
     # persist this bucket's partials next to its manifest row so a
     # RESUMED run can fold the per-(source,tier) sink across ALL buckets,
@@ -326,7 +313,7 @@ def write_bucket_table(out_dir: str, group: pa.Table) -> pa.Table:
     mdir = manifest_dir(out_dir)
     os.makedirs(mdir, exist_ok=True)
     ptmp = os.path.join(mdir, f".partials-{bucket:05d}.parquet.tmp")
-    pq.write_table(pa.Table.from_pandas(partials, preserve_index=False), ptmp)
+    pq.write_table(partials, ptmp)
     os.replace(ptmp, os.path.join(mdir, f"partials-{bucket:05d}.parquet"))
 
     # order-independent input fingerprint of this bucket's doc set:
@@ -335,7 +322,7 @@ def write_bucket_table(out_dir: str, group: pa.Table) -> pa.Table:
     # detect appended/removed docs in already-completed buckets
     from ..functions.dedup import _stable_u64
 
-    ids = pa.compute.unique(group["doc_id"]).to_pylist()
+    ids = pc.unique(group["doc_id"]).to_pylist()
     hx = np.array([_stable_u64(s) for s in ids], dtype=np.uint64).view(
         np.int64
     )
@@ -345,8 +332,8 @@ def write_bucket_table(out_dir: str, group: pa.Table) -> pa.Table:
         "n_rows": group.num_rows,
         "n_docs": len(ids),
         "doc_xor": int(np.bitwise_xor.reduce(hx)) if len(hx) else 0,
-        "n_windows": int(pdf["n_windows"].sum()),
-        "bytes_encoded": int(pdf["nbytes"].sum()),
+        "n_windows": int(pc.sum(partials["n_windows"]).as_py()),
+        "bytes_encoded": int(pc.sum(partials["nbytes"]).as_py()),
         "checksum": checksum,
         "elapsed_s": round(time.perf_counter() - t0, 4),
     }
@@ -354,7 +341,7 @@ def write_bucket_table(out_dir: str, group: pa.Table) -> pa.Table:
     with open(mtmp, "w") as fh:
         json.dump(row, fh, sort_keys=True)
     os.replace(mtmp, os.path.join(mdir, f"bucket-{bucket:05d}.json"))
-    return pa.Table.from_pandas(partials, preserve_index=False)
+    return partials
 
 
 class BucketFinalize:

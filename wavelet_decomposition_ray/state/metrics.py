@@ -25,13 +25,19 @@ def _to_seconds(val: str, unit: str | None) -> float:
 
 
 def parse_dataset_stats(stats: str) -> list[dict]:
-    """Best-effort structured view of ``Dataset.stats()`` output."""
+    """Best-effort structured view of ``Dataset.stats()`` output: one row
+    per operator.  An all-to-all operator (``Operator 3 Sort: executed in
+    0.53s``) gets its own row; the totals of its indented sub-operators
+    (``SortMap``, ``SortReduce``) go into that row's ``suboperators`` list
+    and are summed into its ``task_wall_total_s`` / ``task_cpu_total_s``,
+    never into the row before it."""
     out = []
-    cur = None
+    op = cur = None
     for line in stats.splitlines():
-        m = re.match(r"Operator (\d+) (.+?): (?:(\d+) tasks executed, )?(\d+) blocks? produced in ([0-9.]+)s", line.strip())
+        s = line.strip()
+        m = re.match(r"Operator (\d+) (.+?): (?:(\d+) tasks executed, )?(\d+) blocks? produced in ([0-9.]+)s", s)
         if m:
-            cur = {
+            op = cur = {
                 "operator": m.group(2)[:120],
                 "tasks": int(m.group(3)) if m.group(3) else None,
                 "blocks": int(m.group(4)),
@@ -39,9 +45,23 @@ def parse_dataset_stats(stats: str) -> list[dict]:
             }
             out.append(cur)
             continue
+        m = re.match(r"Operator (\d+) (.+?): executed in ([0-9.]+)s", s)
+        if m:
+            op = cur = {"operator": m.group(2)[:120], "wall_s": float(m.group(3)),
+                        "suboperators": []}
+            out.append(cur)
+            continue
+        m = re.match(r"Suboperator (\d+) (.+?): (\d+) tasks executed, (\d+) blocks? produced", s)
+        if m and op is not None and "suboperators" in op:
+            cur = {"operator": m.group(2)[:120], "tasks": int(m.group(3)),
+                   "blocks": int(m.group(4))}
+            op["suboperators"].append(cur)
+            continue
+        if re.match(r"(Operator|Dataset) ", s):
+            cur = None  # a header this parser does not know: stop attributing
+            continue
         if cur is None:
             continue
-        s = line.strip()
         m = re.match(rf"\* Remote wall time: .* {_NUM} total", s)
         if m:
             cur["task_wall_total_s"] = round(_to_seconds(m.group(1), m.group(2)), 4)
@@ -54,6 +74,13 @@ def parse_dataset_stats(stats: str) -> list[dict]:
         m = re.match(r"\* Output size bytes per block: .* (\d+) total", s)
         if m:
             cur["bytes_out"] = int(m.group(1))
+    for row in out:
+        subs = row.get("suboperators")
+        if not subs:
+            continue
+        for k in ("task_wall_total_s", "task_cpu_total_s"):
+            if any(k in x for x in subs):
+                row[k] = round(sum(x.get(k, 0.0) for x in subs), 4)
     return out
 
 
