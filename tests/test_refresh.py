@@ -98,6 +98,69 @@ def test_refresh_handles_removals(corpus):
     pd.testing.assert_frame_equal(_stats(store), _stats(scratch_sub))
 
 
+def test_refresh_bucket_emptied_by_removal(corpus):
+    """Removing every doc of one bucket leaves the refresh job nothing to
+    encode (no metadata row survives the resume filter): the bucket must
+    be recorded empty and the store must equal a from-scratch build."""
+    base, _, full, _ = corpus
+    tbl = pads.dataset(full).to_table()
+    ids = tbl["doc_id"].to_pylist()
+    buckets = mf.bucket_of_ids(ids, NB)
+    victim = int(buckets[0])
+    emptied = os.path.join(base, "emptied")
+    os.makedirs(emptied)
+    pq.write_table(tbl.filter(pa.array(buckets != victim)),
+                   os.path.join(emptied, "part-0.parquet"))
+
+    store = os.path.join(base, "emptied_store")
+    _run(full, store)
+    r = _run(emptied, store, refresh=True)
+    assert r["buckets_refreshed"] == 1
+    row = next(x for x in mf.read_manifest(store) if x["bucket"] == victim)
+    assert row["file"] is None and row["n_docs"] == 0
+
+    scratch = os.path.join(base, "emptied_scratch")
+    _run(emptied, scratch)
+    assert _checksums(store) == _checksums(scratch)
+    pd.testing.assert_frame_equal(_stats(store), _stats(scratch))
+
+
+def test_input_bucket_summary_matches_reference(ray_session, tmp_path):
+    """The driver-side fold of the fingerprint pre-pass equals a pure-Python
+    per-bucket (doc count, XOR of stable doc-id hashes) over a multi-file
+    input with several batches per bucket and one unoccupied bucket; an
+    input with zero rows summarizes to an empty frame."""
+    nb = 16
+    ids = [f"doc-{i:04d}" for i in range(600)]
+    ids = [d for d in ids if int(mf.bucket_of_ids([d], nb)[0]) != 7]
+    inp = tmp_path / "multi"
+    inp.mkdir()
+    for k in range(4):
+        part = ids[k::4]
+        pq.write_table(pa.table({"doc_id": part}), inp / f"part-{k}.parquet",
+                       row_group_size=25)
+
+    want = {}
+    for d in ids:
+        b = int(mf.bucket_of_ids([d], nb)[0])
+        n, x = want.get(b, (0, 0))
+        want[b] = (n + 1, x ^ _stable_u64(d))
+    assert 7 not in want and len(want) == nb - 1
+
+    got = mf.input_bucket_summary(str(inp), nb)
+    assert list(got["bucket"]) == sorted(want)
+    assert {
+        int(b): (int(n), int(x) & (2**64 - 1))
+        for b, n, x in zip(got["bucket"], got["n_docs"], got["doc_xor"])
+    } == want
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    pq.write_table(pa.table({"doc_id": pa.array([], type=pa.string())}),
+                   empty / "part-0.parquet")
+    assert len(mf.input_bucket_summary(str(empty), nb)) == 0
+
+
 def test_legacy_manifest_rows_count_as_stale(corpus):
     base, sub, _, _ = corpus
     store = os.path.join(base, "legacy")

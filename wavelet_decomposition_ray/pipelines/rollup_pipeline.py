@@ -10,19 +10,22 @@ analog):
      -> map_batches(RollupEncode)       stateless tasks  [A2 + ST1]: the
           tier tree (native one-pass kernel, numpy reduceat fallback)
           straight into the DoD codec; writes per-bucket staged IPC
-          slices in-task, emits metadata rows only
-     -> groupby(bucket).map_groups(BucketFinalize)       tiny metadata
-          exchange -> merge slices, sort, atomic file + manifest [S5/S6]
-         -> per-(source,tier) partials -> driver final fold [A1/A2]
+          slices in-task, emits (bucket, stage_file) metadata rows only
+     -> take_all(limit=input rows)      driver drains the metadata rows
+     -> ray.remote(BucketFinalize) x occupied buckets   one task per
+          bucket: merge slices, sort, atomic file + manifest [S5/S6]
+     -> persisted per-(source,tier) partials -> driver final fold [A1/A2]
 
 Consecutive map_batches are fused by the streaming executor, so the heavy
 columns (tokens, coeffs) never cross the object store between them — and
 neither does the encoded store: each task writes its own rows as staged
 per-bucket Arrow IPC slices (the no-shuffle layout of
-``write_parquet(partition_cols=...)``), so the only all-to-all is the
-O(tasks x buckets) metadata exchange forming each bucket's commit barrier,
-which doubles as the resume/checkpoint granularity. At cluster scale the
-same code runs with ``n_buckets`` sized to ~(nodes x cores); locally the
+``write_parquet(partition_cols=...)``).  Nothing is shuffled: the driver
+groups the O(tasks x buckets) metadata rows by bucket and commits each
+bucket in its own task — a bucket's file is a pure function of its staged
+slices, so buckets commit independently and in any order, and the bucket
+doubles as the resume/checkpoint granularity. At cluster scale the same
+code runs with ``n_buckets`` sized to ~(nodes x cores); locally the
 default 16 keeps finalize parallelism ~ CPUs and partitions ~10 MB at
 bench scale.
 
@@ -38,6 +41,7 @@ import time
 import numpy as np
 import pyarrow as pa
 
+import ray
 import ray.data
 
 from ..stages.gapfill import gapfill_batch
@@ -116,6 +120,31 @@ def source_tier_aggregate(rollup_ds: "ray.data.Dataset") -> "ray.data.Dataset":
     )
 
 
+@ray.remote
+def _finalize_bucket(out_dir: str, stage_dir: str, meta: pa.Table) -> None:
+    """Commit one bucket from its metadata rows; Ray re-runs the task if its
+    worker dies, and the commit rewrites the same bytes."""
+    mf.BucketFinalize(out_dir, stage_dir)(meta)
+
+
+def _input_rows_bound(input_path: str, input_format: str) -> int:
+    """Upper bound on the input's row count: the parquet footers' count, or
+    for a line format its line count (a row takes at least one line)."""
+    if input_format == "parquet":
+        import pyarrow.dataset as pads
+
+        return pads.dataset(input_path).count_rows()
+    if os.path.isdir(input_path):
+        paths = [os.path.join(d, f) for d, _, fs in os.walk(input_path) for f in fs]
+    else:
+        paths = [input_path]
+    n = 0
+    for p in paths:
+        with open(p, "rb") as fh:
+            n += 1 + sum(c.count(b"\n") for c in iter(lambda: fh.read(1 << 20), b""))
+    return n
+
+
 def run_rollup_job(
     input_path: str,
     out_dir: str,
@@ -143,6 +172,14 @@ def run_rollup_job(
     ``WDR_STAGING_DIR`` env var) to point staging at faster shared scratch
     (e.g. a burst buffer) when the durable store sits on slow storage.
     Staging is cleared at job start and end — nothing durable lives there.
+
+    **Driver collect bound:** the encode stage emits one
+    (bucket, stage_file) row per non-empty (batch, bucket) slice, so the
+    driver drains at most min(encode batches x ``n_buckets``, ``n_in``)
+    rows, where ``n_in`` bounds the input's row count (parquet footers; a
+    line format's line count) — slices partition the input rows.  The
+    drain is ``take_all(limit=n_in)``, which raises past the bound.  Each
+    occupied bucket then commits in its own Ray task.
 
     ``input_format`` selects the ingest reader (``parquet`` | ``jsonl`` |
     ``csv`` — see :mod:`..sources.ingest`); every format normalizes to the
@@ -190,11 +227,6 @@ def run_rollup_job(
         if stale:
             mf.invalidate_buckets(out_dir, stale)
         n_refreshed = len(stale)
-    # NB: no DataContext shuffle overrides anymore.  The job's only groupby
-    # now exchanges one tiny (bucket, stage_file) metadata row per staged
-    # slice — the encoded store itself never crosses the object store (the
-    # round-2 hash-shuffle tuning existed to move ~150 MB/sf0.1 of blobs;
-    # the staged-write path removed that exchange entirely).
     return _run_rollup_job_inner(
         input_path, out_dir, bank, n_tiers, n_buckets, resume, verify,
         batch_size, encoder_concurrency, t0, fault_flag, n_refreshed,
@@ -209,8 +241,7 @@ def _run_rollup_job_inner(
 ):
     done = mf.completed_buckets(out_dir) if resume else frozenset()
     if len(done) >= n_buckets:
-        # nothing pending: an empty dataset cannot flow through the shuffle,
-        # and there is no work anyway
+        # nothing pending: no work, so no dataset is built at all
         manifest_rows = mf.read_manifest(out_dir)
         return {
             "elapsed_s": round(time.perf_counter() - t0, 3),
@@ -225,6 +256,7 @@ def _run_rollup_job_inner(
             "n_buckets": n_buckets,
         }
 
+    n_in = _input_rows_bound(input_path, input_format)
     if batch_size is None:
         if input_format == "parquet":
             # adaptive task granularity: ~4 fused-chain tasks per CPU
@@ -232,13 +264,9 @@ def _run_rollup_job_inner(
             # (per-task + per-staged-slice fixed costs dominate below ~256
             # rows) nor huge ones (load imbalance). Row count comes from
             # parquet FOOTERS only.
-            import pyarrow.dataset as pads
-            import ray as _ray
-
-            n_in = pads.dataset(input_path).count_rows()
             ncpu = (
-                int(_ray.cluster_resources().get("CPU", 8))
-                if _ray.is_initialized()
+                int(ray.cluster_resources().get("CPU", 8))
+                if ray.is_initialized()
                 else 8
             )
             batch_size = int(min(1024, max(256, n_in // (4 * ncpu))))
@@ -278,9 +306,8 @@ def _run_rollup_job_inner(
     # numpy reduceat fallback) into the codec, and each
     # task writes its own rows as per-bucket Arrow IPC slices under
     # out_dir/staging — the encoded bytes NEVER enter the object store.
-    # Only (bucket, stage_file) metadata rows flow into the groupby, so the
-    # former ~storage-sized all-to-all is now an O(tasks x buckets) commit
-    # barrier (BucketFinalize docstring).
+    # Only (bucket, stage_file) metadata rows reach the driver, which
+    # commits each bucket in its own task (BucketFinalize docstring).
     # staging placement: arg > WDR_STAGING_DIR env > <out_dir>/staging —
     # see the run_rollup_job docstring for the multi-node reachability
     # contract (staged slices must be readable by the finalize stage).
@@ -326,15 +353,26 @@ def _run_rollup_job_inner(
             else {}
         ),
     )
-    partials_ds = ds.groupby("bucket", num_partitions=n_buckets).map_groups(
-        mf.BucketFinalize(out_dir, stage_dir), batch_format="pyarrow"
-    )
-    partials = partials_ds.to_pandas()  # tiny: buckets x sources x tiers
-    stats = partials_ds.stats()
+    # bounded drain of the metadata rows (run_rollup_job docstring)
+    meta = ds.take_all(limit=n_in)
+    stats = ds.stats()
+    files_of: dict[int, list[str]] = {}
+    for r in meta:
+        files_of.setdefault(int(r["bucket"]), []).append(r["stage_file"])
+    t_fin = time.perf_counter()
+    ray.get([
+        _finalize_bucket.remote(out_dir, stage_dir, pa.table({
+            "bucket": pa.array([b] * len(files), type=pa.int32()),
+            "stage_file": pa.array(files, type=pa.string()),
+        }))
+        for b, files in sorted(files_of.items())
+    ])
+    finalize_wall_s = time.perf_counter() - t_fin
     _shutil.rmtree(stage_dir, ignore_errors=True)
 
-    # a hash bucket that owns no doc_ids produces no group: record it as an
-    # explicitly-empty partition so resume knows the run covered it
+    # a hash bucket that owns no doc_ids has no metadata rows and is never
+    # finalized: record it as an explicitly-empty partition so resume knows
+    # the run covered it
     mf.mark_empty_buckets(out_dir, n_buckets)
 
     elapsed = time.perf_counter() - t0
@@ -347,25 +385,9 @@ def _run_rollup_job_inner(
         sum(r["n_windows"] for r in manifest_rows if int(r["bucket"]) not in done)
     )
 
-    # finalize the per-(source, tier) sink from the PERSISTED partials of
-    # ALL buckets — the in-memory `partials` frame only covers buckets
-    # re-run this time, so using it alone would drop previously-completed
-    # buckets' contributions after a resume
-    all_partials = mf.read_all_partials(out_dir)
-    if all_partials is None:
-        all_partials = partials
-    if len(all_partials):
-        final = (
-            all_partials.groupby(["source", "tier"], as_index=False)
-            .agg(n_docs=("n_docs", "sum"), n_windows=("n_windows", "sum"),
-                 nbytes=("nbytes", "sum"))
-            .sort_values(["source", "tier"])
-        )
-        import pyarrow.parquet as pq
-
-        tmp = os.path.join(out_dir, ".source_stats.parquet.tmp")
-        pq.write_table(pa.Table.from_pandas(final, preserve_index=False), tmp)
-        os.replace(tmp, os.path.join(out_dir, "source_stats.parquet"))
+    # fold the PERSISTED partials of ALL buckets, so buckets completed by an
+    # earlier run still count after a resume
+    mf.write_source_stats(out_dir)
 
     summary = {
         "elapsed_s": round(elapsed, 3),
@@ -383,11 +405,22 @@ def _run_rollup_job_inner(
     from ..state.metrics import parse_dataset_stats, write_lineage
 
     os.makedirs(out_dir, exist_ok=True)
+    # finalize runs as plain tasks, outside Ray Data's stats: its row comes
+    # from the phase wall time and the committed buckets' manifest rows
+    per_stage = parse_dataset_stats(stats)
+    per_stage.append({
+        "operator": "finalize",
+        "tasks": len(files_of),
+        "wall_s": round(finalize_wall_s, 4),
+        "task_wall_total_s": round(
+            sum(r["elapsed_s"] for r in manifest_rows
+                if int(r["bucket"]) in files_of), 4),
+    })
     with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
         json.dump(
             {
                 "summary": summary,
-                "per_stage": parse_dataset_stats(stats),
+                "per_stage": per_stage,
                 "ray_data_stats": stats,
             },
             fh,

@@ -37,7 +37,7 @@ def compact_store(src_dir: str, dst_dir: str, n_buckets: int) -> dict:
     done = mf.completed_buckets(dst_dir)
 
     if len(done) == n_buckets:
-        _write_source_stats(dst_dir)
+        mf.write_source_stats(dst_dir)
         return {"buckets_written": 0, "buckets_skipped": len(done)}
 
     ds = ray.data.read_parquet(src_data).map_batches(
@@ -85,27 +85,6 @@ def compact_store(src_dir: str, dst_dir: str, n_buckets: int) -> dict:
     # without this the compacted manifest diverges from the byte-identical
     # contract and those buckets stay forever-pending for resume/refresh)
     mf.mark_empty_buckets(dst_dir, n_buckets)
-    _write_source_stats(dst_dir)
+    mf.write_source_stats(dst_dir)
     return {"buckets_written": n_written, "buckets_skipped": len(done)}
 
-
-def _write_source_stats(dst_dir: str) -> None:
-    """Fold the per-bucket partials sidecars into the top-level
-    source_stats.parquet sink, same atomic discipline as the fresh build
-    (rollup_pipeline) — compacted stores previously lacked the sink
-    entirely (ADVICE r3)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    all_partials = mf.read_all_partials(dst_dir)
-    if all_partials is None or not len(all_partials):
-        return
-    final = (
-        all_partials.groupby(["source", "tier"], as_index=False)
-        .agg(n_docs=("n_docs", "sum"), n_windows=("n_windows", "sum"),
-             nbytes=("nbytes", "sum"))
-        .sort_values(["source", "tier"])
-    )
-    tmp = os.path.join(dst_dir, ".source_stats.parquet.tmp")
-    pq.write_table(pa.Table.from_pandas(final, preserve_index=False), tmp)
-    os.replace(tmp, os.path.join(dst_dir, "source_stats.parquet"))

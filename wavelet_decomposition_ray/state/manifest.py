@@ -100,29 +100,28 @@ def mark_empty_buckets(out_dir: str, n_buckets: int) -> None:
 
 
 def read_all_partials(out_dir: str):
-    """Concatenate every bucket's persisted per-(source, tier) partials
-    (written atomically by :func:`write_bucket_table`) into one pandas frame —
-    the input of the finalize fold. Covers buckets completed by PREVIOUS
-    runs, which a resumed run never re-executes. Returns None when NO
-    partials exist (legacy store or empty run — callers fall back to
-    this-run partials only).
+    """Every bucket's persisted per-(source, tier) partials (written
+    atomically by :func:`write_bucket_table`) as one pandas frame, read in
+    one dataset scan — the input of the finalize fold.  Covers buckets
+    completed by PREVIOUS runs, which a resumed run never re-executes.
+    Returns None when NO partials exist (no bucket of the store has rows).
 
     Raises when partials exist but some non-empty manifest bucket has no
     partials file (a legacy store mixed with new buckets): folding the
     partial set would silently omit the legacy buckets from
     source_stats.parquet (ADVICE r2)."""
-    import pandas as pd
+    import pyarrow.dataset as pads
 
     mdir = manifest_dir(out_dir)
     if not os.path.isdir(mdir):
         return None
     have = set()
-    frames = []
+    files = []
     for f in sorted(os.listdir(mdir)):
         if f.startswith("partials-") and f.endswith(".parquet"):
             have.add(int(f[len("partials-") : -len(".parquet")]))
-            frames.append(pq.read_table(os.path.join(mdir, f)).to_pandas())
-    if not frames:
+            files.append(os.path.join(mdir, f))
+    if not files:
         return None
     need = {
         int(row["bucket"]) for row in read_manifest(out_dir)
@@ -136,21 +135,44 @@ def read_all_partials(out_dir: str):
             "source_stats would silently omit them — delete the store's "
             "source_stats/manifest and re-run, or rebuild the store"
         )
-    return pd.concat(frames, ignore_index=True)
+    return pads.dataset(files, format="parquet").to_table().to_pandas()
+
+
+def write_source_stats(out_dir: str) -> None:
+    """Fold every bucket's partials into the store's per-(source, tier)
+    sink ``source_stats.parquet`` (n_docs, n_windows, nbytes), written
+    atomically.  Writes nothing when no bucket has rows."""
+    all_partials = read_all_partials(out_dir)
+    if all_partials is None or not len(all_partials):
+        return
+    final = (
+        all_partials.groupby(["source", "tier"], as_index=False)
+        .agg(n_docs=("n_docs", "sum"), n_windows=("n_windows", "sum"),
+             nbytes=("nbytes", "sum"))
+        .sort_values(["source", "tier"])
+    )
+    tmp = os.path.join(out_dir, ".source_stats.parquet.tmp")
+    pq.write_table(pa.Table.from_pandas(final, preserve_index=False), tmp)
+    os.replace(tmp, os.path.join(out_dir, "source_stats.parquet"))
 
 
 def input_bucket_summary(input_path: str, n_buckets: int):
-    """Distributed pre-pass over ONLY the ``doc_id`` column: per-bucket doc
-    count + order-independent XOR fingerprint of stable 64-bit doc-id
-    hashes.  Each batch emits at most ``n_buckets`` partial rows, so the
-    exchange carries O(batches x buckets) tiny rows — never the corpus.
-    Returns a pandas frame (bucket, n_docs, doc_xor), one row per occupied
-    bucket."""
+    """Pre-pass over ONLY the ``doc_id`` column: per-bucket doc count +
+    order-independent XOR fingerprint of stable 64-bit doc-id hashes.
+
+    Each batch emits at most ``n_buckets`` partial rows (bucket, count,
+    XOR); the driver collects them — at most the input's row count, read
+    from the parquet footers, since every partial row covers at least one
+    doc — and folds them with one stable argsort and two ``reduceat``
+    calls.  No shuffle: the collect is O(batches x buckets) tiny rows,
+    never the corpus.  Returns a pandas frame (bucket, n_docs, doc_xor),
+    one row per occupied bucket, sorted by bucket (empty for an empty
+    input)."""
+    import pandas as pd
+    import pyarrow.dataset as pads
     import ray.data
 
     from ..functions.dedup import _stable_u64
-
-    ds = ray.data.read_parquet(input_path, columns=["doc_id"])
 
     def partial(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_pylist()
@@ -176,22 +198,23 @@ def input_bucket_summary(input_path: str, n_buckets: int):
             }
         )
 
-    def fold(df):
-        import pandas as pd
-
-        return pd.DataFrame(
-            {
-                "bucket": [int(df["bucket"].iloc[0])],
-                "n_docs": [int(df["pcnt"].sum())],
-                "doc_xor": [int(np.bitwise_xor.reduce(df["pxor"].to_numpy()))],
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
-        .to_pandas()
+    rows = (
+        ray.data.read_parquet(input_path, columns=["doc_id"])
+        .map_batches(partial, batch_format="pyarrow")
+        .take_all(limit=pads.dataset(input_path).count_rows())
+    )
+    b = np.array([r["bucket"] for r in rows], dtype=np.int32)
+    cnt = np.array([r["pcnt"] for r in rows], dtype=np.int64)
+    xor = np.array([r["pxor"] for r in rows], dtype=np.int64)
+    order = np.argsort(b, kind="stable")
+    b, cnt, xor = b[order], cnt[order], xor[order]
+    ub, start = np.unique(b, return_index=True)
+    return pd.DataFrame(
+        {
+            "bucket": ub,
+            "n_docs": np.add.reduceat(cnt, start),
+            "doc_xor": np.bitwise_xor.reduceat(xor, start),
+        }
     )
 
 
@@ -345,23 +368,23 @@ def write_bucket_table(out_dir: str, group: pa.Table) -> pa.Table:
 
 
 class BucketFinalize:
-    """``groupby("bucket").map_groups`` callable over STAGED-FILE METADATA
-    rows (bucket, stage_file): the commit barrier of the shuffle-free write
-    path.
+    """Commit of ONE bucket from its staged-file metadata rows
+    (bucket, stage_file): called once per occupied bucket, as an
+    independent task, after the encode stage has drained.
 
     The encode tasks already wrote every bucket's rows as per-(task, bucket)
     Arrow IPC slices under ``staging/`` (see ``RollupEncode(stage_dir=...)``)
-    — the only thing that crosses the cluster here is one tiny metadata row
-    per staged file, so the groupby exchange is O(tasks x buckets) rows of
-    a few bytes instead of the full encoded store.  Each finalize task
-    reads its bucket's staged slices, globally sorts, and writes the exact
-    same final partition file the data-shuffle writer would (byte-identical
-    — :func:`write_bucket_table` sorts before writing), then deletes the
-    slices.
+    and emitted one tiny metadata row per slice; the driver groups those
+    rows by bucket, so nothing is shuffled.  A call reads its bucket's
+    staged slices, globally sorts, and writes the final partition file
+    (byte-identical whatever the slice layout — :func:`write_bucket_table`
+    sorts before writing), then deletes the slices.  A bucket's commit is a
+    pure function of its slices, so buckets finalize in any order.
 
     Retry-safe: staged file names are content hashes of the slice's doc
     ids, so a re-executed encode task overwrites its own files instead of
-    duplicating rows; duplicate metadata rows dedupe on the file name here.
+    duplicating rows; duplicate metadata rows dedupe on the file name here,
+    and a re-executed call rewrites the same bytes.
     At 100-TB scale the staged-file count is tasks x occupied buckets —
     size ``batch_size`` up and ``n_buckets`` to O(nodes) so slices stay
     megabytes, and staging lives on the job's shared store (here: the
@@ -370,7 +393,6 @@ class BucketFinalize:
     def __init__(self, out_dir: str, stage_dir: str):
         self.out_dir = out_dir
         self.stage_dir = stage_dir
-        self.__name__ = "BucketFinalize"
 
     def __call__(self, meta: pa.Table) -> pa.Table:
         files = sorted(set(meta["stage_file"].to_pylist()))
