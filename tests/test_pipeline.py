@@ -24,6 +24,19 @@ def seq_dir(ray_session):
     return synth.ensure_sequences("/root/testdata/sf0.001")
 
 
+def _fused_chain_row(out_dir):
+    """The one ``metrics.json`` per_stage row that runs RollupEncode: the
+    whole map chain, gapfill through encode, fused into one operator."""
+    with open(os.path.join(out_dir, "metrics.json")) as fh:
+        per_stage = json.load(fh)["per_stage"]
+    rows = [s for s in per_stage if "RollupEncode" in s["operator"]]
+    assert len(rows) == 1, [s["operator"] for s in per_stage]
+    assert "gapfill_batch" in rows[0]["operator"]
+    for gone in ("DwtTransform", "MapBatches(drop)", "_check_invariant"):
+        assert not any(gone in s["operator"] for s in per_stage), gone
+    return rows[0]
+
+
 def _file_hashes(out_dir):
     return {
         os.path.relpath(p, out_dir): hashlib.md5(open(p, "rb").read()).hexdigest()
@@ -105,12 +118,19 @@ def test_full_job_survives_actor_death(seq_dir, tmp_path):
     out = str(tmp_path / "faulted")
     summary = rp.run_rollup_job(
         seq_dir, out, bank="haar", n_tiers=8, n_buckets=8, batch_size=64,
-        verify=False, encoder_concurrency=(2, 4), fault_flag=flag,
+        verify=False, fault_flag=flag,
     )
     assert not os.path.exists(flag), "fault was never injected"
     assert os.path.exists(flag + ".claimed"), "fault was never injected"
     assert summary["buckets_written"] == 8
     assert _file_hashes(out) == _file_hashes(clean)
+    assert "RoundTripCheck" not in _fused_chain_row(out)["operator"]
+
+    # the store's bytes do not depend on the round-trip check
+    verified = str(tmp_path / "verified")
+    rp.run_rollup_job(seq_dir, verified, bank="haar", n_tiers=8, n_buckets=8,
+                      batch_size=64, verify=True)
+    assert _file_hashes(verified) == _file_hashes(clean)
 
 
 def test_source_tier_aggregate_matches_pandas(seq_dir, ray_session):
@@ -176,6 +196,7 @@ def test_metrics_and_lineage_written(seq_dir, tmp_path):
     assert fin["tasks"] == m["summary"]["buckets_written"]
     assert fin["task_wall_total_s"] == pytest.approx(
         sum(r["elapsed_s"] for r in mf.read_manifest(out)), abs=1e-3)
+    assert "RoundTripCheck" in _fused_chain_row(out)["operator"]
     lin = json.load(open(os.path.join(out, "lineage.json")))
     assert lin["config"]["bank"] == "haar"
     assert len(lin["input_files"]) >= 1
@@ -305,11 +326,12 @@ def test_many_buckets_with_actor_death_and_resume(seq_dir, tmp_path):
     out = str(tmp_path / "faulted64")
     summary = rp.run_rollup_job(
         seq_dir, out, bank="haar", n_tiers=8, n_buckets=64, batch_size=64,
-        verify=False, encoder_concurrency=(2, 4), fault_flag=flag,
+        verify=False, fault_flag=flag,
     )
     assert os.path.exists(flag + ".claimed"), "fault was never injected"
     assert summary["buckets_written"] == 64
     assert _file_hashes(out) == _file_hashes(clean)
+    assert "RoundTripCheck" not in _fused_chain_row(out)["operator"]
 
     before = _file_hashes(out)
     summary2 = rp.run_rollup_job(
@@ -318,6 +340,8 @@ def test_many_buckets_with_actor_death_and_resume(seq_dir, tmp_path):
     )
     assert summary2["buckets_written"] == 0
     assert summary2["buckets_skipped"] == 64
+    assert summary2.keys() == summary.keys()
+    assert summary2["n_windows_this_run"] == 0
     assert _file_hashes(out) == before
 
 

@@ -41,7 +41,7 @@ def corpus(ray_session, tmp_path_factory):
 def _run(inp, out, **kw):
     return rp.run_rollup_job(
         inp, out, bank="haar", n_tiers=6, n_buckets=NB, verify=False,
-        batch_size=128, encoder_concurrency=(1, 2), **kw
+        batch_size=128, **kw
     )
 
 

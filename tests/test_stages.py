@@ -258,3 +258,47 @@ def test_normalize_stage_matches_oracle(batch):
         toks = _tokens(batch, i)
         want = oc.normalize_mean(toks)
         np.testing.assert_allclose(nvals[noff[i] : noff[i + 1]], want)
+
+
+def _buffer_addresses(table):
+    return [
+        [b.address if b is not None else None for b in chunk.buffers()]
+        for col in table.columns
+        for chunk in col.chunks
+    ]
+
+
+@pytest.mark.parametrize("bank", ["haar", "db4"])
+def test_roundtrip_check_passes_input_through(batch, bank):
+    """The check emits no coefficient or invariant column: what leaves the
+    stage is the input batch itself, same columns and same buffers."""
+    from wavelet_decomposition_ray.pipelines.rollup_pipeline import RoundTripCheck
+
+    filled = gapfill_batch(batch)
+    out = RoundTripCheck(bank)(filled)
+    assert out.column_names == filled.column_names
+    assert _buffer_addresses(out) == _buffer_addresses(filled)
+
+
+def test_roundtrip_check_names_the_broken_row(batch, monkeypatch):
+    """A reconstruction that misses one row's tokens fails the stage with
+    an AssertionError naming that row's doc_id, and only that one."""
+    from wavelet_decomposition_ray.pipelines.rollup_pipeline import RoundTripCheck
+
+    bad = 17
+    padded = next_pow2_arr(np.diff(list_to_numpy(batch["tokens"])[1]))
+    p = int(padded[bad])
+    j = int(np.searchsorted(np.nonzero(padded == p)[0], bad))  # row in group
+    real = oc.idwt_pyramid
+
+    def perturbed(levels, bank="haar"):
+        rec = real(levels, bank)
+        if rec.shape[1] == p:
+            rec[j, 0] += 1.0
+        return rec
+
+    monkeypatch.setattr(oc, "idwt_pyramid", perturbed)
+    doc = batch["doc_id"][bad].as_py()
+    with pytest.raises(AssertionError) as err:
+        RoundTripCheck("haar")(batch)
+    assert str(err.value) == f"round-trip invariant violated for docs {[doc]}"

@@ -2544,8 +2544,7 @@ def _ensure_store(sf_dir: str) -> str:
 
             shutil.rmtree(out, ignore_errors=True)
     rp.run_rollup_job(seq, out, bank="haar", n_tiers=10, n_buckets=16,
-                      resume=True, verify=False, batch_size=256,
-                      encoder_concurrency=(1, 8))
+                      resume=True, verify=False, batch_size=256)
     return out
 
 
@@ -5574,11 +5573,10 @@ def q_store_refresh(sf_dir: str) -> "ray.data.Dataset":
     pq.write_table(tbl.filter(keep), os.path.join(subset_dir, "part-0.parquet"))
 
     rp.run_rollup_job(subset_dir, store, bank="haar", n_tiers=10,
-                      resume=True, verify=False, batch_size=256,
-                      encoder_concurrency=(1, 4))
+                      resume=True, verify=False, batch_size=256)
     summary = rp.run_rollup_job(seq, store, bank="haar", n_tiers=10,
                                 resume=True, refresh=True, verify=False,
-                                batch_size=256, encoder_concurrency=(1, 4))
+                                batch_size=256)
     assert summary["buckets_refreshed"] > 0, (
         "refresh detected no changed buckets after an append"
     )

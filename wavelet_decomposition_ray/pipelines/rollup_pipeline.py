@@ -1,13 +1,19 @@
 """Flagship pipeline: the end-to-end rollup + downsample + retention job.
 
 Ray-Data dataflow (SURVEY.md §4.3; every stage annotated with its reference
-analog):
+analog).  ``rollup_dataset`` and ``run_rollup_job`` share one chain
+(``_rollup_chain``: gapfill, then the round-trip check when ``verify``) and
+differ only in its head and tail:
 
     read_parquet(doc_id, tokens, n_tok, source)          [S1]
-     -> map_batches(add_bucket + resume filter)          [S3/S4 cache skip]
-     -> map_batches(gapfill)            stateless        [M1-M3]
-     -> map_batches(DwtTransform)       stateless        [T1-T6 + invariant]
-     -> map_batches(RollupEncode)       stateless tasks  [A2 + ST1]: the
+     -> map_batches(add_bucket + resume filter)  job     [S3/S4 cache skip]
+     -> map_batches(gapfill_batch)      stateless        [M1-M3]
+     -> map_batches(RoundTripCheck)     verify only      [T1-T6 + invariant]:
+          forward + inverse DWT, raises on a mismatch, passes the
+          input batch on unchanged (no DWT at all when verify=False)
+     -> map_batches(TierRollup)         rollup_dataset's tail (list rows);
+                                        the job instead goes on with
+     -> map_batches(RollupEncode)       the job's tail   [A2 + ST1]: the
           tier tree (native one-pass kernel, numpy reduceat fallback)
           straight into the DoD codec; writes per-bucket staged IPC
           slices in-task, emits (bucket, stage_file) metadata rows only
@@ -16,10 +22,10 @@ analog):
           bucket: merge slices, sort, atomic file + manifest [S5/S6]
      -> persisted per-(source,tier) partials -> driver final fold [A1/A2]
 
-Consecutive map_batches are fused by the streaming executor, so the heavy
-columns (tokens, coeffs) never cross the object store between them — and
-neither does the encoded store: each task writes its own rows as staged
-per-bucket Arrow IPC slices (the no-shuffle layout of
+Consecutive map_batches are fused by the streaming executor into one task
+operator, so the heavy tokens column never crosses the object store
+between them — and neither does the encoded store: each task writes its
+own rows as staged per-bucket Arrow IPC slices (the no-shuffle layout of
 ``write_parquet(partition_cols=...)``).  Nothing is shuffled: the driver
 groups the O(tasks x buckets) metadata rows by bucket and commits each
 bucket in its own task — a bucket's file is a pure function of its staged
@@ -44,6 +50,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .. import oracle as oc
 from ..stages.gapfill import gapfill_batch
 from ..stages.dwt import DwtTransform
 from ..stages.rollup import TierRollup, source_partials_batch
@@ -71,37 +78,41 @@ def rollup_dataset(
     modest so a batch (rows x tokens x 8B x a few intermediates) stays well
     inside a worker heap — byte-budget thinking per SURVEY.md §4.2.1.
     """
-    ds = ds.map_batches(gapfill_batch, batch_format="pyarrow", batch_size=batch_size)
-    ds = ds.map_batches(
-        DwtTransform(bank, verify=verify, keep_tokens=True),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    if verify:
-        ds = ds.map_batches(_check_invariant, batch_format="pyarrow", batch_size=batch_size)
-    ds = ds.map_batches(
-        _drop_cols(["coeffs", "rt_ok", "rt_max_err", "n_filled", "n_tok"]),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    ds = _rollup_chain(ds, bank, verify, batch_size)
     return ds.map_batches(TierRollup(n_tiers), batch_format="pyarrow", batch_size=batch_size)
 
 
-def _check_invariant(batch: pa.Table) -> pa.Table:
+def _rollup_chain(
+    ds: "ray.data.Dataset", bank: str, verify: bool, batch_size: int
+) -> "ray.data.Dataset":
+    """The flagship chain shared by ``rollup_dataset`` and the job:
+    gapfill, then the round-trip check when ``verify``.  Every stage has
+    the caller's ``batch_size``, so the executor fuses them with the
+    caller's head and tail into one task operator."""
+    oc.filter_pair(bank)  # validate config up front, even with no check
+    ds = ds.map_batches(gapfill_batch, batch_format="pyarrow", batch_size=batch_size)
+    if verify:
+        ds = ds.map_batches(RoundTripCheck(bank), batch_format="pyarrow",
+                            batch_size=batch_size)
+    return ds
+
+
+class RoundTripCheck:
     """Fail fast when the decompose->reconstruct token-equality invariant
-    breaks (BASELINE.json): this is a correctness gate, not a metric."""
-    ok = batch["rt_ok"].to_numpy(zero_copy_only=False)
-    if not ok.all():
-        bad = batch["doc_id"].take(pa.array(np.nonzero(~ok)[0])).to_pylist()
-        raise AssertionError(f"round-trip invariant violated for docs {bad[:5]}")
-    return batch
+    breaks (BASELINE.json): a correctness gate, not a metric.  Runs the
+    forward and inverse DWT on the batch and returns the INPUT batch
+    unchanged, so no coefficient or invariant column leaves the stage —
+    the store's bytes never depend on ``bank``."""
 
+    def __init__(self, bank: str):
+        self.dwt = DwtTransform(bank, verify=True, keep_tokens=False)
 
-def _drop_cols(names):
-    def drop(batch: pa.Table) -> pa.Table:
-        return batch.drop_columns([n for n in names if n in batch.column_names])
-
-    return drop
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        ok = self.dwt(batch)["rt_ok"].to_numpy(zero_copy_only=False)
+        if not ok.all():
+            bad = batch["doc_id"].take(pa.array(np.nonzero(~ok)[0])).to_pylist()
+            raise AssertionError(f"round-trip invariant violated for docs {bad[:5]}")
+        return batch
 
 
 def source_tier_aggregate(rollup_ds: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -154,13 +165,18 @@ def run_rollup_job(
     resume: bool = True,
     verify: bool = True,
     batch_size: int | None = None,  # None -> adaptive from input row count
-    encoder_concurrency=None,  # None -> (2, min(24, ncpu - 2)) at run time
     fault_flag: str | None = None,
     refresh: bool = False,
     input_format: str = "parquet",
     staging_dir: str | None = None,
 ) -> dict:
     """Run the full job; resumable from per-bucket checkpoints.
+
+    The store holds tier rollups of the gap-filled tokens only, so its
+    bytes depend on neither ``bank`` nor ``verify``: ``bank`` selects the
+    filter bank of the round-trip check (and is recorded in
+    ``lineage.json``), and ``verify=False`` skips that check and with it
+    the DWT.
 
     **Staging placement contract (multi-node):** encode tasks write
     per-bucket Arrow IPC slices under the staging directory and the
@@ -227,18 +243,6 @@ def run_rollup_job(
         if stale:
             mf.invalidate_buckets(out_dir, stale)
         n_refreshed = len(stale)
-    return _run_rollup_job_inner(
-        input_path, out_dir, bank, n_tiers, n_buckets, resume, verify,
-        batch_size, encoder_concurrency, t0, fault_flag, n_refreshed,
-        input_format, staging_dir,
-    )
-
-
-def _run_rollup_job_inner(
-    input_path, out_dir, bank, n_tiers, n_buckets, resume, verify,
-    batch_size, encoder_concurrency, t0, fault_flag=None, n_refreshed=0,
-    input_format="parquet", staging_dir=None,
-):
     done = mf.completed_buckets(out_dir) if resume else frozenset()
     if len(done) >= n_buckets:
         # nothing pending: no work, so no dataset is built at all
@@ -249,6 +253,7 @@ def _run_rollup_job_inner(
             "buckets_skipped": len(done),
             "buckets_refreshed": n_refreshed,
             "n_windows": int(sum(r["n_windows"] for r in manifest_rows)),
+            "n_windows_this_run": 0,
             "bytes_encoded": int(sum(r["bytes_encoded"] for r in manifest_rows)),
             "rolled_points_per_s": 0.0,
             "bank": bank,
@@ -287,20 +292,7 @@ def _run_rollup_job_inner(
         mf.make_add_bucket(n_buckets, done), batch_format="pyarrow",
         batch_size=batch_size,
     )
-    ds = ds.map_batches(gapfill_batch, batch_format="pyarrow", batch_size=batch_size)
-    ds = ds.map_batches(
-        DwtTransform(bank, verify=verify, keep_tokens=True),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    if verify:
-        ds = ds.map_batches(_check_invariant, batch_format="pyarrow",
-                            batch_size=batch_size)
-    ds = ds.map_batches(
-        _drop_cols(["coeffs", "rt_ok", "rt_max_err", "n_filled", "n_tok"]),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    ds = _rollup_chain(ds, bank, verify, batch_size)
     # rollup + encode + staged write fused into the task chain: the tier
     # stat streams go straight from the tier tree (native one-pass kernel,
     # numpy reduceat fallback) into the codec, and each
@@ -334,24 +326,15 @@ def _run_rollup_job_inner(
     # imports, seconds), a fixed pool reserves CPUs that starve the
     # read/finalize stages, and an autoscaling pool ramps too slowly to
     # fill a short job (measured 3.8 effective CPUs of 14 at 16 cpus,
-    # sf0.4).  The instance ships with each task, like DwtTransform; tasks
-    # schedule elastically on every CPU.  Worker death mid-task is retried
-    # by Ray core exactly as for pool actors (the fault-injection pytest
-    # covers it, byte-identical output).
-    # ``encoder_concurrency`` (when given) caps concurrent encode tasks —
-    # pool semantics kept for tests/CLI; None = let the scheduler pack.
+    # sf0.4).  The instance ships with each task, like RoundTripCheck, and
+    # the whole chain stays ONE fused task operator that schedules
+    # elastically on every CPU.  Worker death mid-task is retried by Ray
+    # core (the fault-injection pytests cover it, byte-identical output).
     ds = ds.map_batches(
         RollupEncode(n_tiers=n_tiers, fault_flag=fault_flag,
                      stage_dir=stage_dir),
         batch_format="pyarrow",
         batch_size=batch_size,
-        **(
-            {"concurrency": encoder_concurrency[1]
-             if isinstance(encoder_concurrency, tuple)
-             else encoder_concurrency}
-            if encoder_concurrency is not None
-            else {}
-        ),
     )
     # bounded drain of the metadata rows (run_rollup_job docstring)
     meta = ds.take_all(limit=n_in)

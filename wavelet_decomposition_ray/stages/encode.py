@@ -1,10 +1,11 @@
-"""Gorilla/delta-of-delta encoder stage — the engine's stateful actor-pool
-stage (SURVEY.md §2.4 ST1; north_star storage layer; Gorilla paper VLDB'15).
+"""Gorilla/delta-of-delta encoder stages (SURVEY.md §2.4 ST1; north_star
+storage layer; Gorilla paper VLDB'15).
 
-Used as a callable CLASS with ``map_batches(GorillaEncoder, concurrency=N,
-batch_size=B)``: per-actor setup (buffers, counters) happens once in
-``__init__``; ``__call__`` encodes every (doc, tier) rollup row of a batch.
-Each encoded blob is a pure function of its own row — no cross-partition
+Both encoders are stateless callables that ``map_batches`` runs as plain
+tasks, fused with the stages before them: ``GorillaEncoder`` encodes the
+(doc, tier) rollup list rows of a batch, and ``RollupEncode`` (the flagship
+job's tail) computes the tier tree and encodes it in one step.  Each
+encoded blob is a pure function of its own row — no cross-partition
 carry-over — so partition rewrites are byte-identical on resume
 (SURVEY.md §7.3).
 """
@@ -71,7 +72,7 @@ def _frame_blob_column(n_win, w_arr, last_arr, streams):
 
 
 class GorillaEncoder:
-    """Actor-pool encoder: rollup list rows -> framed compressed blobs.
+    """Stateless encoder: rollup list rows -> framed compressed blobs.
 
     Holds no state: encoding must stay a pure per-row function (resume
     invariant).
@@ -144,7 +145,7 @@ class RollupEncode:
     def __init__(self, n_tiers: int = 10, fault_flag: str | None = None,
                  stage_dir: str | None = None):
         self.n_tiers = n_tiers
-        # test hook: path of a flag file; the FIRST actor task to claim it
+        # test hook: path of a flag file; the FIRST encode task to claim it
         # kills its own worker process mid-stage (simulated node loss).
         # Inert in production (None). The retry pytest proves the job
         # completes with byte-identical output anyway.
@@ -196,12 +197,12 @@ class RollupEncode:
         if not self.fault_flag:
             return
         try:
-            # atomic claim: exactly one actor dies even with a pool racing
+            # atomic claim: exactly one worker dies even with tasks racing
             os.replace(self.fault_flag, self.fault_flag + ".claimed")
         except OSError:
             return
         os._exit(1)  # hard kill — an exception would be a user error, not
-        #              an actor death, and would fail the job instead
+        #              a worker death, and would fail the job instead
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from .rollup import tier_tree
