@@ -31,17 +31,17 @@ def fixtures(seq_dir, tmp_path_factory):
     return paths
 
 
-def _canon_table(ds) -> pa.Table:
-    batches = list(ds.iter_batches(batch_format="pyarrow"))
-    t = pa.concat_tables(pa.Table.from_batches([b]) if isinstance(
-        b, pa.RecordBatch) else b for b in batches)
+def _canon_table(path, fmt) -> pa.Table:
+    """Every read unit of the input, read as the job's tasks read it."""
+    t = pa.concat_tables(ingest.read_unit(u, fmt)
+                         for u in ingest.plan_units(path, fmt))
     return t.sort_by("doc_id").combine_chunks()
 
 
 def test_readers_schema_and_values_identical(fixtures):
     base = None
     for fmt, path in fixtures.items():
-        t = _canon_table(ingest.read_sequences(path, fmt))
+        t = _canon_table(path, fmt)
         assert [f.name for f in t.schema] == [n for n, _ in ingest.CANON_FIELDS]
         for name, typ in ingest.CANON_FIELDS:
             assert t.schema.field(name).type == typ, (fmt, name)
@@ -53,7 +53,9 @@ def test_readers_schema_and_values_identical(fixtures):
 
 def test_unknown_format_raises():
     with pytest.raises(ValueError, match="unknown sequences format"):
-        ingest.read_sequences("/tmp/x", "xml")
+        ingest.plan_units("/tmp/x", "xml")
+    with pytest.raises(ValueError, match="unknown sequences format"):
+        ingest.read_unit(ingest.Unit("/tmp/x"), "xml")
 
 
 def _store_hashes(out_dir):

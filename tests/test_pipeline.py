@@ -24,17 +24,16 @@ def seq_dir(ray_session):
     return synth.ensure_sequences("/root/testdata/sf0.001")
 
 
-def _fused_chain_row(out_dir):
-    """The one ``metrics.json`` per_stage row that runs RollupEncode: the
-    whole map chain, gapfill through encode, fused into one operator."""
+def _encode_row(out_dir, verify):
+    """The ``encode`` row of the per-layer ledger in ``metrics.json``,
+    after checking the ledger's rows: one per layer of the encode tasks, in
+    chain order with a ``check`` row exactly when ``verify``, then
+    ``finalize``."""
     with open(os.path.join(out_dir, "metrics.json")) as fh:
         per_stage = json.load(fh)["per_stage"]
-    rows = [s for s in per_stage if "RollupEncode" in s["operator"]]
-    assert len(rows) == 1, [s["operator"] for s in per_stage]
-    assert "gapfill_batch" in rows[0]["operator"]
-    for gone in ("DwtTransform", "MapBatches(drop)", "_check_invariant"):
-        assert not any(gone in s["operator"] for s in per_stage), gone
-    return rows[0]
+    layers = ["read", "bucket", "gapfill"] + ["check"] * verify + ["encode"]
+    assert [s["operator"] for s in per_stage] == layers + ["finalize"]
+    return per_stage[layers.index("encode")]
 
 
 def _file_hashes(out_dir):
@@ -124,7 +123,9 @@ def test_full_job_survives_actor_death(seq_dir, tmp_path):
     assert os.path.exists(flag + ".claimed"), "fault was never injected"
     assert summary["buckets_written"] == 8
     assert _file_hashes(out) == _file_hashes(clean)
-    assert "RoundTripCheck" not in _fused_chain_row(out)["operator"]
+    # sf0.001 is one 205-row group: at batch_size=64 it splits into
+    # min(ceil(205 / 64), 4 CPUs) = 4 row ranges, one encode task each
+    assert _encode_row(out, verify=False)["tasks"] == 4
 
     # the store's bytes do not depend on the round-trip check
     verified = str(tmp_path / "verified")
@@ -186,81 +187,50 @@ def test_metrics_and_lineage_written(seq_dir, tmp_path):
                       batch_size=64)
     m = json.load(open(os.path.join(out, "metrics.json")))
     assert m["summary"]["n_windows"] > 0
-    assert len(m["per_stage"]) >= 2
-    assert any("rows_out" in s for s in m["per_stage"])
-    # the write path runs no shuffle; finalize, run as plain per-bucket
-    # tasks, reports its own last row from the manifest
-    assert not any(s["operator"] == "Sort" for s in m["per_stage"])
+    # every encode task times each layer it ran: 4 tasks (the 205-row
+    # group cut into 4 ranges at batch_size=64), each layer took time
+    assert _encode_row(out, verify=True)["tasks"] == 4
+    for s in m["per_stage"][:-1]:
+        assert s["tasks"] == 4 and s["task_wall_total_s"] > 0, s
+    # finalize, run as plain per-bucket tasks, reports its own last row
+    # from the manifest
     fin = m["per_stage"][-1]
     assert fin["operator"] == "finalize"
     assert fin["tasks"] == m["summary"]["buckets_written"]
     assert fin["task_wall_total_s"] == pytest.approx(
         sum(r["elapsed_s"] for r in mf.read_manifest(out)), abs=1e-3)
-    assert "RoundTripCheck" in _fused_chain_row(out)["operator"]
     lin = json.load(open(os.path.join(out, "lineage.json")))
     assert lin["config"]["bank"] == "haar"
     assert len(lin["input_files"]) >= 1
 
 
-# ``ds.stats()`` of a 4-bucket flagship job on Ray 2.49 (throughput lines cut)
-_STATS_TEXT = """\
-Operator 1 ReadParquet->SplitBlocks(4): 1 tasks executed, 4 blocks produced in 0.02s
-* Remote wall time: 472.41us min, 14.48ms max, 4.0ms mean, 16.02ms total
-* Remote cpu time: 614.22us min, 11.32ms max, 3.37ms mean, 13.47ms total
-* Output num rows per block: 51 min, 52 max, 51 mean, 205 total
-
-Operator 2 MapBatches(add_bucket)->MapBatches(gapfill_batch)->MapBatches(DwtTransform): 2 tasks executed, 2 blocks produced in 0.23s
-* Remote wall time: 46.4ms min, 170.04ms max, 108.22ms mean, 216.45ms total
-* Remote cpu time: 41.74ms min, 46.76ms max, 44.25ms mean, 88.5ms total
-* Output num rows per block: 8 min, 8 max, 8 mean, 16 total
-* Output size bytes per block: 416 min, 416 max, 416 mean, 832 total
-* Operator throughput:
-\t* Ray Data throughput: 69.603800290934 rows/s
-
-Operator 3 Sort: executed in 0.53s
-
-\tSuboperator 0 SortMap: 1 tasks executed, 2 blocks produced
-\t* Remote wall time: 324.4us min, 399.96us max, 362.18us mean, 724.37us total
-\t* Remote cpu time: 348.81us min, 398.43us max, 373.62us mean, 747.24us total
-\t* Output num rows per block: 8 min, 8 max, 8 mean, 16 total
-
-\tSuboperator 1 SortReduce: 1 tasks executed, 2 blocks produced
-\t* Remote wall time: 278.56us min, 308.64us max, 293.6us mean, 587.19us total
-\t* Remote cpu time: 277.02us min, 307.79us max, 292.4us mean, 584.81us total
-\t* Output num rows per block: 4 min, 12 max, 8 mean, 16 total
-
-Operator 4 MapBatches(BucketFinalize): 2 tasks executed, 2 blocks produced in 0.11s
-* Remote wall time: 45.96ms min, 54.06ms max, 50.01ms mean, 100.03ms total
-* Remote cpu time: 34.22ms min, 50.42ms max, 42.32ms mean, 84.64ms total
-* Output num rows per block: 36 min, 104 max, 70 mean, 140 total
-
-Dataset throughput:
-\t* Ray Data throughput: 294.3009068732452 rows/s
-"""
-
-
-def test_parse_dataset_stats_gives_sort_its_own_row():
-    from wavelet_decomposition_ray.state.metrics import parse_dataset_stats
-
-    rows = parse_dataset_stats(_STATS_TEXT)
-    assert [r["operator"] for r in rows] == [
-        "ReadParquet->SplitBlocks(4)",
-        "MapBatches(add_bucket)->MapBatches(gapfill_batch)->MapBatches(DwtTransform)",
-        "Sort",
-        "MapBatches(BucketFinalize)",
-    ]
-    fused, sort = rows[1], rows[2]
-    assert (fused["tasks"], fused["blocks"], fused["wall_s"]) == (2, 2, 0.23)
-    assert fused["task_wall_total_s"] == 0.2165
-    assert fused["task_cpu_total_s"] == 0.0885
-    assert fused["rows_out"] == 16 and fused["bytes_out"] == 832
-    assert sort["wall_s"] == 0.53
-    assert [(x["operator"], x["tasks"], x["blocks"], x["task_wall_total_s"])
-            for x in sort["suboperators"]] == [
-        ("SortMap", 1, 2, 0.0007), ("SortReduce", 1, 2, 0.0006)]
-    assert sort["task_wall_total_s"] == 0.0013
-    assert sort["task_cpu_total_s"] == 0.0013
-    assert rows[3]["task_cpu_total_s"] == 0.0846
+def test_row_group_split_plan_and_bytes(ray_session, tmp_path):
+    """A large row group is cut into row ranges, one task each: a 2,000-row
+    table as ONE row group runs as min(ceil(2000 / 256), 4 CPUs) = 4 encode
+    tasks, the same table in 500-row groups as 4 x min(2, 4) = 8 tasks,
+    and the two stores have the same bytes."""
+    rng = np.random.default_rng(7)
+    lens = rng.integers(1, 300, 2000)
+    table = pa.table({
+        "doc_id": [f"doc-{i:05d}" for i in range(2000)],
+        "tokens": pa.array([rng.integers(0, 1000, n).tolist() for n in lens],
+                           type=pa.list_(pa.int32())),
+        "n_tok": pa.array(lens, type=pa.int32()),
+        "source": [f"s{i % 3}" for i in range(2000)],
+    })
+    tasks, hashes = {}, {}
+    for name, group_rows in (("one_group", 2000), ("groups_of_500", 500)):
+        inp = tmp_path / name
+        inp.mkdir()
+        pq.write_table(table, inp / "part-0.parquet", row_group_size=group_rows)
+        out = str(tmp_path / f"store_{name}")
+        rp.run_rollup_job(str(inp), out, bank="haar", n_tiers=6, n_buckets=8,
+                          batch_size=256, verify=False)
+        tasks[name] = _encode_row(out, verify=False)["tasks"]
+        hashes[name] = _file_hashes(out)
+    assert tasks == {"one_group": 4, "groups_of_500": 8}
+    assert len(hashes["one_group"]) == 8
+    assert hashes["one_group"] == hashes["groups_of_500"]
 
 
 def test_staged_write_retry_idempotent(tmp_path):
@@ -331,7 +301,7 @@ def test_many_buckets_with_actor_death_and_resume(seq_dir, tmp_path):
     assert os.path.exists(flag + ".claimed"), "fault was never injected"
     assert summary["buckets_written"] == 64
     assert _file_hashes(out) == _file_hashes(clean)
-    assert "RoundTripCheck" not in _fused_chain_row(out)["operator"]
+    assert _encode_row(out, verify=False)["tasks"] == 4
 
     before = _file_hashes(out)
     summary2 = rp.run_rollup_job(

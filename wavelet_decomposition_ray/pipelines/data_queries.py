@@ -965,15 +965,18 @@ CONTAIN_TAU = 0.8  # one-way containment threshold (Broder)
 
 
 def q_ngram_containment(sf_dir: str):
-    """Word-3-gram CONTAINMENT pairs >= CONTAIN_TAU — Broder's asymmetric
-    overlap |A∩B| / min(|A|,|B|), the quote/subset detector: a short doc
-    embedded verbatim in a long one scores ~1.0 here while its Jaccard
-    (~|A|/|B|) can sit far below any near-dup threshold, so
-    ``ngram_jaccard`` never surfaces it. Same distributed shape as the
+    """Word-3-gram CONTAINMENT pairs >= CONTAIN_TAU — the overlap
+    coefficient |A∩B| / min(|A|,|B|), which equals the larger of the two
+    one-way containments |A∩B| / |A| and |A∩B| / |B| (not Broder's
+    asymmetric containment |A∩B| / |A|), the quote/subset detector: a
+    short doc embedded verbatim in a long one scores ~1.0 here while its
+    Jaccard (~|A|/|B|) can sit far below any near-dup threshold, so
+    ``ngram_jaccard`` never surfaces it; recall is bounded, because gram
+    buckets above the document-frequency cap are dropped (``ngram_drop_mass``
+    audits the dropped candidate mass). Same distributed shape as the
     Jaccard query (distinct gram-hash sets -> DF-capped gram buckets ->
     candidate pairs -> exact verify join); only the verify kernel and
-    threshold differ, and the DF-cap drop-mass audit ``ngram_drop_mass``
-    applies to both."""
+    threshold differ."""
     sets = _docs(sf_dir).map_batches(
         dd.GramSets(), batch_format="pyarrow", batch_size=512
     ).materialize()

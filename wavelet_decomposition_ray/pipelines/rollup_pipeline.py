@@ -1,45 +1,54 @@
 """Flagship pipeline: the end-to-end rollup + downsample + retention job.
 
-Ray-Data dataflow (SURVEY.md §4.3; every stage annotated with its reference
-analog).  ``rollup_dataset`` and ``run_rollup_job`` share one chain
-(``_rollup_chain``: gapfill, then the round-trip check when ``verify``) and
-differ only in its head and tail:
+Dataflow (SURVEY.md §4.3; every stage annotated with its reference
+analog).  ``rollup_dataset`` and ``run_rollup_job`` share one per-batch
+chain (``_rollup_chain``: gapfill, then the round-trip check when
+``verify``) and differ only in its head and tail.  The job's write path
+runs on plain Ray tasks; ``rollup_dataset`` (the read side, used by the
+queries) stays a Ray Data plan:
 
-    read_parquet(doc_id, tokens, n_tok, source)          [S1]
-     -> map_batches(add_bucket + resume filter)  job     [S3/S4 cache skip]
-     -> map_batches(gapfill_batch)      stateless        [M1-M3]
-     -> map_batches(RoundTripCheck)     verify only      [T1-T6 + invariant]:
-          forward + inverse DWT, raises on a mismatch, passes the
-          input batch on unchanged (no DWT at all when verify=False)
-     -> map_batches(TierRollup)         rollup_dataset's tail (list rows);
-                                        the job instead goes on with
-     -> map_batches(RollupEncode)       the job's tail   [A2 + ST1]: the
-          tier tree (native one-pass kernel, numpy reduceat fallback)
-          straight into the DoD codec; writes per-bucket staged IPC
-          slices in-task, emits (bucket, stage_file) metadata rows only
-     -> take_all(limit=input rows)      driver drains the metadata rows
-     -> ray.remote(BucketFinalize) x occupied buckets   one task per
+    run_rollup_job
+    plan_units (driver, parquet footers / file list)    [S1]
+     -> ray.remote(_encode_unit) x units                one task per unit:
+          read_unit: a row group (range) or a line file
+          per batch_size slice:
+            add_bucket + resume filter                  [S3/S4 cache skip]
+            gapfill_batch                               [M1-M3]
+            RoundTripCheck       verify only            [T1-T6 + invariant]:
+              forward + inverse DWT, raises on a mismatch, passes the
+              input batch on unchanged (no DWT at all when verify=False)
+            RollupEncode                                [A2 + ST1]: the
+              tier tree (native one-pass kernel, numpy reduceat fallback)
+              straight into the DoD codec; writes per-bucket staged IPC
+              slices in-task, returns (bucket, stage_file) metadata rows
+          returns the metadata rows, its rows read and per-layer seconds
+     -> ray.get + bounded collect       driver checks rows <= unit rows
+     -> ray.remote(_finalize_bucket) x occupied buckets  one task per
           bucket: merge slices, sort, atomic file + manifest [S5/S6]
      -> persisted per-(source,tier) partials -> driver final fold [A1/A2]
 
-Consecutive map_batches are fused by the streaming executor into one task
-operator, so the heavy tokens column never crosses the object store
-between them — and neither does the encoded store: each task writes its
-own rows as staged per-bucket Arrow IPC slices (the no-shuffle layout of
+    rollup_dataset (Ray Data)
+    read_parquet -> map_batches(_rollup_chain) -> map_batches(TierRollup)
+
+The heavy tokens column never crosses the object store — a task reads its
+own unit — and neither does the encoded store: each task writes its own
+rows as staged per-bucket Arrow IPC slices (the no-shuffle layout of
 ``write_parquet(partition_cols=...)``).  Nothing is shuffled: the driver
 groups the O(tasks x buckets) metadata rows by bucket and commits each
 bucket in its own task — a bucket's file is a pure function of its staged
 slices, so buckets commit independently and in any order, and the bucket
-doubles as the resume/checkpoint granularity. At cluster scale the same
-code runs with ``n_buckets`` sized to ~(nodes x cores); locally the
-default 16 keeps finalize parallelism ~ CPUs and partitions ~10 MB at
-bench scale.
+doubles as the resume/checkpoint granularity.  Every task is small and
+deterministic, so a lost one is simply re-executed (the D-Streams recovery
+model).  At cluster scale the same code runs with ``n_buckets`` sized to
+~(nodes x cores); locally the default 16 keeps finalize parallelism ~ CPUs
+and partitions ~10 MB at bench scale.
 
 No ``ray.init`` here — the caller owns the session (driver contract).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -55,6 +64,7 @@ from ..stages.gapfill import gapfill_batch
 from ..stages.dwt import DwtTransform
 from ..stages.rollup import TierRollup, source_partials_batch
 from ..stages.encode import RollupEncode
+from ..sources.ingest import Unit, plan_units, read_unit
 from ..state import manifest as mf
 
 SEQ_COLUMNS = ["doc_id", "tokens", "n_tok", "source"]
@@ -78,23 +88,28 @@ def rollup_dataset(
     modest so a batch (rows x tokens x 8B x a few intermediates) stays well
     inside a worker heap — byte-budget thinking per SURVEY.md §4.2.1.
     """
-    ds = _rollup_chain(ds, bank, verify, batch_size)
+    oc.filter_pair(bank)  # validate config up front, even with no check
+    chain = functools.partial(_rollup_chain,
+                              check=RoundTripCheck(bank) if verify else None)
+    ds = ds.map_batches(chain, batch_format="pyarrow", batch_size=batch_size)
     return ds.map_batches(TierRollup(n_tiers), batch_format="pyarrow", batch_size=batch_size)
 
 
-def _rollup_chain(
-    ds: "ray.data.Dataset", bank: str, verify: bool, batch_size: int
-) -> "ray.data.Dataset":
-    """The flagship chain shared by ``rollup_dataset`` and the job:
-    gapfill, then the round-trip check when ``verify``.  Every stage has
-    the caller's ``batch_size``, so the executor fuses them with the
-    caller's head and tail into one task operator."""
-    oc.filter_pair(bank)  # validate config up front, even with no check
-    ds = ds.map_batches(gapfill_batch, batch_format="pyarrow", batch_size=batch_size)
-    if verify:
-        ds = ds.map_batches(RoundTripCheck(bank), batch_format="pyarrow",
-                            batch_size=batch_size)
-    return ds
+def _no_lap(layer: str) -> None:
+    pass
+
+
+def _rollup_chain(batch: pa.Table, check: "RoundTripCheck | None" = None,
+                  lap=_no_lap) -> pa.Table:
+    """The flagship chain on one batch, shared by ``rollup_dataset`` and
+    the job: gapfill, then the round-trip check when one is given.
+    ``lap(layer)`` charges the time since the previous lap to ``layer``."""
+    batch = gapfill_batch(batch)
+    lap("gapfill")
+    if check is not None:
+        check(batch)
+        lap("check")
+    return batch
 
 
 class RoundTripCheck:
@@ -138,22 +153,44 @@ def _finalize_bucket(out_dir: str, stage_dir: str, meta: pa.Table) -> None:
     mf.BucketFinalize(out_dir, stage_dir)(meta)
 
 
-def _input_rows_bound(input_path: str, input_format: str) -> int:
-    """Upper bound on the input's row count: the parquet footers' count, or
-    for a line format its line count (a row takes at least one line)."""
-    if input_format == "parquet":
-        import pyarrow.dataset as pads
+# the layers an encode task times, in chain order (metrics.json per_stage)
+LAYERS = ("read", "bucket", "gapfill", "check", "encode")
 
-        return pads.dataset(input_path).count_rows()
-    if os.path.isdir(input_path):
-        paths = [os.path.join(d, f) for d, _, fs in os.walk(input_path) for f in fs]
-    else:
-        paths = [input_path]
-    n = 0
-    for p in paths:
-        with open(p, "rb") as fh:
-            n += 1 + sum(c.count(b"\n") for c in iter(lambda: fh.read(1 << 20), b""))
-    return n
+
+class _Ledger:
+    """Per-layer seconds of one task: each call charges the time since the
+    previous call to the named layer."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self._t = time.perf_counter()
+
+    def __call__(self, layer: str) -> None:
+        now = time.perf_counter()
+        self.seconds[layer] = self.seconds.get(layer, 0.0) + now - self._t
+        self._t = now
+
+
+@ray.remote
+def _encode_unit(unit: Unit, input_format: str, batch_size: int, add_bucket,
+                 check: RoundTripCheck | None, encode: RollupEncode):
+    """The whole map side of one read unit: read it, then per
+    ``batch_size`` slice the bucket column + resume filter, the chain and
+    the tier tree + codec + staged write.  Returns the slices' metadata
+    rows (one table per slice that kept rows), the rows read and the
+    per-layer seconds.  Deterministic, so Ray's re-execution of a task
+    whose worker died rewrites the same staged files."""
+    lap = _Ledger()
+    table = read_unit(unit, input_format)
+    lap("read")
+    metas = []
+    for lo in range(0, table.num_rows, batch_size):
+        batch = add_bucket(table.slice(lo, batch_size))
+        lap("bucket")
+        if batch.num_rows:
+            metas.append(encode(_rollup_chain(batch, check, lap)))
+            lap("encode")
+    return metas, table.num_rows, lap.seconds
 
 
 def run_rollup_job(
@@ -189,19 +226,28 @@ def run_rollup_job(
     (e.g. a burst buffer) when the durable store sits on slow storage.
     Staging is cleared at job start and end — nothing durable lives there.
 
-    **Driver collect bound:** the encode stage emits one
-    (bucket, stage_file) row per non-empty (batch, bucket) slice, so the
-    driver drains at most min(encode batches x ``n_buckets``, ``n_in``)
-    rows, where ``n_in`` bounds the input's row count (parquet footers; a
-    line format's line count) — slices partition the input rows.  The
-    drain is ``take_all(limit=n_in)``, which raises past the bound.  Each
-    occupied bucket then commits in its own Ray task.
+    **Units and tasks:** :func:`..sources.ingest.plan_units` plans the
+    input on the driver from metadata alone — one unit per parquet row
+    group (a group over ``batch_size`` rows is cut into at most
+    cluster-CPUs contiguous row ranges), one per jsonl / csv file — and
+    each unit runs as ONE plain Ray task (``_encode_unit``) that reads it
+    and runs the whole chain per ``batch_size`` slice.  No Ray Data
+    execution starts.  A task whose worker dies is re-executed by Ray's
+    task retry; staged-slice names are content hashes, so the retry
+    rewrites the same files.
+
+    **Driver collect bound:** a task returns one (bucket, stage_file) row
+    per non-empty (slice, bucket), so never more rows than its unit's
+    input rows — the planned row range of a parquet unit, the rows it
+    read for a line-format file.  The driver checks that per task and
+    raises past it.  Each occupied bucket then commits in its own Ray task.
 
     ``input_format`` selects the ingest reader (``parquet`` | ``jsonl`` |
     ``csv`` — see :mod:`..sources.ingest`); every format normalizes to the
     canonical sequences schema before the first transform, so the store
     bytes are identical whichever format carried the input.  The refresh
-    fingerprint pre-pass reads parquet footers and is parquet-only.
+    fingerprint pre-pass reads only parquet ``doc_id`` columns and is
+    parquet-only.
 
     ``refresh=True`` turns resume into a continuous-aggregate refresh: a
     cheap doc_id-only pre-pass fingerprints each bucket's doc set and any
@@ -227,9 +273,10 @@ def run_rollup_job(
     is why this knob is explicit, not derived).  To re-bucket a finished
     store, use ``state.compact.compact_store`` (byte-identical rewrite).
 
-    Returns a summary dict (also written to ``out_dir/metrics.json``) with
-    throughput, per-stage stats and the driver-side final per-(source, tier)
-    aggregates path.
+    Returns a summary dict (also written to ``out_dir/metrics.json``, next
+    to the per-layer rows: tasks and summed task seconds per encode layer,
+    then finalize) with throughput and bucket counts; the driver-side final
+    per-(source, tier) aggregates go to ``out_dir/source_stats.parquet``.
     """
     t0 = time.perf_counter()
     n_refreshed = 0
@@ -245,7 +292,7 @@ def run_rollup_job(
         n_refreshed = len(stale)
     done = mf.completed_buckets(out_dir) if resume else frozenset()
     if len(done) >= n_buckets:
-        # nothing pending: no work, so no dataset is built at all
+        # nothing pending: no work, so no task is launched at all
         manifest_rows = mf.read_manifest(out_dir)
         return {
             "elapsed_s": round(time.perf_counter() - t0, 3),
@@ -261,45 +308,20 @@ def run_rollup_job(
             "n_buckets": n_buckets,
         }
 
-    n_in = _input_rows_bound(input_path, input_format)
+    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     if batch_size is None:
         if input_format == "parquet":
-            # adaptive task granularity: ~4 fused-chain tasks per CPU
-            # (enough waves to balance stragglers) but never tiny batches
-            # (per-task + per-staged-slice fixed costs dominate below ~256
-            # rows) nor huge ones (load imbalance). Row count comes from
-            # parquet FOOTERS only.
-            ncpu = (
-                int(ray.cluster_resources().get("CPU", 8))
-                if ray.is_initialized()
-                else 8
-            )
+            # adaptive slice size: ~4 batches per CPU (enough to balance
+            # stragglers) but never tiny batches (per-slice + per-staged-
+            # file fixed costs dominate below ~256 rows) nor huge ones
+            # (worker heap).  Row count comes from parquet FOOTERS only.
+            n_in = sum(u.stop - u.start for u in plan_units(input_path, "parquet"))
             batch_size = int(min(1024, max(256, n_in // (4 * ncpu))))
         else:
             # line formats have no footer row count; a mid-band fixed size
             batch_size = 512
+    units = plan_units(input_path, input_format, batch_size, ncpu)
 
-    if input_format == "parquet":
-        ds = sequences_dataset(input_path)
-    else:
-        from ..sources.ingest import read_sequences
-
-        ds = read_sequences(input_path, input_format)
-    # same batch_size as the heavy stages: when the executor fuses the map
-    # chain, the FIRST stage's batching decides task granularity — a large
-    # value here would collapse the whole fused chain to a handful of tasks
-    ds = ds.map_batches(
-        mf.make_add_bucket(n_buckets, done), batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    ds = _rollup_chain(ds, bank, verify, batch_size)
-    # rollup + encode + staged write fused into the task chain: the tier
-    # stat streams go straight from the tier tree (native one-pass kernel,
-    # numpy reduceat fallback) into the codec, and each
-    # task writes its own rows as per-bucket Arrow IPC slices under
-    # out_dir/staging — the encoded bytes NEVER enter the object store.
-    # Only (bucket, stage_file) metadata rows reach the driver, which
-    # commits each bucket in its own task (BucketFinalize docstring).
     # staging placement: arg > WDR_STAGING_DIR env > <out_dir>/staging —
     # see the run_rollup_job docstring for the multi-node reachability
     # contract (staged slices must be readable by the finalize stage).
@@ -320,28 +342,35 @@ def run_rollup_job(
     import shutil as _shutil
 
     _shutil.rmtree(stage_dir, ignore_errors=True)
-    # STATELESS task stage, not an actor pool: RollupEncode holds no
-    # per-process state (no model/index), so a pool buys nothing and costs
-    # plenty: pool actors are FRESH processes booted per execution (cold
-    # imports, seconds), a fixed pool reserves CPUs that starve the
-    # read/finalize stages, and an autoscaling pool ramps too slowly to
-    # fill a short job (measured 3.8 effective CPUs of 14 at 16 cpus,
-    # sf0.4).  The instance ships with each task, like RoundTripCheck, and
-    # the whole chain stays ONE fused task operator that schedules
-    # elastically on every CPU.  Worker death mid-task is retried by Ray
-    # core (the fault-injection pytests cover it, byte-identical output).
-    ds = ds.map_batches(
-        RollupEncode(n_tiers=n_tiers, fault_flag=fault_flag,
-                     stage_dir=stage_dir),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    # bounded drain of the metadata rows (run_rollup_job docstring)
-    meta = ds.take_all(limit=n_in)
-    stats = ds.stats()
+    # PLAIN TASKS, not Ray Data and not an actor pool: every stage is a
+    # stateless callable (no model/index to keep warm), so the task ships
+    # the callables and runs the whole chain on its own unit.  A streaming
+    # executor costs more CPU than a small job's kernels (plan, operator
+    # threads, block refs; ReadParquet never fuses into the chain), and
+    # pool actors are FRESH processes booted per execution that reserve
+    # CPUs and ramp too slowly to fill a short job.  Worker death mid-task
+    # is retried by Ray core (the fault-injection pytests cover it,
+    # byte-identical output).  The encoded bytes NEVER enter the object
+    # store: each task stages its own rows (RollupEncode(stage_dir=...)).
+    oc.filter_pair(bank)  # validate config up front, even with no check
+    add_bucket = mf.make_add_bucket(n_buckets, done)
+    check = RoundTripCheck(bank) if verify else None
+    encode = RollupEncode(n_tiers=n_tiers, fault_flag=fault_flag,
+                          stage_dir=stage_dir)
+    refs = [_encode_unit.remote(u, input_format, batch_size, add_bucket, check,
+                                encode)
+            for u in units]
+    results = ray.get(refs)
+    # bounded collect (run_rollup_job docstring): a slice holds >= 1 row
     files_of: dict[int, list[str]] = {}
-    for r in meta:
-        files_of.setdefault(int(r["bucket"]), []).append(r["stage_file"])
+    for u, (metas, n_read, _) in zip(units, results):
+        rows = n_read if u.stop is None else u.stop - u.start
+        if sum(m.num_rows for m in metas) > rows:
+            raise RuntimeError(f"unit {u} returned more metadata rows than "
+                               f"its {rows} input rows")
+        for m in metas:
+            for b, f in zip(m["bucket"].to_pylist(), m["stage_file"].to_pylist()):
+                files_of.setdefault(b, []).append(f)
     t_fin = time.perf_counter()
     ray.get([
         _finalize_bucket.remote(out_dir, stage_dir, pa.table({
@@ -385,12 +414,19 @@ def run_rollup_job(
         "n_tiers": n_tiers,
         "n_buckets": n_buckets,
     }
-    from ..state.metrics import parse_dataset_stats, write_lineage
+    from ..state.metrics import write_lineage
 
     os.makedirs(out_dir, exist_ok=True)
-    # finalize runs as plain tasks, outside Ray Data's stats: its row comes
-    # from the phase wall time and the committed buckets' manifest rows
-    per_stage = parse_dataset_stats(stats)
+    # one row per layer the encode tasks timed (tasks that ran it, their
+    # summed seconds), then finalize: its phase wall time and the committed
+    # buckets' manifest rows
+    ledgers = [sec for _, _, sec in results]
+    per_stage = [
+        {"operator": layer,
+         "tasks": sum(layer in sec for sec in ledgers),
+         "task_wall_total_s": round(sum(sec.get(layer, 0.0) for sec in ledgers), 4)}
+        for layer in LAYERS if any(layer in sec for sec in ledgers)
+    ]
     per_stage.append({
         "operator": "finalize",
         "tasks": len(files_of),
@@ -400,15 +436,7 @@ def run_rollup_job(
                 if int(r["bucket"]) in files_of), 4),
     })
     with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
-        json.dump(
-            {
-                "summary": summary,
-                "per_stage": per_stage,
-                "ray_data_stats": stats,
-            },
-            fh,
-            indent=1,
-        )
+        json.dump({"summary": summary, "per_stage": per_stage}, fh, indent=1)
     write_lineage(out_dir, input_path,
                   {"bank": bank, "n_tiers": n_tiers, "n_buckets": n_buckets,
                    "batch_size": batch_size, "verify": verify})

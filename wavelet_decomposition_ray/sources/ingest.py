@@ -3,28 +3,32 @@
 
 The reference ingests spreadsheets (``/root/reference/import_excel.py``);
 the Ray-native analogs are columnar / line-delimited distributed formats.
-Every reader returns a Dataset with the IDENTICAL canonical schema, so the
-whole downstream pipeline (rollup, DWT, store) is format-agnostic — a
-pytest runs the flagship job from each format and pins byte-identical
-store output.
+The write path reads its input as independent *units*, each one Ray task:
+:func:`plan_units` plans them on the driver from metadata alone and
+:func:`read_unit` reads one inside the task.  Every format normalizes to
+the IDENTICAL canonical schema, so the whole downstream pipeline (rollup,
+DWT, store) is format-agnostic — a pytest runs the flagship job from each
+format and pins byte-identical store output.
 
-- Parquet is the primary format (schema round-trips exactly).
+- Parquet is the primary format (schema round-trips exactly).  A unit is a
+  row group, or a contiguous row range of a large one; the plan reads
+  only the footers, which also give the input's exact row count.
 - JSONL keeps ``tokens`` as a native JSON array; numbers arrive as int64
-  and are cast back to the canonical int32.
+  and are cast back to the canonical int32.  A unit is one file.
 - CSV cannot hold lists, so ``tokens`` travels as a space-joined string
   and is re-split on read with a VECTORIZED pandas split + flat cast (one
-  explode per batch — no per-row Python parsing).
-
-All readers stream: normalization is ``map_batches`` over whatever block
-layout the source reader produced; nothing is materialized.
+  explode per file — no per-row Python parsing).  A unit is one file.
 """
 
 from __future__ import annotations
 
+import os
+from typing import NamedTuple
+
 import numpy as np
 import pyarrow as pa
 
-import ray.data
+FORMATS = ("parquet", "jsonl", "csv")
 
 CANON_FIELDS = (
     ("doc_id", pa.string()),
@@ -46,22 +50,9 @@ def _canonize(t: pa.Table) -> pa.Table:
     return pa.table(dict(zip([n for n, _ in CANON_FIELDS], cols)))
 
 
-def read_sequences_parquet(path: str) -> "ray.data.Dataset":
-    return ray.data.read_parquet(
-        path, columns=[n for n, _ in CANON_FIELDS]
-    )
-
-
-def read_sequences_jsonl(path: str) -> "ray.data.Dataset":
-    """JSON-lines ingest: one object per row, ``tokens`` a JSON array."""
-    return ray.data.read_json(path).map_batches(
-        _canonize, batch_format="pyarrow"
-    )
-
-
 def _parse_csv_tokens(t: pa.Table) -> pa.Table:
     """Vectorized 'sp-joined string' -> list<int32>: ONE pandas split per
-    batch, flat int cast, offsets from per-row counts — no Python loop."""
+    table, flat int cast, offsets from per-row counts — no Python loop."""
     import pandas as pd
 
     s = t["tokens"].to_pandas().astype(str)
@@ -90,25 +81,84 @@ def _parse_csv_tokens(t: pa.Table) -> pa.Table:
     return out
 
 
-def read_sequences_csv(path: str) -> "ray.data.Dataset":
-    return ray.data.read_csv(path).map_batches(
-        _parse_csv_tokens, batch_format="pyarrow"
-    )
+class Unit(NamedTuple):
+    """One read unit: rows ``[start, stop)`` of parquet row group
+    ``row_group`` of ``path``, or (``row_group`` None) a whole line-format
+    file, whose row count is unknown until it is read (``stop`` None)."""
+
+    path: str
+    row_group: int | None = None
+    start: int = 0
+    stop: int | None = None
 
 
-READERS = {
-    "parquet": read_sequences_parquet,
-    "jsonl": read_sequences_jsonl,
-    "csv": read_sequences_csv,
-}
-
-
-def read_sequences(path: str, fmt: str = "parquet") -> "ray.data.Dataset":
-    try:
-        return READERS[fmt](path)
-    except KeyError:
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
         raise ValueError(f"unknown sequences format {fmt!r}; "
-                         f"one of {sorted(READERS)}") from None
+                         f"one of {sorted(FORMATS)}")
+
+
+def plan_units(path: str, fmt: str, batch_size: int | None = None,
+               n_split: int = 1) -> list[Unit]:
+    """The read units of an input, planned on the driver without reading
+    any data.  Parquet: one unit per non-empty row group, from the footers;
+    with a ``batch_size``, a group of more than ``batch_size`` rows is cut
+    into ``min(ceil(rows / batch_size), n_split)`` contiguous row ranges,
+    so a one-group file still spreads over ``n_split`` tasks (pass the
+    cluster's CPUs) and no group is decoded more than ``n_split`` times.
+    jsonl / csv: one unit per file."""
+    _check_format(fmt)
+    if fmt != "parquet":
+        if not os.path.isdir(path):
+            return [Unit(path)]
+        return [Unit(os.path.join(d, f)) for d, _, fs in sorted(os.walk(path))
+                for f in sorted(fs) if not f.startswith((".", "_"))]
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    units = []
+    for f in sorted(pads.dataset(path, format="parquet").files):
+        md = pq.ParquetFile(f).metadata
+        for g in range(md.num_row_groups):
+            rows = md.row_group(g).num_rows
+            k = 1 if batch_size is None else min(-(-rows // batch_size), n_split)
+            cuts = [rows * i // k for i in range(k + 1)]
+            units += [Unit(f, g, lo, hi) for lo, hi in zip(cuts, cuts[1:])
+                      if hi > lo]
+    return units
+
+
+def read_unit(unit: Unit, fmt: str, columns: list[str] | None = None) -> pa.Table:
+    """Read one unit as a canonical sequences table (only ``columns``, by
+    default all four).  A parquet unit decodes its row group with the
+    columns pruned and slices out its row range; a line-format unit parses
+    its whole file."""
+    _check_format(fmt)
+    columns = columns or [n for n, _ in CANON_FIELDS]
+    if fmt == "parquet":
+        import pyarrow.parquet as pq
+
+        t = pq.ParquetFile(unit.path).read_row_group(unit.row_group,
+                                                     columns=columns)
+        return t.slice(unit.start, unit.stop - unit.start)
+    # one block per file: a JSON object may never straddle two blocks, and
+    # a token list can make one line megabytes long
+    block = max(1 << 20, min(os.path.getsize(unit.path) + 1, 1 << 30))
+    if fmt == "jsonl":
+        import pyarrow.json as pajson
+
+        t = _canonize(pajson.read_json(
+            unit.path, read_options=pajson.ReadOptions(block_size=block)))
+    else:
+        import pyarrow.csv as pacsv
+
+        # ids and sources stay strings even when they look numeric
+        t = _parse_csv_tokens(pacsv.read_csv(
+            unit.path, read_options=pacsv.ReadOptions(block_size=block),
+            convert_options=pacsv.ConvertOptions(column_types={
+                "doc_id": pa.string(), "tokens": pa.string(),
+                "source": pa.string()})))
+    return t.select(columns)
 
 
 def export_sequences(parquet_path: str, out_path: str, fmt: str) -> None:

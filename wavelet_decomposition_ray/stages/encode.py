@@ -1,10 +1,10 @@
 """Gorilla/delta-of-delta encoder stages (SURVEY.md §2.4 ST1; north_star
 storage layer; Gorilla paper VLDB'15).
 
-Both encoders are stateless callables that ``map_batches`` runs as plain
-tasks, fused with the stages before them: ``GorillaEncoder`` encodes the
-(doc, tier) rollup list rows of a batch, and ``RollupEncode`` (the flagship
-job's tail) computes the tier tree and encodes it in one step.  Each
+Both encoders are stateless per-batch callables: ``GorillaEncoder``
+encodes the (doc, tier) rollup list rows of a batch (a ``map_batches``
+stage of the query side), and ``RollupEncode`` (the tail of the flagship
+job's encode task) computes the tier tree and encodes it in one step.  Each
 encoded blob is a pure function of its own row — no cross-partition
 carry-over — so partition rewrites are byte-identical on resume
 (SURVEY.md §7.3).

@@ -24,6 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 
 
 def bucket_of_ids(doc_ids, n_buckets: int) -> np.ndarray:
@@ -156,56 +157,58 @@ def write_source_stats(out_dir: str) -> None:
     os.replace(tmp, os.path.join(out_dir, "source_stats.parquet"))
 
 
+@ray.remote
+def _summarize_unit(unit, n_buckets: int) -> pa.Table:
+    """Per-bucket (bucket, count, XOR of stable doc-id hashes) of one read
+    unit's ``doc_id`` column: at most one row per occupied bucket."""
+    from ..functions.dedup import _stable_u64
+    from ..sources.ingest import read_unit
+
+    ids = read_unit(unit, "parquet", ["doc_id"])["doc_id"].to_pylist()
+    b = bucket_of_ids(ids, n_buckets)
+    h = np.array([_stable_u64(s) for s in ids], dtype=np.uint64).view(np.int64)
+    order = np.argsort(b, kind="stable")
+    bs, hs = b[order], h[order]
+    ub, start = np.unique(bs, return_index=True)
+    ends = np.append(start[1:], len(bs))
+    return pa.table(
+        {
+            "bucket": pa.array(ub, type=pa.int32()),
+            "pcnt": pa.array((ends - start).astype(np.int64)),
+            "pxor": pa.array(np.bitwise_xor.reduceat(hs, start)),
+        }
+    )
+
+
 def input_bucket_summary(input_path: str, n_buckets: int):
     """Pre-pass over ONLY the ``doc_id`` column: per-bucket doc count +
     order-independent XOR fingerprint of stable 64-bit doc-id hashes.
 
-    Each batch emits at most ``n_buckets`` partial rows (bucket, count,
-    XOR); the driver collects them — at most the input's row count, read
-    from the parquet footers, since every partial row covers at least one
-    doc — and folds them with one stable argsort and two ``reduceat``
-    calls.  No shuffle: the collect is O(batches x buckets) tiny rows,
-    never the corpus.  Returns a pandas frame (bucket, n_docs, doc_xor),
-    one row per occupied bucket, sorted by bucket (empty for an empty
-    input)."""
+    One Ray task per parquet row group (the job's planner,
+    :func:`..sources.ingest.plan_units`, without a row-range split: the
+    ``doc_id`` column alone is cheap to decode) emits at most ``n_buckets``
+    partial rows (bucket, count, XOR); the driver collects them — at most
+    the unit's row count each, since every partial row covers at least one
+    doc, which it checks — and folds them with one stable argsort and two
+    ``reduceat`` calls.  No shuffle: the collect is O(units x buckets) tiny
+    rows, never the corpus.  Returns a pandas frame (bucket, n_docs,
+    doc_xor), one row per occupied bucket, sorted by bucket (empty for an
+    empty input)."""
     import pandas as pd
-    import pyarrow.dataset as pads
-    import ray.data
 
-    from ..functions.dedup import _stable_u64
+    from ..sources.ingest import plan_units
 
-    def partial(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
-        if not ids:
-            return pa.table(
-                {"bucket": pa.array([], type=pa.int32()),
-                 "pcnt": pa.array([], type=pa.int64()),
-                 "pxor": pa.array([], type=pa.int64())}
-            )
-        b = bucket_of_ids(ids, n_buckets)
-        h = np.array([_stable_u64(s) for s in ids], dtype=np.uint64).view(
-            np.int64
-        )
-        order = np.argsort(b, kind="stable")
-        bs, hs = b[order], h[order]
-        ub, start = np.unique(bs, return_index=True)
-        ends = np.append(start[1:], len(bs))
-        return pa.table(
-            {
-                "bucket": pa.array(ub, type=pa.int32()),
-                "pcnt": pa.array((ends - start).astype(np.int64)),
-                "pxor": pa.array(np.bitwise_xor.reduceat(hs, start)),
-            }
-        )
-
-    rows = (
-        ray.data.read_parquet(input_path, columns=["doc_id"])
-        .map_batches(partial, batch_format="pyarrow")
-        .take_all(limit=pads.dataset(input_path).count_rows())
+    units = plan_units(input_path, "parquet")
+    parts = ray.get([_summarize_unit.remote(u, n_buckets) for u in units])
+    for u, part in zip(units, parts):
+        if part.num_rows > u.stop - u.start:
+            raise RuntimeError(f"{part.num_rows} summary rows from the "
+                               f"{u.stop - u.start}-row unit {u}")
+    b, cnt, xor = (
+        np.concatenate([part[c].to_numpy() for part in parts])
+        if parts else np.zeros(0, dtype=t)
+        for c, t in (("bucket", np.int32), ("pcnt", np.int64), ("pxor", np.int64))
     )
-    b = np.array([r["bucket"] for r in rows], dtype=np.int32)
-    cnt = np.array([r["pcnt"] for r in rows], dtype=np.int64)
-    xor = np.array([r["pxor"] for r in rows], dtype=np.int64)
     order = np.argsort(b, kind="stable")
     b, cnt, xor = b[order], cnt[order], xor[order]
     ub, start = np.unique(b, return_index=True)
