@@ -157,6 +157,20 @@ def _random_blobs(seed, n_docs):
     return blobs, tiers
 
 
+def test_every_native_kernel_loads_with_a_compiler():
+    """native._load is all-or-nothing: one compile error or missing symbol
+    drops every kernel to its numpy fallback, which runs several times
+    slower while every other test still passes.  With a C compiler on
+    PATH, every kernel in _SIGS must load."""
+    import shutil
+
+    from wavelet_decomposition_ray import native
+
+    if not any(shutil.which(c) for c in ("cc", "gcc", "clang")):
+        pytest.skip("no C compiler on PATH")
+    assert sorted(native._load()) == sorted(native._SIGS)
+
+
 def test_native_decoder_matches_wavefront(monkeypatch):
     """The C scalar decoder and the pure-numpy wavefront are the SAME
     function bit-for-bit: run dod_decode_streams once per path on identical

@@ -2613,6 +2613,10 @@ def test_vocab_growth_partial_kernel():
            for _, r in out.iterrows()}
     # tok 8 first seen in doc 2; probe's toks 7/99 never counted
     assert got == {("s1", 7): 5, ("s1", 8): 2, ("s1", 9): 2}
+    # a batch holding only probe docs contributes no rows
+    probes = captured["fn"](t.slice(2))
+    assert probes.num_rows == 0
+    assert probes.schema.names == ["source", "tok", "did"]
 
 
 def test_user_burstiness_hourly_partial():

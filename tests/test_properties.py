@@ -406,3 +406,64 @@ def test_m4_packed_extremes_hypothesis(docs):
             seg = v[s0:e0]
             assert got_min[bi] == s0 + int(np.argmin(seg))
             assert got_max[bi] == s0 + int(np.argmax(seg))
+
+
+_pow2_or_any = st.one_of(st.sampled_from([1 << i for i in range(10)]),
+                         st.integers(1, 600))
+_cascade_rows_st = st.lists(
+    st.tuples(_pow2_or_any,
+              st.sampled_from(["int32", "extreme", "small", "huge"]),
+              st.integers(0, (1 << 32) - 1)),
+    min_size=1, max_size=5,
+)
+
+
+def _cascade_rows(rows):
+    """(length, kind, seed) specs -> one flat batch: uniform over the whole
+    int32 range, only the extremes (and 0, -1), or tiny tokens.  A "huge"
+    row (int64 past 2**53, where float64 loses the tokens and the verdict
+    turns False) makes the batch int64."""
+    parts = []
+    for n, kind, seed in rows:
+        rng = np.random.default_rng(seed)
+        if kind == "int32":
+            v = rng.integers(-(1 << 31), 1 << 31, n)
+        elif kind == "extreme":
+            v = rng.choice([-(1 << 31), (1 << 31) - 1, 0, -1], n)
+        elif kind == "small":
+            v = rng.integers(0, 4, n)
+        else:
+            v = rng.integers(-(1 << 62), 1 << 62, n)
+        parts.append(v)
+    off = np.concatenate(([0], np.cumsum([len(p) for p in parts])))
+    vals = np.concatenate(parts)
+    huge = any(kind == "huge" for _, kind, _ in rows)
+    return vals.astype(np.int64 if huge else np.int32), off
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cascade_rows_st)
+def test_dwt_cascade_native_matches_numpy_property(rows):
+    """The native DWT cascade == the numpy fallback bit for bit: the
+    serialized coefficients, rt_ok and rt_max_err, for every bank, on int32
+    and int64 tokens."""
+    from unittest import mock
+
+    import pytest
+
+    from wavelet_decomposition_ray import native
+    from wavelet_decomposition_ray.stages import dwt
+
+    if native.dwt_cascade() is None:
+        pytest.skip("no C compiler: the native cascade is not built")
+    vals, off = _cascade_rows(rows)
+    for bank in oc.BANKS:
+        got = dwt.cascade(vals, off, bank)
+        with mock.patch.object(native, "dwt_cascade", lambda: None):
+            want = dwt.cascade(vals, off, bank)
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[0].view(np.uint64),
+                                      want[0].view(np.uint64))
+        np.testing.assert_array_equal(got[2], want[2])
+        np.testing.assert_array_equal(got[3].view(np.uint64),
+                                      want[3].view(np.uint64))

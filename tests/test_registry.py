@@ -85,3 +85,17 @@ def test_entry_contract(ray_session):
     assert {"source", "tier", "min_val", "max_val", "total_sum",
             "n_points"} <= set(df.columns)
     assert (df["n_points"] > 0).all()
+
+
+def test_sweep_artifact_covers_the_registry():
+    """SWEEP_r5.json, the last full run of jobs/sweep_oracle.py, sweeps
+    exactly the registered queries, and every one of them matched."""
+    import json
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), "..", "SWEEP_r5.json")
+    with open(path) as f:
+        sweep = json.load(f)
+    assert sorted(sweep["queries"]) == sorted(m.queries())
+    assert sweep["passed"] == sweep["total"] == len(sweep["queries"])
+    assert sweep["failed"] == []

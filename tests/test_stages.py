@@ -13,7 +13,7 @@ from wavelet_decomposition_ray.functions.listops import (
     numpy_to_list,
     tumble_starts,
 )
-from wavelet_decomposition_ray.stages.dwt import DwtTransform, InverseDwt, roundtrip_verify_batch
+from wavelet_decomposition_ray.stages.dwt import DwtTransform, InverseDwt
 from wavelet_decomposition_ray.stages.gapfill import gapfill_batch, make_resample_batch, normalize_batch
 from wavelet_decomposition_ray.stages.rollup import (
     STAT_NAMES,
@@ -106,9 +106,16 @@ def test_bandpass_stage_matches_oracle(batch):
 
 
 def test_roundtrip_verify_stage(batch):
+    """Full reconstruction: DwtTransform without verify, then InverseDwt
+    with every level kept, gives back the tokens exactly."""
     fwd = DwtTransform("db4", verify=False)(batch)
-    out = roundtrip_verify_batch(fwd, "db4")
-    assert out["rt_ok"].to_numpy(zero_copy_only=False).all()
+    assert "rt_ok" not in fwd.column_names
+    rec = InverseDwt("db4")(fwd)
+    rvals, roff = list_to_numpy(rec["reconstructed"])
+    tvals, toff = list_to_numpy(batch["tokens"])
+    np.testing.assert_array_equal(np.diff(roff), np.diff(toff))
+    np.testing.assert_array_equal(np.rint(rvals), tvals)
+    assert np.abs(rvals - tvals).max() < 0.5
 
 
 def test_rollup_stage_matches_oracle(batch):
@@ -282,9 +289,12 @@ def test_roundtrip_check_passes_input_through(batch, bank):
 
 def test_roundtrip_check_names_the_broken_row(batch, monkeypatch):
     """A reconstruction that misses one row's tokens fails the stage with
-    an AssertionError naming that row's doc_id, and only that one."""
+    an AssertionError naming that row's doc_id, and only that one.  Pinned
+    to the numpy fallback, the path whose inverse this test perturbs."""
+    from wavelet_decomposition_ray import native
     from wavelet_decomposition_ray.pipelines.rollup_pipeline import RoundTripCheck
 
+    monkeypatch.setattr(native, "dwt_cascade", lambda: None)
     bad = 17
     padded = next_pow2_arr(np.diff(list_to_numpy(batch["tokens"])[1]))
     p = int(padded[bad])
@@ -302,3 +312,57 @@ def test_roundtrip_check_names_the_broken_row(batch, monkeypatch):
     with pytest.raises(AssertionError) as err:
         RoundTripCheck("haar")(batch)
     assert str(err.value) == f"round-trip invariant violated for docs {[doc]}"
+
+
+def test_roundtrip_check_native_names_the_broken_row(batch, monkeypatch):
+    """The native kernel's verdict: taps scaled by 1 + 1e-9 keep every
+    ordinary row (tokens < 7000) within rint of its tokens, but push one
+    row of 2**30 tokens out.  The AssertionError names that row only."""
+    from wavelet_decomposition_ray import native
+    from wavelet_decomposition_ray.pipelines.rollup_pipeline import RoundTripCheck
+
+    kernel = native.dwt_cascade()
+    if kernel is None:
+        pytest.skip("no C compiler: the native cascade is not built")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(native, "dwt_cascade", lambda: counted)
+    bad = 17
+    vals, off = list_to_numpy(batch["tokens"])
+    vals = vals.copy()
+    vals[off[bad] : off[bad + 1]] = 1 << 30
+    broken = batch.set_column(batch.schema.get_field_index("tokens"), "tokens",
+                              numpy_to_list(vals, off, pa.int32()))
+    RoundTripCheck("haar")(broken)  # exact taps: the big row passes too
+    real = oc.filter_pair
+    monkeypatch.setattr(oc, "filter_pair",
+                        lambda bank: tuple(t * (1 + 1e-9) for t in real(bank)))
+    doc = batch["doc_id"][bad].as_py()
+    with pytest.raises(AssertionError) as err:
+        RoundTripCheck("haar")(broken)
+    assert str(err.value) == f"round-trip invariant violated for docs {[doc]}"
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kernel", ["native", "numpy"])
+def test_dwt_cascade_verdict_at_a_half(monkeypatch, kernel):
+    """rt_max_err == 0.5 exactly: rint decides the tie.  With taps lo =
+    (1, 0.5), hi = 0 the row (x0, 1) comes back as (x0 + 0.5, 0.5 x0 +
+    0.25): x0 = 1 rounds up to 2 (fails), x0 = 2 rounds down to 2 (ok)."""
+    from wavelet_decomposition_ray import native
+    from wavelet_decomposition_ray.stages.dwt import cascade
+
+    if kernel == "numpy":
+        monkeypatch.setattr(native, "dwt_cascade", lambda: None)
+    elif native.dwt_cascade() is None:
+        pytest.skip("no C compiler: the native cascade is not built")
+    monkeypatch.setattr(oc, "filter_pair",
+                        lambda bank: (np.array([1.0, 0.5]), np.zeros(2)))
+    vals = np.array([1, 1, 2, 1], dtype=np.int32)
+    _, _, ok, err = cascade(vals, np.array([0, 2, 4]), "haar", coeffs=False)
+    assert ok.tolist() == [False, True]
+    assert err.tolist() == [0.5, 0.5]

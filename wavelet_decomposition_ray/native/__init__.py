@@ -1,13 +1,19 @@
-"""Build-on-first-import ctypes loader for the native DoD codec and the
-one-pass rollup tier tree.
+"""Build-on-first-import ctypes loader for the native DoD codec, the
+one-pass rollup tier tree and the DWT cascade.
 
 No pip, no Python headers: ``dod.c`` is plain C compiled once with the
 system compiler into a shared library cached next to the source (atomic
 rename, so concurrent Ray workers race safely).  Every caller must handle
-``decoder()/encoder()/gather()/tier_tree() is None`` — machines without a
-C compiler fall back to the pure-numpy paths (``oracle.py`` for the codec,
-the reduceat ladder in ``stages/rollup.py`` for the tier tree), which are
-the semantic reference (property tests pin C == Python bit-for-bit).
+a handle of None — machines without a C compiler fall back to the
+pure-numpy paths, which are the semantic reference (property tests pin
+C == Python bit-for-bit):
+
+- ``decoder()`` / ``encoder()`` / ``gather()``: the DoD codec, fallback
+  ``oracle.py``;
+- ``tier_tree()``: the rollup tiers, fallback the reduceat ladder in
+  ``stages/rollup.py``;
+- ``dwt_cascade()``: forward + inverse DWT with the round-trip verdict,
+  fallback the grouped numpy pyramid in ``stages/dwt.py``.
 """
 
 from __future__ import annotations
@@ -84,6 +90,10 @@ _SIGS = {
     # vals, val_off, is64, n_rows, n_tiers, out_off, wmin, wmax, wsum, wcnt
     "tier_tree_c": [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3
     + [ctypes.c_void_p] * 5,
+    # vals, val_off, is64, n_rows, lo, hi, n_taps, coeffs, coeff_off,
+    # rt_ok, rt_err, work
+    "dwt_cascade_c": [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2
+    + [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 5,
 }
 
 
@@ -127,3 +137,8 @@ def gather():
 def tier_tree():
     """ctypes handle of ``tier_tree_c`` or None (no compiler)."""
     return _load().get("tier_tree_c")
+
+
+def dwt_cascade():
+    """ctypes handle of ``dwt_cascade_c`` or None (no compiler)."""
+    return _load().get("dwt_cascade_c")

@@ -17,6 +17,7 @@
  * bytes count; only the physical end of the buffer needs a guard).
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -212,5 +213,175 @@ void tier_tree_c(const void *vals, const int64_t *val_off, int64_t is64,
                 }
             }
         }
+    }
+}
+
+/* ---------------- DWT: one periodized Mallat cascade per row ------------- */
+
+/* Bit-identical twin of the numpy path (oracle._analysis_step /
+ * _synthesis_step).  Those accumulate every output element over the taps
+ * m = 0, 1, ..., K-1 in ascending order, starting from 0.0, each product
+ * rounded on its own (numpy never fuses a multiply into an add).  The
+ * loops below keep exactly that per-element order — they gather where
+ * numpy scatters — so FMA contraction must stay off: a fused multiply-add
+ * rounds once where numpy rounds twice.  The pragma sits in the source
+ * because the library's cache key hashes this file, not the compile line. */
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
+/* Always inlined, so the K == 2 and K == 8 calls below get unrolled taps. */
+#if defined(__GNUC__) || defined(__clang__)
+#define DWT_INLINE static inline __attribute__((always_inline))
+#else
+#define DWT_INLINE static inline
+#endif
+
+/* One analysis level over x[0..n), n even: a[k] = sum_m lo[m] x[(2k+m) mod n]
+ * and d[k] likewise with hi, taps ascending. */
+DWT_INLINE void dwt_analysis(const double *x, int64_t n, const double *lo,
+                             const double *hi, int64_t K, double *a,
+                             double *d) {
+    int64_t half = n / 2;
+    for (int64_t k = 0; k < half; k++) {
+        int64_t b = 2 * k;
+        double sa = 0.0, sd = 0.0;
+        if (b + K <= n) {
+            for (int64_t m = 0; m < K; m++) {
+                sa += lo[m] * x[b + m];
+                sd += hi[m] * x[b + m];
+            }
+        } else {
+            for (int64_t m = 0; m < K; m++) {
+                double v = x[(b + m) % n];
+                sa += lo[m] * v;
+                sd += hi[m] * v;
+            }
+        }
+        a[k] = sa;
+        d[k] = sd;
+    }
+}
+
+/* One synthesis level (a, d of length half -> x of length n = 2*half), the
+ * analysis map's transpose: x[i] sums lo[m] a[k] + hi[m] d[k] over the
+ * taps m with 2k + m == i (mod n), ascending.  As n and K are even (every
+ * orthonormal bank is), x[2j] takes the even taps m = 2t with k = j - t,
+ * and x[2j+1] the odd taps m = 2t+1 with the same k (mod half). */
+DWT_INLINE void dwt_synthesis(const double *a, const double *d, int64_t half,
+                              const double *lo, const double *hi, int64_t K,
+                              double *x) {
+    for (int64_t j = 0; j < half; j++) {
+        double se = 0.0, so = 0.0;
+        if (j >= K / 2 - 1) {
+            for (int64_t m = 0; m < K; m += 2) {
+                int64_t k = j - m / 2;
+                se += lo[m] * a[k] + hi[m] * d[k];
+                so += lo[m + 1] * a[k] + hi[m + 1] * d[k];
+            }
+        } else {
+            for (int64_t m = 0; m < K; m += 2) {
+                int64_t k = ((j - m / 2) % half + half) % half;
+                se += lo[m] * a[k] + hi[m] * d[k];
+                so += lo[m + 1] * a[k] + hi[m + 1] * d[k];
+            }
+        }
+        x[2 * j] = se;
+        x[2 * j + 1] = so;
+    }
+}
+
+/* rint(v) in the default round-to-nearest-even mode, inline: below 2^52,
+ * adding and subtracting 2^52 rounds to an integer, ties to even; from
+ * 2^52 up, and for inf and NaN, v already is its own rint. */
+static inline double rint_even(double v) {
+    const double big = 4503599627370496.0; /* 2^52 */
+    if (v >= 0.0)
+        return v < big ? (v + big) - big : v;
+    return v > -big ? -((-v + big) - big) : v;
+}
+
+/* Forward then (optionally) inverse DWT of every row of one batch of
+ * integer tokens: row r is vals[val_off[r] .. val_off[r+1]), int32 when
+ * is64 == 0, else int64, zero-padded to p = the next power of two (>= 1).
+ * With lo/hi the K-tap orthonormal bank:
+ *   - coeffs != NULL: the row's p coefficients land at coeffs[coeff_off[r]
+ *     ..), finest level first, each level reversed (the oracle's
+ *     serialization);
+ *   - rt_ok != NULL: the cascade runs back up, rt_err[r] = max |rec - x|
+ *     and rt_ok[r] = all(rint(rec) == x), both over the padded row.
+ * work holds 4 * (largest p) doubles of scratch. */
+void dwt_cascade_c(const void *vals, const int64_t *val_off, int64_t is64,
+                   int64_t n_rows, const double *lo, const double *hi,
+                   int64_t K, double *coeffs, const int64_t *coeff_off,
+                   uint8_t *rt_ok, double *rt_err, double *work) {
+    const int32_t *v32 = (const int32_t *)vals;
+    const int64_t *v64 = (const int64_t *)vals;
+    for (int64_t r = 0; r < n_rows; r++) {
+        int64_t o = val_off[r], n = val_off[r + 1] - o;
+        int64_t p = 1;
+        while (p < n)
+            p <<= 1;
+        double *x = work, *lev = work + p, *w0 = work + 2 * p, *w1 = work + 3 * p;
+        for (int64_t i = 0; i < n; i++)
+            x[i] = is64 ? (double)v64[o + i] : (double)v32[o + i];
+        for (int64_t i = n; i < p; i++)
+            x[i] = 0.0;
+        /* analysis: D1 at lev[0 .. p/2), D2 next, ..., AJ at lev[p-1] */
+        const double *cur = x;
+        for (int64_t len = p, pos = 0; len >= 2; len >>= 1) {
+            double *a = (cur == w0) ? w1 : w0;
+            if (K == 2)
+                dwt_analysis(cur, len, lo, hi, 2, a, lev + pos);
+            else if (K == 8)
+                dwt_analysis(cur, len, lo, hi, 8, a, lev + pos);
+            else
+                dwt_analysis(cur, len, lo, hi, K, a, lev + pos);
+            pos += len >> 1;
+            cur = a;
+        }
+        lev[p - 1] = cur[0];
+        if (coeffs != NULL) {
+            double *out = coeffs + coeff_off[r];
+            for (int64_t s = 0, ln = p > 1 ? p >> 1 : 1; s < p;
+                 s += ln, ln = ln > 1 ? ln >> 1 : 1)
+                for (int64_t j = 0; j < ln; j++)
+                    out[s + j] = lev[s + ln - 1 - j];
+        }
+        if (rt_ok == NULL)
+            continue;
+        /* synthesis: coarsest level first (detail of length half sits at
+         * lev[p - 2*half]), back up to p values */
+        const double *rec = lev + p - 1;
+        for (int64_t half = 1; half < p; half <<= 1) {
+            double *y = (rec == w0) ? w1 : w0;
+            if (K == 2)
+                dwt_synthesis(rec, lev + p - 2 * half, half, lo, hi, 2, y);
+            else if (K == 8)
+                dwt_synthesis(rec, lev + p - 2 * half, half, lo, hi, 8, y);
+            else
+                dwt_synthesis(rec, lev + p - 2 * half, half, lo, hi, K, y);
+            rec = y;
+        }
+        double err = 0.0;
+        for (int64_t i = 0; i < p; i++) {
+            double e = fabs(rec[i] - x[i]);
+            err = (e > err || e != e) ? e : err; /* NaN sticks, as in numpy */
+        }
+        /* x is integral, and a rounded |rec - x| is >, == or < 0.5 at least
+         * as the exact one is, so err decides rint(rec) == x everywhere
+         * unless it is exactly 0.5: only then look for a tie rint rounds
+         * the wrong way */
+        uint8_t ok = err < 0.5;
+        if (err == 0.5) {
+            ok = 1;
+            for (int64_t i = 0; i < p; i++)
+                if (rint_even(rec[i]) != x[i])
+                    ok = 0;
+        }
+        rt_ok[r] = ok;
+        rt_err[r] = err;
     }
 }

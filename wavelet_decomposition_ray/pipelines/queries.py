@@ -8280,7 +8280,8 @@ def q_vocab_growth(sf_dir: str) -> "pa.Table":
         key, did_rep = key[corpus], did_rep[corpus]
         order = np.lexsort((did_rep, key))
         ks, kd = key[order], did_rep[order]
-        first = np.concatenate(([True], ks[1:] != ks[:-1]))
+        first = np.ones(len(ks), dtype=bool)  # empty for a probes-only batch
+        first[1:] = ks[1:] != ks[:-1]
         uk, ud = ks[first], kd[first]  # min did per key (lexsort order)
         src_names = np.array(srcs, dtype=object)[uk >> TOKEN_BITS]
         return pa.table(

@@ -15,8 +15,10 @@ queries) stays a Ray Data plan:
             add_bucket + resume filter                  [S3/S4 cache skip]
             gapfill_batch                               [M1-M3]
             RoundTripCheck       verify only            [T1-T6 + invariant]:
-              forward + inverse DWT, raises on a mismatch, passes the
-              input batch on unchanged (no DWT at all when verify=False)
+              the native forward + inverse DWT kernel (numpy fallback)
+              returns only a per-row verdict; raises on a mismatch,
+              passes the input batch on unchanged (no DWT at all when
+              verify=False)
             RollupEncode                                [A2 + ST1]: the
               tier tree (native one-pass kernel, numpy reduceat fallback)
               straight into the DoD codec; writes per-bucket staged IPC
@@ -60,8 +62,9 @@ import ray
 import ray.data
 
 from .. import oracle as oc
+from ..functions.listops import list_to_numpy
 from ..stages.gapfill import gapfill_batch
-from ..stages.dwt import DwtTransform
+from ..stages.dwt import cascade as dwt_cascade
 from ..stages.rollup import TierRollup, source_partials_batch
 from ..stages.encode import RollupEncode
 from ..sources.ingest import Unit, plan_units, read_unit
@@ -114,16 +117,19 @@ def _rollup_chain(batch: pa.Table, check: "RoundTripCheck | None" = None,
 
 class RoundTripCheck:
     """Fail fast when the decompose->reconstruct token-equality invariant
-    breaks (BASELINE.json): a correctness gate, not a metric.  Runs the
-    forward and inverse DWT on the batch and returns the INPUT batch
-    unchanged, so no coefficient or invariant column leaves the stage —
-    the store's bytes never depend on ``bank``."""
+    breaks (BASELINE.json): a correctness gate, not a metric.  Asks
+    ``stages.dwt.cascade`` for the per-row verdict only (the native
+    forward + inverse kernel, numpy without a C compiler; no coefficient
+    column is built) and returns the INPUT batch unchanged, so nothing
+    leaves the stage — the store's bytes never depend on ``bank``."""
 
     def __init__(self, bank: str):
-        self.dwt = DwtTransform(bank, verify=True, keep_tokens=False)
+        oc.filter_pair(bank)  # validate config up front
+        self.bank = bank
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        ok = self.dwt(batch)["rt_ok"].to_numpy(zero_copy_only=False)
+        values, offsets = list_to_numpy(batch["tokens"])
+        ok = dwt_cascade(values, offsets, self.bank, coeffs=False)[2]
         if not ok.all():
             bad = batch["doc_id"].take(pa.array(np.nonzero(~ok)[0])).to_pylist()
             raise AssertionError(f"round-trip invariant violated for docs {bad[:5]}")

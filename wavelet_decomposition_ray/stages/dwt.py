@@ -1,16 +1,21 @@
-"""Mallat-pyramid DWT stage: stateless ``map_batches`` over zero-copy Arrow.
+"""Mallat-pyramid DWT stage: stateless batch transforms over zero-copy Arrow.
 
 Replaces the reference's damped-LSQR solve against a 23360x23423 wavelet
 dictionary (``/root/reference/wavelet_decomposition.py:195-199``) with the
 O(n) orthonormal filter-bank cascade (SURVEY.md §2.3 T1-T6). Rows are padded
-to the next power of two, grouped by padded length inside each batch, and
-transformed as 2-D arrays — no per-row Python in the hot loop beyond a
-memcpy scatter.
+to the next power of two.
 
-The optional fused round-trip verify runs the synthesis cascade on the fresh
-coefficients and emits the per-row invariant columns (``rt_ok``,
-``rt_max_err``) mandated by BASELINE.json — decompose -> reconstruct ->
-rint -> int32 must equal the input tokens exactly.
+:func:`cascade` is the one forward path, shared by :class:`DwtTransform`
+(serialized coefficients, plus the invariant columns when ``verify``) and
+the job's round-trip check (the verdict only, no coefficient column).  It
+runs the native kernel (``native/dod.c`` ``dwt_cascade_c``: per row, pad in
+scratch, analysis, then synthesis) and falls back to the numpy pyramid —
+rows grouped by padded length and transformed as 2-D arrays — only when
+no C compiler exists.  Both give the same bits.
+
+The round-trip verdict is the invariant BASELINE.json mandates:
+decompose -> reconstruct -> rint must equal the input tokens exactly
+(``rt_ok``), with ``rt_max_err`` = max |rec - x| over the padded row.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .. import native
 from ..functions.listops import list_to_numpy, next_pow2_arr, numpy_to_list
 from .. import oracle as oc
 
@@ -38,6 +44,65 @@ def _pad_grouped(values: np.ndarray, offsets: np.ndarray, padded: np.ndarray):
         yield rows, x
 
 
+def _cascade_np(values, offsets, padded, out_off, bank, coeffs, rt_ok, rt_err):
+    """Numpy fallback of ``dwt_cascade_c``: fills whichever of ``coeffs``
+    and ``rt_ok``/``rt_err`` is not None."""
+    for rows, x in _pad_grouped(values, offsets, padded):
+        levels = oc.dwt_pyramid(x, bank)
+        if coeffs is not None:
+            # serialize: finest-first, reversed within level (oracle conv.)
+            ser = np.concatenate([lvl[:, ::-1] for lvl in levels], axis=1)
+            for j, r in enumerate(rows):
+                coeffs[out_off[r] : out_off[r + 1]] = ser[j]
+        if rt_ok is not None:
+            rec = oc.idwt_pyramid(levels, bank)
+            rt_err[rows] = np.abs(rec - x).max(axis=1)
+            rt_ok[rows] = (np.rint(rec) == x).all(axis=1)
+
+
+def cascade(values: np.ndarray, offsets: np.ndarray, bank: str,
+            coeffs: bool = True, verify: bool = True):
+    """Forward DWT of every row of one flat ``(values, offsets)`` batch.
+
+    ``values`` are integer tokens.  Returns ``(coeffs_flat, coeff_off,
+    rt_ok, rt_err)``: the serialized coefficients (levels finest-first,
+    reversed within level — the oracle serialization) at ``coeff_off``, or
+    None when ``coeffs`` is off; and the per-row round-trip verdict and max
+    error, or None when ``verify`` is off.  The taps come from
+    ``oracle.filter_pair`` on every call.
+    """
+    if values.dtype.kind not in "iu":
+        raise TypeError(f"tokens must be integers, got {values.dtype}")
+    lo, hi = oc.filter_pair(bank)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    n_rows = len(offsets) - 1
+    padded = next_pow2_arr(np.diff(offsets))
+    coeff_off = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(padded, out=coeff_off[1:])
+    flat = np.empty(coeff_off[-1], dtype=np.float64) if coeffs else None
+    rt_ok = np.ones(n_rows, dtype=bool) if verify else None
+    rt_err = np.zeros(n_rows, dtype=np.float64) if verify else None
+    fn = native.dwt_cascade()
+    if fn is None:
+        _cascade_np(values, offsets, padded, coeff_off, bank, flat, rt_ok, rt_err)
+    elif n_rows:
+        v = np.ascontiguousarray(values if values.dtype == np.int32
+                                 else values.astype(np.int64))
+        if offsets[0] < 0 or offsets[-1] > len(v):
+            raise ValueError("offsets run past the values array")
+        lo = np.ascontiguousarray(lo, dtype=np.float64)
+        hi = np.ascontiguousarray(hi, dtype=np.float64)
+        if len(lo) % 2 or len(hi) != len(lo):
+            raise ValueError("the kernel takes an even number of taps")
+        work = np.empty(4 * int(padded.max()), dtype=np.float64)
+        fn(v.ctypes.data, offsets.ctypes.data, int(v.dtype == np.int64),
+           n_rows, lo.ctypes.data, hi.ctypes.data, len(lo),
+           flat.ctypes.data if coeffs else None,
+           coeff_off.ctypes.data, rt_ok.ctypes.data if verify else None,
+           rt_err.ctypes.data if verify else None, work.ctypes.data)
+    return flat, coeff_off, rt_ok, rt_err
+
+
 class DwtTransform:
     """Callable batch transform: tokens -> serialized pyramid coefficients.
 
@@ -56,35 +121,14 @@ class DwtTransform:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         values, offsets = list_to_numpy(batch["tokens"])
-        lens = np.diff(offsets)
-        n_rows = len(lens)
-        padded = next_pow2_arr(lens)
-        out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(padded, out=out_offsets[1:])
-        coeffs_flat = np.empty(out_offsets[-1], dtype=np.float64)
-        rt_ok = np.ones(n_rows, dtype=bool)
-        rt_err = np.zeros(n_rows, dtype=np.float64)
-
-        for rows, x in _pad_grouped(values, offsets, padded):
-            levels = oc.dwt_pyramid(x, self.bank)
-            # serialize: finest-first, reversed within level (oracle conv.)
-            ser = np.concatenate([lvl[:, ::-1] for lvl in levels], axis=1)
-            p = x.shape[1]
-            for j, r in enumerate(rows):
-                coeffs_flat[out_offsets[r] : out_offsets[r] + p] = ser[j]
-            if self.verify:
-                rec = oc.idwt_pyramid(levels, self.bank)
-                err = np.abs(rec - x)
-                rt_err[rows] = err.max(axis=1) if p else 0.0
-                ok = (np.rint(rec) == x).all(axis=1)
-                rt_ok[rows] = ok
-
+        flat, coeff_off, rt_ok, rt_err = cascade(values, offsets, self.bank,
+                                                 verify=self.verify)
         cols = {}
         for name in batch.column_names:
             if name == "tokens" and not self.keep_tokens:
                 continue
             cols[name] = batch[name]
-        cols["coeffs"] = numpy_to_list(coeffs_flat, out_offsets, pa.float64())
+        cols["coeffs"] = numpy_to_list(flat, coeff_off, pa.float64())
         if self.verify:
             cols["rt_ok"] = pa.array(rt_ok)
             cols["rt_max_err"] = pa.array(rt_err, type=pa.float64())
@@ -146,24 +190,3 @@ class InverseDwt:
             cols["tokens"] = batch["tokens"]
         cols["reconstructed"] = numpy_to_list(out_flat, out_off, pa.float64())
         return pa.table(cols)
-
-
-def roundtrip_verify_batch(batch: pa.Table, bank: str = "haar") -> pa.Table:
-    """Standalone verify stage (SURVEY.md §4.3 stage 3) for tables that
-    carry both ``tokens`` and ``coeffs``: recompute the inverse and compare."""
-    tok_vals, tok_off = list_to_numpy(batch["tokens"])
-    rec_tbl = InverseDwt(bank)(batch)
-    rec_vals, rec_off = list_to_numpy(rec_tbl["reconstructed"])
-    n_rows = len(tok_off) - 1
-    eq = (np.rint(rec_vals) == tok_vals).astype(np.int8)
-    diff = np.abs(rec_vals - tok_vals)
-    starts = tok_off[:-1]
-    ok = np.minimum.reduceat(eq, starts).astype(bool)
-    err = np.maximum.reduceat(diff, starts)
-    return pa.table(
-        {
-            "doc_id": batch["doc_id"],
-            "rt_ok": pa.array(ok),
-            "rt_max_err": pa.array(err, type=pa.float64()),
-        }
-    )
