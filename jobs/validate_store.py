@@ -3,7 +3,7 @@
     python jobs/validate_store.py --store /tmp/store_dir
 
 Exit code 0 iff every bucket passes (checksum, row count, blob decode,
-window count, doc fingerprint, partials sidecar). One JSON summary line.
+window count, doc fingerprint, manifest-row partials). One JSON summary line.
 """
 
 from __future__ import annotations

@@ -359,34 +359,37 @@ def test_simhash_band_pigeonhole():
 
 
 def test_read_all_partials_raises_on_legacy_bucket(tmp_path):
-    """A manifest bucket with data but no partials file (pre-partials
-    store) must fail loudly, not fold an incomplete source_stats."""
+    """A manifest bucket with data but no partials in its row (an older
+    store, which kept them in a sidecar file) must fail loudly, not fold
+    an incomplete source_stats; empty-bucket rows need no partials."""
     import json
-
-    import pandas as pd
+    import os
 
     from wavelet_decomposition_ray.state import manifest as mf
 
     out = str(tmp_path / "store")
     mdir = mf.manifest_dir(out)
-    import os
     os.makedirs(mdir)
+    partials = {"source": ["s"], "tier": [1], "n_docs": [1],
+                "n_windows": [1], "nbytes": [1]}
     json.dump({"bucket": 0, "file": "data/bucket-0.parquet"},
               open(f"{mdir}/bucket-00000.json", "w"))
-    json.dump({"bucket": 1, "file": "data/bucket-1.parquet"},
+    json.dump({"bucket": 1, "file": "data/bucket-1.parquet",
+               "partials": partials},
               open(f"{mdir}/bucket-00001.json", "w"))
-    pq.write_table(
-        pa.Table.from_pandas(pd.DataFrame(
-            {"bucket": [1], "source": ["s"], "tier": [1], "n_docs": [1],
-             "n_windows": [1], "nbytes": [1]})),
-        f"{mdir}/partials-00001.parquet",
-    )
-    with pytest.raises(RuntimeError, match="without[\\s\\S]*partials"):
+    with pytest.raises(RuntimeError, match="\\[0\\] without[\\s\\S]*partials"):
         mf.read_all_partials(out)
+    with pytest.raises(RuntimeError, match="without[\\s\\S]*partials"):
+        mf.write_source_stats(out)
+    assert not os.path.exists(os.path.join(out, "source_stats.parquet"))
     # empty-bucket manifest rows (file=None) need no partials
     json.dump({"bucket": 0, "file": None},
               open(f"{mdir}/bucket-00000.json", "w"))
-    assert len(mf.read_all_partials(out)) == 1
+    got = mf.read_all_partials(out)
+    assert got.to_dict("records") == [
+        {"bucket": 1, "source": "s", "tier": 1, "n_docs": 1, "n_windows": 1,
+         "nbytes": 1}]
+    assert str(got["tier"].dtype) == "int8"
 
 
 def test_hamming64_matches_bit_loop():

@@ -192,11 +192,12 @@ def test_metrics_and_lineage_written(seq_dir, tmp_path):
     assert _encode_row(out, verify=True)["tasks"] == 4
     for s in m["per_stage"][:-1]:
         assert s["tasks"] == 4 and s["task_wall_total_s"] > 0, s
-    # finalize, run as plain per-bucket tasks, reports its own last row
-    # from the manifest
+    # finalize reports its own last row: min(4 CPUs, 4 buckets) tasks, the
+    # buckets they committed and the committed rows' seconds
     fin = m["per_stage"][-1]
     assert fin["operator"] == "finalize"
-    assert fin["tasks"] == m["summary"]["buckets_written"]
+    assert fin["tasks"] == 4
+    assert fin["buckets"] == m["summary"]["buckets_written"]
     assert fin["task_wall_total_s"] == pytest.approx(
         sum(r["elapsed_s"] for r in mf.read_manifest(out)), abs=1e-3)
     lin = json.load(open(os.path.join(out, "lineage.json")))
@@ -264,8 +265,8 @@ def test_staged_write_retry_idempotent(tmp_path):
     # finalize one bucket with DUPLICATED metadata rows
     dup = pa.concat_tables([meta1, meta2])
     b0 = dup.filter(pa.compute.equal(dup["bucket"], dup["bucket"][0]))
-    partials = mf.BucketFinalize(out, stage)(b0)
-    row = json.load(
+    row = mf.BucketFinalize(out, stage)(b0)
+    assert row == json.load(
         open(
             glob.glob(os.path.join(out, "manifest", "bucket-*.json"))[0]
         )
@@ -279,6 +280,11 @@ def test_staged_write_retry_idempotent(tmp_path):
     assert not glob.glob(
         os.path.join(stage, f"bucket={b0['bucket'][0].as_py():05d}", "*")
     )
+    # a re-executed commit (its slices already deleted) returns the
+    # committed row and leaves the bucket's bytes alone
+    data = open(os.path.join(out, row["file"]), "rb").read()
+    assert mf.BucketFinalize(out, stage)(b0) == row
+    assert open(os.path.join(out, row["file"]), "rb").read() == data
 
 
 def test_many_buckets_with_actor_death_and_resume(seq_dir, tmp_path):

@@ -186,10 +186,120 @@ def test_legacy_manifest_rows_count_as_stale(corpus):
     assert _checksums(store) == before  # deterministic rewrite
 
 
+def _to_old_layout(store):
+    """Rewrite a store into the layout that kept each bucket's partials in
+    a ``partials-*.parquet`` sidecar instead of its manifest row."""
+    import json
+
+    mdir = mf.manifest_dir(store)
+    for row in mf.read_manifest(store):
+        if row["file"] is None:
+            continue
+        b = row["bucket"]
+        p = row.pop("partials")
+        cols = {"bucket": pa.array([b] * len(p["source"]), type=pa.int64())}
+        for f in mf.PARTIALS_SCHEMA:
+            cols[f.name] = pa.array(p[f.name], type=f.type)
+        pq.write_table(pa.table(cols),
+                       os.path.join(mdir, f"partials-{b:05d}.parquet"))
+        with open(os.path.join(mdir, f"bucket-{b:05d}.json"), "w") as fh:
+            json.dump(row, fh, sort_keys=True)
+
+
+def _data_bytes(store):
+    d = os.path.join(store, "data")
+    return {f: open(os.path.join(d, f), "rb").read() for f in sorted(os.listdir(d))}
+
+
+def _rows(store):
+    return [{k: v for k, v in r.items() if k != "elapsed_s"}
+            for r in mf.read_manifest(store)]
+
+
+def test_old_layout_store_resumes_and_refreshes(corpus):
+    """A store whose rows carry no partials (they sat in sidecar files) is
+    pending for resume and stale for refresh: either rewrites its buckets
+    byte-identically, moves the partials into the rows, deletes every
+    sidecar and folds the same source_stats."""
+    base, sub, full, _ = corpus
+    store = os.path.join(base, "old_layout")
+    _run(sub, store)
+    data, rows, stats = _data_bytes(store), _rows(store), _stats(store)
+    n_full = sum(r["file"] is not None for r in rows)
+
+    _to_old_layout(store)
+    assert mf.completed_buckets(store) == frozenset(
+        r["bucket"] for r in rows if r["file"] is None)
+    r = _run(sub, store)
+    assert r["buckets_written"] == n_full
+    assert _data_bytes(store) == data and _rows(store) == rows
+    assert not [f for f in os.listdir(mf.manifest_dir(store))
+                if f.startswith("partials-")]
+    pd.testing.assert_frame_equal(_stats(store), stats)
+
+    scratch = os.path.join(base, "old_layout_scratch")
+    _run(full, scratch)
+    _to_old_layout(store)
+    r = _run(full, store, refresh=True)
+    assert r["buckets_refreshed"] == n_full
+    assert _data_bytes(store) == _data_bytes(scratch)
+    assert _rows(store) == _rows(scratch)
+    assert not [f for f in os.listdir(mf.manifest_dir(store))
+                if f.startswith("partials-")]
+    pd.testing.assert_frame_equal(_stats(store), _stats(scratch))
+
+
+def test_doc_fingerprint_matches_per_id_fold():
+    """The vectorized fingerprint equals the per-id ``_stable_u64`` XOR
+    fold bit for bit, so rows written before it still match; non-ASCII
+    ids hash their utf-8 bytes."""
+    import numpy as np
+
+    ids = ["doc-0001", "", "ß", "日本語-doc", "emoji-\U0001F600", "e\u0301",
+           "naïve", "x" * 300]
+    want = 0
+    for d in ids:
+        want ^= _stable_u64(d)
+    n, xor = mf.doc_fingerprint(ids)
+    assert n == len(ids) and xor & (2**64 - 1) == want
+    assert xor == int(np.array([want], dtype=np.uint64).view(np.int64)[0])
+    assert mf.id_hashes(ids).view(np.uint64).tolist() == [
+        _stable_u64(d) for d in ids]
+    assert mf.doc_fingerprint([]) == (0, 0)
+
+
+def test_refresh_commits_in_at_most_cpus_tasks(corpus):
+    """A 64-bucket refresh commits its stale buckets in at most CPUs
+    finalize tasks; metrics.json reports tasks and buckets apart and the
+    summed commit seconds of the committed rows."""
+    import json
+
+    import ray
+
+    base, sub, full, appended = corpus
+    store = os.path.join(base, "fanout64")
+    kw = dict(bank="haar", n_tiers=6, n_buckets=64, verify=False,
+              batch_size=128)
+    rp.run_rollup_job(sub, store, **kw)
+    stale = set(mf.bucket_of_ids(appended, 64).tolist())
+    assert len(stale) > int(ray.cluster_resources()["CPU"])
+
+    r = rp.run_rollup_job(full, store, refresh=True, **kw)
+    assert r["buckets_refreshed"] == r["buckets_written"] == len(stale)
+    fin = json.load(open(os.path.join(store, "metrics.json")))["per_stage"][-1]
+    assert fin["operator"] == "finalize"
+    assert fin["tasks"] == int(ray.cluster_resources()["CPU"])
+    assert fin["buckets"] == len(stale)
+    after = mf.read_manifest(store)
+    assert fin["task_wall_total_s"] == pytest.approx(
+        sum(x["elapsed_s"] for x in after if x["bucket"] in stale), abs=1e-3)
+
+
 def test_validate_store_detects_corruption(ray_session, tmp_path):
     """The store fsck passes on a fresh store, then catches every
-    corruption class: flipped bytes (checksum), a deleted partials
-    sidecar, and a missing data file."""
+    corruption class: flipped bytes (checksum), partials in a manifest row
+    that differ from the data file or are missing, and a missing data
+    file."""
     import json
     import os
     import shutil
@@ -220,14 +330,19 @@ def test_validate_store_detects_corruption(ray_session, tmp_path):
     assert not res["ok"] and any("checksum" in e for e in res["errors"])
     open(victim, "wb").write(orig)
 
-    # 2) missing partials sidecar
-    pfile = os.path.join(mf.manifest_dir(out),
-                         f"partials-{rows[0]['bucket']:05d}.parquet")
-    moved = pfile + ".bak"
-    shutil.move(pfile, moved)
-    res = validate_store(out, distributed=False)
-    assert not res["ok"] and any("partials" in e for e in res["errors"])
-    shutil.move(moved, pfile)
+    # 2) partials in the manifest row: tampered, then missing
+    mpath = os.path.join(mf.manifest_dir(out),
+                         f"bucket-{rows[0]['bucket']:05d}.json")
+    row_bytes = open(mpath, "rb").read()
+    tampered = json.loads(row_bytes)
+    tampered["partials"]["n_windows"][0] += 1
+    for bad_row in (tampered, {k: v for k, v in tampered.items()
+                               if k != "partials"}):
+        with open(mpath, "w") as fh:
+            json.dump(bad_row, fh, sort_keys=True)
+        res = validate_store(out, distributed=False)
+        assert not res["ok"] and any("partials" in e for e in res["errors"])
+    open(mpath, "wb").write(row_bytes)
 
     # 3) missing data file
     shutil.move(victim, victim + ".bak")

@@ -25,9 +25,13 @@ queries) stays a Ray Data plan:
               slices in-task, returns (bucket, stage_file) metadata rows
           returns the metadata rows, its rows read and per-layer seconds
      -> ray.get + bounded collect       driver checks rows <= unit rows
-     -> ray.remote(_finalize_bucket) x occupied buckets  one task per
-          bucket: merge slices, sort, atomic file + manifest [S5/S6]
-     -> persisted per-(source,tier) partials -> driver final fold [A1/A2]
+     -> ray.remote(_finalize_buckets) x min(CPUs, occupied buckets):
+          each task a round-robin share of the sorted buckets; per
+          bucket merge slices, sort, atomic data file, then one
+          manifest row holding its partials             [S5/S6]
+          returns the rows it committed
+     -> driver folds the rows in hand: summary + per-(source,tier)
+          partials -> source_stats.parquet             [A1/A2]
 
     rollup_dataset (Ray Data)
     read_parquet -> map_batches(_rollup_chain) -> map_batches(TierRollup)
@@ -36,14 +40,15 @@ The heavy tokens column never crosses the object store — a task reads its
 own unit — and neither does the encoded store: each task writes its own
 rows as staged per-bucket Arrow IPC slices (the no-shuffle layout of
 ``write_parquet(partition_cols=...)``).  Nothing is shuffled: the driver
-groups the O(tasks x buckets) metadata rows by bucket and commits each
-bucket in its own task — a bucket's file is a pure function of its staged
-slices, so buckets commit independently and in any order, and the bucket
-doubles as the resume/checkpoint granularity.  Every task is small and
-deterministic, so a lost one is simply re-executed (the D-Streams recovery
-model).  At cluster scale the same code runs with ``n_buckets`` sized to
-~(nodes x cores); locally the default 16 keeps finalize parallelism ~ CPUs
-and partitions ~10 MB at bench scale.
+groups the O(tasks x buckets) metadata rows by bucket and deals the
+buckets out to one finalize task per CPU — a bucket's file is a pure
+function of its staged slices, so buckets commit independently and in any
+order, and the bucket doubles as the resume/checkpoint granularity.  The
+manifest is read once, at job start; the rows the job commits come back
+from its tasks.  Every task is deterministic, so a lost one is simply
+re-executed (the D-Streams recovery model).  At cluster scale the same
+code runs with ``n_buckets`` sized to ~(nodes x cores); locally the
+default 16 keeps partitions ~10 MB at bench scale.
 
 No ``ray.init`` here — the caller owns the session (driver contract).
 """
@@ -153,10 +158,13 @@ def source_tier_aggregate(rollup_ds: "ray.data.Dataset") -> "ray.data.Dataset":
 
 
 @ray.remote
-def _finalize_bucket(out_dir: str, stage_dir: str, meta: pa.Table) -> None:
-    """Commit one bucket from its metadata rows; Ray re-runs the task if its
-    worker dies, and the commit rewrites the same bytes."""
-    mf.BucketFinalize(out_dir, stage_dir)(meta)
+def _finalize_buckets(out_dir: str, stage_dir: str,
+                      share: list[tuple[int, list[str]]]) -> list[dict]:
+    """Commit a share of the buckets, given as (bucket, [stage_file, ...])
+    pairs, one after another; returns their manifest rows.  Ray re-runs
+    the task if its worker dies: buckets it already committed return
+    their rows, the rest commit."""
+    return [mf.commit_bucket(out_dir, stage_dir, b, files) for b, files in share]
 
 
 # the layers an encode task times, in chain order (metrics.json per_stage)
@@ -246,7 +254,9 @@ def run_rollup_job(
     per non-empty (slice, bucket), so never more rows than its unit's
     input rows — the planned row range of a parquet unit, the rows it
     read for a line-format file.  The driver checks that per task and
-    raises past it.  Each occupied bucket then commits in its own Ray task.
+    raises past it.  The occupied buckets then commit in
+    min(cluster CPUs, occupied buckets) Ray tasks, each a round-robin share
+    of the sorted buckets.
 
     ``input_format`` selects the ingest reader (``parquet`` | ``jsonl`` |
     ``csv`` — see :mod:`..sources.ingest`); every format normalizes to the
@@ -281,7 +291,8 @@ def run_rollup_job(
 
     Returns a summary dict (also written to ``out_dir/metrics.json``, next
     to the per-layer rows: tasks and summed task seconds per encode layer,
-    then finalize) with throughput and bucket counts; the driver-side final
+    then finalize with its tasks, buckets committed, wall and summed commit
+    seconds) with throughput and bucket counts; the driver-side final
     per-(source, tier) aggregates go to ``out_dir/source_stats.parquet``.
     """
     t0 = time.perf_counter()
@@ -291,23 +302,29 @@ def run_rollup_job(
             "refresh=True needs the parquet fingerprint pre-pass; "
             f"got input_format={input_format!r}"
         )
+    # the job's one manifest read: the rows on disk, kept in step with
+    # every row this job removes or writes, so the summary and the
+    # source_stats fold never read the manifest again
+    manifest = {int(r["bucket"]): r for r in mf.read_manifest(out_dir)}
     if resume and refresh:
-        stale = mf.stale_buckets(input_path, out_dir, n_buckets)
+        stale = mf.stale_buckets(input_path, out_dir, n_buckets,
+                                 rows=manifest.values())
         if stale:
             mf.invalidate_buckets(out_dir, stale)
+            for b in stale:
+                del manifest[b]
         n_refreshed = len(stale)
-    done = mf.completed_buckets(out_dir) if resume else frozenset()
+    done = mf.completed_buckets(out_dir, manifest.values()) if resume else frozenset()
     if len(done) >= n_buckets:
         # nothing pending: no work, so no task is launched at all
-        manifest_rows = mf.read_manifest(out_dir)
         return {
             "elapsed_s": round(time.perf_counter() - t0, 3),
             "buckets_written": 0,
             "buckets_skipped": len(done),
             "buckets_refreshed": n_refreshed,
-            "n_windows": int(sum(r["n_windows"] for r in manifest_rows)),
+            "n_windows": int(sum(r["n_windows"] for r in manifest.values())),
             "n_windows_this_run": 0,
-            "bytes_encoded": int(sum(r["bytes_encoded"] for r in manifest_rows)),
+            "bytes_encoded": int(sum(r["bytes_encoded"] for r in manifest.values())),
             "rolled_points_per_s": 0.0,
             "bank": bank,
             "n_tiers": n_tiers,
@@ -377,24 +394,30 @@ def run_rollup_job(
         for m in metas:
             for b, f in zip(m["bucket"].to_pylist(), m["stage_file"].to_pylist()):
                 files_of.setdefault(b, []).append(f)
+    # one finalize task per CPU, each a round-robin share of the sorted
+    # buckets: a task's fixed cost (launch, shipping its arguments) would
+    # outweigh a small bucket's commit, and more tasks than CPUs only queue
+    shares = sorted(files_of.items())
+    n_fin = min(ncpu, len(shares))
     t_fin = time.perf_counter()
-    ray.get([
-        _finalize_bucket.remote(out_dir, stage_dir, pa.table({
-            "bucket": pa.array([b] * len(files), type=pa.int32()),
-            "stage_file": pa.array(files, type=pa.string()),
-        }))
-        for b, files in sorted(files_of.items())
-    ])
+    committed = [
+        row for part in ray.get([
+            _finalize_buckets.remote(out_dir, stage_dir, shares[k::n_fin])
+            for k in range(n_fin)
+        ])
+        for row in part
+    ]
     finalize_wall_s = time.perf_counter() - t_fin
     _shutil.rmtree(stage_dir, ignore_errors=True)
 
     # a hash bucket that owns no doc_ids has no metadata rows and is never
     # finalized: record it as an explicitly-empty partition so resume knows
     # the run covered it
-    mf.mark_empty_buckets(out_dir, n_buckets)
+    for row in committed + mf.mark_empty_buckets(out_dir, n_buckets):
+        manifest[int(row["bucket"])] = row
 
     elapsed = time.perf_counter() - t0
-    manifest_rows = mf.read_manifest(out_dir)
+    manifest_rows = [manifest[b] for b in sorted(manifest)]
     n_windows = int(sum(r["n_windows"] for r in manifest_rows))
     bytes_encoded = int(sum(r["bytes_encoded"] for r in manifest_rows))
     # throughput from work actually done THIS run: resumed runs exclude
@@ -403,9 +426,9 @@ def run_rollup_job(
         sum(r["n_windows"] for r in manifest_rows if int(r["bucket"]) not in done)
     )
 
-    # fold the PERSISTED partials of ALL buckets, so buckets completed by an
-    # earlier run still count after a resume
-    mf.write_source_stats(out_dir)
+    # fold the partials of ALL buckets, so buckets completed by an earlier
+    # run still count after a resume
+    mf.write_source_stats(out_dir, manifest_rows)
 
     summary = {
         "elapsed_s": round(elapsed, 3),
@@ -424,8 +447,8 @@ def run_rollup_job(
 
     os.makedirs(out_dir, exist_ok=True)
     # one row per layer the encode tasks timed (tasks that ran it, their
-    # summed seconds), then finalize: its phase wall time and the committed
-    # buckets' manifest rows
+    # summed seconds), then finalize: its tasks, the buckets they
+    # committed, its phase wall time and the committed rows' seconds
     ledgers = [sec for _, _, sec in results]
     per_stage = [
         {"operator": layer,
@@ -435,11 +458,10 @@ def run_rollup_job(
     ]
     per_stage.append({
         "operator": "finalize",
-        "tasks": len(files_of),
+        "tasks": n_fin,
+        "buckets": len(committed),
         "wall_s": round(finalize_wall_s, 4),
-        "task_wall_total_s": round(
-            sum(r["elapsed_s"] for r in manifest_rows
-                if int(r["bucket"]) in files_of), 4),
+        "task_wall_total_s": round(sum(r["elapsed_s"] for r in committed), 4),
     })
     with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
         json.dump({"summary": summary, "per_stage": per_stage}, fh, indent=1)

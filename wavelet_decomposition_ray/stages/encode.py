@@ -153,7 +153,7 @@ class RollupEncode:
         # shuffle-free write path: when set, each task writes its own rows
         # as per-bucket Arrow IPC slices under stage_dir and emits only
         # (bucket, stage_file) metadata rows — the encoded bytes never
-        # enter the object store; BucketFinalize commits each bucket.
+        # enter the object store; manifest.commit_bucket commits each bucket.
         self.stage_dir = stage_dir
 
     def _stage_batch(self, full: pa.Table) -> pa.Table:

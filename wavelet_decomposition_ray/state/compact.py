@@ -72,14 +72,13 @@ def compact_store(src_dir: str, dst_dir: str, n_buckets: int) -> dict:
     if occupied:
 
         def finalize(group):
-            return mf.write_bucket_table(dst_dir, group)
+            row = mf.write_bucket_table(dst_dir, group)
+            return pa.table({"bucket": [row["bucket"]]})
 
-        partials = ds.groupby("bucket").map_groups(
+        committed = ds.groupby("bucket").map_groups(
             finalize, batch_format="pyarrow"
         )
-        n_written = len(
-            set(partials.select_columns(["bucket"]).to_pandas()["bucket"])
-        )
+        n_written = len(set(committed.to_pandas()["bucket"]))
     # destination buckets that own no doc_ids produce no group: mark them
     # explicitly-empty exactly like a from-scratch build (ADVICE r3 —
     # without this the compacted manifest diverges from the byte-identical

@@ -5,11 +5,15 @@ Reference analog: the skip-if-exists ``.npz`` matrix cache and translation
 pickle (``/root/reference/wavelet_decomposition.py:30-35``,
 ``calc_translations.py:136-144``) — an idempotent per-partition artifact
 keyed by name (SURVEY.md §2.1 S3/S4, §4.2.4). Here: output partitions are
-hash buckets of ``doc_id``; a completed bucket is recorded by an atomic
-manifest JSON; resume anti-joins pending buckets against the manifest and
+hash buckets of ``doc_id``; a completed bucket is recorded by ONE atomic
+manifest JSON row, its only record: the data file's checksum and counts,
+the doc-set fingerprint refresh compares, and the per-(source, tier)
+partials ``source_stats.parquet`` folds.  A commit is two atomic renames,
+data file then manifest row, so a crash between them leaves the bucket
+pending.  Resume anti-joins pending buckets against the manifest and
 re-runs only the missing ones, producing byte-identical files (determinism
-is guaranteed by sorting each bucket by (doc_id, tier) before writing and by
-the codec being a pure per-row function).
+is guaranteed by sorting each bucket by (tier, doc_id) before writing and
+by the codec being a pure per-row function).
 """
 
 from __future__ import annotations
@@ -55,29 +59,31 @@ def manifest_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "manifest")
 
 
-def completed_buckets(out_dir: str) -> frozenset[int]:
-    mdir = manifest_dir(out_dir)
-    if not os.path.isdir(mdir):
-        return frozenset()
-    done = set()
-    for f in os.listdir(mdir):
-        if f.startswith("bucket-") and f.endswith(".json"):
-            try:
-                with open(os.path.join(mdir, f)) as fh:
-                    row = json.load(fh)
-                if row.get("file") is None or os.path.isfile(
-                    os.path.join(out_dir, row["file"])
-                ):
-                    done.add(int(row["bucket"]))
-            except (ValueError, KeyError, OSError):
-                continue
-    return frozenset(done)
+def _committed(row: dict) -> bool:
+    """A row records its bucket in full: an empty bucket needs no partials;
+    a non-empty row without them was written by an older layout (partials
+    in a sidecar file), so its bucket re-runs and rewrites the row."""
+    return row.get("file") is None or "partials" in row
 
 
-def mark_empty_buckets(out_dir: str, n_buckets: int) -> None:
+def completed_buckets(out_dir: str, rows=None) -> frozenset[int]:
+    """Buckets whose manifest row is committed and whose data file exists.
+    ``rows`` are :func:`read_manifest`'s, when the caller already holds
+    them."""
+    if rows is None:
+        rows = read_manifest(out_dir)
+    return frozenset(
+        int(r["bucket"]) for r in rows
+        if _committed(r) and (r.get("file") is None
+                              or os.path.isfile(os.path.join(out_dir, r["file"])))
+    )
+
+
+def mark_empty_buckets(out_dir: str, n_buckets: int) -> list[dict]:
     """After a successful run, record buckets that own no rows (no group
     ever reached the writer) as explicitly-empty partitions, so resume
-    treats them as covered rather than forever-pending."""
+    treats them as covered rather than forever-pending.  Returns the rows
+    it writes."""
     have = set()
     mdir = manifest_dir(out_dir)
     if os.path.isdir(mdir):
@@ -88,85 +94,132 @@ def mark_empty_buckets(out_dir: str, n_buckets: int) -> None:
                 except ValueError:
                     continue
     os.makedirs(mdir, exist_ok=True)
+    written = []
     for b in range(n_buckets):
         if b in have:
             continue
         row = {"bucket": b, "file": None, "n_rows": 0, "n_docs": 0,
                "doc_xor": 0, "n_windows": 0, "bytes_encoded": 0,
                "checksum": None, "elapsed_s": 0.0}
-        tmp = os.path.join(mdir, f".bucket-{b:05d}.json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(row, fh, sort_keys=True)
-        os.replace(tmp, os.path.join(mdir, f"bucket-{b:05d}.json"))
+        _write_row(mdir, row)
+        written.append(row)
+    return written
 
 
-def read_all_partials(out_dir: str):
-    """Every bucket's persisted per-(source, tier) partials (written
-    atomically by :func:`write_bucket_table`) as one pandas frame, read in
-    one dataset scan — the input of the finalize fold.  Covers buckets
-    completed by PREVIOUS runs, which a resumed run never re-executes.
-    Returns None when NO partials exist (no bucket of the store has rows).
+# the per-(source, tier) partials of a bucket and the store's fold of them
+PARTIALS_SCHEMA = pa.schema([
+    ("source", pa.string()), ("tier", pa.int8()), ("n_docs", pa.int64()),
+    ("n_windows", pa.int64()), ("nbytes", pa.int64()),
+])
 
-    Raises when partials exist but some non-empty manifest bucket has no
-    partials file (a legacy store mixed with new buckets): folding the
-    partial set would silently omit the legacy buckets from
-    source_stats.parquet (ADVICE r2)."""
-    import pyarrow.dataset as pads
 
-    mdir = manifest_dir(out_dir)
-    if not os.path.isdir(mdir):
-        return None
-    have = set()
-    files = []
-    for f in sorted(os.listdir(mdir)):
-        if f.startswith("partials-") and f.endswith(".parquet"):
-            have.add(int(f[len("partials-") : -len(".parquet")]))
-            files.append(os.path.join(mdir, f))
-    if not files:
-        return None
-    need = {
-        int(row["bucket"]) for row in read_manifest(out_dir)
-        if row.get("file") is not None
-    }
-    missing = sorted(need - have)
+def bucket_partials(table: pa.Table) -> dict:
+    """Per-(source, tier) partials of one bucket's rows, sorted by
+    (source, tier), as the manifest row stores them: one list per
+    :data:`PARTIALS_SCHEMA` column."""
+    p = (
+        table.group_by(["source", "tier"])
+        .aggregate([([], "count_all"), ("n_windows", "sum"), ("nbytes", "sum")])
+        .sort_by([("source", "ascending"), ("tier", "ascending")])
+    )
+    return {"source": p["source"].to_pylist(), "tier": p["tier"].to_pylist(),
+            "n_docs": p["count_all"].to_pylist(),
+            "n_windows": p["n_windows_sum"].to_pylist(),
+            "nbytes": p["nbytes_sum"].to_pylist()}
+
+
+def _partials_of(out_dir: str, rows) -> list[tuple[int, dict]]:
+    """(bucket, partials) of every non-empty row.  Raises when a non-empty
+    row has none (written by an older layout): folding the rest would
+    silently omit that bucket from source_stats.parquet (ADVICE r2)."""
+    missing = sorted(int(r["bucket"]) for r in rows if not _committed(r))
     if missing:
         raise RuntimeError(
             f"store at {out_dir} has manifest buckets {missing} without "
-            "partials files (written by a pre-partials version): "
-            "source_stats would silently omit them — delete the store's "
-            "source_stats/manifest and re-run, or rebuild the store"
+            "partials (written by an older layout): source_stats would "
+            "silently omit them — resume or refresh the store to rewrite "
+            "them"
         )
-    return pads.dataset(files, format="parquet").to_table().to_pandas()
+    return [(int(r["bucket"]), r["partials"]) for r in rows
+            if r.get("file") is not None]
 
 
-def write_source_stats(out_dir: str) -> None:
+def read_all_partials(out_dir: str):
+    """Every bucket's per-(source, tier) partials, read from the manifest
+    rows, as one pandas frame (bucket, source, tier, n_docs, n_windows,
+    nbytes) in bucket order.  Returns None when no bucket of the store has
+    rows; raises when a non-empty row has no partials."""
+    parts = _partials_of(out_dir, read_manifest(out_dir))
+    if not parts:
+        return None
+    cols = {"bucket": pa.array(
+        [b for b, p in parts for _ in p["source"]], type=pa.int64())}
+    for f in PARTIALS_SCHEMA:
+        cols[f.name] = pa.array([v for _, p in parts for v in p[f.name]],
+                                type=f.type)
+    return pa.table(cols).to_pandas()
+
+
+def write_source_stats(out_dir: str, rows=None) -> None:
     """Fold every bucket's partials into the store's per-(source, tier)
-    sink ``source_stats.parquet`` (n_docs, n_windows, nbytes), written
-    atomically.  Writes nothing when no bucket has rows."""
-    all_partials = read_all_partials(out_dir)
-    if all_partials is None or not len(all_partials):
+    sink ``source_stats.parquet`` (n_docs, n_windows, nbytes), sorted by
+    (source, tier) and written atomically.  ``rows`` are the store's
+    manifest rows when the caller already holds them.  Writes nothing when
+    no bucket has rows."""
+    if rows is None:
+        rows = read_manifest(out_dir)
+    parts = _partials_of(out_dir, rows)
+    if not parts:
         return
-    final = (
-        all_partials.groupby(["source", "tier"], as_index=False)
-        .agg(n_docs=("n_docs", "sum"), n_windows=("n_windows", "sum"),
-             nbytes=("nbytes", "sum"))
-        .sort_values(["source", "tier"])
+    acc: dict[tuple, list[int]] = {}
+    for _, p in parts:
+        for s, t, d, w, n in zip(p["source"], p["tier"], p["n_docs"],
+                                 p["n_windows"], p["nbytes"]):
+            if s is None:  # a null source has no group, as in a groupby
+                continue
+            a = acc.setdefault((s, t), [0, 0, 0])
+            a[0] += d
+            a[1] += w
+            a[2] += n
+    keys = sorted(acc)
+    vals = [acc[k] for k in keys]
+    final = pa.table(
+        [[k[0] for k in keys], [k[1] for k in keys], [v[0] for v in vals],
+         [v[1] for v in vals], [v[2] for v in vals]],
+        schema=PARTIALS_SCHEMA,
     )
     tmp = os.path.join(out_dir, ".source_stats.parquet.tmp")
-    pq.write_table(pa.Table.from_pandas(final, preserve_index=False), tmp)
+    pq.write_table(final, tmp)
     os.replace(tmp, os.path.join(out_dir, "source_stats.parquet"))
+
+
+def id_hashes(ids) -> np.ndarray:
+    """Stable 64-bit hash of each doc id as int64: the first 8 bytes of the
+    md5 of its utf-8 encoding, little-endian — ``dedup._stable_u64``, bit
+    for bit, with one md5 per id and no per-id Python int."""
+    md5 = hashlib.md5
+    return np.frombuffer(
+        b"".join([md5(s.encode()).digest()[:8] for s in ids]), dtype="<i8"
+    ).astype(np.int64, copy=False)
+
+
+def doc_fingerprint(ids) -> tuple[int, int]:
+    """Order-independent fingerprint of a set of DISTINCT doc ids:
+    (count, XOR of their :func:`id_hashes`), the pair a manifest row
+    records as ``n_docs`` / ``doc_xor``."""
+    h = id_hashes(ids)
+    return len(h), int(np.bitwise_xor.reduce(h)) if len(h) else 0
 
 
 @ray.remote
 def _summarize_unit(unit, n_buckets: int) -> pa.Table:
     """Per-bucket (bucket, count, XOR of stable doc-id hashes) of one read
     unit's ``doc_id`` column: at most one row per occupied bucket."""
-    from ..functions.dedup import _stable_u64
     from ..sources.ingest import read_unit
 
     ids = read_unit(unit, "parquet", ["doc_id"])["doc_id"].to_pylist()
     b = bucket_of_ids(ids, n_buckets)
-    h = np.array([_stable_u64(s) for s in ids], dtype=np.uint64).view(np.int64)
+    h = id_hashes(ids)
     order = np.argsort(b, kind="stable")
     bs, hs = b[order], h[order]
     ub, start = np.unique(bs, return_index=True)
@@ -221,14 +274,19 @@ def input_bucket_summary(input_path: str, n_buckets: int):
     )
 
 
-def stale_buckets(input_path: str, out_dir: str, n_buckets: int) -> frozenset[int]:
+def stale_buckets(input_path: str, out_dir: str, n_buckets: int,
+                  rows=None) -> frozenset[int]:
     """Completed buckets whose recorded doc-set fingerprint no longer
     matches the current input — docs were appended to or removed from them
     since the bucket was written (in-place token edits under an UNCHANGED
     doc_id are outside this contract: the store is an append/remove ingest
-    sink keyed by doc_id).  Manifest rows written before fingerprints
-    existed count as stale (safe: they just re-run)."""
-    rows = {int(r["bucket"]): r for r in read_manifest(out_dir)}
+    sink keyed by doc_id).  Manifest rows written before fingerprints or
+    in-row partials existed count as stale (safe: they just re-run).
+    ``rows`` are :func:`read_manifest`'s, when the caller already holds
+    them."""
+    if rows is None:
+        rows = read_manifest(out_dir)
+    rows = {int(r["bucket"]): r for r in rows}
     if not rows:
         return frozenset()
     summary = input_bucket_summary(input_path, n_buckets)
@@ -241,18 +299,24 @@ def stale_buckets(input_path: str, out_dir: str, n_buckets: int) -> frozenset[in
     for b, r in rows.items():
         want = cur.get(b, (0, 0))
         have = (
-            (int(r["n_docs"]), int(r["doc_xor"])) if "doc_xor" in r else None
+            (int(r["n_docs"]), int(r["doc_xor"]))
+            if "doc_xor" in r and _committed(r) else None
         )
         if have != want:
             stale.add(b)
     return frozenset(stale)
 
 
+def _sidecar(mdir: str, bucket: int) -> str:
+    """The partials file an older layout kept next to a manifest row."""
+    return os.path.join(mdir, f"partials-{bucket:05d}.parquet")
+
+
 def invalidate_buckets(out_dir: str, buckets) -> None:
     """Make stale buckets pending again.  The manifest row is removed FIRST
     (from that instant the bucket is pending and any crash leaves it
-    pending), then the partials file, then the data file — refresh is
-    crash-safe at every step."""
+    pending), then the data file — refresh is crash-safe at every step.
+    An older layout's partials sidecar goes too."""
     mdir = manifest_dir(out_dir)
     for b in sorted(buckets):
         mpath = os.path.join(mdir, f"bucket-{b:05d}.json")
@@ -264,9 +328,8 @@ def invalidate_buckets(out_dir: str, buckets) -> None:
             except (ValueError, OSError):
                 rel = None
             os.remove(mpath)
-        ppath = os.path.join(mdir, f"partials-{b:05d}.parquet")
-        if os.path.isfile(ppath):
-            os.remove(ppath)
+        if os.path.isfile(_sidecar(mdir, b)):
+            os.remove(_sidecar(mdir, b))
         if rel:
             dpath = os.path.join(out_dir, rel)
             if os.path.isfile(dpath):
@@ -284,12 +347,21 @@ def read_manifest(out_dir: str) -> list[dict]:
     return rows
 
 
-def write_bucket_table(out_dir: str, group: pa.Table) -> pa.Table:
+def _write_row(mdir: str, row: dict) -> None:
+    tmp = os.path.join(mdir, f".bucket-{row['bucket']:05d}.json.tmp")
+    with open(tmp, "w") as fh:
+        json.dump(row, fh, sort_keys=True)
+    os.replace(tmp, os.path.join(mdir, f"bucket-{row['bucket']:05d}.json"))
+
+
+def write_bucket_table(out_dir: str, group: pa.Table) -> dict:
     """Write ONE bucket's full rollup table as its final atomic partition
-    file + manifest row + persisted partials.  Deterministic: the bucket is
-    globally sorted (tier, doc_id) before writing, so the output bytes do
-    not depend on how the rows arrived (shuffle order or staged-file
-    layout) — resume and refresh rewrites stay byte-identical."""
+    file, then commit it with its manifest row (counts, checksum, doc-set
+    fingerprint and per-(source, tier) partials), and return that row.
+    Deterministic: the bucket is globally sorted (tier, doc_id) before
+    writing, so the output bytes do not depend on how the rows arrived
+    (shuffle order or staged-file layout) — resume and refresh rewrites
+    stay byte-identical."""
     t0 = time.perf_counter()
     bucket = int(group["bucket"][0].as_py())
     # tier-FIRST sort: clusters each retention tier into contiguous
@@ -313,67 +385,65 @@ def write_bucket_table(out_dir: str, group: pa.Table) -> pa.Table:
         fh.write(data)
     os.replace(tmp, path)
 
-    # per-(source, tier) partials for the driver-side final aggregate,
-    # sorted by (source, tier) like a pandas groupby
-    partials = (
-        group.group_by(["source", "tier"])
-        .aggregate([([], "count_all"), ("n_windows", "sum"),
-                    ("nbytes", "sum")])
-        .sort_by([("source", "ascending"), ("tier", "ascending")])
-    )
-    partials = pa.table(
-        {
-            "bucket": pa.array(np.full(partials.num_rows, bucket, dtype=np.int64)),
-            "source": partials["source"],
-            "tier": partials["tier"],
-            "n_docs": partials["count_all"],
-            "n_windows": partials["n_windows_sum"],
-            "nbytes": partials["nbytes_sum"],
-        }
-    )
-
-    # persist this bucket's partials next to its manifest row so a
-    # RESUMED run can fold the per-(source,tier) sink across ALL buckets,
-    # not just the re-run ones (skipped buckets otherwise silently drop
-    # out of source_stats.parquet)
-    mdir = manifest_dir(out_dir)
-    os.makedirs(mdir, exist_ok=True)
-    ptmp = os.path.join(mdir, f".partials-{bucket:05d}.parquet.tmp")
-    pq.write_table(partials, ptmp)
-    os.replace(ptmp, os.path.join(mdir, f"partials-{bucket:05d}.parquet"))
-
-    # order-independent input fingerprint of this bucket's doc set:
-    # (count, XOR of stable 64-bit doc-id hashes) — refresh compares it
-    # against the same summary recomputed from the CURRENT input to
-    # detect appended/removed docs in already-completed buckets
-    from ..functions.dedup import _stable_u64
-
-    ids = pc.unique(group["doc_id"]).to_pylist()
-    hx = np.array([_stable_u64(s) for s in ids], dtype=np.uint64).view(
-        np.int64
-    )
+    # the partials let a RESUMED run fold the per-(source, tier) sink
+    # across ALL buckets, not just the re-run ones; the (count, XOR)
+    # fingerprint of the doc set is what refresh compares against the
+    # CURRENT input to detect appended/removed docs
+    partials = bucket_partials(group)
+    n_docs, doc_xor = doc_fingerprint(pc.unique(group["doc_id"]).to_pylist())
     row = {
         "bucket": bucket,
         "file": rel,
         "n_rows": group.num_rows,
-        "n_docs": len(ids),
-        "doc_xor": int(np.bitwise_xor.reduce(hx)) if len(hx) else 0,
-        "n_windows": int(pc.sum(partials["n_windows"]).as_py()),
-        "bytes_encoded": int(pc.sum(partials["nbytes"]).as_py()),
+        "n_docs": n_docs,
+        "doc_xor": doc_xor,
+        "n_windows": sum(partials["n_windows"]),
+        "bytes_encoded": sum(partials["nbytes"]),
         "checksum": checksum,
+        "partials": partials,
         "elapsed_s": round(time.perf_counter() - t0, 4),
     }
-    mtmp = os.path.join(mdir, f".bucket-{bucket:05d}.json.tmp")
-    with open(mtmp, "w") as fh:
-        json.dump(row, fh, sort_keys=True)
-    os.replace(mtmp, os.path.join(mdir, f"bucket-{bucket:05d}.json"))
-    return partials
+    mdir = manifest_dir(out_dir)
+    os.makedirs(mdir, exist_ok=True)
+    _write_row(mdir, row)
+    try:  # an older layout's sidecar: the row now holds the partials
+        os.remove(_sidecar(mdir, bucket))
+    except FileNotFoundError:
+        pass
+    return row
+
+
+def commit_bucket(out_dir: str, stage_dir: str, bucket: int, files) -> dict:
+    """Commit one bucket from its staged slices (paths relative to
+    ``stage_dir``; duplicates dedupe on the name), delete the slices and
+    return the bucket's manifest row.  Slices are deleted only after the
+    commit, so a call that finds one missing is a retry of a commit that
+    already happened: it returns the committed row and finishes the
+    cleanup."""
+    paths = [os.path.join(stage_dir, rel) for rel in sorted(set(files))]
+    if all(map(os.path.isfile, paths)):
+        tables = []
+        for p in paths:
+            with pa.OSFile(p, "rb") as fh:
+                tables.append(pa.ipc.open_file(fh).read_all())
+        row = write_bucket_table(out_dir, pa.concat_tables(tables))
+    else:
+        with open(os.path.join(manifest_dir(out_dir),
+                               f"bucket-{bucket:05d}.json")) as fh:
+            row = json.load(fh)
+    for p in paths:
+        try:
+            os.remove(p)
+        except OSError:
+            pass
+    return row
 
 
 class BucketFinalize:
     """Commit of ONE bucket from its staged-file metadata rows
-    (bucket, stage_file): called once per occupied bucket, as an
-    independent task, after the encode stage has drained.
+    (bucket, stage_file), after the encode stage has drained; returns the
+    bucket's manifest row.  The job commits its buckets with
+    :func:`commit_bucket` directly, a share of them per task.
 
     The encode tasks already wrote every bucket's rows as per-(task, bucket)
     Arrow IPC slices under ``staging/`` (see ``RollupEncode(stage_dir=...)``)
@@ -381,13 +451,14 @@ class BucketFinalize:
     rows by bucket, so nothing is shuffled.  A call reads its bucket's
     staged slices, globally sorts, and writes the final partition file
     (byte-identical whatever the slice layout — :func:`write_bucket_table`
-    sorts before writing), then deletes the slices.  A bucket's commit is a
-    pure function of its slices, so buckets finalize in any order.
+    sorts before writing) and its manifest row, then deletes the slices.  A
+    bucket's commit is a pure function of its slices, so buckets finalize
+    in any order.
 
     Retry-safe: staged file names are content hashes of the slice's doc
     ids, so a re-executed encode task overwrites its own files instead of
     duplicating rows; duplicate metadata rows dedupe on the file name here,
-    and a re-executed call rewrites the same bytes.
+    and a re-executed commit returns the committed row.
     At 100-TB scale the staged-file count is tasks x occupied buckets —
     size ``batch_size`` up and ``n_buckets`` to O(nodes) so slices stay
     megabytes, and staging lives on the job's shared store (here: the
@@ -397,17 +468,7 @@ class BucketFinalize:
         self.out_dir = out_dir
         self.stage_dir = stage_dir
 
-    def __call__(self, meta: pa.Table) -> pa.Table:
-        files = sorted(set(meta["stage_file"].to_pylist()))
-        tables = []
-        for rel in files:
-            with pa.OSFile(os.path.join(self.stage_dir, rel), "rb") as fh:
-                tables.append(pa.ipc.open_file(fh).read_all())
-        group = pa.concat_tables(tables)
-        partials = write_bucket_table(self.out_dir, group)
-        for rel in files:
-            try:
-                os.remove(os.path.join(self.stage_dir, rel))
-            except OSError:
-                pass
-        return partials
+    def __call__(self, meta: pa.Table) -> dict:
+        return commit_bucket(self.out_dir, self.stage_dir,
+                             int(meta["bucket"][0].as_py()),
+                             meta["stage_file"].to_pylist())

@@ -16,7 +16,9 @@ write path):
   ``n_windows`` (writer-bug canary — checksum intact but semantics wrong);
 * the doc-set fingerprint (``n_docs``, xor of stable 64-bit doc-id
   hashes) matches — the same fingerprint the incremental refresh uses;
-* the bucket's ``partials-*.parquet`` sidecar exists (resume integrity).
+* the row's per-(source, tier) partials equal those recomputed from the
+  data file (the input of ``source_stats.parquet``); a row without them
+  fails.
 
 Returns a summary dict; ``ok`` is True only when every check passes.
 """
@@ -26,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import os
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -34,7 +35,6 @@ from . import manifest as mf
 
 
 def _check_bucket(out_dir: str, row: dict) -> list[str]:
-    from ..functions.dedup import _stable_u64
     from ..stages.encode import decode_blocks_batch
 
     b = row["bucket"]
@@ -64,17 +64,13 @@ def _check_bucket(out_dir: str, row: dict) -> list[str]:
             )
     except Exception as e:
         errs.append(f"bucket {b}: decode failed: {e}")
-    ids = pa.compute.unique(t["doc_id"]).to_pylist()
-    hx = np.array([_stable_u64(s) for s in ids], dtype=np.uint64).view(
-        np.int64
-    )
-    xor = int(np.bitwise_xor.reduce(hx)) if len(hx) else 0
-    if len(ids) != row["n_docs"] or xor != row["doc_xor"]:
+    fp = mf.doc_fingerprint(pa.compute.unique(t["doc_id"]).to_pylist())
+    if fp != (row["n_docs"], row["doc_xor"]):
         errs.append(f"bucket {b}: doc-set fingerprint mismatch")
-    pfile = os.path.join(mf.manifest_dir(out_dir),
-                         f"partials-{b:05d}.parquet")
-    if row["n_rows"] and not os.path.isfile(pfile):
-        errs.append(f"bucket {b}: partials sidecar missing")
+    if "partials" not in row:
+        errs.append(f"bucket {b}: partials missing from the manifest row")
+    elif row["partials"] != mf.bucket_partials(t):
+        errs.append(f"bucket {b}: partials do not match the data file")
     return errs
 
 
