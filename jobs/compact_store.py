@@ -3,9 +3,13 @@
     python jobs/compact_store.py --src /path/to/store \
         --dst /path/to/compacted --n-buckets 4
 
-Never decodes; the result is byte-identical to a from-scratch build at
-the new bucket count (same deterministic doc_id hash, same single
-bucket writer), passes fsck, and reruns skip completed buckets.
+Runs on the job's write path (one plain Ray task per row group of the
+source's committed data files, then the job's commit phase) and never
+decodes; the result is byte-identical to a from-scratch build at the new
+bucket count (same deterministic doc_id hash, same single bucket
+writer), passes fsck, and reruns skip completed buckets.  A source whose
+committed buckets are not all of its ``n_buckets`` (from its
+``lineage.json``, written before any commit) is refused.
 """
 
 from __future__ import annotations

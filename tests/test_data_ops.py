@@ -437,6 +437,9 @@ def test_gram_sets_match_word_ngrams_counts():
 
 
 def test_capped_pairs_drops_and_logs(caplog):
+    """The partition pair fn emits every pair of a bucket under the cap,
+    drops an oversized bucket with a per-bucket warning and reports the
+    partition's dropped candidate mass."""
     import logging
 
     import numpy as np
@@ -444,7 +447,7 @@ def test_capped_pairs_drops_and_logs(caplog):
 
     from wavelet_decomposition_ray.functions import dedup as dd
 
-    fn = dd.make_capped_pairs(cap=3)
+    fn = dd.make_partition_pairs(["band_id", "band_hash"], cap=3)
     small = pd.DataFrame({"band_id": 0, "band_hash": 1,
                           "doc_id": [1, 2, 3]})
     out = fn(small)
@@ -456,6 +459,16 @@ def test_capped_pairs_drops_and_logs(caplog):
         out2 = fn(big)
     assert len(out2) == 0
     assert any("dropping candidate bucket" in r.message for r in caplog.records)
+    # one partition holding both buckets: the small one's pairs survive and
+    # the drop-mass line counts the big one's C(10, 2) = 45 pairs of 48
+    caplog.clear()
+    with caplog.at_level(logging.WARNING,
+                         logger="wavelet_decomposition_ray.dedup"):
+        out3 = fn(pd.concat([small, big], ignore_index=True))
+    assert set(map(tuple, out3.to_numpy())) == {(1, 2), (1, 3), (2, 3)}
+    mass = [r for r in caplog.records if "partition dropped" in r.message]
+    assert len(mass) == 1 and mass[0].levelno == logging.ERROR
+    assert "45 candidate pairs across 1 hot buckets (93.8%" in mass[0].getMessage()
 
 
 def test_set_blob_roundtrip():

@@ -248,6 +248,16 @@ def test_old_layout_store_resumes_and_refreshes(corpus):
                 if f.startswith("partials-")]
     pd.testing.assert_frame_equal(_stats(store), _stats(scratch))
 
+    # an older-layout store is complete, so it compacts: to its own bucket
+    # count, the same data files and source_stats
+    from wavelet_decomposition_ray.state.compact import compact_store
+
+    _to_old_layout(scratch)
+    dst = os.path.join(base, "old_layout_compacted")
+    assert compact_store(scratch, dst, NB)["buckets_written"] == NB
+    assert _data_bytes(dst) == _data_bytes(scratch)
+    pd.testing.assert_frame_equal(_stats(dst), _stats(scratch))
+
 
 def test_doc_fingerprint_matches_per_id_fold():
     """The vectorized fingerprint equals the per-id ``_stable_u64`` XOR
@@ -326,7 +336,7 @@ def test_validate_store_detects_corruption(ray_session, tmp_path):
     bad = bytearray(orig)
     bad[len(bad) // 2] ^= 0xFF
     open(victim, "wb").write(bytes(bad))
-    res = validate_store(out, distributed=False)
+    res = validate_store(out)
     assert not res["ok"] and any("checksum" in e for e in res["errors"])
     open(victim, "wb").write(orig)
 
@@ -340,17 +350,17 @@ def test_validate_store_detects_corruption(ray_session, tmp_path):
                                if k != "partials"}):
         with open(mpath, "w") as fh:
             json.dump(bad_row, fh, sort_keys=True)
-        res = validate_store(out, distributed=False)
+        res = validate_store(out)
         assert not res["ok"] and any("partials" in e for e in res["errors"])
     open(mpath, "wb").write(row_bytes)
 
     # 3) missing data file
     shutil.move(victim, victim + ".bak")
-    res = validate_store(out, distributed=False)
+    res = validate_store(out)
     assert not res["ok"] and any("missing" in e for e in res["errors"])
     shutil.move(victim + ".bak", victim)
 
-    assert validate_store(out, distributed=False)["ok"]
+    assert validate_store(out)["ok"]
 
 
 def test_read_store_api(ray_session, tmp_path):
@@ -416,7 +426,7 @@ def test_compact_store_byte_identical_to_fresh_build(ray_session, tmp_path):
         return out
 
     assert hashes(dst) == hashes(fresh)
-    assert validate_store(dst, distributed=False)["ok"]
+    assert validate_store(dst)["ok"]
 
     s2 = compact_store(many, dst, n_buckets=4)
     assert s2 == {"buckets_written": 0, "buckets_skipped": 4}
@@ -460,3 +470,120 @@ def test_compact_store_marks_empty_buckets_and_writes_source_stats(
     s = compact_store(src, dst, n_buckets=64)
     assert s["buckets_written"] == 0 and s["buckets_skipped"] == 64
     assert os.path.isfile(os.path.join(dst, "source_stats.parquet"))
+
+
+def _data_hashes(root):
+    import hashlib
+
+    d = os.path.join(root, "data")
+    return {f: hashlib.md5(open(os.path.join(d, f), "rb").read()).hexdigest()
+            for f in sorted(os.listdir(d))}
+
+
+def _build(seq, out, n_buckets, n_tiers=6):
+    rp.run_rollup_job(seq, out, bank="haar", n_tiers=n_tiers,
+                      n_buckets=n_buckets, batch_size=64, verify=False)
+    return out
+
+
+def test_compact_store_refuses_incomplete_source(ray_session, tmp_path):
+    """A source missing a committed bucket (its manifest row, or the row
+    and its data file) is refused instead of compacted without that
+    bucket's docs, with or without lineage.json.  A compacted store records
+    its own lineage: it compacts again to the original's bytes, and losing
+    its LAST bucket's row (invisible without lineage) is refused too."""
+    import json
+    import shutil
+
+    from wavelet_decomposition_ray.state.compact import compact_store
+
+    seq = synth.ensure_sequences(SF)
+    src = _build(seq, str(tmp_path / "src"), NB)
+    row = mf.read_manifest(src)[5]
+    assert row["bucket"] == 5 and row["file"]
+    for drop_file in (False, True):
+        bad = str(tmp_path / f"bad{int(drop_file)}")
+        shutil.copytree(src, bad)
+        os.remove(os.path.join(mf.manifest_dir(bad), "bucket-00005.json"))
+        if drop_file:
+            os.remove(os.path.join(bad, row["file"]))
+        with pytest.raises(ValueError, match=r"incomplete.*\[5\]"):
+            compact_store(bad, str(tmp_path / f"dst{int(drop_file)}"), 4)
+        os.remove(os.path.join(bad, "lineage.json"))
+        with pytest.raises(ValueError, match="incomplete"):
+            compact_store(bad, str(tmp_path / f"dst{int(drop_file)}"), 4)
+
+    four = str(tmp_path / "four")
+    compact_store(src, four, 4)
+    with open(os.path.join(four, "lineage.json")) as fh:
+        assert json.load(fh)["config"]["n_buckets"] == 4
+    back = str(tmp_path / "back")
+    assert compact_store(four, back, NB)["buckets_written"] == NB
+    assert _data_hashes(back) == _data_hashes(src)
+    os.remove(os.path.join(mf.manifest_dir(four), "bucket-00003.json"))
+    with pytest.raises(ValueError, match=r"incomplete.*\[3\]"):
+        compact_store(four, str(tmp_path / "again"), NB)
+
+
+def test_compact_store_resumes_after_crash_between_renames(ray_session, tmp_path):
+    """A compaction killed between write_bucket_table's two renames (data
+    file in place, manifest row not) and one killed before both: the rerun
+    commits exactly those buckets, byte-identical to a from-scratch build,
+    and the store passes fsck."""
+    from wavelet_decomposition_ray.state.compact import compact_store
+    from wavelet_decomposition_ray.state.validate import validate_store
+
+    seq = synth.ensure_sequences(SF)
+    src = _build(seq, str(tmp_path / "src"), NB)
+    fresh = _build(seq, str(tmp_path / "fresh"), 4)
+    dst = str(tmp_path / "dst")
+    compact_store(src, dst, 4)
+    rows = {r["bucket"]: r for r in mf.read_manifest(dst)}
+    for b in (1, 2):
+        os.remove(os.path.join(mf.manifest_dir(dst), f"bucket-{b:05d}.json"))
+    os.remove(os.path.join(dst, rows[2]["file"]))
+    assert mf.completed_buckets(dst) == frozenset({0, 3})
+
+    s = compact_store(src, dst, 4)
+    assert s == {"buckets_written": 2, "buckets_skipped": 2}
+    assert _data_hashes(dst) == _data_hashes(fresh)
+    res = validate_store(dst)
+    assert res["ok"], res["errors"]
+    pd.testing.assert_frame_equal(
+        pd.read_parquet(os.path.join(dst, "source_stats.parquet")),
+        pd.read_parquet(os.path.join(fresh, "source_stats.parquet")))
+
+
+def test_compact_store_refuses_a_store_whose_writer_died(
+        ray_session, tmp_path, monkeypatch):
+    """A job, or a compaction, that dies mid-commit leaves only a prefix of
+    its buckets committed.  Both write ``lineage.json`` before committing,
+    so a later compaction knows the bucket count and refuses the store
+    instead of taking the prefix for a complete smaller store."""
+    from wavelet_decomposition_ray.state.compact import compact_store
+
+    real = mf.stage_and_commit
+
+    def dies_after_four(out_dir, n_buckets, *a, **kw):
+        real(out_dir, n_buckets, *a, **kw)
+        for r in mf.read_manifest(out_dir):
+            if r["bucket"] >= 4:
+                if r["file"]:
+                    os.remove(os.path.join(out_dir, r["file"]))
+                os.remove(os.path.join(mf.manifest_dir(out_dir),
+                                       f"bucket-{r['bucket']:05d}.json"))
+        raise RuntimeError("writer died")
+
+    seq = synth.ensure_sequences(SF)
+    src = _build(seq, str(tmp_path / "src"), NB)
+    monkeypatch.setattr(mf, "stage_and_commit", dies_after_four)
+    died = {"job": str(tmp_path / "job"), "compact": str(tmp_path / "compact")}
+    with pytest.raises(RuntimeError, match="writer died"):
+        _build(seq, died["job"], NB)
+    with pytest.raises(RuntimeError, match="writer died"):
+        compact_store(src, died["compact"], 8)
+    monkeypatch.setattr(mf, "stage_and_commit", real)
+    for name, store in died.items():
+        assert mf.completed_buckets(store) == frozenset(range(4)), name
+        with pytest.raises(ValueError, match=r"incomplete.*\[4, 5, "):
+            compact_store(store, str(tmp_path / f"{name}-dst"), 2)

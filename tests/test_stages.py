@@ -21,11 +21,11 @@ from wavelet_decomposition_ray.stages.rollup import (
     explode_rollup_batch,
     tier_tree,
 )
-from wavelet_decomposition_ray.stages.encode import (
-    GorillaEncoder,
-    RollupEncode,
-    decode_blocks_batch,
+from wavelet_decomposition_ray.stages.encode import RollupEncode, decode_blocks_batch
+from wavelet_decomposition_ray.state.manifest import (
+    commit_bucket,
     slice_name,
+    stage_slices,
 )
 
 
@@ -176,35 +176,74 @@ def test_tier_tree_rejects_empty_rows():
         tier_tree(np.arange(3, dtype=np.int32), np.array([0, 3, 3]), 2)
 
 
+def _oracle_blobs(rolled: pa.Table) -> list[bytes]:
+    """Per-row ``oracle.encode_rollup_block`` of TierRollup's list rows."""
+    stats = {k: list_to_numpy(rolled[c])
+             for k, c in zip(STAT_NAMES, ("mins", "maxs", "sums", "counts"))}
+    return [
+        oc.encode_rollup_block({k: v[o[r]:o[r + 1]] for k, (v, o) in stats.items()})
+        for r in range(rolled.num_rows)
+    ]
+
+
 def test_rollup_encode_matches_rollup_then_encoder(batch, monkeypatch):
-    """RollupEncode (native and numpy tier tree) == TierRollup ->
-    GorillaEncoder, row for row and byte for byte."""
+    """RollupEncode (native and numpy tier tree) == TierRollup's rows, each
+    blob byte for byte the per-row oracle encoding of its lists."""
     from wavelet_decomposition_ray import native
 
-    want = GorillaEncoder()(TierRollup(6)(batch))
-    cols = ["doc_id", "source", "tier", "n_windows", "blob", "nbytes"]
+    rolled = TierRollup(6)(batch)
+    want = _oracle_blobs(rolled)
     got = RollupEncode(n_tiers=6)(batch)
     monkeypatch.setattr(native, "tier_tree", lambda: None)
     got_np = RollupEncode(n_tiers=6)(batch)
-    for c in cols:
-        assert got[c].to_pylist() == want[c].to_pylist(), c
-        assert got_np[c].to_pylist() == want[c].to_pylist(), c
+    for enc in (got, got_np):
+        for c in ("doc_id", "source", "tier", "n_windows"):
+            assert enc[c].to_pylist() == rolled[c].to_pylist(), c
+        assert enc["blob"].to_pylist() == want
+        assert enc["nbytes"].to_pylist() == [len(b) for b in want]
 
 
-def test_slice_name_depends_only_on_doc_ids():
-    """A staged slice's name is a function of its doc ids alone: the same
-    docs cut from different batches or offsets name alike; other docs do
-    not."""
+def test_slice_name_depends_only_on_doc_ids_and_tiers():
+    """A staged slice's name is a function of its (doc_id, tier) rows
+    alone: the same rows cut from different batches or offsets name alike;
+    other docs, or the same docs at other tiers, do not."""
+    def rows(docs, tiers=None):
+        tiers = [1] * len(docs) if tiers is None else tiers
+        return pa.table({"doc_id": docs, "tier": pa.array(tiers, pa.int8())})
+
     docs = ["a1", "bb22", "ccc333", "d4"]
-    direct = slice_name(pa.array(docs))
-    assert slice_name(pa.array(["zz"] + docs + ["y"]).slice(1, 4)) == direct
-    assert slice_name(pa.chunked_array([["q", "r"] + docs]).combine_chunks()
-                      .slice(2, 4)) == direct
-    big = pa.array([f"x{i}" for i in range(50)] + docs)
+    direct = slice_name(rows(docs))
+    assert slice_name(rows(["zz"] + docs + ["y"]).slice(1, 4)) == direct
+    assert slice_name(pa.table({
+        "doc_id": pa.chunked_array([["q", "r"] + docs]).combine_chunks(),
+        "tier": pa.array([1] * 6, pa.int8())}).slice(2, 4)) == direct
+    big = rows([f"x{i}" for i in range(50)] + docs)
     assert slice_name(big.slice(50)) == direct
-    assert slice_name(pa.array(docs[:3])) != direct
-    assert slice_name(pa.array(["a1b", "b22", "ccc333", "d4"])) != direct
-    assert slice_name(pa.array(["a1", "bb22", "ccc333", "d5"])) != direct
+    assert slice_name(rows(docs[:3])) != direct
+    assert slice_name(rows(["a1b", "b22", "ccc333", "d4"])) != direct
+    assert slice_name(rows(["a1", "bb22", "ccc333", "d5"])) != direct
+    assert slice_name(rows(docs, [2] * 4)) != direct
+    assert slice_name(rows(docs, [1, 1, 1, 2])) != direct
+
+
+def test_slices_of_same_docs_at_other_tiers_keep_their_rows(tmp_path):
+    """Two writer tasks that stage the SAME docs of one bucket at
+    different tiers (two read units of one store file) get two slices, and
+    the bucket commits every row of both."""
+    docs = [f"d{i}" for i in range(5)]
+
+    def unit(tier):
+        return pa.table({"doc_id": docs, "bucket": pa.array([3] * 5, pa.int32()),
+                         "tier": pa.array([tier] * 5, pa.int8()),
+                         "source": ["s"] * 5, "n_windows": [1] * 5,
+                         "nbytes": [2] * 5})
+
+    stage = str(tmp_path / "staging")
+    metas = [stage_slices(stage, unit(t)) for t in (1, 2)]
+    files = [f for m in metas for f in m["stage_file"].to_pylist()]
+    assert len(set(files)) == 2
+    row = commit_bucket(str(tmp_path / "store"), stage, 3, files)
+    assert row["n_rows"] == 10 and row["partials"]["tier"] == [1, 2]
 
 
 def test_explode_rollup(batch):
@@ -219,10 +258,17 @@ def test_explode_rollup(batch):
     assert first["window_idx"][0] == 0
 
 
-def test_encoder_roundtrip(batch):
+def test_encoder_roundtrip(batch, monkeypatch):
+    """RollupEncode's blobs decode to TierRollup's lists and equal the
+    per-row oracle encoding, with and without the native tier tree; the
+    encoding is deterministic (resume invariant)."""
+    from wavelet_decomposition_ray import native
+
     rolled = TierRollup(5)(batch)
-    enc = GorillaEncoder()(rolled)
+    want = _oracle_blobs(rolled)
+    enc = RollupEncode(n_tiers=5)(batch)
     assert enc["nbytes"].to_numpy(zero_copy_only=False).sum() > 0
+    assert enc["blob"].to_pylist() == want
     dec = decode_blocks_batch(enc)
     for col in ("mins", "maxs", "sums", "counts"):
         a, ao = list_to_numpy(rolled[col])
@@ -230,8 +276,9 @@ def test_encoder_roundtrip(batch):
         np.testing.assert_array_equal(a, b, err_msg=col)
         np.testing.assert_array_equal(ao, bo)
     # deterministic encoding (resume invariant)
-    enc2 = GorillaEncoder()(rolled)
-    assert enc["blob"].to_pylist() == enc2["blob"].to_pylist()
+    assert RollupEncode(n_tiers=5)(batch)["blob"].to_pylist() == want
+    monkeypatch.setattr(native, "tier_tree", lambda: None)
+    assert RollupEncode(n_tiers=5)(batch)["blob"].to_pylist() == want
 
 
 def test_gapfill_stage():

@@ -64,11 +64,6 @@ def exact_hash_batch(batch: pa.Table) -> pa.Table:
     return batch.append_column("content_hash", pa.array(h, type=pa.string()))
 
 
-def keep_first_group(group) -> "object":
-    """map_groups fn: keep the row with the smallest doc_id per hash."""
-    return group.nsmallest(1, "doc_id")
-
-
 def exact_hash_part_batch(batch: pa.Table, n_parts: int) -> pa.Table:
     """(doc_id, text) -> (doc_id, content_hash, part): md5 hex plus a
     coarse partition id from the digest's first two bytes — computed in the
@@ -371,35 +366,6 @@ def minhash_from_sets_batch(batch: pa.Table, hasher: "MinHasher") -> pa.Table:
     )
 
 
-def make_capped_pairs(cap: int):
-    """map_groups fn factory: emit all id pairs of a candidate bucket,
-    skipping buckets larger than ``cap`` (O(cap^2) bound per bucket — the
-    hot-key guard). Skips are LOGGED, never silent: a warning names the
-    bucket key and size. Pairs lost this way can only be pairs whose every
-    shared band/gram is that hot — recall is re-checked by the planted-dup
-    pytest gate."""
-    import logging
-
-    log = logging.getLogger("wavelet_decomposition_ray.dedup")
-
-    def capped_pairs(group):
-        import pandas as pd
-
-        ids = np.unique(group["doc_id"].to_numpy())
-        if len(ids) > cap:
-            key_cols = [c for c in group.columns if c != "doc_id"]
-            key = {c: group[c].iloc[0] for c in key_cols}
-            log.warning(
-                "dropping candidate bucket %s: %d docs > cap %d",
-                key, len(ids), cap,
-            )
-            return pd.DataFrame({"doc_a": [], "doc_b": []}, dtype=np.int64)
-        i, j = np.triu_indices(len(ids), k=1)
-        return pd.DataFrame({"doc_a": ids[i], "doc_b": ids[j]})
-
-    return capped_pairs
-
-
 DROP_FRACTION_ALERT = 0.10  # error-level log past this dropped-mass share
 
 
@@ -599,11 +565,6 @@ class SimHasher:
                 "simhash": pa.array(out.view(np.int64)),
             }
         )
-
-
-def simhash_batch(batch: pa.Table) -> pa.Table:
-    """Stateless wrapper (scalar-path compatible) around :class:`SimHasher`."""
-    return SimHasher()(batch)
 
 
 _POPCNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)

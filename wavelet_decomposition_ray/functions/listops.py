@@ -44,10 +44,6 @@ def numpy_to_list(values: np.ndarray, offsets: np.ndarray, value_type=None) -> p
     return pa.LargeListArray.from_arrays(off_arr, vals)
 
 
-def row_lengths(offsets: np.ndarray) -> np.ndarray:
-    return np.diff(offsets)
-
-
 def next_pow2_arr(lens: np.ndarray) -> np.ndarray:
     """Vectorized exact next-power-of-two (float log2 alone is off by one
     at exact powers of two; the two corrections below make it exact)."""

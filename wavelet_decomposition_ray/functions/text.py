@@ -9,7 +9,6 @@ are callable classes so they run as actor pools with setup in ``__init__``.
 from __future__ import annotations
 
 import hashlib
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -297,10 +296,6 @@ def fingerprint_batch(batch: pa.Table) -> pa.Table:
             "rolling_hash": pa.array(rolling_hashes(texts)),
         }
     )
-
-
-def crc32_of(texts: list[str]) -> np.ndarray:
-    return np.array([zlib.crc32(t.encode()) for t in texts], dtype=np.int64)
 
 
 def vocab_partial_batch(batch: pa.Table) -> pa.Table:

@@ -453,10 +453,6 @@ class _BitReader:
         return out
 
 
-def _u64(f: float) -> int:
-    return int(np.float64(f).view(np.uint64))
-
-
 def gorilla_encode(values: np.ndarray) -> bytes:
     """Gorilla XOR compression of a float64 stream (Gorilla paper §4.1.2).
 

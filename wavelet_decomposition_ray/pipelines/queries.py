@@ -27,7 +27,7 @@ from .. import oracle as oc
 from .. import synth
 from ..functions.listops import list_to_numpy, tumble_starts
 from ..stages.dwt import DwtTransform, InverseDwt
-from ..stages.encode import GorillaEncoder, decode_blocks_batch
+from ..stages.encode import RollupEncode, decode_blocks_batch
 from ..stages.gapfill import gapfill_batch, make_resample_batch
 from ..stages.rollup import TierRollup, explode_rollup_batch
 from . import rollup_pipeline as rp
@@ -273,26 +273,32 @@ AGGTREE_SQL = (
 # Codec identity per (doc, tier) (FIXTURES.md invariant 4)
 # --------------------------------------------------------------------------
 
+def _codec_roundtrip(t: pa.Table):
+    """``TierRollup``'s list rows of a sequences batch, ``RollupEncode``'s
+    rows of it (the same (doc, tier) order) and, per row, whether the blob
+    decodes (``decode_blocks_batch``) to exactly those four lists."""
+    rolled = TierRollup(10)(t)
+    enc = RollupEncode(n_tiers=10)(t)
+    dec = decode_blocks_batch(enc)
+    ok = np.ones(rolled.num_rows, dtype=bool)
+    for col in ("mins", "maxs", "sums", "counts"):
+        a, ao = list_to_numpy(rolled[col])
+        b, _ = list_to_numpy(dec[col])
+        ok &= np.minimum.reduceat((a == b).astype(np.int8), ao[:-1]).astype(bool)
+    return rolled, enc, ok
+
+
 def q_codec_ok(sf_dir: str) -> "ray.data.Dataset":
     """All-true invariant: Gorilla/DoD encode -> decode round-trips every rollup stream byte-exactly (the codec identity the store relies on)."""
-    ds = _seq_ds(sf_dir).map_batches(TierRollup(10), batch_format="pyarrow",
-                                     batch_size=256)
 
     def enc_dec(t: pa.Table) -> pa.Table:
-        enc = GorillaEncoder()(t)
-        dec = decode_blocks_batch(enc)
-        ok = np.ones(t.num_rows, dtype=bool)
-        for col in ("mins", "maxs", "sums", "counts"):
-            a, ao = list_to_numpy(t[col])
-            b, _ = list_to_numpy(dec[col])
-            eq = (a == b).astype(np.int8)
-            starts = ao[:-1]
-            ok &= np.minimum.reduceat(eq, starts).astype(bool)
+        rolled, _, ok = _codec_roundtrip(t)
         return pa.table(
-            {"doc_id": t["doc_id"], "tier": t["tier"], "ok": pa.array(ok)}
+            {"doc_id": rolled["doc_id"], "tier": rolled["tier"], "ok": pa.array(ok)}
         )
 
-    return ds.map_batches(enc_dec, batch_format="pyarrow", batch_size=256)
+    return _seq_ds(sf_dir).map_batches(enc_dec, batch_format="pyarrow",
+                                       batch_size=256)
 
 
 CODEC_SQL = (
@@ -1189,32 +1195,24 @@ def q_gorilla_blocks(sf_dir: str) -> "ray.data.Dataset":
     worst-case bound: 32 header bytes + 32 bytes/window — DoD codes are
     <= 68 bits/value across 3 streams + byte padding). The oracle states
     the count and the two invariants (all-true)."""
-    ds = _seq_ds(sf_dir).map_batches(TierRollup(10), batch_format="pyarrow",
-                                     batch_size=256)
 
     def enc_check(t: pa.Table) -> pa.Table:
-        enc = GorillaEncoder()(t)
-        dec = decode_blocks_batch(enc)
-        rt_ok = np.ones(t.num_rows, dtype=bool)
-        for col in ("mins", "maxs", "sums", "counts"):
-            a, ao = list_to_numpy(t[col])
-            b, _ = list_to_numpy(dec[col])
-            eq = (a == b).astype(np.int8)
-            rt_ok &= np.minimum.reduceat(eq, ao[:-1]).astype(bool)
-        n_win = t["n_windows"].to_numpy(zero_copy_only=False).astype(np.int64)
+        rolled, enc, rt_ok = _codec_roundtrip(t)
+        n_win = rolled["n_windows"].to_numpy(zero_copy_only=False).astype(np.int64)
         nbytes = enc["nbytes"].to_numpy(zero_copy_only=False)
         cmp_ok = nbytes <= 32 + 32 * n_win
         return pa.table(
             {
-                "doc_id": t["doc_id"],
-                "tier": t["tier"],
+                "doc_id": rolled["doc_id"],
+                "tier": rolled["tier"],
                 "n_windows": pa.array(n_win),
                 "rt_ok": pa.array(rt_ok),
                 "cmp_ok": pa.array(cmp_ok),
             }
         )
 
-    return ds.map_batches(enc_check, batch_format="pyarrow", batch_size=256)
+    return _seq_ds(sf_dir).map_batches(enc_check, batch_format="pyarrow",
+                                       batch_size=256)
 
 
 GORILLA_BLOCKS_SQL = (

@@ -24,12 +24,15 @@ queries) stays a Ray Data plan:
               straight into the DoD codec; writes per-bucket staged IPC
               slices in-task, returns (bucket, stage_file) metadata rows
           returns the metadata rows, its rows read and per-layer seconds
+     state.manifest.stage_and_commit (the commit protocol compaction
+     shares; it launches the tasks above into its staging dir):
      -> ray.get + bounded collect       driver checks rows <= unit rows
      -> ray.remote(_finalize_buckets) x min(CPUs, occupied buckets):
           each task a round-robin share of the sorted buckets; per
           bucket merge slices, sort, atomic data file, then one
           manifest row holding its partials             [S5/S6]
           returns the rows it committed
+     -> clear staging; mark the buckets that own no rows empty
      -> driver folds the rows in hand: summary + per-(source,tier)
           partials -> source_stats.parquet             [A1/A2]
 
@@ -74,6 +77,7 @@ from ..stages.rollup import TierRollup, source_partials_batch
 from ..stages.encode import RollupEncode
 from ..sources.ingest import Unit, plan_units, read_unit
 from ..state import manifest as mf
+from ..state.metrics import write_lineage
 
 SEQ_COLUMNS = ["doc_id", "tokens", "n_tok", "source"]
 
@@ -155,16 +159,6 @@ def source_tier_aggregate(rollup_ds: "ray.data.Dataset") -> "ray.data.Dataset":
         Sum("pcount", alias_name="n_points"),
         Sum("pwindows", alias_name="n_windows"),
     )
-
-
-@ray.remote
-def _finalize_buckets(out_dir: str, stage_dir: str,
-                      share: list[tuple[int, list[str]]]) -> list[dict]:
-    """Commit a share of the buckets, given as (bucket, [stage_file, ...])
-    pairs, one after another; returns their manifest rows.  Ray re-runs
-    the task if its worker dies: buckets it already committed return
-    their rows, the rest commit."""
-    return [mf.commit_bucket(out_dir, stage_dir, b, files) for b, files in share]
 
 
 # the layers an encode task times, in chain order (metrics.json per_stage)
@@ -345,26 +339,6 @@ def run_rollup_job(
             batch_size = 512
     units = plan_units(input_path, input_format, batch_size, ncpu)
 
-    # staging placement: arg > WDR_STAGING_DIR env > <out_dir>/staging —
-    # see the run_rollup_job docstring for the multi-node reachability
-    # contract (staged slices must be readable by the finalize stage).
-    # A custom location is treated as a ROOT shared by many jobs: each
-    # store stages under a subdir keyed on its out_dir, so concurrent jobs
-    # pointing at the same scratch root never clear each other's slices.
-    custom_root = staging_dir or os.environ.get("WDR_STAGING_DIR")
-    if custom_root:
-        import hashlib as _hashlib
-
-        key = _hashlib.md5(os.path.abspath(out_dir).encode()).hexdigest()[:12]
-        stage_dir = os.path.join(custom_root, f"staging-{key}")
-    else:
-        stage_dir = os.path.join(out_dir, "staging")
-    # stale slices from a crashed run are orphans: the retrying run re-stages
-    # everything it needs (content-hash names make rewrites idempotent), so
-    # clear staging up front rather than trusting leftovers
-    import shutil as _shutil
-
-    _shutil.rmtree(stage_dir, ignore_errors=True)
     # PLAIN TASKS, not Ray Data and not an actor pool: every stage is a
     # stateless callable (no model/index to keep warm), so the task ships
     # the callables and runs the whole chain on its own unit.  A streaming
@@ -378,42 +352,24 @@ def run_rollup_job(
     oc.filter_pair(bank)  # validate config up front, even with no check
     add_bucket = mf.make_add_bucket(n_buckets, done)
     check = RoundTripCheck(bank) if verify else None
-    encode = RollupEncode(n_tiers=n_tiers, fault_flag=fault_flag,
-                          stage_dir=stage_dir)
-    refs = [_encode_unit.remote(u, input_format, batch_size, add_bucket, check,
-                                encode)
-            for u in units]
-    results = ray.get(refs)
-    # bounded collect (run_rollup_job docstring): a slice holds >= 1 row
-    files_of: dict[int, list[str]] = {}
-    for u, (metas, n_read, _) in zip(units, results):
-        rows = n_read if u.stop is None else u.stop - u.start
-        if sum(m.num_rows for m in metas) > rows:
-            raise RuntimeError(f"unit {u} returned more metadata rows than "
-                               f"its {rows} input rows")
-        for m in metas:
-            for b, f in zip(m["bucket"].to_pylist(), m["stage_file"].to_pylist()):
-                files_of.setdefault(b, []).append(f)
-    # one finalize task per CPU, each a round-robin share of the sorted
-    # buckets: a task's fixed cost (launch, shipping its arguments) would
-    # outweigh a small bucket's commit, and more tasks than CPUs only queue
-    shares = sorted(files_of.items())
-    n_fin = min(ncpu, len(shares))
-    t_fin = time.perf_counter()
-    committed = [
-        row for part in ray.get([
-            _finalize_buckets.remote(out_dir, stage_dir, shares[k::n_fin])
-            for k in range(n_fin)
-        ])
-        for row in part
-    ]
-    finalize_wall_s = time.perf_counter() - t_fin
-    _shutil.rmtree(stage_dir, ignore_errors=True)
 
-    # a hash bucket that owns no doc_ids has no metadata rows and is never
-    # finalized: record it as an explicitly-empty partition so resume knows
-    # the run covered it
-    for row in committed + mf.mark_empty_buckets(out_dir, n_buckets):
+    def launch(stage_dir):
+        encode = RollupEncode(n_tiers=n_tiers, fault_flag=fault_flag,
+                              stage_dir=stage_dir)
+        return [_encode_unit.remote(u, input_format, batch_size, add_bucket,
+                                    check, encode)
+                for u in units]
+
+    # lineage before the commit: a store whose job dies mid-commit then
+    # records its n_buckets, so compaction refuses it as incomplete
+    write_lineage(out_dir, input_path,
+                  {"bank": bank, "n_tiers": n_tiers, "n_buckets": n_buckets,
+                   "batch_size": batch_size, "verify": verify})
+    # staging placement, bounded collect, commit, staging cleanup and the
+    # explicitly-empty buckets: the commit protocol compaction shares
+    results, written, finalize = mf.stage_and_commit(
+        out_dir, n_buckets, units, launch, ncpu, staging_dir)
+    for row in written:
         manifest[int(row["bucket"])] = row
 
     elapsed = time.perf_counter() - t0
@@ -443,9 +399,6 @@ def run_rollup_job(
         "n_tiers": n_tiers,
         "n_buckets": n_buckets,
     }
-    from ..state.metrics import write_lineage
-
-    os.makedirs(out_dir, exist_ok=True)
     # one row per layer the encode tasks timed (tasks that ran it, their
     # summed seconds), then finalize: its tasks, the buckets they
     # committed, its phase wall time and the committed rows' seconds
@@ -456,16 +409,7 @@ def run_rollup_job(
          "task_wall_total_s": round(sum(sec.get(layer, 0.0) for sec in ledgers), 4)}
         for layer in LAYERS if any(layer in sec for sec in ledgers)
     ]
-    per_stage.append({
-        "operator": "finalize",
-        "tasks": n_fin,
-        "buckets": len(committed),
-        "wall_s": round(finalize_wall_s, 4),
-        "task_wall_total_s": round(sum(r["elapsed_s"] for r in committed), 4),
-    })
+    per_stage.append(finalize)
     with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
         json.dump({"summary": summary, "per_stage": per_stage}, fh, indent=1)
-    write_lineage(out_dir, input_path,
-                  {"bank": bank, "n_tiers": n_tiers, "n_buckets": n_buckets,
-                   "batch_size": batch_size, "verify": verify})
     return summary

@@ -1,13 +1,12 @@
-"""Gorilla/delta-of-delta encoder stages (SURVEY.md §2.4 ST1; north_star
+"""Gorilla/delta-of-delta encoder stage (SURVEY.md §2.4 ST1; north_star
 storage layer; Gorilla paper VLDB'15).
 
-Both encoders are stateless per-batch callables: ``GorillaEncoder``
-encodes the (doc, tier) rollup list rows of a batch (a ``map_batches``
-stage of the query side), and ``RollupEncode`` (the tail of the flagship
-job's encode task) computes the tier tree and encodes it in one step.  Each
-encoded blob is a pure function of its own row — no cross-partition
-carry-over — so partition rewrites are byte-identical on resume
-(SURVEY.md §7.3).
+``RollupEncode`` (the tail of the flagship job's encode task, and the
+encoder the codec queries check) is a stateless per-batch callable that
+computes the tier tree and encodes it in one step;
+``decode_blocks_batch`` is its inverse.  Each encoded blob is a pure
+function of its own row — no cross-partition carry-over — so partition
+rewrites are byte-identical on resume (SURVEY.md §7.3).
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import pyarrow as pa
 from ..functions.listops import list_to_numpy
 from .. import oracle as oc
 from .. import native
+from ..state import manifest as mf
 
 
 def _gather_np(src, src_off, lens, dst, dst_off):
@@ -71,75 +71,16 @@ def _frame_blob_column(n_win, w_arr, last_arr, streams):
     return arr, nbytes
 
 
-class GorillaEncoder:
-    """Stateless encoder: rollup list rows -> framed compressed blobs.
-
-    Holds no state: encoding must stay a pure per-row function (resume
-    invariant).
-    """
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mins, off = list_to_numpy(batch["mins"])
-        maxs, _ = list_to_numpy(batch["maxs"])
-        sums, _ = list_to_numpy(batch["sums"])
-        counts, _ = list_to_numpy(batch["counts"])
-        # vectorized across the whole batch: one raw codec call per stat
-        # stream, then one framed-blob assembly (identical bytes to per-row
-        # oracle.encode_rollup_block)
-        streams = [
-            oc.dod_encode_blocks_raw(
-                np.ascontiguousarray(s.astype(np.int64)), off
-            )
-            for s in (mins, maxs, sums)
-        ]
-        n_win = np.diff(off)
-        w_arr = counts[off[:-1]]
-        last_arr = counts[off[1:] - 1]
-        blob_arr, nbytes = _frame_blob_column(n_win, w_arr, last_arr, streams)
-        bits_per_point = np.where(n_win > 0, nbytes * 8.0 / np.maximum(n_win, 1), 0.0)
-        cols = {
-            "doc_id": batch["doc_id"],
-            "source": batch["source"],
-            "tier": batch["tier"],
-            "n_windows": batch["n_windows"],
-            "blob": blob_arr,
-            "nbytes": pa.array(nbytes),
-            "bits_per_point": pa.array(bits_per_point, type=pa.float64()),
-        }
-        if "bucket" in batch.column_names:
-            cols["bucket"] = batch["bucket"]
-        return pa.table(cols)
-
-
-def slice_name(doc_ids: pa.Array) -> str:
-    """Staged-slice file name: md5 of the slice's ``doc_id`` offsets
-    (rebased to 0) and of the data bytes those offsets cover.  A pure
-    function of the slice's doc ids, wherever the slice sits in its batch,
-    so a retried task overwrites its own slices instead of duplicating
-    rows."""
-    import hashlib
-
-    _, obuf, dbuf = doc_ids.buffers()
-    odt = np.int64 if pa.types.is_large_string(doc_ids.type) else np.int32
-    off = np.frombuffer(obuf, dtype=odt)[
-        doc_ids.offset : doc_ids.offset + len(doc_ids) + 1
-    ]
-    sig = hashlib.md5((off - off[0]).tobytes())
-    if dbuf is not None:
-        sig.update(memoryview(dbuf)[int(off[0]) : int(off[-1])])
-    return f"part-{sig.hexdigest()[:20]}.arrow"
-
-
 class RollupEncode:
     """Fused rollup + encode stage for the flagship job.
 
     Computes every tier of the continuous-aggregate tree with
     :func:`stages.rollup.tier_tree` (native one-pass kernel, numpy
     fallback) and feeds its flat tier-major stat streams STRAIGHT into the
-    vectorized codec — the intermediate Arrow list columns that
-    TierRollup|GorillaEncoder would build and re-parse are never
-    materialized.  Output rows and blob bytes are identical to
-    TierRollup -> GorillaEncoder.
+    vectorized codec — the intermediate Arrow list columns of
+    ``TierRollup`` are never materialized.  Each blob is byte-identical to
+    ``oracle.encode_rollup_block`` of that row's ``TierRollup`` lists, and
+    decodes (:func:`decode_blocks_batch`) back to them.
     """
 
     def __init__(self, n_tiers: int = 10, fault_flag: str | None = None,
@@ -153,43 +94,12 @@ class RollupEncode:
         # shuffle-free write path: when set, each task writes its own rows
         # as per-bucket Arrow IPC slices under stage_dir and emits only
         # (bucket, stage_file) metadata rows — the encoded bytes never
-        # enter the object store; manifest.commit_bucket commits each bucket.
+        # enter the object store; manifest.stage_and_commit commits them.
         self.stage_dir = stage_dir
 
     def _stage_batch(self, full: pa.Table) -> pa.Table:
-        """Write this batch's rows as per-bucket staged IPC slices; return
-        one metadata row per slice.  The batch is sorted by bucket once
-        (stable, so each slice keeps its row order) and cut into one
-        contiguous slice per bucket, named by :func:`slice_name`."""
-        import os
-        import uuid
-
-        b = full["bucket"].to_numpy()
-        order = np.argsort(b, kind="stable")
-        bs = b[order]
-        full = full.take(pa.array(order)).combine_chunks()
-        keys, starts = np.unique(bs, return_index=True)
-        ends = np.append(starts[1:], len(bs))
-        out_f: list[str] = []
-        for k, lo, hi in zip(keys.tolist(), starts.tolist(), ends.tolist()):
-            sub = full.slice(lo, hi - lo)
-            rel_dir = f"bucket={k:05d}"
-            d = os.path.join(self.stage_dir, rel_dir)
-            os.makedirs(d, exist_ok=True)
-            name = slice_name(sub.column("doc_id").chunk(0))
-            tmp = os.path.join(d, f".{name}.{uuid.uuid4().hex[:8]}.tmp")
-            with pa.OSFile(tmp, "wb") as fh, pa.ipc.new_file(
-                fh, sub.schema
-            ) as w:
-                w.write_table(sub)
-            os.replace(tmp, os.path.join(d, name))
-            out_f.append(f"{rel_dir}/{name}")
-        return pa.table(
-            {
-                "bucket": pa.array(keys, type=pa.int32()),
-                "stage_file": pa.array(out_f, type=pa.string()),
-            }
-        )
+        """Stage this batch's rows per bucket; one metadata row per slice."""
+        return mf.stage_slices(self.stage_dir, full)
 
     def _maybe_inject_fault(self):
         import os
@@ -251,7 +161,7 @@ def _tile(col, n: int) -> pa.ChunkedArray:
 
 def decode_blocks_batch(batch: pa.Table) -> pa.Table:
     """Inverse stage: encoded blobs -> rollup list rows (the read path of
-    the retention store). Round-trip with GorillaEncoder is the codec
+    the retention store). Round-trip with RollupEncode is the codec
     identity invariant (FIXTURES.md invariant 4)."""
     dec = oc.decode_rollup_blocks_arrow(batch["blob"])  # all 3N streams, no
     # per-blob Python objects (vectorized framing + native stream decode)

@@ -3,87 +3,103 @@ partitions — the small-files problem every long-lived partitioned store
 accretes (a 256-node job writes nodes x cores buckets; a year of
 incremental refreshes fragments them further).
 
-Compaction never decodes: the encoded rows regroup by the SAME
-deterministic doc_id hash into the new bucket count and each new bucket
-flows through :func:`manifest.write_bucket_table` — the single writer
-every path shares — so the compacted store is BYTE-IDENTICAL to what a
-from-scratch build at the new ``n_buckets`` would produce (the pytest
-pins this), and fsck, resume, refresh and tier-pushdown reads all work
-unchanged on the result.
+Compaction never decodes and runs on the job's own write path: one plain
+Ray task per row group of the source's committed data files
+(:func:`..sources.ingest.plan_units`) reads the stored columns, adds
+the destination bucket by the SAME deterministic doc_id hash and stages
+per-bucket slices; :func:`manifest.stage_and_commit` commits every bucket
+through :func:`manifest.write_bucket_table`, the single writer every path
+shares.  So the compacted store is BYTE-IDENTICAL to what a from-scratch
+build at the new ``n_buckets`` would produce (the pytest pins this), and
+fsck, resume, refresh, tier-pushdown reads and a further compaction all
+work unchanged on the result.  No Ray Data execution starts.
 
-Resumable like the build: completed destination buckets are skipped via
-the manifest, so a killed compaction continues where it stopped.
+The source must be complete: every bucket of its ``lineage.json``
+``n_buckets`` committed, or compaction raises rather than silently drop
+the docs of a missing bucket.  The job and compaction both write
+``lineage.json`` before their commit phase, so a store whose writer died
+mid-commit is refused too.  Resumable like the build: completed
+destination buckets are skipped via the manifest, so a killed compaction
+continues where it stopped.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
+import ray
+
 from . import manifest as mf
+from .metrics import write_lineage
+from ..sources.ingest import plan_units, read_unit
+
+
+@ray.remote
+def _stage_unit(unit, columns: list[str], add_bucket, stage_dir: str):
+    """Read one unit of a source data file, add the destination bucket,
+    drop completed buckets and stage the rest per bucket; returns the
+    slices' metadata tables and the unit's rows."""
+    t = read_unit(unit, "parquet", columns)
+    kept = add_bucket(t)
+    return ([mf.stage_slices(stage_dir, kept)] if kept.num_rows else []), t.num_rows
+
+
+def _source_files(src_dir: str) -> tuple[list[str], dict]:
+    """The data files of ``src_dir``'s committed buckets and its lineage
+    config.  Raises unless the committed bucket ids are exactly
+    ``range(n)``: ``n`` is the lineage's ``n_buckets``, or the manifest's
+    row count for a store without ``lineage.json``.  A bucket counts as
+    committed when its row is empty or names an existing data file, so a
+    row of the older layout (partials in a sidecar) compacts too."""
+    rows = mf.read_manifest(src_dir)
+    if not rows:
+        raise FileNotFoundError(f"no store manifest at {mf.manifest_dir(src_dir)}")
+    lin = os.path.join(src_dir, "lineage.json")
+    config = {}
+    if os.path.isfile(lin):
+        with open(lin) as fh:
+            config = json.load(fh)["config"]
+    n = int(config.get("n_buckets", len(rows)))
+    have = frozenset(int(r["bucket"]) for r in rows if r.get("file") is None
+                     or os.path.isfile(os.path.join(src_dir, r["file"])))
+    if have != frozenset(range(n)):
+        raise ValueError(
+            f"source store {src_dir} is incomplete: its committed buckets "
+            f"differ from range({n}) at {sorted(have ^ set(range(n)))}; "
+            "resume it before compacting")
+    files = [os.path.join(src_dir, r["file"]) for r in rows
+             if int(r["bucket"]) in have and r.get("file")]
+    return files, config
 
 
 def compact_store(src_dir: str, dst_dir: str, n_buckets: int) -> dict:
     """Rewrite ``src_dir``'s store into ``dst_dir`` with ``n_buckets``
     partitions.  Ray must be initialised by the caller."""
-    import ray.data
-
-    src_data = os.path.join(src_dir, "data")
-    if not os.path.isdir(src_data):
-        raise FileNotFoundError(f"no store data dir at {src_data}")
     if os.path.abspath(src_dir) == os.path.abspath(dst_dir):
         raise ValueError("compact in place is not supported; "
                          "write to a new directory and swap")
-    os.makedirs(dst_dir, exist_ok=True)
+    files, config = _source_files(src_dir)
+    # lineage before the commit: a compaction that dies mid-commit leaves a
+    # store that a further compaction refuses as incomplete
+    write_lineage(dst_dir, src_dir, {**config, "n_buckets": n_buckets})
     done = mf.completed_buckets(dst_dir)
 
-    if len(done) == n_buckets:
-        mf.write_source_stats(dst_dir)
-        return {"buckets_written": 0, "buckets_skipped": len(done)}
-
-    ds = ray.data.read_parquet(src_data).map_batches(
-        mf.make_add_bucket(n_buckets, skip_buckets=done),
-        batch_format="pyarrow",
-    )
-
-    # short-circuit BEFORE the shuffle when every occupied destination
-    # bucket is already committed: a fully-filtered dataset through
-    # groupby().map_groups crashes on the schemaless empty block, and the
-    # resume contract only needs the remaining empties marked (ADVICE r3)
-    import numpy as np
-    import pyarrow as pa
-
-    def batch_buckets(t):
-        u = np.unique(t["bucket"].to_numpy(zero_copy_only=False))
-        return pa.table({"bucket": pa.array(u)})
-
-    # column-pruned pre-pass: bucket is a pure function of doc_id, so only
-    # that column leaves storage; the exchange is <= batches x buckets rows
-    occupied = set(
-        ray.data.read_parquet(src_data, columns=["doc_id"])
-        .map_batches(
-            mf.make_add_bucket(n_buckets, skip_buckets=done),
-            batch_format="pyarrow",
-        )
-        .map_batches(batch_buckets, batch_format="pyarrow")
-        .to_pandas()["bucket"]
-        .unique()
-    )
     n_written = 0
-    if occupied:
+    if len(done) < n_buckets:
+        import pyarrow.parquet as pq
 
-        def finalize(group):
-            row = mf.write_bucket_table(dst_dir, group)
-            return pa.table({"bucket": [row["bucket"]]})
+        ncpu = int(ray.cluster_resources().get("CPU", 1))
+        units = [u for f in files for u in plan_units(f, "parquet")]
+        columns = pq.read_schema(files[0]).names if files else None
+        add_bucket = mf.make_add_bucket(n_buckets, done)
 
-        committed = ds.groupby("bucket").map_groups(
-            finalize, batch_format="pyarrow"
-        )
-        n_written = len(set(committed.to_pandas()["bucket"]))
-    # destination buckets that own no doc_ids produce no group: mark them
-    # explicitly-empty exactly like a from-scratch build (ADVICE r3 —
-    # without this the compacted manifest diverges from the byte-identical
-    # contract and those buckets stay forever-pending for resume/refresh)
-    mf.mark_empty_buckets(dst_dir, n_buckets)
+        def launch(stage_dir):
+            return [_stage_unit.remote(u, columns, add_bucket, stage_dir)
+                    for u in units]
+
+        _, _, finalize = mf.stage_and_commit(dst_dir, n_buckets, units,
+                                             launch, ncpu)
+        n_written = finalize["buckets"]
     mf.write_source_stats(dst_dir)
     return {"buckets_written": n_written, "buckets_skipped": len(done)}
-

@@ -1,5 +1,6 @@
-"""Per-partition checkpoint manifest: deterministic bucket ids, atomic
-partition writes, lineage + metrics rows, skip-completed resume.
+"""Per-partition checkpoint manifest: deterministic bucket ids, staged
+slices and the one commit path every store writer shares
+(:func:`stage_and_commit`), atomic partition writes, skip-completed resume.
 
 Reference analog: the skip-if-exists ``.npz`` matrix cache and translation
 pickle (``/root/reference/wavelet_decomposition.py:30-35``,
@@ -413,6 +414,78 @@ def write_bucket_table(out_dir: str, group: pa.Table) -> dict:
     return row
 
 
+# ---- staged slices: the one module that places, names, writes and reads
+# them.  A writer task stages its rows per destination bucket as Arrow IPC
+# slices and returns one (bucket, stage_file) metadata row per slice; the
+# driver groups those rows by bucket and commits each bucket from its
+# slices.  Nothing about a slice is durable: staging is cleared at the start
+# and end of every commit phase.
+
+
+def stage_root(out_dir: str, staging_dir: str | None = None) -> str:
+    """Where a store stages its slices: ``staging_dir`` > the
+    ``WDR_STAGING_DIR`` env var > ``<out_dir>/staging``.  A custom location
+    is a ROOT shared by many jobs, so each store stages under a subdir
+    keyed on its ``out_dir`` and concurrent jobs never clear each other's
+    slices.  Staging must be reachable by every node, like ``out_dir``."""
+    custom_root = staging_dir or os.environ.get("WDR_STAGING_DIR")
+    if not custom_root:
+        return os.path.join(out_dir, "staging")
+    key = hashlib.md5(os.path.abspath(out_dir).encode()).hexdigest()[:12]
+    return os.path.join(custom_root, f"staging-{key}")
+
+
+def slice_name(rows: pa.Table) -> str:
+    """Staged-slice file name: md5 of the slice's ``doc_id`` offsets
+    (rebased to 0), the data bytes those offsets cover and its ``tier``
+    values.  A pure function of the slice's (doc_id, tier) rows, wherever
+    the slice sits in its batch, so a retried task overwrites its own
+    slices instead of duplicating rows, and two slices holding the same
+    docs at different tiers (a store file cut into several read units)
+    never share a name."""
+    doc_ids = rows.column("doc_id").chunk(0)
+    _, obuf, dbuf = doc_ids.buffers()
+    odt = np.int64 if pa.types.is_large_string(doc_ids.type) else np.int32
+    off = np.frombuffer(obuf, dtype=odt)[
+        doc_ids.offset : doc_ids.offset + len(doc_ids) + 1
+    ]
+    sig = hashlib.md5((off - off[0]).tobytes())
+    if dbuf is not None:
+        sig.update(memoryview(dbuf)[int(off[0]) : int(off[-1])])
+    sig.update(rows.column("tier").chunk(0).to_numpy().tobytes())
+    return f"part-{sig.hexdigest()[:20]}.arrow"
+
+
+def stage_slices(stage_dir: str, table: pa.Table) -> pa.Table:
+    """Write ``table``'s rows as per-bucket staged IPC slices under
+    ``stage_dir``; return one (bucket, stage_file) metadata row per slice.
+    The rows are sorted by bucket once (stable, so each slice keeps its row
+    order) and cut into one contiguous slice per bucket, named by
+    :func:`slice_name` and renamed into place atomically."""
+    import uuid
+
+    b = table["bucket"].to_numpy()
+    order = np.argsort(b, kind="stable")
+    bs = b[order]
+    table = table.take(pa.array(order)).combine_chunks()
+    keys, starts = np.unique(bs, return_index=True)
+    ends = np.append(starts[1:], len(bs))
+    out_f: list[str] = []
+    for k, lo, hi in zip(keys.tolist(), starts.tolist(), ends.tolist()):
+        sub = table.slice(lo, hi - lo)
+        rel_dir = f"bucket={k:05d}"
+        d = os.path.join(stage_dir, rel_dir)
+        os.makedirs(d, exist_ok=True)
+        name = slice_name(sub)
+        tmp = os.path.join(d, f".{name}.{uuid.uuid4().hex[:8]}.tmp")
+        with pa.OSFile(tmp, "wb") as fh, pa.ipc.new_file(fh, sub.schema) as w:
+            w.write_table(sub)
+        os.replace(tmp, os.path.join(d, name))
+        out_f.append(f"{rel_dir}/{name}")
+    return pa.table({"bucket": pa.array(keys, type=pa.int32()),
+                     "stage_file": pa.array(out_f, type=pa.string())})
+
+
 def commit_bucket(out_dir: str, stage_dir: str, bucket: int, files) -> dict:
     """Commit one bucket from its staged slices (paths relative to
     ``stage_dir``; duplicates dedupe on the name), delete the slices and
@@ -439,26 +512,94 @@ def commit_bucket(out_dir: str, stage_dir: str, bucket: int, files) -> dict:
     return row
 
 
+@ray.remote
+def _finalize_buckets(out_dir: str, stage_dir: str,
+                      share: list[tuple[int, list[str]]]) -> list[dict]:
+    """Commit a share of the buckets, given as (bucket, [stage_file, ...])
+    pairs, one after another; returns their manifest rows.  Ray re-runs
+    the task if its worker dies: buckets it already committed return
+    their rows, the rest commit."""
+    return [commit_bucket(out_dir, stage_dir, b, files) for b, files in share]
+
+
+def stage_and_commit(out_dir: str, n_buckets: int, units, launch, ncpu: int,
+                     staging_dir: str | None = None):
+    """The commit protocol every store writer shares (the job and
+    compaction).  Places and clears staging (:func:`stage_root`), runs the
+    map side, ``launch(stage_dir)``: one Ray task per read unit, each
+    resolving to ``(metas, n_read, ...)`` — the unit's
+    :func:`stage_slices` metadata tables and its rows read.  Then:
+
+    * **bounded collect** — a task returns at most one metadata row per
+      input row (a slice holds >= 1 row), so the driver checks each task
+      against its unit's planned row range (the rows it read, for a
+      line-format file) and raises past it;
+    * **commit** — the occupied buckets commit in min(``ncpu``, occupied
+      buckets) :func:`_finalize_buckets` tasks, each a round-robin share
+      of the sorted buckets: a task's fixed cost would outweigh a small
+      bucket's commit, and more tasks than CPUs only queue;
+    * clears staging and records every bucket that owns no rows as
+      explicitly empty (:func:`mark_empty_buckets`).
+
+    Returns ``(results, rows, finalize)``: the map tasks' results, the
+    manifest rows written (committed, then empty) and the commit phase's
+    ``metrics.json`` row (tasks, buckets committed, wall, summed commit
+    seconds)."""
+    import shutil
+
+    stage_dir = stage_root(out_dir, staging_dir)
+    # stale slices from a crashed run are orphans: the retrying run
+    # re-stages everything it needs (content-hash names make rewrites
+    # idempotent), so clear staging up front rather than trust leftovers
+    shutil.rmtree(stage_dir, ignore_errors=True)
+    results = ray.get(launch(stage_dir))
+    files_of: dict[int, list[str]] = {}
+    for u, (metas, n_read, *_) in zip(units, results):
+        rows = n_read if u.stop is None else u.stop - u.start
+        if sum(m.num_rows for m in metas) > rows:
+            raise RuntimeError(f"unit {u} returned more metadata rows than "
+                               f"its {rows} input rows")
+        for m in metas:
+            for b, f in zip(m["bucket"].to_pylist(), m["stage_file"].to_pylist()):
+                files_of.setdefault(b, []).append(f)
+    shares = sorted(files_of.items())
+    n_fin = min(ncpu, len(shares))
+    t_fin = time.perf_counter()
+    committed = [
+        row for part in ray.get([
+            _finalize_buckets.remote(out_dir, stage_dir, shares[k::n_fin])
+            for k in range(n_fin)
+        ])
+        for row in part
+    ]
+    wall_s = time.perf_counter() - t_fin
+    shutil.rmtree(stage_dir, ignore_errors=True)
+    finalize = {
+        "operator": "finalize",
+        "tasks": n_fin,
+        "buckets": len(committed),
+        "wall_s": round(wall_s, 4),
+        "task_wall_total_s": round(sum(r["elapsed_s"] for r in committed), 4),
+    }
+    return results, committed + mark_empty_buckets(out_dir, n_buckets), finalize
+
+
 class BucketFinalize:
     """Commit of ONE bucket from its staged-file metadata rows
-    (bucket, stage_file), after the encode stage has drained; returns the
-    bucket's manifest row.  The job commits its buckets with
-    :func:`commit_bucket` directly, a share of them per task.
+    (bucket, stage_file); returns the bucket's manifest row.  Store writers
+    commit through :func:`stage_and_commit`, which calls
+    :func:`commit_bucket` directly, a share of the buckets per task.
 
-    The encode tasks already wrote every bucket's rows as per-(task, bucket)
-    Arrow IPC slices under ``staging/`` (see ``RollupEncode(stage_dir=...)``)
-    and emitted one tiny metadata row per slice; the driver groups those
-    rows by bucket, so nothing is shuffled.  A call reads its bucket's
-    staged slices, globally sorts, and writes the final partition file
-    (byte-identical whatever the slice layout — :func:`write_bucket_table`
-    sorts before writing) and its manifest row, then deletes the slices.  A
-    bucket's commit is a pure function of its slices, so buckets finalize
-    in any order.
+    A call reads its bucket's staged slices, globally sorts, and writes the
+    final partition file (byte-identical whatever the slice layout —
+    :func:`write_bucket_table` sorts before writing) and its manifest row,
+    then deletes the slices.  A bucket's commit is a pure function of its
+    slices, so buckets finalize in any order.
 
-    Retry-safe: staged file names are content hashes of the slice's doc
-    ids, so a re-executed encode task overwrites its own files instead of
-    duplicating rows; duplicate metadata rows dedupe on the file name here,
-    and a re-executed commit returns the committed row.
+    Retry-safe: staged file names are content hashes of the slice's
+    (doc_id, tier) rows, so a re-executed writer task overwrites its own
+    files instead of duplicating rows; duplicate metadata rows dedupe on
+    the file name here, and a re-executed commit returns the committed row.
     At 100-TB scale the staged-file count is tasks x occupied buckets —
     size ``batch_size`` up and ``n_buckets`` to O(nodes) so slices stay
     megabytes, and staging lives on the job's shared store (here: the

@@ -30,10 +30,12 @@ import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import ray
 
 from . import manifest as mf
 
 
+@ray.remote
 def _check_bucket(out_dir: str, row: dict) -> list[str]:
     from ..stages.encode import decode_blocks_batch
 
@@ -74,25 +76,15 @@ def _check_bucket(out_dir: str, row: dict) -> list[str]:
     return errs
 
 
-def validate_store(out_dir: str, distributed: bool = True) -> dict:
-    """Audit ``out_dir`` against its manifest.  ``distributed=True`` runs
-    one Ray task per bucket (the scale path); False audits inline (handy
-    in tests and for tiny stores)."""
+def validate_store(out_dir: str) -> dict:
+    """Audit ``out_dir`` against its manifest, one Ray task per bucket."""
     rows = mf.read_manifest(out_dir)
     if not rows:
         return {"ok": False, "buckets": 0,
                 "errors": ["no manifest rows found"]}
-    if distributed:
-        import ray
-
-        @ray.remote
-        def _task(row):
-            return _check_bucket(out_dir, row)
-
-        errs = [e for part in ray.get([_task.remote(r) for r in rows])
-                for e in part]
-    else:
-        errs = [e for r in rows for e in _check_bucket(out_dir, r)]
+    errs = [e for part in ray.get([_check_bucket.remote(out_dir, r)
+                                   for r in rows])
+            for e in part]
     return {
         "ok": not errs,
         "buckets": len(rows),
