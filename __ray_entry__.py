@@ -53,6 +53,14 @@ def entry() -> Any:
 # roundtrip_db4 for T2/T3; gorilla_blocks -> codec_ok for ST1;
 # topk_tokens -> epn_quantiles for K1) swapped for this session's new
 # max_subarray / tier_pick / dau_mau / peak_concurrency.
+# Round 6: the ten round-5 first-time slots (sax_symbols, best_shift,
+# best_shift_full, scale_decomposition, event_transitions, hll_by_type,
+# ann_pq, clean_text, wav_features, decontam_table) rotate out for ten
+# never-gated queries now built on the shared skeletons: the three
+# first-per-key folds (new_vs_returning, repeat_revenue_share,
+# first_week_value), three more fold_by_part queries (sessionize,
+# gap_cluster, order_priority_revenue) and four map_docs queries
+# (autocorr_lag1, cusum_flags, period_detect, peak_windows).
 _PRIORITY = [
     # core §2 pins
     "rollup_t1", "rollup_t3", "rollup_t6", "source_stats", "store_stats",
@@ -61,9 +69,10 @@ _PRIORITY = [
     "parseval_ok", "resample64", "bandpass_coarse", "scale_energy",
     "fft_magnitude", "dwt_haar", "tier_pick", "dau_mau", "normalize",
     "cross_source_diff", "peak_concurrency",
-    # first-time-gated core queries (round 5 rotation)
-    "sax_symbols", "best_shift", "best_shift_full", "scale_decomposition",
-    "event_transitions",
+    # first-time-gated core queries (round 6 rotation)
+    "new_vs_returning", "repeat_revenue_share", "sessionize", "gap_cluster",
+    "order_priority_revenue", "autocorr_lag1", "cusum_flags",
+    "period_detect", "peak_windows",
     # late core additions + the join family
     "store_refresh", "drawdown",
     "mann_kendall", "profit_by_nation_year", "dedup_incremental",
@@ -71,8 +80,8 @@ _PRIORITY = [
     "dedup_exact", "dedup_minhash", "dedup_simhash",
     "dedup_keep", "ann_ivf", "ann_lsh", "lang_id",
     "token_count_bpe", "fingerprint_rolling", "corpus_clean", "decontam",
-    # first-time-gated data queries (round 5 rotation)
-    "hll_by_type", "ann_pq", "clean_text", "wav_features", "decontam_table",
+    # first-time-gated data queries (round 6 rotation)
+    "first_week_value",
 ]
 
 

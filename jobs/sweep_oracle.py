@@ -5,7 +5,9 @@ external-grade evidence to the queries outside the driver's 50-row gate).
 The comparison mirrors the driver's gate: columns sorted by name, rows
 sorted by all columns, dtype-kind compatibility enforced, integer columns
 compared exactly, float columns at atol=1e-9. Queries without an oracle SQL
-get the driver's weaker rows-only check.
+get the driver's weaker rows-only check. Each query records
+``engine_sec`` (the registry callable run to a pandas frame) and, when it
+has an oracle, ``oracle_sec`` (the DuckDB run) apart.
 
 Usage:
     PYTHONPATH=/root/repo python jobs/sweep_oracle.py [--sf /root/testdata/sf0.01]
@@ -111,9 +113,12 @@ def main() -> int:
         rec: dict = {"mode": "exact" if name in sqls else "rows_only"}
         try:
             got = _to_pandas(fn(args.sf))
+            rec["engine_sec"] = round(time.time() - t0, 2)
             rec["rows"] = int(len(got))
             if name in sqls:
+                t1 = time.time()
                 want = con.sql(sqls[name]).df()
+                rec["oracle_sec"] = round(time.time() - t1, 2)
                 reason = _compare(got, want)
                 rec["match"] = reason is None
                 if reason:
@@ -123,10 +128,11 @@ def main() -> int:
         except Exception as e:  # a crash is a failure, not an abort
             rec["match"] = False
             rec["reason"] = f"{type(e).__name__}: {e}"[:300]
-        rec["sec"] = round(time.time() - t0, 2)
         results[name] = rec
         tag = "ok" if rec["match"] else "FAIL"
-        print(f"  [{tag}] {name} ({rec['mode']}, {rec['sec']}s)", flush=True)
+        print(f"  [{tag}] {name} ({rec['mode']}, "
+              f"engine {rec.get('engine_sec')}s, "
+              f"oracle {rec.get('oracle_sec')}s)", flush=True)
 
     n_exact = sum(1 for r in results.values() if r["mode"] == "exact")
     n_pass = sum(1 for r in results.values() if r["match"])

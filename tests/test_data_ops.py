@@ -2350,7 +2350,7 @@ def test_peak_windows_partial_kernel():
     b = [10] * W
     t = pa.table({"doc_id": ["a", "b"], "tokens": [a, b],
                   "source": ["s1", "s2"]})
-    df = fn(t)
+    df = fn(t).to_pandas()
     got = {(r["source"], r["doc_id"], int(r["w"])): int(r["wsum"])
            for _, r in df.iterrows()}
     assert got == {("s1", "a", 0): W, ("s1", "a", 1): 100 * W,

@@ -429,13 +429,6 @@ def make_partition_pairs(key_cols: list[str], cap: int):
     return partition_pairs
 
 
-def add_part_column(t: pa.Table, key_col: str, n_parts: int) -> pa.Table:
-    """Coarse partition id from a bucket-key column (vectorized)."""
-    k = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    part = ((k % n_parts) + n_parts) % n_parts
-    return t.append_column("part", pa.array(part.astype(np.int32)))
-
-
 def jaccard_sorted(a: np.ndarray, b: np.ndarray) -> float:
     """Exact Jaccard of two SORTED unique arrays (the set_blob layout) via
     a searchsorted merge — no re-sort, unlike np.intersect1d. Matches

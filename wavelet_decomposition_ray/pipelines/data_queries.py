@@ -18,6 +18,7 @@ from ..functions import dedup as dd
 from ..functions import multimodal as mm
 from ..functions import similarity as sim
 from ..functions import text as tx
+from .skeletons import fold_by_part
 
 NEAR_DUP_TAU = 0.5       # char-5-shingle / word-3-gram Jaccard threshold
 EMBED_TAU = 0.4          # cosine near-dup threshold (data max is ~0.51)
@@ -591,13 +592,10 @@ def q_dedup_minhash(sf_dir: str):
         batch_size=512,
     )
     bands = sigs.map_batches(dd.lsh_bands_batch, batch_format="pyarrow")
-    bands = bands.map_batches(
-        lambda t: dd.add_part_column(t, "band_hash", 4 * _join_parts()),
-        batch_format="pyarrow",
-    )
-    cand = bands.groupby("part").map_groups(
+    cand = fold_by_part(
+        bands, "band_hash",
         dd.make_partition_pairs(["band_id", "band_hash"], LSH_BUCKET_CAP),
-        batch_format="pandas",
+        4 * _join_parts(),
     )
     return _verify_pairs(_dedupe_pairs(cand), sets, NEAR_DUP_TAU)
 
@@ -758,16 +756,11 @@ def q_simhash_pairs(sf_dir: str):
         dd.SimHasher(), batch_format="pyarrow", batch_size=256
     )
     bands = sims.map_batches(bands_fn, batch_format="pyarrow")
-    bands = bands.map_batches(
-        lambda t: dd.add_part_column(t, "band_hash", 4 * _join_parts()),
-        batch_format="pyarrow",
-    )
-    cand = _dedupe_pairs(
-        bands.groupby("part").map_groups(
-            dd.make_partition_pairs(["band_id", "band_hash"], cap),
-            batch_format="pandas",
-        )
-    )
+    cand = _dedupe_pairs(fold_by_part(
+        bands, "band_hash",
+        dd.make_partition_pairs(["band_id", "band_hash"], cap),
+        4 * _join_parts(),
+    ))
     np_ = _join_parts()
     j1 = cand.join(sims, "inner", np_, on=("doc_a",), right_on=("doc_id",))
     j1 = j1.map_batches(
@@ -813,6 +806,31 @@ SIMHASH_PAIRS_SQL = (
 )
 
 
+def _explode_grams(batch: pa.Table) -> pa.Table:
+    """(doc_id, set_blob) rows -> one (doc_id, gram) row per set member."""
+    blobs = batch["set_blob"].to_pylist()
+    lens = np.array([len(b) // 8 for b in blobs], dtype=np.int64)
+    ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+    flat = (
+        np.concatenate([dd.blob_set(b) for b in blobs])
+        if blobs
+        else np.empty(0, dtype=np.uint64)
+    )
+    return pa.table(
+        {
+            "doc_id": pa.array(np.repeat(ids, lens)),
+            "gram": pa.array(flat.view(np.int64)),
+        }
+    )
+
+
+def _gram_fold(sets: "ray.data.Dataset", fold) -> "ray.data.Dataset":
+    """Explode per-doc gram sets and run ``fold`` per coarse gram
+    partition (a gram's every doc lands in one call)."""
+    grams = sets.map_batches(_explode_grams, batch_format="pyarrow")
+    return fold_by_part(grams, "gram", fold, 4 * _join_parts())
+
+
 def q_ngram_jaccard(sf_dir: str):
     """Word-3-gram Jaccard pairs >= τ, distributed shape: per-doc distinct
     gram-hash sets -> explode -> groupby(gram) with a document-frequency
@@ -824,30 +842,7 @@ def q_ngram_jaccard(sf_dir: str):
         dd.GramSets(), batch_format="pyarrow", batch_size=512
     ).materialize()
 
-    def explode(batch: pa.Table) -> pa.Table:
-        blobs = batch["set_blob"].to_pylist()
-        lens = np.array([len(b) // 8 for b in blobs], dtype=np.int64)
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        flat = (
-            np.concatenate([dd.blob_set(b) for b in blobs])
-            if blobs
-            else np.empty(0, dtype=np.uint64)
-        )
-        return pa.table(
-            {
-                "doc_id": pa.array(np.repeat(ids, lens)),
-                "gram": pa.array(flat.view(np.int64)),
-            }
-        )
-
-    grams = sets.map_batches(explode, batch_format="pyarrow")
-    grams = grams.map_batches(
-        lambda t: dd.add_part_column(t, "gram", 4 * _join_parts()),
-        batch_format="pyarrow",
-    )
-    cand = grams.groupby("part").map_groups(
-        dd.make_partition_pairs(["gram"], GRAM_DF_CAP), batch_format="pandas"
-    )
+    cand = _gram_fold(sets, dd.make_partition_pairs(["gram"], GRAM_DF_CAP))
     return _verify_pairs(_dedupe_pairs(cand), sets, NEAR_DUP_TAU)
 
 
@@ -882,31 +877,7 @@ def q_ngram_drop_mass(sf_dir: str):
         dd.GramSets(), batch_format="pyarrow", batch_size=512
     )
 
-    def explode(batch: pa.Table) -> pa.Table:
-        blobs = batch["set_blob"].to_pylist()
-        lens = np.array([len(b) // 8 for b in blobs], dtype=np.int64)
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        flat = (
-            np.concatenate([dd.blob_set(b) for b in blobs])
-            if blobs
-            else np.empty(0, dtype=np.uint64)
-        )
-        return pa.table(
-            {
-                "doc_id": pa.array(np.repeat(ids, lens)),
-                "gram": pa.array(flat.view(np.int64)),
-            }
-        )
-
-    grams = sets.map_batches(explode, batch_format="pyarrow").map_batches(
-        lambda t: dd.add_part_column(t, "gram", 4 * _join_parts()),
-        batch_format="pyarrow",
-    )
-    parts = (
-        grams.groupby("part")
-        .map_groups(_gram_mass_fold, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = _gram_fold(sets, _gram_mass_fold).to_pandas()
     kept = int(parts["kept_mass"].sum()) if len(parts) else 0
     dropped = int(parts["dropped_mass"].sum()) if len(parts) else 0
     frac = dropped / max(kept + dropped, 1)
@@ -981,30 +952,7 @@ def q_ngram_containment(sf_dir: str):
         dd.GramSets(), batch_format="pyarrow", batch_size=512
     ).materialize()
 
-    def explode(batch: pa.Table) -> pa.Table:
-        blobs = batch["set_blob"].to_pylist()
-        lens = np.array([len(b) // 8 for b in blobs], dtype=np.int64)
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        flat = (
-            np.concatenate([dd.blob_set(b) for b in blobs])
-            if blobs
-            else np.empty(0, dtype=np.uint64)
-        )
-        return pa.table(
-            {
-                "doc_id": pa.array(np.repeat(ids, lens)),
-                "gram": pa.array(flat.view(np.int64)),
-            }
-        )
-
-    grams = sets.map_batches(explode, batch_format="pyarrow")
-    grams = grams.map_batches(
-        lambda t: dd.add_part_column(t, "gram", 4 * _join_parts()),
-        batch_format="pyarrow",
-    )
-    cand = grams.groupby("part").map_groups(
-        dd.make_partition_pairs(["gram"], GRAM_DF_CAP), batch_format="pandas"
-    )
+    cand = _gram_fold(sets, dd.make_partition_pairs(["gram"], GRAM_DF_CAP))
     return _verify_pairs(_dedupe_pairs(cand), sets, CONTAIN_TAU,
                          measure="containment")
 
@@ -3891,6 +3839,17 @@ CLEAN_TEXT_SQL = (
 PQ_NN_K = 10
 
 
+def _pq_codebook(sf_dir: str) -> np.ndarray:
+    """The sampled PQ codebook: the first PQ_K vectors, quantized, in
+    vec_id order."""
+    cb_rows = ray.data.read_parquet(
+        f"{sf_dir}/embeddings.parquet",
+        columns=["vec_id", "embedding"],
+        filter=(pc.field("vec_id") < sim.PQ_K),
+    ).to_pandas().sort_values("vec_id")
+    return sim.pq_quantize(np.stack(cb_rows["embedding"].to_numpy()))
+
+
 def q_ann_pq(sf_dir: str):
     """Product-quantization ANN (Jégou et al., TPAMI 2011) — the
     memory-side complement to IVF at 10^12 vectors: every vector
@@ -3903,12 +3862,7 @@ def q_ann_pq(sf_dir: str):
     Per-batch local top-K, O(batches x K) rows to the driver."""
     import pandas as pd
 
-    cb_rows = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet",
-        columns=["vec_id", "embedding"],
-        filter=(pc.field("vec_id") < sim.PQ_K),
-    ).to_pandas().sort_values("vec_id")
-    codebook = sim.pq_quantize(np.stack(cb_rows["embedding"].to_numpy()))
+    codebook = _pq_codebook(sf_dir)
     q = sim.pq_quantize(
         _query_vector(sf_dir, vec_id=0)[None, :]
     )[0]
@@ -3968,12 +3922,7 @@ def q_ann_pq_rerank(sf_dir: str):
     (recall 1.0 at shortlist 2-3%)."""
     import pandas as pd
 
-    cb_rows = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet",
-        columns=["vec_id", "embedding"],
-        filter=(pc.field("vec_id") < sim.PQ_K),
-    ).to_pandas().sort_values("vec_id")
-    codebook = sim.pq_quantize(np.stack(cb_rows["embedding"].to_numpy()))
+    codebook = _pq_codebook(sf_dir)
     qvec = sim.pq_quantize(_query_vector(sf_dir, vec_id=0)[None, :])[0]
     adc_ref = ray.put(sim.pq_adc_table(qvec, codebook))
     cb_ref = ray.put(codebook)
@@ -4915,56 +4864,40 @@ def q_first_week_value(sf_dir: str) -> "pa.Table":
     """First-week revenue share — of all customer lifetime cents, how
     much lands within 7 days of each customer's FIRST order: the
     early-LTV signal (a high share means value is decided at
-    acquisition; a low one means nurture matters), computed with one
-    customers-sized min-day broadcast and one probe scan — the
-    ``repeat_revenue_share`` machinery pointed at tenure instead of
-    order rank."""
+    acquisition; a low one means nurture matters), the
+    ``repeat_revenue_share`` shape pointed at tenure instead of order
+    rank.  One fold per coarse customer partition: a customer's orders
+    all land in one call, which takes the first order day (min day) and
+    sums the partition's customers, first-week cents and cents; the
+    driver sums the partition rows."""
     import pandas as pd
-
-    from ray.data.aggregate import Min, Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_custkey", "o_orderdate", "o_totalprice"],
     )
 
-    def first_part(df: "pd.DataFrame") -> "pd.DataFrame":
-        day = (df["o_orderdate"].to_numpy().astype("datetime64[us]")
-               .astype(np.int64) // 86_400_000_000)
-        return pd.DataFrame({"ck": df["o_custkey"].to_numpy(),
-                             "fd": day}).groupby(
-            "ck", as_index=False)["fd"].min()
-
-    firsts = (
-        ds.map_batches(first_part, batch_format="pandas")
-        .groupby("ck").aggregate(Min("fd", alias_name="fd"))
-        .to_pandas().sort_values("ck")
-    )
-    ck_ref = ray.put(firsts["ck"].to_numpy().astype(np.int64))
-    fd_ref = ray.put(firsts["fd"].to_numpy().astype(np.int64))
-
     def split(df: "pd.DataFrame") -> "pd.DataFrame":
-        cks, fds = ray.get(ck_ref), ray.get(fd_ref)
-        day = (df["o_orderdate"].to_numpy().astype("datetime64[us]")
-               .astype(np.int64) // 86_400_000_000)
-        oc = df["o_custkey"].to_numpy().astype(np.int64)
-        pos = np.searchsorted(cks, oc)
-        assert (pos < len(cks)).all() and (cks[pos] == oc).all(), \
-            "dangling o_custkey"
-        early = (day < fds[pos] + 7).astype(np.int64)
+        day = pd.Series(df["o_orderdate"].to_numpy()
+                        .astype("datetime64[us]").astype(np.int64)
+                        // 86_400_000_000)
+        ck = df["o_custkey"].to_numpy()
+        early = (day < day.groupby(ck).transform("min") + 7) \
+            .to_numpy().astype(np.int64)
         cents = np.rint(df["o_totalprice"].to_numpy() * 100) \
             .astype(np.int64)
         return pd.DataFrame(
-            {"first_week_cents": np.array([int((cents * early).sum())],
+            {"n_cust": np.array([len(np.unique(ck))], dtype=np.int64),
+             "first_week_cents": np.array([int((cents * early).sum())],
                                           dtype=np.int64),
              "cents": np.array([int(cents.sum())], dtype=np.int64)})
 
-    tot = ds.map_batches(split, batch_format="pandas").sum(
-        ["first_week_cents", "cents"])
+    tot = fold_by_part(ds, "o_custkey", split, 4 * _join_parts()).sum(
+        ["n_cust", "first_week_cents", "cents"])
     fw = int(tot["sum(first_week_cents)"])
     al = int(tot["sum(cents)"])
     out = pd.DataFrame(
-        {"n_cust": np.array([len(firsts)], dtype=np.int64),
+        {"n_cust": np.array([int(tot["sum(n_cust)"])], dtype=np.int64),
          "first_week_cents": np.array([fw], dtype=np.int64),
          "cents": np.array([al], dtype=np.int64),
          "share_ppm": np.array([fw * 1_000_000 // al], dtype=np.int64)})
@@ -5095,12 +5028,7 @@ def q_pq_distortion(sf_dir: str):
     PQ_M rows."""
     import pandas as pd
 
-    cb_rows = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet",
-        columns=["vec_id", "embedding"],
-        filter=(pc.field("vec_id") < sim.PQ_K),
-    ).to_pandas().sort_values("vec_id")
-    codebook = sim.pq_quantize(np.stack(cb_rows["embedding"].to_numpy()))
+    codebook = _pq_codebook(sf_dir)
     cb_ref = ray.put(codebook)
 
     def partial(t: pa.Table) -> pa.Table:
