@@ -3,9 +3,17 @@ equality for arbitrary lengths/values, aggregate-tree consistency, codec
 identity — hypothesis-generated inputs rather than fixed seeds."""
 
 import numpy as np
+import pyarrow as pa
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavelet_decomposition_ray import native
 from wavelet_decomposition_ray import oracle as oc
+from wavelet_decomposition_ray.stages import encode as es
+
+needs_native = pytest.mark.skipif(
+    native.decoder() is None, reason="no C compiler on this host"
+)
 
 tokens_st = st.lists(st.integers(0, (1 << 20) - 1), min_size=1, max_size=400)
 int64_st = st.lists(
@@ -39,15 +47,6 @@ def test_dod_codec_property(vals):
     assert np.array_equal(oc.dod_decode(oc.dod_encode(v), len(v)), v)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),
-                min_size=0, max_size=120))
-def test_gorilla_codec_property(vals):
-    v = np.array(vals, dtype=np.float64)
-    dec = oc.gorilla_decode(oc.gorilla_encode(v), len(v))
-    np.testing.assert_array_equal(dec.view(np.uint64), v.view(np.uint64))
-
-
 @settings(max_examples=40, deadline=None)
 @given(tokens_st)
 def test_rollup_block_codec_property(toks):
@@ -58,6 +57,7 @@ def test_rollup_block_codec_property(toks):
         np.testing.assert_array_equal(back[k], tier[k])
 
 
+@needs_native
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
@@ -65,42 +65,44 @@ def test_rollup_block_codec_property(toks):
                  max_size=120),
         min_size=1,
         max_size=24,
-    ),
-    st.integers(1, 64),
+    )
 )
-def test_dod_wavefront_streams_property(blocks, min_lanes):
-    """Multi-stream wavefront decode == per-stream scalar decode for any
-    stream mix and any lane threshold (forces both the vector path and the
-    scalar-tail continuation)."""
-    streams = [oc.dod_encode(np.array(b, dtype=np.int64)) for b in blocks]
-    counts = np.array([len(b) for b in blocks], dtype=np.int64)
-    off = np.concatenate([[0], np.cumsum(counts)])
-    out = np.empty(off[-1], dtype=np.int64)
-    oc.dod_decode_streams(streams, counts, out, off[:-1], min_lanes=min_lanes)
-    for s, b in enumerate(blocks):
-        np.testing.assert_array_equal(out[off[s] : off[s + 1]],
-                                      np.array(b, dtype=np.int64))
+def test_dod_decode_streams_property(blocks):
+    """The native decoder == the input for any stream mix: each block frames
+    as one blob (min = the block, max = it reversed, sum = it negated,
+    which wraps at int64 min) and the whole column decodes at once."""
+    tiers = []
+    for b in blocks:
+        v = np.array(b, dtype=np.int64)
+        tiers.append({"wmin": v, "wmax": v[::-1], "wsum": -v,
+                      "wcount": np.ones(len(v), dtype=np.int32)})
+    arr = pa.array([oc.encode_rollup_block(t) for t in tiers], pa.binary())
+    dec = es.decode_blobs(arr)
+    off = dec["offsets"]
+    for j, tier in enumerate(tiers):
+        for k, v in tier.items():
+            np.testing.assert_array_equal(dec[k][off[j]:off[j + 1]], v)
 
 
+@needs_native
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
-        st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=1,
+        st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=0,
                  max_size=80),
         min_size=1,
         max_size=12,
     )
 )
 def test_dod_encode_blocks_matches_scalar_property(blocks):
-    """The vectorized merged-code block encoder is byte-identical to the
-    scalar reference for every block."""
-    flat = np.concatenate([np.array(b, dtype=np.int64) for b in blocks])
-    off = np.concatenate(
-        [[0], np.cumsum([len(b) for b in blocks])]
-    ).astype(np.int64)
-    enc = oc.dod_encode_blocks(flat, off)
-    for j, b in enumerate(blocks):
-        assert enc[j] == oc.dod_encode_py(np.array(b, dtype=np.int64)), j
+    """The native stream encoder is byte-identical to the scalar reference
+    for every block, empty blocks included."""
+    vals = [np.array(b, dtype=np.int64) for b in blocks]
+    flat = np.concatenate(vals)
+    off = np.concatenate([[0], np.cumsum([len(b) for b in blocks])]).astype(np.int64)
+    buf, starts, lens = es.encode_streams(flat, off)
+    for j, v in enumerate(vals):
+        assert bytes(buf[starts[j]:starts[j] + lens[j]]) == oc.dod_encode(v), j
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,12 +4,12 @@ one-pass rollup tier tree and the DWT cascade.
 No pip, no Python headers: ``dod.c`` is plain C compiled once with the
 system compiler into a shared library cached next to the source (atomic
 rename, so concurrent Ray workers race safely).  Every caller must handle
-a handle of None — machines without a C compiler fall back to the
-pure-numpy paths, which are the semantic reference (property tests pin
-C == Python bit-for-bit):
+a handle of None — machines without a C compiler fall back to a Python
+path (property tests pin C == Python bit-for-bit):
 
-- ``decoder()`` / ``encoder()`` / ``gather()``: the DoD codec, fallback
-  ``oracle.py``;
+- ``decoder()`` / ``encoder()`` / ``gather()``: the DoD codec, called only
+  from ``stages/encode.py``; fallback the scalar reference codec in
+  ``oracle.py``, one block at a time;
 - ``tier_tree()``: the rollup tiers, fallback the reduceat ladder in
   ``stages/rollup.py``;
 - ``dwt_cascade()``: forward + inverse DWT with the round-trip verdict,
@@ -43,12 +43,12 @@ def _lib_path() -> str:
 
 
 def _compile() -> str | None:
+    lib = _lib_path()
+    if os.path.isfile(lib):
+        return lib  # a worker without a compiler still loads a built library
     cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if cc is None:
         return None
-    lib = _lib_path()
-    if os.path.isfile(lib):
-        return lib
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=_DIR)
     os.close(fd)
     try:
@@ -81,8 +81,8 @@ def _compile() -> str | None:
 
 
 _SIGS = {
-    # base, byte_off, counts, out_off, n_streams, out
-    "dod_decode_streams_c": [ctypes.c_void_p] * 4 + [ctypes.c_int64, ctypes.c_void_p],
+    # base, byte_off, byte_len, counts, out_off, n_streams, out
+    "dod_decode_streams_c": [ctypes.c_void_p] * 5 + [ctypes.c_int64, ctypes.c_void_p],
     # vals, val_off, n_streams, out, cap_off, nbytes
     "dod_encode_streams_c": [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 3,
     # src, src_off, lens, dst, dst_off, n
@@ -95,6 +95,8 @@ _SIGS = {
     "dwt_cascade_c": [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2
     + [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 5,
 }
+# kernels that return a value; every other kernel returns void
+_RESTYPES = {"dod_decode_streams_c": ctypes.c_int64}
 
 
 def _load() -> dict:
@@ -110,7 +112,7 @@ def _load() -> dict:
         lib = ctypes.CDLL(path)
         for name, argtypes in _SIGS.items():
             fn = getattr(lib, name)
-            fn.restype = None
+            fn.restype = _RESTYPES.get(name)
             fn.argtypes = argtypes
             _fns[name] = fn
     except (OSError, AttributeError):

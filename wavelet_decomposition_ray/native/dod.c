@@ -1,20 +1,21 @@
 /* Scalar delta-of-delta stream decoder, C twin of the Python reference
- * (oracle.py dod_decode / _dod_scalar_continue).  Bit-exact: uint64
- * arithmetic is the same mod-2^64 semantics the numpy/python paths use,
- * and words are big-endian in the stream buffer (bswap on load).
+ * (oracle.py dod_decode).  Bit-exact: uint64 arithmetic is the same
+ * mod-2^64 semantics the Python reference uses, and words are big-endian
+ * in the stream buffer (bswap on load).
  *
  * Compiled at import time by native/__init__.py with plain `cc -O2
- * -shared -fPIC` and called through ctypes — no Python headers, no build
- * system, graceful fallback to the pure-numpy wavefront when no compiler
- * exists.  One stream decodes at a few ns/value here vs ~160 ns/value for
- * the vectorized wavefront (gather-bound), which makes the store's read
- * path compute-trivial relative to parquet IO.
+ * -shared -fPIC` and called through ctypes from stages/encode.py — no
+ * Python headers, no build system.  Hosts with no compiler encode and
+ * decode through the scalar reference in oracle.py instead.  One stream
+ * decodes at a few ns/value here, which makes the store's read path
+ * compute-trivial relative to parquet IO.
  *
  * Layout contract: streams live anywhere in one shared byte buffer,
- * stream s starting at byte byte_off[s]; decoded values land at
- * out[out_off[s] .. out_off[s] + counts[s]).  The caller guarantees at
- * least 9 readable bytes past every stream's last code (inter-stream
- * bytes count; only the physical end of the buffer needs a guard).
+ * stream s starting at byte byte_off[s] and byte_len[s] bytes long;
+ * decoded values land at out[out_off[s] .. out_off[s] + counts[s]).  The
+ * caller guarantees at least 16 readable bytes past every stream's end
+ * (inter-stream bytes count; only the physical end of the buffer needs a
+ * guard).
  */
 
 #include <math.h>
@@ -49,14 +50,22 @@ static inline uint64_t peek(const uint8_t *base, int64_t pos) {
     return (hi << b) | ((uint64_t)base[byte + 8] >> (8 - b));
 }
 
-static void decode_one(const uint8_t *base, int64_t count, int64_t *out) {
+/* Decode one stream of `len` bytes.  Returns 0 if the bit cursor passes
+ * 8*len (a corrupt header claims more values than the stream holds), else
+ * 1.  One compare per value bounds every read: a cursor at most 8*len
+ * peeks at most 9 bytes past the stream's end, inside the 16-byte guard. */
+static int decode_one(const uint8_t *base, int64_t len, int64_t count,
+                      int64_t *out) {
     if (count <= 0)
-        return;
+        return 1;
+    const int64_t end = 8 * len;
     uint64_t cur = peek(base, 0);
     uint64_t delta = 0;
     int64_t pos = 64;
     out[0] = (int64_t)cur;
     for (int64_t i = 1; i < count; i++) {
+        if (pos > end)
+            return 0;
         uint64_t chunk = peek(base, pos);
         uint64_t top4 = chunk >> 60;
         uint64_t dod;
@@ -80,16 +89,23 @@ static void decode_one(const uint8_t *base, int64_t count, int64_t *out) {
         cur += delta;
         out[i] = (int64_t)cur;
     }
+    return pos <= end;
 }
 
-void dod_decode_streams_c(const uint8_t *base, const int64_t *byte_off,
-                          const int64_t *counts, const int64_t *out_off,
-                          int64_t n_streams, int64_t *out) {
+/* Decode every stream; returns -1, or the index of the first stream whose
+ * cursor ran past its byte length (decoding stops there). */
+int64_t dod_decode_streams_c(const uint8_t *base, const int64_t *byte_off,
+                             const int64_t *byte_len, const int64_t *counts,
+                             const int64_t *out_off, int64_t n_streams,
+                             int64_t *out) {
     for (int64_t s = 0; s < n_streams; s++)
-        decode_one(base + byte_off[s], counts[s], out + out_off[s]);
+        if (!decode_one(base + byte_off[s], byte_len[s], counts[s],
+                        out + out_off[s]))
+            return s;
+    return -1;
 }
 
-/* ---------------- encoder: exact C twin of oracle.dod_encode_py ---------- */
+/* ---------------- encoder: exact C twin of oracle.dod_encode ------------- */
 
 typedef struct { uint8_t *p; uint64_t acc; int nbits; } BW;
 

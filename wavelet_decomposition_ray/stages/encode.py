@@ -1,5 +1,5 @@
-"""Gorilla/delta-of-delta encoder stage (SURVEY.md §2.4 ST1; north_star
-storage layer; Gorilla paper VLDB'15).
+"""The store's production codec and its encoder stage (SURVEY.md §2.4 ST1;
+north_star storage layer; delta-of-delta from the Gorilla paper, VLDB'15).
 
 ``RollupEncode`` (the tail of the flagship job's encode task, and the
 encoder the codec queries check) is a stateless per-batch callable that
@@ -7,6 +7,14 @@ computes the tier tree and encodes it in one step;
 ``decode_blocks_batch`` is its inverse.  Each encoded blob is a pure
 function of its own row — no cross-partition carry-over — so partition
 rewrites are byte-identical on resume (SURVEY.md §7.3).
+
+The codec has two implementations.  This module is the production one:
+:func:`encode_streams`, :func:`_frame_blob_column` and :func:`decode_blobs`
+run the native kernels of ``native/dod.c`` over a whole batch with no
+per-blob Python objects.  ``oracle.py`` holds the scalar reference
+(``encode_rollup_block`` / ``decode_rollup_block``), which the tests pin
+these functions against byte for byte.  On a host with no C compiler the
+stage frames and reads each blob through that reference instead.
 """
 
 from __future__ import annotations
@@ -19,26 +27,39 @@ from .. import oracle as oc
 from .. import native
 from ..state import manifest as mf
 
+MAGIC = b"GRB2"
+_STATS = {"wmin": np.int64, "wmax": np.int64, "wsum": np.int64,
+          "wcount": np.int32}
 
-def _gather_np(src, src_off, lens, dst, dst_off):
-    """Numpy fallback for native.gather(): variable-length segmented copy."""
-    nz = lens > 0
-    if not nz.any():
-        return
-    l = lens[nz]
-    pos = np.arange(int(l.sum()), dtype=np.int64) - np.repeat(
-        np.cumsum(l) - l, l
-    )
-    dst[np.repeat(dst_off[nz], l) + pos] = src[np.repeat(src_off[nz], l) + pos]
+
+def encode_streams(values, offsets):
+    """Delta-of-delta encode every stream of one flat int64 array with the
+    native encoder; stream i is ``values[offsets[i] : offsets[i + 1]]``.
+
+    Returns ``(buf, starts, lens)``: stream i's bytes are
+    ``buf[starts[i] : starts[i] + lens[i]]`` (uint8), equal to
+    ``oracle.dod_encode`` of that stream.  Each stream gets a capacity of
+    16 + 9 bytes per delta-of-delta, enough for its widest codes.
+    """
+    v = np.ascontiguousarray(values, dtype=np.int64)
+    off = np.ascontiguousarray(offsets, dtype=np.int64)
+    n = len(off) - 1
+    cap_off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(16 + 9 * np.maximum(np.diff(off) - 1, 0), out=cap_off[1:])
+    buf = np.empty(int(cap_off[-1]), dtype=np.uint8)
+    lens = np.empty(n, dtype=np.int64)
+    native.encoder()(v.ctypes.data, off.ctypes.data, n, buf.ctypes.data,
+                     cap_off.ctypes.data, lens.ctypes.data)
+    return buf, cap_off[:-1], lens
 
 
 def _frame_blob_column(n_win, w_arr, last_arr, streams):
     """Assemble the framed rollup blobs of a whole batch as ONE Arrow binary
     array — headers scatter as a (n, 28)-byte matrix, the three encoded stat
-    streams splice in via a segmented gather (native memcpy loop, numpy
-    fallback).  ``streams`` is three ``(buf, starts, lens)`` triples from
-    :func:`oracle.dod_encode_blocks_raw`; byte-identical to the per-row
-    ``oracle.encode_rollup_block`` framing.  Returns (binary array, nbytes).
+    streams splice in via the native segmented gather.  ``streams`` is
+    three ``(buf, starts, lens)`` triples from :func:`encode_streams`;
+    byte-identical to the per-row ``oracle.encode_rollup_block`` framing.
+    Returns (binary array, nbytes).
     """
     n = len(n_win)
     l0, l1, l2 = (s[2] for s in streams)
@@ -49,7 +70,7 @@ def _frame_blob_column(n_win, w_arr, last_arr, streams):
     assert total < 2**31, "blob batch exceeds 2 GiB; lower batch_size"
     out = np.empty(total, dtype=np.uint8)
     hdr = np.empty((n, 28), dtype=np.uint8)
-    hdr[:, :4] = np.frombuffer(oc._MAGIC, dtype=np.uint8)
+    hdr[:, :4] = np.frombuffer(MAGIC, dtype=np.uint8)
     u = np.column_stack([n_win, w_arr, last_arr, l0, l1, l2]).astype("<u4")
     hdr[:, 4:] = u.view(np.uint8)
     out[off[:-1, None] + np.arange(28)] = hdr
@@ -58,11 +79,8 @@ def _frame_blob_column(n_win, w_arr, last_arr, streams):
     for buf, starts, lens in streams:
         starts = np.ascontiguousarray(starts)
         lens = np.ascontiguousarray(lens)
-        if g is not None:
-            g(buf.ctypes.data, starts.ctypes.data, lens.ctypes.data,
-              out.ctypes.data, np.ascontiguousarray(dst).ctypes.data, n)
-        else:
-            _gather_np(buf, starts, lens, out, dst)
+        g(buf.ctypes.data, starts.ctypes.data, lens.ctypes.data,
+          out.ctypes.data, np.ascontiguousarray(dst).ctypes.data, n)
         dst = dst + lens
     off32 = off.astype(np.int32)
     arr = pa.Array.from_buffers(
@@ -71,16 +89,28 @@ def _frame_blob_column(n_win, w_arr, last_arr, streams):
     return arr, nbytes
 
 
+def _frame_reference(tv, out_off):
+    """No-compiler path: ``oracle.encode_rollup_block`` of each block of the
+    tier-major stat streams.  Returns (binary array, nbytes)."""
+    blobs = [
+        oc.encode_rollup_block({k: v[a:b] for k, v in tv.items()})
+        for a, b in zip(out_off[:-1].tolist(), out_off[1:].tolist())
+    ]
+    nbytes = np.array([len(b) for b in blobs], dtype=np.int64)
+    return pa.array(blobs, type=pa.binary()), nbytes
+
+
 class RollupEncode:
     """Fused rollup + encode stage for the flagship job.
 
     Computes every tier of the continuous-aggregate tree with
     :func:`stages.rollup.tier_tree` (native one-pass kernel, numpy
     fallback) and feeds its flat tier-major stat streams STRAIGHT into the
-    vectorized codec — the intermediate Arrow list columns of
-    ``TierRollup`` are never materialized.  Each blob is byte-identical to
-    ``oracle.encode_rollup_block`` of that row's ``TierRollup`` lists, and
-    decodes (:func:`decode_blocks_batch`) back to them.
+    native codec — the intermediate Arrow list columns of ``TierRollup``
+    are never materialized.  Each blob is byte-identical to
+    ``oracle.encode_rollup_block`` of that row's ``TierRollup`` lists (the
+    no-compiler path calls exactly that), and decodes
+    (:func:`decode_blocks_batch`) back to them.
     """
 
     def __init__(self, n_tiers: int = 10, fault_flag: str | None = None,
@@ -124,15 +154,17 @@ class RollupEncode:
         # every tier's stat streams in one tier-major layout, then ALL
         # tiers of each stat in ONE codec call and one framed-blob column
         tv, out_off = tier_tree(values, offsets, self.n_tiers)
-        streams = [
-            oc.dod_encode_blocks_raw(tv[k], out_off)
-            for k in ("wmin", "wmax", "wsum")
-        ]
         n_win = np.diff(out_off)
-        cnts = tv["wcount"]
-        blob_arr, nbytes = _frame_blob_column(
-            n_win, cnts[out_off[:-1]], cnts[out_off[1:] - 1], streams
-        )
+        if native.encoder() is None:
+            blob_arr, nbytes = _frame_reference(tv, out_off)
+        else:
+            streams = [
+                encode_streams(tv[k], out_off) for k in ("wmin", "wmax", "wsum")
+            ]
+            cnts = tv["wcount"]
+            blob_arr, nbytes = _frame_blob_column(
+                n_win, cnts[out_off[:-1]], cnts[out_off[1:] - 1], streams
+            )
         tiers = np.repeat(np.arange(1, self.n_tiers + 1, dtype=np.int8), n_rows)
         cols = {
             "doc_id": _tile(batch["doc_id"], self.n_tiers),
@@ -159,15 +191,111 @@ def _tile(col, n: int) -> pa.ChunkedArray:
     return pa.chunked_array(chunks * n, type=col.type)
 
 
+def decode_blobs(arr) -> dict[str, np.ndarray]:
+    """Decode a whole Arrow binary column of framed blobs with the native
+    decoder.  Every header parses as one gather over the column's values
+    buffer, and the kernel reads all 3·N streams in place (one guarded copy
+    of the batch's byte range, nothing per blob).
+
+    Returns flat ``wmin`` / ``wmax`` / ``wsum`` (int64), ``wcount`` (int32)
+    and ``offsets`` (int64, N + 1): blob j's windows are
+    ``offsets[j] : offsets[j + 1]`` of each flat array.  A header that does
+    not match its blob's bytes raises ``ValueError`` before any stream is
+    read, and so does a stream that ends before its header's count.
+    """
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    nb = len(arr)
+    assert arr.null_count == 0, "store blobs are never null"
+    bufs = arr.buffers()
+    off_dtype = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
+    off = np.frombuffer(bufs[1], dtype=off_dtype)[
+        arr.offset : arr.offset + nb + 1
+    ].astype(np.int64)
+    raw = np.frombuffer(bufs[2], dtype=np.uint8)
+    # a 16-byte zero guard after the last stream: the kernel's peeks read
+    # up to 9 bytes past a stream's end
+    lo, hi = int(off[0]), int(off[-1])
+    base = np.empty(hi - lo + 16, dtype=np.uint8)
+    base[: hi - lo] = raw[lo:hi]
+    base[hi - lo :] = 0
+    off -= lo
+    size = np.diff(off)
+    short = np.nonzero(size < 28)[0]
+    if len(short):
+        raise ValueError(f"blob {short[0]}: {size[short[0]]} bytes, "
+                         "shorter than its 28-byte header")
+
+    heads = base[off[:-1, None] + np.arange(28)]
+    if not (heads[:, :4] == np.frombuffer(MAGIC, dtype=np.uint8)).all():
+        raise ValueError("bad rollup block magic")
+    u32 = heads[:, 4:28].copy().view("<u4").astype(np.int64)
+    ns, ws, lasts = u32[:, 0], u32[:, 1], u32[:, 2]
+    lens = np.ascontiguousarray(u32[:, 3:6])  # wmin, wmax, wsum bytes
+    # the three streams must tile the blob, and each must have room for its
+    # n values: the first takes 64 bits, every later one at least 1 bit
+    n_col = ns[:, None]
+    fits = np.where(n_col == 0, lens == 0, n_col <= 8 * lens - 63)
+    ok = (28 + lens.sum(axis=1) == size) & fits.all(axis=1)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise ValueError(f"blob {j}: header (n={ns[j]}, stream bytes "
+                         f"{lens[j].tolist()}) does not match its "
+                         f"{size[j]} bytes")
+
+    offsets = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(ns, out=offsets[1:])
+    total = int(offsets[-1])
+    out = np.empty(3 * total, dtype=np.int64)
+    # stream order per blob: wmin, wmax, wsum -> three output sections
+    byte_off = (off[:-1, None] + 28 + np.cumsum(lens, axis=1) - lens).ravel()
+    s_off = (offsets[:-1, None] + total * np.arange(3)).ravel()
+    s_counts = np.repeat(ns, 3)
+    bad = native.decoder()(
+        base.ctypes.data, byte_off.ctypes.data, lens.ctypes.data,
+        s_counts.ctypes.data, s_off.ctypes.data, 3 * nb, out.ctypes.data,
+    )
+    if bad >= 0:
+        stat = ("wmin", "wmax", "wsum")[bad % 3]
+        raise ValueError(f"blob {bad // 3}: its {stat} stream ends before "
+                         f"the header's {ns[bad // 3]} values")
+
+    wcount = np.repeat(ws, ns).astype(np.int32)
+    has = ns > 0
+    wcount[offsets[1:][has] - 1] = lasts[has]
+    return {
+        "wmin": out[:total],
+        "wmax": out[total : 2 * total],
+        "wsum": out[2 * total :],
+        "wcount": wcount,
+        "offsets": offsets,
+    }
+
+
+def _decode_reference(blobs) -> dict[str, np.ndarray]:
+    """No-compiler path: ``oracle.decode_rollup_block`` of each blob, in
+    :func:`decode_blobs`'s flat layout."""
+    decs = [oc.decode_rollup_block(b) for b in blobs.to_pylist()]
+    out = {
+        k: np.concatenate([d[k] for d in decs] + [np.zeros(0, t)])
+        for k, t in _STATS.items()
+    }
+    out["offsets"] = np.zeros(len(decs) + 1, dtype=np.int64)
+    np.cumsum([len(d["wcount"]) for d in decs], out=out["offsets"][1:])
+    return out
+
+
 def decode_blocks_batch(batch: pa.Table) -> pa.Table:
     """Inverse stage: encoded blobs -> rollup list rows (the read path of
     the retention store). Round-trip with RollupEncode is the codec
     identity invariant (FIXTURES.md invariant 4)."""
-    dec = oc.decode_rollup_blocks_arrow(batch["blob"])  # all 3N streams, no
-    # per-blob Python objects (vectorized framing + native stream decode)
-    off = dec["offsets"]
     from ..functions.listops import numpy_to_list
 
+    if native.decoder() is None:
+        dec = _decode_reference(batch["blob"])
+    else:
+        dec = decode_blobs(batch["blob"])
+    off = dec["offsets"]
     return pa.table(
         {
             "doc_id": batch["doc_id"],

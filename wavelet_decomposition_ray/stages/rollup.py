@@ -68,7 +68,7 @@ def tier_tree(values: np.ndarray, offsets: np.ndarray, n_tiers: int):
 
     Returns ``(stats, out_off)``: four flat int64 arrays (``STAT_NAMES``)
     in the tier-major stream layout of :func:`_tier_offsets` — the layout
-    ``oracle.dod_encode_blocks_raw`` takes.  The native kernel makes one
+    ``stages.encode.encode_streams`` takes.  The native kernel makes one
     scan per row (tier 1 from raw tokens, tier t from tier t-1 in the
     output); without a C compiler the numpy reduceat ladder computes the
     same arrays.  Sums wrap mod 2**64, like numpy's int64 adds.
