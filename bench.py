@@ -90,16 +90,12 @@ def _headline(sf_dir: str, ncpus: int) -> dict:
     t_job = min(job_times)
 
     # read path: scan the retention store and decode every block
-    from wavelet_decomposition_ray.stages.encode import decode_blocks_batch
-    import ray.data as rd
+    from wavelet_decomposition_ray.sources.store import read_store
 
     dec_times = []
     for rep in range(3):
         t1 = time.perf_counter()
-        decoded = rd.read_parquet(os.path.join(out, "data")).map_batches(
-            decode_blocks_batch, batch_format="pyarrow", batch_size=2048
-        )
-        n_dec = decoded.count()
+        n_dec = read_store(out).count()
         dec_times.append(time.perf_counter() - t1)
     t_decode = min(dec_times)
 

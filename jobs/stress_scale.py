@@ -492,10 +492,9 @@ def rollup_stress(tmp: str) -> dict:
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
-    import ray.data as rd
     from wavelet_decomposition_ray import synth
     from wavelet_decomposition_ray.pipelines import rollup_pipeline as rp
-    from wavelet_decomposition_ray.stages.encode import decode_blocks_batch
+    from wavelet_decomposition_ray.sources.store import read_store
 
     t0 = time.time()
     seq = synth.ensure_sequences("sf4.0", root=tmp)
@@ -515,12 +514,7 @@ def rollup_stress(tmp: str) -> dict:
     )
     job_s = time.time() - t1
     t2 = time.time()
-    n_dec = (
-        rd.read_parquet(os.path.join(out_dir, "data"))
-        .map_batches(decode_blocks_batch, batch_format="pyarrow",
-                     batch_size=2048)
-        .count()
-    )
+    n_dec = read_store(out_dir).count()
     dec_s = time.time() - t2
     return {
         "n_rows": n_rows,

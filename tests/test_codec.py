@@ -302,6 +302,7 @@ _CORRUPT = """
 import struct
 import numpy as np
 import pyarrow as pa
+from wavelet_decomposition_ray import native
 from wavelet_decomposition_ray import oracle as oc
 from wavelet_decomposition_ray.stages.encode import decode_blocks_batch
 
@@ -322,17 +323,21 @@ cases = {
     "truncated": good[:-5],
     "short": good[:20],
 }
-for name, blob in cases.items():
-    t = pa.table({"doc_id": ["d"], "source": ["s"],
-                  "tier": pa.array([1], pa.int8()),
-                  "n_windows": pa.array([32], pa.int32()),
-                  "blob": pa.array([blob], pa.binary())})
-    try:
-        decode_blocks_batch(t)
-    except ValueError as e:
-        print(name, "->", e)
-        continue
-    raise SystemExit(f"{name}: no ValueError")
+# the native reader, then the no-compiler path (the oracle's reference)
+for path in ("native", "reference"):
+    if path == "reference":
+        native.decoder = lambda: None
+    for name, blob in cases.items():
+        t = pa.table({"doc_id": ["d"], "source": ["s"],
+                      "tier": pa.array([1], pa.int8()),
+                      "n_windows": pa.array([32], pa.int32()),
+                      "blob": pa.array([blob], pa.binary())})
+        try:
+            decode_blocks_batch(t)
+        except ValueError as e:
+            print(path, name, "->", e)
+            continue
+        raise SystemExit(f"{path} {name}: no ValueError")
 print("all raised")
 """
 
@@ -340,7 +345,8 @@ print("all raised")
 def test_corrupt_blob_header_raises():
     """A blob whose header overstates its count or its stream lengths
     raises ValueError instead of reading past the batch (which used to
-    kill the process with SIGSEGV, so it runs in a child process)."""
+    kill the process with SIGSEGV, so it runs in a child process), on the
+    native reader and on the no-compiler path alike."""
     r = subprocess.run(
         [sys.executable, "-c", _CORRUPT], cwd=ROOT, capture_output=True,
         text=True, timeout=120, env={**os.environ, "PYTHONPATH": ROOT},

@@ -364,9 +364,8 @@ def test_validate_store_detects_corruption(ray_session, tmp_path):
 
 
 def test_read_store_api(ray_session, tmp_path):
-    """sources.store.read_store: decoded rows equal the hand-rolled
-    read+decode, tier/source predicates prune correctly, decode=False
-    returns raw encoded rows."""
+    """sources.store.read_store: decoded rows carry every tier and the
+    rollup lists, and tier/source predicates prune correctly."""
     from wavelet_decomposition_ray import synth
     from wavelet_decomposition_ray.pipelines import rollup_pipeline as rp
     from wavelet_decomposition_ray.sources.store import read_store
@@ -389,8 +388,93 @@ def test_read_store_api(ray_session, tmp_path):
     assert set(sub["tier"].unique()) <= {2, 3}
     assert (sub["source"] == src).all()
 
-    raw = read_store(out, decode=False).to_pandas()
-    assert "blob" in raw.columns and len(raw) == len(full)
+
+@pytest.fixture(scope="module")
+def small_store(ray_session, tmp_path_factory):
+    """A 4-bucket store and its decoded rows, read while it is clean."""
+    from wavelet_decomposition_ray.sources.store import read_store
+
+    out = _build(synth.ensure_sequences(SF),
+                 str(tmp_path_factory.mktemp("reader") / "store"), 4)
+    return out, read_store(out).to_pandas()
+
+
+@pytest.mark.parametrize("state", ["row_removed", "tmp_leftover", "file_missing"])
+def test_read_store_reads_only_committed_files(small_store, tmp_path, state):
+    """read_store reads exactly the files the manifest commits, in each
+    state a crash or a refresh can leave under ``data/``:
+
+    * ``row_removed``: bucket 2's row is gone and its data file is not —
+      the state between the two removals of ``invalidate_buckets``, and
+      after a crash between the data rename and the row write of
+      ``write_bucket_table``;
+    * ``tmp_leftover``: a ``data/bucket=00003.parquet.tmp`` copy of bucket
+      1, what a crash before ``os.replace`` leaves;
+    * ``file_missing``: bucket 2's row names a file that is gone, which
+      raises ``FileNotFoundError`` naming the bucket.
+
+    In the first two, the rows read are exactly the committed rows: their
+    count is the sum of the committed ``n_rows`` and their doc ids are the
+    clean store's ids of the committed buckets."""
+    import shutil
+
+    from wavelet_decomposition_ray.sources.store import read_store
+
+    clean, full = small_store
+    out = str(tmp_path / "store")
+    shutil.copytree(clean, out)
+    rows = {r["bucket"]: r for r in mf.read_manifest(out)}
+    assert rows[1]["file"] and rows[2]["file"]
+    if state == "row_removed":
+        os.remove(os.path.join(mf.manifest_dir(out), "bucket-00002.json"))
+        del rows[2]
+    elif state == "tmp_leftover":
+        shutil.copy(os.path.join(out, rows[1]["file"]),
+                    os.path.join(out, "data", "bucket=00003.parquet.tmp"))
+    else:
+        os.remove(os.path.join(out, rows[2]["file"]))
+        with pytest.raises(FileNotFoundError, match="bucket 2 "):
+            read_store(out)
+        return
+
+    got = read_store(out).to_pandas()
+    assert len(got) == sum(r["n_rows"] for r in rows.values())
+    ids = full["doc_id"].drop_duplicates()
+    committed = ids[pd.Series(mf.bucket_of_ids(ids.tolist(), 4), index=ids.index)
+                    .isin(list(rows))]
+    assert set(got["doc_id"]) == set(committed)
+
+
+def test_only_the_store_reader_opens_data_dir():
+    """No module of the package, nothing in ``jobs/`` and not ``bench.py``
+    opens a store's ``data/`` directory: none of them spells a path under
+    ``data/`` (a ``"data"`` path segment or a ``"data/..."`` string), save
+    ``state/manifest.py``, which names each bucket's file as it writes it.
+    So every reader reads the store through ``sources/store.read_store``,
+    which takes its file list from the manifest rows.  ``perfbench/`` is
+    left out: it is the benchmark's own harness, and its traced run reads
+    ``data/`` on purpose, as the reference ``read_store`` is checked
+    against."""
+    import ast
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    pkg = os.path.join(root, "wavelet_decomposition_ray")
+    paths = [os.path.join(root, "bench.py")]
+    paths += [os.path.join(root, "jobs", f)
+              for f in sorted(os.listdir(os.path.join(root, "jobs")))]
+    paths += [os.path.join(d, f) for d, _, fs in os.walk(pkg) for f in fs]
+    writer = os.path.join(pkg, "state", "manifest.py")
+    spelled = []
+    for path in paths:
+        if not path.endswith(".py") or path == writer:
+            continue
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        spelled += [f"{os.path.relpath(path, root)}:{n.lineno}"
+                    for n in ast.walk(tree)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and (n.value == "data" or n.value.startswith("data/"))]
+    assert not spelled, spelled
 
 
 def test_compact_store_byte_identical_to_fresh_build(ray_session, tmp_path):

@@ -486,13 +486,17 @@ def dod_decode(data: bytes, count: int) -> np.ndarray:
 
     The stream is viewed as 64-bit big-endian words; every field
     is extracted with a constant-cost two-word peek (no per-bit loop), and
-    the 4-bit control prefix is classified in one peek.
+    the 4-bit control prefix is classified in one peek.  Raises
+    ``ValueError`` when the cursor passes the stream's end before ``count``
+    values are read.
     """
     out = np.empty(count, dtype=np.int64)
     if count == 0:
         return out
-    # pad to a whole number of words + one guard word for the 2-word peek
-    n_words = (len(data) + 7) // 8 + 1
+    # pad to a whole number of words + two guard words: a 2-word peek of a
+    # 64-bit payload may start just past the stream's end
+    n_words = (len(data) + 7) // 8 + 2
+    end = 8 * len(data)
     words = np.frombuffer(data.ljust(n_words * 8, b"\0"), dtype=">u8").astype(
         np.uint64
     ).tolist()
@@ -506,6 +510,9 @@ def dod_decode(data: bytes, count: int) -> np.ndarray:
 
     first = peek(0, 64)
     pos = 64
+    if pos > end:
+        raise ValueError(f"DoD stream of {len(data)} bytes ends before "
+                         "its first value")
     if first >= 1 << 63:
         first -= 1 << 64
     out[0] = first
@@ -536,6 +543,9 @@ def dod_decode(data: bytes, count: int) -> np.ndarray:
             pos += 68
             if dod >= wrap:
                 dod -= full
+        if pos > end:
+            raise ValueError(f"DoD stream of {len(data)} bytes ends before "
+                             f"value {i} of {count}")
         # int64 wraparound semantics (encode computes deltas with numpy int64)
         delta = (delta + dod) & mask64
         cur = (cur + delta) & mask64

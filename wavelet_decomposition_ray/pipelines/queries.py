@@ -80,17 +80,7 @@ def _rollup_sql(tier: int) -> str:
 
 def q_source_stats(sf_dir: str) -> "ray.data.Dataset":
     """Per-(source, tier) window aggregates straight from raw tokens — the reference's stacked-signal report (A1) as one partial+final groupby."""
-    rolled = rp.rollup_dataset(_seq_ds(sf_dir), bank="haar", n_tiers=10,
-                               verify=False, batch_size=256)
-    agg = rp.source_tier_aggregate(rolled)
-    return agg.map_batches(
-        lambda t: t.set_column(
-            t.column_names.index("tier"),
-            "tier",
-            pc.cast(t["tier"], pa.int8()),
-        ),
-        batch_format="pyarrow",
-    )
+    return _source_stats_ds(_seq_ds(sf_dir), 10)
 
 
 SOURCE_STATS_SQL = (
@@ -115,13 +105,7 @@ SOURCE_STATS_SQL = (
 def _source_stats_ds(ds: "ray.data.Dataset", n_tiers: int) -> "ray.data.Dataset":
     rolled = rp.rollup_dataset(ds, bank="haar", n_tiers=n_tiers, verify=False,
                                batch_size=256)
-    agg = rp.source_tier_aggregate(rolled)
-    return agg.map_batches(
-        lambda t: t.set_column(
-            t.column_names.index("tier"), "tier", pc.cast(t["tier"], pa.int8())
-        ),
-        batch_format="pyarrow",
-    )
+    return rp.source_tier_aggregate(rolled)
 
 
 def q_source_stats_subset(sf_dir: str) -> "ray.data.Dataset":
@@ -2479,22 +2463,16 @@ def _ensure_store(sf_dir: str) -> str:
     lin_path = os.path.join(out, "lineage.json")
     if os.path.isfile(lin_path):
         import json
+        import shutil
+
+        from ..state.metrics import input_files
 
         try:
-            lin = json.load(open(lin_path))
-            cur = {
-                f: (os.path.getsize(os.path.join(seq, f)),
-                    int(os.path.getmtime(os.path.join(seq, f))))
-                for f in sorted(os.listdir(seq))
-            }
-            rec = {r["file"]: (r["bytes"], r["mtime"]) for r in lin["input_files"]}
-            if rec != cur:
-                import shutil
-
-                shutil.rmtree(out, ignore_errors=True)
+            with open(lin_path) as fh:
+                fresh = json.load(fh)["input_files"] == input_files(seq)
         except (ValueError, KeyError, OSError):
-            import shutil
-
+            fresh = False
+        if not fresh:
             shutil.rmtree(out, ignore_errors=True)
     rp.run_rollup_job(seq, out, bank="haar", n_tiers=10, n_buckets=16,
                       resume=True, verify=False, batch_size=256)
@@ -2511,13 +2489,7 @@ def q_store_stats(sf_dir: str) -> "ray.data.Dataset":
     from ..sources.store import read_store
 
     out = _ensure_store(sf_dir)
-    agg = rp.source_tier_aggregate(read_store(out))
-    return agg.map_batches(
-        lambda t: t.set_column(
-            t.column_names.index("tier"), "tier", pc.cast(t["tier"], pa.int8())
-        ),
-        batch_format="pyarrow",
-    )
+    return rp.source_tier_aggregate(read_store(out))
 
 
 STORE_TIER = 3
@@ -2532,13 +2504,7 @@ def q_store_tier(sf_dir: str) -> "ray.data.Dataset":
     from ..sources.store import read_store
 
     out = _ensure_store(sf_dir)
-    agg = rp.source_tier_aggregate(read_store(out, tiers=[STORE_TIER]))
-    return agg.map_batches(
-        lambda t: t.set_column(
-            t.column_names.index("tier"), "tier", pc.cast(t["tier"], pa.int8())
-        ),
-        batch_format="pyarrow",
-    )
+    return rp.source_tier_aggregate(read_store(out, tiers=[STORE_TIER]))
 
 
 STORE_TIER_SQL = (
@@ -5394,7 +5360,7 @@ def q_store_refresh(sf_dir: str) -> "ray.data.Dataset":
     import shutil
 
     from ..functions.dedup import _stable_u64
-    from ..stages.encode import decode_blocks_batch
+    from ..sources.store import read_store
 
     seq = synth.ensure_sequences(sf_dir)
     sf_name = os.path.basename(os.path.normpath(sf_dir))
@@ -5424,16 +5390,7 @@ def q_store_refresh(sf_dir: str) -> "ray.data.Dataset":
         "refresh detected no changed buckets after an append"
     )
 
-    decoded = ray.data.read_parquet(os.path.join(store, "data")).map_batches(
-        decode_blocks_batch, batch_format="pyarrow", batch_size=2048
-    )
-    agg = rp.source_tier_aggregate(decoded)
-    return agg.map_batches(
-        lambda t: t.set_column(
-            t.column_names.index("tier"), "tier", pc.cast(t["tier"], pa.int8())
-        ),
-        batch_format="pyarrow",
-    )
+    return rp.source_tier_aggregate(read_store(store))
 
 
 # --------------------------------------------------------------------------

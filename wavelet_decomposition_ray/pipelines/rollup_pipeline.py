@@ -148,16 +148,23 @@ class RoundTripCheck:
 def source_tier_aggregate(rollup_ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Per-(source, tier) global stats via partial+final: batch-local
     combiners (one row per key per batch) then the small groupby shuffle —
-    the reference's stack+calc_epn path (SURVEY.md §2.5 A1/A2)."""
-    from ray.data.aggregate import Count, Max, Min, Sum
+    the reference's stack+calc_epn path (SURVEY.md §2.5 A1/A2).  ``tier``
+    comes back as int8, the store's and the SQL oracles' type."""
+    import pyarrow.compute as pc
+    from ray.data.aggregate import Max, Min, Sum
 
     partials = rollup_ds.map_batches(source_partials_batch, batch_format="pyarrow")
-    return partials.groupby(["source", "tier"]).aggregate(
+    agg = partials.groupby(["source", "tier"]).aggregate(
         Min("pmin", alias_name="min_val"),
         Max("pmax", alias_name="max_val"),
         Sum("psum", alias_name="total_sum"),
         Sum("pcount", alias_name="n_points"),
         Sum("pwindows", alias_name="n_windows"),
+    )
+    return agg.map_batches(
+        lambda t: t.set_column(t.column_names.index("tier"), "tier",
+                               pc.cast(t["tier"], pa.int8())),
+        batch_format="pyarrow",
     )
 
 

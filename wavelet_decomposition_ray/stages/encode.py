@@ -191,18 +191,17 @@ def _tile(col, n: int) -> pa.ChunkedArray:
     return pa.chunked_array(chunks * n, type=col.type)
 
 
-def decode_blobs(arr) -> dict[str, np.ndarray]:
-    """Decode a whole Arrow binary column of framed blobs with the native
-    decoder.  Every header parses as one gather over the column's values
-    buffer, and the kernel reads all 3·N streams in place (one guarded copy
-    of the batch's byte range, nothing per blob).
+def blob_headers(arr):
+    """Check every framed blob's 28-byte header against its bytes, in
+    numpy, before any stream is read: the blob is at least 28 bytes, starts
+    with :data:`MAGIC`, its three streams tile it (``28 + l0 + l1 + l2``
+    equals its length) and each stream has room for its ``n`` values (the
+    first takes 64 bits, every later one at least 1 bit).  Any failure
+    raises ``ValueError`` naming the blob.
 
-    Returns flat ``wmin`` / ``wmax`` / ``wsum`` (int64), ``wcount`` (int32)
-    and ``offsets`` (int64, N + 1): blob j's windows are
-    ``offsets[j] : offsets[j + 1]`` of each flat array.  A header that does
-    not match its blob's bytes raises ``ValueError`` before any stream is
-    read, and so does a stream that ends before its header's count.
-    """
+    Returns ``(base, off, ns, ws, lasts, lens)``: the batch's bytes with a
+    16-byte zero guard, each blob's offset into them (N + 1), the header's
+    ``n`` / ``w`` / ``last`` (N each) and its stream byte lengths (N, 3)."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     nb = len(arr)
@@ -232,8 +231,6 @@ def decode_blobs(arr) -> dict[str, np.ndarray]:
     u32 = heads[:, 4:28].copy().view("<u4").astype(np.int64)
     ns, ws, lasts = u32[:, 0], u32[:, 1], u32[:, 2]
     lens = np.ascontiguousarray(u32[:, 3:6])  # wmin, wmax, wsum bytes
-    # the three streams must tile the blob, and each must have room for its
-    # n values: the first takes 64 bits, every later one at least 1 bit
     n_col = ns[:, None]
     fits = np.where(n_col == 0, lens == 0, n_col <= 8 * lens - 63)
     ok = (28 + lens.sum(axis=1) == size) & fits.all(axis=1)
@@ -242,7 +239,24 @@ def decode_blobs(arr) -> dict[str, np.ndarray]:
         raise ValueError(f"blob {j}: header (n={ns[j]}, stream bytes "
                          f"{lens[j].tolist()}) does not match its "
                          f"{size[j]} bytes")
+    return base, off, ns, ws, lasts, lens
 
+
+def decode_blobs(arr) -> dict[str, np.ndarray]:
+    """Decode a whole Arrow binary column of framed blobs with the native
+    decoder.  Every header parses as one gather over the column's values
+    buffer (:func:`blob_headers`, which raises ``ValueError`` on a header
+    that does not match its blob's bytes), and the kernel reads all 3·N
+    streams in place (one guarded copy of the batch's byte range, nothing
+    per blob).
+
+    Returns flat ``wmin`` / ``wmax`` / ``wsum`` (int64), ``wcount`` (int32)
+    and ``offsets`` (int64, N + 1): blob j's windows are
+    ``offsets[j] : offsets[j + 1]`` of each flat array.  A stream that ends
+    before its header's count raises ``ValueError`` too.
+    """
+    base, off, ns, ws, lasts, lens = blob_headers(arr)
+    nb = len(ns)
     offsets = np.zeros(nb + 1, dtype=np.int64)
     np.cumsum(ns, out=offsets[1:])
     total = int(offsets[-1])
@@ -292,6 +306,7 @@ def decode_blocks_batch(batch: pa.Table) -> pa.Table:
     from ..functions.listops import numpy_to_list
 
     if native.decoder() is None:
+        blob_headers(batch["blob"])  # the reference trusts its header
         dec = _decode_reference(batch["blob"])
     else:
         dec = decode_blobs(batch["blob"])

@@ -61,16 +61,15 @@ def _source_files(src_dir: str) -> tuple[list[str], dict]:
         with open(lin) as fh:
             config = json.load(fh)["config"]
     n = int(config.get("n_buckets", len(rows)))
-    have = frozenset(int(r["bucket"]) for r in rows if r.get("file") is None
-                     or os.path.isfile(os.path.join(src_dir, r["file"])))
+    files = [(b, p) for b, p in mf.data_files(src_dir, rows) if os.path.isfile(p)]
+    have = frozenset(int(r["bucket"]) for r in rows if r.get("file") is None)
+    have |= {b for b, _ in files}
     if have != frozenset(range(n)):
         raise ValueError(
             f"source store {src_dir} is incomplete: its committed buckets "
             f"differ from range({n}) at {sorted(have ^ set(range(n)))}; "
             "resume it before compacting")
-    files = [os.path.join(src_dir, r["file"]) for r in rows
-             if int(r["bucket"]) in have and r.get("file")]
-    return files, config
+    return [p for _, p in files], config
 
 
 def compact_store(src_dir: str, dst_dir: str, n_buckets: int) -> dict:

@@ -80,6 +80,19 @@ def completed_buckets(out_dir: str, rows=None) -> frozenset[int]:
     )
 
 
+def data_files(out_dir: str, rows=None) -> list[tuple[int, str]]:
+    """(bucket, path) of the data file each manifest row names, in bucket
+    order: the store's bytes are exactly these files.  A file under
+    ``data/`` that no row names (a bucket mid-invalidation, a crash before
+    its row was written, a leftover ``.tmp``) is not part of the store.
+    ``rows`` are :func:`read_manifest`'s, when the caller already holds
+    them; whether each file exists is left to the caller."""
+    if rows is None:
+        rows = read_manifest(out_dir)
+    return sorted((int(r["bucket"]), os.path.join(out_dir, r["file"]))
+                  for r in rows if r.get("file"))
+
+
 def mark_empty_buckets(out_dir: str, n_buckets: int) -> list[dict]:
     """After a successful run, record buckets that own no rows (no group
     ever reached the writer) as explicitly-empty partitions, so resume
