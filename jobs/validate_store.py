@@ -3,7 +3,9 @@
     python jobs/validate_store.py --store /tmp/store_dir
 
 Exit code 0 iff every bucket passes (checksum, row count, blob decode,
-window count, doc fingerprint, manifest-row partials). One JSON summary line.
+window count, doc fingerprint, manifest-row partials), every bucket of the
+store's lineage is committed and no file in its data directory goes unnamed
+by a manifest row. One JSON summary line.
 """
 
 from __future__ import annotations

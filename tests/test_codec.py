@@ -6,6 +6,8 @@ same bytes and values."""
 
 import ast
 import os
+import re
+import struct
 import subprocess
 import sys
 
@@ -196,6 +198,31 @@ def test_every_native_kernel_loads_with_a_compiler():
     assert sorted(native._load()) == sorted(native._SIGS)
 
 
+def test_sigs_name_every_exported_kernel():
+    """``native._SIGS`` lists exactly the non-static functions ``dod.c``
+    defines: a signature whose symbol is gone would make ``_load`` drop
+    every kernel (all-or-nothing), and an exported kernel without one
+    could never be called.  With a compiler, every handle loads."""
+    with open(os.path.join(ROOT, "wavelet_decomposition_ray", "native",
+                           "dod.c")) as f:
+        src = f.read()
+    # macros that expand to a static storage class count as static
+    static = {"static"} | set(re.findall(r"^#define\s+(\w+)\s+static\b",
+                                         src, re.M))
+    defined = set()
+    for m in re.finditer(r"^([A-Za-z_][\w \t*]*?)\b(\w+)\s*\([^;]*?\)\s*\{",
+                         src, re.M | re.S):
+        if not static & set(re.findall(r"\w+", m.group(1))):
+            defined.add(m.group(2))
+    assert defined == set(native._SIGS)
+    import shutil
+
+    if any(shutil.which(c) for c in ("cc", "gcc", "clang")):
+        for name in ("encoder", "decoder", "gather", "tier_tree",
+                     "dwt_cascade"):
+            assert getattr(native, name)() is not None, name
+
+
 def test_cached_library_loads_without_compiler(monkeypatch):
     """A worker with the library already built but no compiler on PATH
     loads every kernel from the cache instead of running the fallbacks."""
@@ -236,43 +263,41 @@ def test_decode_rollup_blocks_arrow_chunked_and_empty():
     assert len(empty["offsets"]) == 1 and empty["offsets"][0] == 0
 
 
+def _tier1_streams(blocks):
+    """Encode each int64 block as a row of ``np.repeat(block, 2)`` tokens
+    through ``RollupEncode(n_tiers=1)``: tier-1 ``wmin`` and ``wmax`` are
+    then the block itself.  Returns each blob's (wmin, wmax) stream bytes
+    and the blobs."""
+    toks = [np.repeat(np.asarray(b, dtype=np.int64), 2) for b in blocks]
+    batch = pa.table({
+        "doc_id": [f"d{i}" for i in range(len(toks))],
+        "source": ["s"] * len(toks),
+        "tokens": pa.array(toks, type=pa.list_(pa.int64())),
+    })
+    blobs = es.RollupEncode(n_tiers=1)(batch)["blob"].to_pylist()
+    streams = []
+    for blob in blobs:
+        l0, l1, _ = struct.unpack_from("<3I", blob, 16)
+        streams.append((blob[28:28 + l0], blob[28 + l0:28 + l0 + l1]))
+    return streams, blobs
+
+
 @needs_native
 def test_encode_streams_matches_scalar():
-    """encode_streams (native) == oracle.dod_encode for every block, on
-    adversarial blocks (empty, len-1, extreme int64, wraparound dods)."""
+    """The native encoder's streams == oracle.dod_encode for every block,
+    on adversarial blocks (len-1, extreme int64, wraparound dods, 32-bit
+    dods), each fed through RollupEncode as tier-1 min and max."""
     rng = np.random.default_rng(41)
-    vals = [_adversarial(rng, t % 5, int(rng.integers(0, 300)))
+    vals = [_adversarial(rng, t % 5, int(rng.integers(1, 300)))
             for t in range(120)]
-    vals += [np.zeros(0, np.int64), np.array([-(2**63)], np.int64)]
-    flat = np.concatenate(vals)
-    off = np.concatenate([[0], np.cumsum([len(v) for v in vals])]).astype(np.int64)
-    buf, starts, lens = es.encode_streams(flat, off)
-    got = [bytes(buf[s:s + l]) for s, l in zip(starts, lens)]
-    assert got == [oc.dod_encode(v) for v in vals]
-
-
-@needs_native
-def test_frame_blob_column_matches_scalar_framing():
-    """_frame_blob_column == per-row encode_rollup_block."""
-    rng = np.random.default_rng(53)
-    tiers = []
-    for d in range(40):
-        t = rng.integers(-(1 << 40), 1 << 40, int(rng.integers(1, 150))).astype(np.int64)
-        tiers.append(oc.rollup_tier(t, 1 << (d % 4 + 1)))
-    want = [oc.encode_rollup_block(tv) for tv in tiers]
-    n_win = np.array([len(tv["wmin"]) for tv in tiers], np.int64)
-    w_arr = np.array([tv["wcount"][0] for tv in tiers], np.int64)
-    last_arr = np.array([tv["wcount"][-1] for tv in tiers], np.int64)
-    offs = np.concatenate([[0], np.cumsum(n_win)]).astype(np.int64)
-    streams = [
-        es.encode_streams(
-            np.concatenate([tv[k].astype(np.int64) for tv in tiers]), offs
-        )
-        for k in ("wmin", "wmax", "wsum")
-    ]
-    arr, nbytes = es._frame_blob_column(n_win, w_arr, last_arr, streams)
-    assert arr.to_pylist() == want
-    np.testing.assert_array_equal(nbytes, [len(b) for b in want])
+    vals.append(np.array([-(2**63)], np.int64))
+    vals.append(np.cumsum(rng.integers(-(2**30), 2**30, 257)))
+    streams, blobs = _tier1_streams(vals)
+    for j, v in enumerate(vals):
+        want = oc.dod_encode(v)
+        assert streams[j] == (want, want), j
+        tokens = np.repeat(v, 2)
+        assert blobs[j] == oc.encode_rollup_block(oc.rollup_tier(tokens, 2)), j
 
 
 @needs_native

@@ -192,6 +192,8 @@ def test_metrics_and_lineage_written(seq_dir, tmp_path):
     assert _encode_row(out, verify=True)["tasks"] == 4
     for s in m["per_stage"][:-1]:
         assert s["tasks"] == 4 and s["task_wall_total_s"] > 0, s
+        # and each layer's CPU seconds on the task's own thread
+        assert s["task_cpu_total_s"] > 0, s
     # finalize reports its own last row: min(4 CPUs, 4 buckets) tasks, the
     # buckets they committed and the committed rows' seconds
     fin = m["per_stage"][-1]

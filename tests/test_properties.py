@@ -2,6 +2,8 @@
 equality for arbitrary lengths/values, aggregate-tree consistency, codec
 identity — hypothesis-generated inputs rather than fixed seeds."""
 
+import struct
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -88,21 +90,87 @@ def test_dod_decode_streams_property(blocks):
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
-        st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=0,
+        st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=1,
                  max_size=80),
         min_size=1,
         max_size=12,
     )
 )
 def test_dod_encode_blocks_matches_scalar_property(blocks):
-    """The native stream encoder is byte-identical to the scalar reference
-    for every block, empty blocks included."""
+    """The native encoder's streams are byte-identical to the scalar
+    reference for every block: each block is a row of
+    ``np.repeat(block, 2)`` int64 tokens, so its tier-1 min and max
+    streams are the block itself."""
     vals = [np.array(b, dtype=np.int64) for b in blocks]
-    flat = np.concatenate(vals)
-    off = np.concatenate([[0], np.cumsum([len(b) for b in blocks])]).astype(np.int64)
-    buf, starts, lens = es.encode_streams(flat, off)
+    batch = pa.table({
+        "doc_id": [f"d{i}" for i in range(len(vals))],
+        "source": ["s"] * len(vals),
+        "tokens": pa.array([np.repeat(v, 2) for v in vals],
+                           type=pa.list_(pa.int64())),
+    })
+    blobs = es.RollupEncode(n_tiers=1)(batch)["blob"].to_pylist()
     for j, v in enumerate(vals):
-        assert bytes(buf[starts[j]:starts[j] + lens[j]]) == oc.dod_encode(v), j
+        want = oc.dod_encode(v)
+        l0, l1, _ = struct.unpack_from("<3I", blobs[j], 16)
+        assert blobs[j][28:28 + l0] == want, j
+        assert blobs[j][28 + l0:28 + l0 + l1] == want, j
+
+
+def _row_tokens(length, kind, seed, dtype):
+    """One row of ``length`` tokens aimed at one corner of the codec:
+    full-range values (sums wrap, 64-bit escape codes), alternating dtype
+    extremes, a small-step walk or a constant."""
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(seed)
+    if kind == "full":
+        return rng.integers(info.min, info.max, length, dtype=dtype,
+                            endpoint=True)
+    if kind == "extremes":
+        return rng.choice(np.array([info.min, info.max], dtype=dtype), length)
+    if kind == "walk":
+        return np.cumsum(rng.integers(-40, 41, length)).astype(dtype)
+    return np.full(length, info.max, dtype=dtype)
+
+
+_row_len_st = st.one_of(
+    st.integers(1, 40),
+    st.builds(lambda k, d: max(1, 2**k + d), st.integers(1, 9),
+              st.sampled_from([-1, 0, 1])),
+)
+
+
+@needs_native
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([np.int32, np.int64]),
+    st.integers(1, 30),
+    st.lists(
+        st.tuples(_row_len_st,
+                  st.sampled_from(["full", "extremes", "walk", "const"]),
+                  st.integers(0, 2**32 - 1)),
+        max_size=6,
+    ),
+)
+def test_rollup_encode_matches_oracle_property(dtype, n_tiers, rows):
+    """RollupEncode's fused kernel == the per-row scalar reference: blob
+    (tier t, row r) is ``oracle.encode_rollup_block(oracle.rollup_tier(
+    row, 2**t))``, in tier-major order, for int32 and int64 tokens, rows of
+    length 1 and 2**k +- 1, every tier count 1..30 and extreme values (a
+    batch with no rows too)."""
+    toks = [_row_tokens(n, kind, seed, dtype) for n, kind, seed in rows]
+    batch = pa.table({
+        "doc_id": [f"d{i}" for i in range(len(toks))],
+        "source": ["s"] * len(toks),
+        "tokens": pa.array(toks, type=pa.list_(pa.from_numpy_dtype(dtype))),
+    })
+    enc = es.RollupEncode(n_tiers=n_tiers)(batch)
+    want = [oc.encode_rollup_block(oc.rollup_tier(t, 1 << tier))
+            for tier in range(1, n_tiers + 1) for t in toks]
+    assert enc["blob"].to_pylist() == want
+    assert enc["nbytes"].to_pylist() == [len(b) for b in want]
+    assert enc["n_windows"].to_pylist() == [
+        -(-len(t) // (1 << tier)) for tier in range(1, n_tiers + 1)
+        for t in toks]
 
 
 @settings(max_examples=40, deadline=None)

@@ -363,6 +363,34 @@ def test_validate_store_detects_corruption(ray_session, tmp_path):
     assert validate_store(out)["ok"]
 
 
+def test_validate_store_reports_incomplete_store(small_store, tmp_path):
+    """fsck checks the store as a whole, not only the rows it finds: with
+    bucket 2's manifest row removed (lineage ``n_buckets`` 4) and a
+    ``bucket=00003.parquet.tmp`` copy of bucket 1 left under ``data/``,
+    it reports ``ok: False`` with the missing bucket and both files no row
+    names."""
+    import shutil
+
+    from wavelet_decomposition_ray.state.validate import validate_store
+
+    clean, _ = small_store
+    out = str(tmp_path / "store")
+    shutil.copytree(clean, out)
+    rows = {r["bucket"]: r for r in mf.read_manifest(out)}
+    os.remove(os.path.join(mf.manifest_dir(out), "bucket-00002.json"))
+    shutil.copy(os.path.join(out, rows[1]["file"]),
+                os.path.join(out, "data", "bucket=00003.parquet.tmp"))
+
+    res = validate_store(out)
+    assert not res["ok"]
+    assert res["buckets"] == 3
+    errs = res["errors"]
+    assert any("incomplete" in e and "range(4) at [2]" in e for e in errs), errs
+    unnamed = sorted(e.split(":")[0] for e in errs if "named by no" in e)
+    assert unnamed == [rows[2]["file"], "data/bucket=00003.parquet.tmp"], errs
+    assert len(errs) == 3, errs
+
+
 def test_read_store_api(ray_session, tmp_path):
     """sources.store.read_store: decoded rows carry every tier and the
     rollup lists, and tier/source predicates prune correctly."""

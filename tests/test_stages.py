@@ -187,20 +187,49 @@ def _oracle_blobs(rolled: pa.Table) -> list[bytes]:
 
 
 def test_rollup_encode_matches_rollup_then_encoder(batch, monkeypatch):
-    """RollupEncode (native and numpy tier tree) == TierRollup's rows, each
+    """RollupEncode (the fused native kernel, and the no-compiler path
+    through tier_tree and the oracle's framing) == TierRollup's rows, each
     blob byte for byte the per-row oracle encoding of its lists."""
     from wavelet_decomposition_ray import native
 
     rolled = TierRollup(6)(batch)
     want = _oracle_blobs(rolled)
     got = RollupEncode(n_tiers=6)(batch)
-    monkeypatch.setattr(native, "tier_tree", lambda: None)
+    monkeypatch.setattr(native, "encoder", lambda: None)
     got_np = RollupEncode(n_tiers=6)(batch)
     for enc in (got, got_np):
         for c in ("doc_id", "source", "tier", "n_windows"):
             assert enc[c].to_pylist() == rolled[c].to_pylist(), c
         assert enc["blob"].to_pylist() == want
         assert enc["nbytes"].to_pylist() == [len(b) for b in want]
+
+
+@pytest.mark.parametrize("fused", [True, False])
+def test_rollup_encode_empty_batch_and_empty_row(fused, monkeypatch):
+    """A batch with no rows encodes to an empty table of the usual columns,
+    and a row with no tokens or a tier count outside 1..30 raises
+    ValueError, on the fused native kernel and on the no-compiler path
+    alike."""
+    from wavelet_decomposition_ray import native
+
+    if not fused:
+        monkeypatch.setattr(native, "encoder", lambda: None)
+    typ = pa.list_(pa.int32())
+    none = pa.table({"doc_id": pa.array([], pa.string()),
+                     "source": pa.array([], pa.string()),
+                     "tokens": pa.array([], typ)})
+    out = RollupEncode(n_tiers=3)(none)
+    assert out.num_rows == 0
+    assert out.column_names == ["doc_id", "source", "tier", "n_windows",
+                                "blob", "nbytes", "bits_per_point"]
+    assert out["blob"].type == pa.binary()
+    empty = pa.table({"doc_id": ["a", "b"], "source": ["s", "s"],
+                      "tokens": pa.array([[1, 2, 3], []], typ)})
+    with pytest.raises(ValueError):
+        RollupEncode(n_tiers=3)(empty)
+    for bad in (0, 31):
+        with pytest.raises(ValueError):
+            RollupEncode(n_tiers=bad)
 
 
 def test_slice_name_depends_only_on_doc_ids_and_tiers():
@@ -260,8 +289,8 @@ def test_explode_rollup(batch):
 
 def test_encoder_roundtrip(batch, monkeypatch):
     """RollupEncode's blobs decode to TierRollup's lists and equal the
-    per-row oracle encoding, with and without the native tier tree; the
-    encoding is deterministic (resume invariant)."""
+    per-row oracle encoding, with and without the fused native kernel;
+    the encoding is deterministic (resume invariant)."""
     from wavelet_decomposition_ray import native
 
     rolled = TierRollup(5)(batch)
@@ -277,7 +306,7 @@ def test_encoder_roundtrip(batch, monkeypatch):
         np.testing.assert_array_equal(ao, bo)
     # deterministic encoding (resume invariant)
     assert RollupEncode(n_tiers=5)(batch)["blob"].to_pylist() == want
-    monkeypatch.setattr(native, "tier_tree", lambda: None)
+    monkeypatch.setattr(native, "encoder", lambda: None)
     assert RollupEncode(n_tiers=5)(batch)["blob"].to_pylist() == want
 
 

@@ -7,10 +7,14 @@ rename, so concurrent Ray workers race safely).  Every caller must handle
 a handle of None — machines without a C compiler fall back to a Python
 path (property tests pin C == Python bit-for-bit):
 
-- ``decoder()`` / ``encoder()`` / ``gather()``: the DoD codec, called only
-  from ``stages/encode.py``; fallback the scalar reference codec in
+- ``encoder()``: the fused encode kernel — per row, every rollup tier
+  folded, delta-of-delta encoded and framed as its ``GRB2`` blob in one
+  pass; ``decoder()``: the DoD stream decoder; ``gather()``: a segmented
+  copy that puts the blobs in column order.  Called only from
+  ``stages/encode.py``; fallback the scalar reference codec in
   ``oracle.py``, one block at a time;
-- ``tier_tree()``: the rollup tiers, fallback the reduceat ladder in
+- ``tier_tree()``: the rollup tiers as flat streams (``TierRollup`` and the
+  encoder's fallback), fallback the reduceat ladder in
   ``stages/rollup.py``;
 - ``dwt_cascade()``: forward + inverse DWT with the round-trip verdict,
   fallback the grouped numpy pyramid in ``stages/dwt.py``.
@@ -83,8 +87,9 @@ def _compile() -> str | None:
 _SIGS = {
     # base, byte_off, byte_len, counts, out_off, n_streams, out
     "dod_decode_streams_c": [ctypes.c_void_p] * 5 + [ctypes.c_int64, ctypes.c_void_p],
-    # vals, val_off, n_streams, out, cap_off, nbytes
-    "dod_encode_streams_c": [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 3,
+    # vals, val_off, is64, n_rows, n_tiers, work, out, blob_start, blob_len
+    "rollup_encode_c": [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3
+    + [ctypes.c_void_p] * 4,
     # src, src_off, lens, dst, dst_off, n
     "gather_segments_c": [ctypes.c_void_p] * 5 + [ctypes.c_int64],
     # vals, val_off, is64, n_rows, n_tiers, out_off, wmin, wmax, wsum, wcnt
@@ -127,8 +132,8 @@ def decoder():
 
 
 def encoder():
-    """ctypes handle of ``dod_encode_streams_c`` or None (no compiler)."""
-    return _load().get("dod_encode_streams_c")
+    """ctypes handle of ``rollup_encode_c`` or None (no compiler)."""
+    return _load().get("rollup_encode_c")
 
 
 def gather():

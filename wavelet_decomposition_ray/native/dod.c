@@ -1,19 +1,22 @@
-/* Scalar delta-of-delta stream decoder, C twin of the Python reference
- * (oracle.py dod_decode).  Bit-exact: uint64 arithmetic is the same
- * mod-2^64 semantics the Python reference uses, and words are big-endian
- * in the stream buffer (bswap on load).
+/* Native kernels of the store: the delta-of-delta stream decoder, the
+ * one-pass rollup tier tree, the fused tier tree + DoD encoder + blob
+ * framing, and the DWT cascade.  The codec kernels are C twins of the
+ * Python reference (oracle.py dod_encode / dod_decode /
+ * encode_rollup_block).  Bit-exact: uint64 arithmetic is the same mod-2^64
+ * semantics the Python reference uses, and words are big-endian in the
+ * stream buffer (bswap on load).
  *
  * Compiled at import time by native/__init__.py with plain `cc -O2
- * -shared -fPIC` and called through ctypes from stages/encode.py — no
- * Python headers, no build system.  Hosts with no compiler encode and
- * decode through the scalar reference in oracle.py instead.  One stream
- * decodes at a few ns/value here, which makes the store's read path
+ * -shared -fPIC` and called through ctypes from stages/ — no Python
+ * headers, no build system.  Hosts with no compiler encode and decode
+ * through the scalar reference in oracle.py instead.  One stream decodes
+ * at a few ns/value here, which makes the store's read path
  * compute-trivial relative to parquet IO.
  *
- * Layout contract: streams live anywhere in one shared byte buffer,
- * stream s starting at byte byte_off[s] and byte_len[s] bytes long;
- * decoded values land at out[out_off[s] .. out_off[s] + counts[s]).  The
- * caller guarantees at least 16 readable bytes past every stream's end
+ * Decoder layout contract: streams live anywhere in one shared byte
+ * buffer, stream s starting at byte byte_off[s] and byte_len[s] bytes
+ * long; decoded values land at out[out_off[s] .. out_off[s] + counts[s]).
+ * The caller guarantees at least 16 readable bytes past every stream's end
  * (inter-stream bytes count; only the physical end of the buffer needs a
  * guard).
  */
@@ -109,17 +112,37 @@ int64_t dod_decode_streams_c(const uint8_t *base, const int64_t *byte_off,
 
 typedef struct { uint8_t *p; uint64_t acc; int nbits; } BW;
 
-/* MSB-first bit writer; n <= 56 so acc never overflows (nbits < 8 between
- * calls).  64-bit payloads are written as two 32-bit halves. */
+/* MSB-first bit writer that stores 32 bits at a time.  n <= 32 and fewer
+ * than 32 bits are pending between calls, so acc never overflows; wider
+ * codes are written as several calls.  Bits above the pending ones are
+ * stale and never stored. */
 static inline void bw_put(BW *w, uint64_t v, int n) {
     w->acc = (w->acc << n) | (v & ((1ULL << n) - 1));
     w->nbits += n;
+    if (w->nbits >= 32) {
+        w->nbits -= 32;
+        uint32_t word = (uint32_t)(w->acc >> w->nbits);
+        w->p[0] = (uint8_t)(word >> 24);
+        w->p[1] = (uint8_t)(word >> 16);
+        w->p[2] = (uint8_t)(word >> 8);
+        w->p[3] = (uint8_t)word;
+        w->p += 4;
+    }
+}
+
+/* Store the pending bits, zero padded to a byte boundary. */
+static inline void bw_flush(BW *w) {
     while (w->nbits >= 8) {
         w->nbits -= 8;
         *w->p++ = (uint8_t)(w->acc >> w->nbits);
     }
+    if (w->nbits > 0)
+        *w->p++ = (uint8_t)(w->acc << (8 - w->nbits));
+    w->nbits = 0;
 }
 
+/* Encode v[0 .. n) at out; returns the byte length, at most
+ * 16 + 9 * (n - 1) for n >= 1. */
 static int64_t encode_one(const int64_t *v, int64_t n, uint8_t *out) {
     if (n <= 0)
         return 0;
@@ -134,40 +157,31 @@ static int64_t encode_one(const int64_t *v, int64_t n, uint8_t *out) {
         uint64_t ud = delta - prev_delta;
         prev_delta = delta;
         int64_t d = (int64_t)ud;
-        if (d == 0)
-            bw_put(&w, 0, 1);
-        else if (d >= -63 && d <= 64)
-            bw_put(&w, (2ULL << 7) | (uint64_t)(d + 63), 9);
-        else if (d >= -2047 && d <= 2048)
-            bw_put(&w, (6ULL << 12) | (uint64_t)(d + 2047), 15);
-        else if (d >= -(1LL << 31) + 1 && d <= (1LL << 31))
-            bw_put(&w, (14ULL << 32) | (uint64_t)(d + (1LL << 31) - 1), 36);
-        else {
+        if (ud + 2047 <= 4095) { /* -2047 <= d <= 2048 */
+            /* '0', '10' + 7 or '110' + 12, selected without a branch:
+             * the two short codes are about equally common on real
+             * series, so a branch between them mispredicts half the time */
+            int short7 = ud + 63 <= 127; /* -63 <= d <= 64 */
+            uint64_t code = short7 ? (2ULL << 7) | (ud + 63)
+                                   : (6ULL << 12) | (ud + 2047);
+            int len = short7 ? 9 : 15;
+            bw_put(&w, ud == 0 ? 0 : code, ud == 0 ? 1 : len);
+        } else if (d >= -(1LL << 31) + 1 && d <= (1LL << 31)) {
+            bw_put(&w, 14, 4);
+            bw_put(&w, (uint64_t)(d + (1LL << 31) - 1), 32);
+        } else {
             bw_put(&w, 15, 4);
             bw_put(&w, ud >> 32, 32);
             bw_put(&w, ud & 0xFFFFFFFFULL, 32);
         }
     }
-    if (w.nbits > 0)
-        *w.p++ = (uint8_t)(w.acc << (8 - w.nbits)); /* zero pad to byte */
+    bw_flush(&w);
     return (int64_t)(w.p - out);
 }
 
-/* Encode many independent streams from one flat int64 value array.  Stream
- * s holds vals[val_off[s] .. val_off[s+1]); its bytes land at
- * out + cap_off[s] (caller sizes capacity >= 16 + 9*(count-1) per stream);
- * actual byte length is returned in nbytes[s]. */
-void dod_encode_streams_c(const int64_t *vals, const int64_t *val_off,
-                          int64_t n_streams, uint8_t *out,
-                          const int64_t *cap_off, int64_t *nbytes) {
-    for (int64_t s = 0; s < n_streams; s++)
-        nbytes[s] = encode_one(vals + val_off[s], val_off[s + 1] - val_off[s],
-                               out + cap_off[s]);
-}
-
 /* Variable-length segmented memcpy: segment s is src[src_off[s] ..
- * src_off[s]+lens[s]) -> dst[dst_off[s] ..).  Used to splice encoded
- * streams into their final framed-blob positions without per-row Python. */
+ * src_off[s]+lens[s]) -> dst[dst_off[s] ..).  Used to put framed blobs in
+ * their final column order without per-row Python. */
 void gather_segments_c(const uint8_t *src, const int64_t *src_off,
                        const int64_t *lens, uint8_t *dst,
                        const int64_t *dst_off, int64_t n) {
@@ -177,57 +191,129 @@ void gather_segments_c(const uint8_t *src, const int64_t *src_off,
 
 /* ---------------- tier tree: all dyadic rollup tiers in one pass -------- */
 
-/* Min/max/sum/count of every tumbling window at widths 2, 4, ..., 2^n_tiers
- * for n_rows rows of raw tokens (row r is vals[val_off[r] .. val_off[r+1]),
- * int32 when is64 == 0, else int64).  Tier 1 folds raw pairs; tier t folds
- * pairs of tier t-1 windows, which are already in the output (exact:
- * dyadic windows nest).  Output is the tier-major stream layout the DoD
- * encoder takes: (tier t, row r) owns windows out_off[(t-1)*n_rows + r] ..
- * out_off[(t-1)*n_rows + r + 1), and the caller sizes out_off from
- * ceil(len / 2^t).  Sums wrap mod 2^64, matching numpy int64 adds. */
+/* Min/max/sum/count of every tumbling window at widths 2, 4, ...,
+ * 2^n_tiers of one row of n >= 1 raw tokens (v32 or v64, the other NULL).
+ * Tier 1 folds raw pairs; tier t folds pairs of tier t-1 windows, already
+ * in the output (exact: dyadic windows nest).  Tier t's ceil(n / 2^t)
+ * windows land at index at[(t-1) * stride] of each stat array.  Sums wrap
+ * mod 2^64, matching numpy int64 adds. */
+static void fold_row(const int32_t *v32, const int64_t *v64, int64_t n,
+                     int64_t n_tiers, const int64_t *at, int64_t stride,
+                     int64_t *wmin, int64_t *wmax, int64_t *wsum,
+                     int64_t *wcnt) {
+    int64_t o = at[0];
+    for (int64_t i = 0; i < n; i += 2, o++) {
+        int64_t a = v64 ? v64[i] : (int64_t)v32[i];
+        int64_t mn = a, mx = a, c = 1;
+        uint64_t s = (uint64_t)a;
+        if (i + 1 < n) {
+            int64_t b = v64 ? v64[i + 1] : (int64_t)v32[i + 1];
+            mn = b < a ? b : a;
+            mx = b > a ? b : a;
+            s += (uint64_t)b;
+            c = 2;
+        }
+        wmin[o] = mn;
+        wmax[o] = mx;
+        wsum[o] = (int64_t)s;
+        wcnt[o] = c;
+    }
+    int64_t np = (n + 1) / 2;
+    for (int64_t t = 1; t < n_tiers; t++, np = (np + 1) / 2) {
+        int64_t p = at[(t - 1) * stride];
+        o = at[t * stride];
+        for (int64_t i = 0; i < np; i += 2, o++) {
+            int64_t j = p + i;
+            if (i + 1 < np) {
+                wmin[o] = wmin[j + 1] < wmin[j] ? wmin[j + 1] : wmin[j];
+                wmax[o] = wmax[j + 1] > wmax[j] ? wmax[j + 1] : wmax[j];
+                wsum[o] = (int64_t)((uint64_t)wsum[j] + (uint64_t)wsum[j + 1]);
+                wcnt[o] = wcnt[j] + wcnt[j + 1];
+            } else {
+                wmin[o] = wmin[j];
+                wmax[o] = wmax[j];
+                wsum[o] = wsum[j];
+                wcnt[o] = wcnt[j];
+            }
+        }
+    }
+}
+
+/* Every tier of n_rows rows of raw tokens (row r is vals[val_off[r] ..
+ * val_off[r+1]), int32 when is64 == 0, else int64, never empty) in the
+ * tier-major stream layout: (tier t, row r) owns windows
+ * out_off[(t-1)*n_rows + r] .. out_off[(t-1)*n_rows + r + 1), and the
+ * caller sizes out_off from ceil(len / 2^t). */
 void tier_tree_c(const void *vals, const int64_t *val_off, int64_t is64,
                  int64_t n_rows, int64_t n_tiers, const int64_t *out_off,
                  int64_t *wmin, int64_t *wmax, int64_t *wsum, int64_t *wcnt) {
     const int32_t *v32 = (const int32_t *)vals;
     const int64_t *v64 = (const int64_t *)vals;
     for (int64_t r = 0; r < n_rows; r++) {
+        int64_t lo = val_off[r];
+        fold_row(is64 ? NULL : v32 + lo, is64 ? v64 + lo : NULL,
+                 val_off[r + 1] - lo, n_tiers, out_off + r, n_rows,
+                 wmin, wmax, wsum, wcnt);
+    }
+}
+
+/* ---------------- fused rollup + encode: one pass per row -------------- */
+
+static inline void put_le32(uint8_t *p, uint64_t x) {
+    p[0] = (uint8_t)x;
+    p[1] = (uint8_t)(x >> 8);
+    p[2] = (uint8_t)(x >> 16);
+    p[3] = (uint8_t)(x >> 24);
+}
+
+/* The framed GRB2 blob of every (tier, row) of one batch, each equal to
+ * oracle.encode_rollup_block of that row's tier.  Per row, fold_row
+ * writes all tiers into work (4 * S int64 for the four stats, S =
+ * sum_t ceil(n_max / 2^t) over the batch's longest row, then n_tiers
+ * int64 of tier starts); then each tier's 28-byte header (magic, n, first
+ * count, last count, three stream lengths, little-endian uint32) and its
+ * wmin / wmax / wsum DoD streams go straight to out at a compact cursor,
+ * blobs in row-major order.  Blob (tier t, row r) starts at
+ * blob_start[(t-1)*n_rows + r] and is blob_len[...] bytes long; out
+ * needs 28 + 3 * (16 + 9 * (w - 1)) bytes for a blob of w windows. */
+void rollup_encode_c(const void *vals, const int64_t *val_off, int64_t is64,
+                     int64_t n_rows, int64_t n_tiers, int64_t *work,
+                     uint8_t *out, int64_t *blob_start, int64_t *blob_len) {
+    const int32_t *v32 = (const int32_t *)vals;
+    const int64_t *v64 = (const int64_t *)vals;
+    int64_t n_max = 0;
+    for (int64_t r = 0; r < n_rows; r++)
+        if (val_off[r + 1] - val_off[r] > n_max)
+            n_max = val_off[r + 1] - val_off[r];
+    int64_t S = 0;
+    for (int64_t t = 1; t <= n_tiers; t++)
+        S += ((n_max - 1) >> t) + 1;
+    int64_t *wmin = work, *wmax = work + S, *wsum = work + 2 * S,
+            *wcnt = work + 3 * S, *at = work + 4 * S;
+    int64_t cur = 0;
+    for (int64_t r = 0; r < n_rows; r++) {
         int64_t lo = val_off[r], n = val_off[r + 1] - lo;
-        int64_t o = out_off[r];
-        for (int64_t i = 0; i < n; i += 2) {
-            int64_t a = is64 ? v64[lo + i] : (int64_t)v32[lo + i];
-            int64_t mn = a, mx = a, c = 1;
-            uint64_t s = (uint64_t)a;
-            if (i + 1 < n) {
-                int64_t b = is64 ? v64[lo + i + 1] : (int64_t)v32[lo + i + 1];
-                mn = b < a ? b : a;
-                mx = b > a ? b : a;
-                s += (uint64_t)b;
-                c = 2;
-            }
-            wmin[o] = mn;
-            wmax[o] = mx;
-            wsum[o] = (int64_t)s;
-            wcnt[o] = c;
-            o++;
-        }
-        for (int64_t t = 1; t < n_tiers; t++) {
-            int64_t p = out_off[(t - 1) * n_rows + r];
-            int64_t np = out_off[(t - 1) * n_rows + r + 1] - p;
-            o = out_off[t * n_rows + r];
-            for (int64_t i = 0; i < np; i += 2, o++) {
-                int64_t j = p + i;
-                if (i + 1 < np) {
-                    wmin[o] = wmin[j + 1] < wmin[j] ? wmin[j + 1] : wmin[j];
-                    wmax[o] = wmax[j + 1] > wmax[j] ? wmax[j + 1] : wmax[j];
-                    wsum[o] = (int64_t)((uint64_t)wsum[j] + (uint64_t)wsum[j + 1]);
-                    wcnt[o] = wcnt[j] + wcnt[j + 1];
-                } else {
-                    wmin[o] = wmin[j];
-                    wmax[o] = wmax[j];
-                    wsum[o] = wsum[j];
-                    wcnt[o] = wcnt[j];
-                }
-            }
+        at[0] = 0;
+        for (int64_t t = 1; t < n_tiers; t++)
+            at[t] = at[t - 1] + ((n - 1) >> t) + 1;
+        fold_row(is64 ? NULL : v32 + lo, is64 ? v64 + lo : NULL, n, n_tiers,
+                 at, 1, wmin, wmax, wsum, wcnt);
+        for (int64_t t = 0; t < n_tiers; t++) {
+            int64_t a = at[t], w = ((n - 1) >> (t + 1)) + 1;
+            uint8_t *blob = out + cur;
+            int64_t l0 = encode_one(wmin + a, w, blob + 28);
+            int64_t l1 = encode_one(wmax + a, w, blob + 28 + l0);
+            int64_t l2 = encode_one(wsum + a, w, blob + 28 + l0 + l1);
+            memcpy(blob, "GRB2", 4);
+            put_le32(blob + 4, (uint64_t)w);
+            put_le32(blob + 8, (uint64_t)wcnt[a]);
+            put_le32(blob + 12, (uint64_t)wcnt[a + w - 1]);
+            put_le32(blob + 16, (uint64_t)l0);
+            put_le32(blob + 20, (uint64_t)l1);
+            put_le32(blob + 24, (uint64_t)l2);
+            blob_start[t * n_rows + r] = cur;
+            blob_len[t * n_rows + r] = 28 + l0 + l1 + l2;
+            cur += 28 + l0 + l1 + l2;
         }
     }
 }

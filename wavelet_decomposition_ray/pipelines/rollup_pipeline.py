@@ -19,11 +19,13 @@ queries) stays a Ray Data plan:
               returns only a per-row verdict; raises on a mismatch,
               passes the input batch on unchanged (no DWT at all when
               verify=False)
-            RollupEncode                                [A2 + ST1]: the
-              tier tree (native one-pass kernel, numpy reduceat fallback)
-              straight into the DoD codec; writes per-bucket staged IPC
-              slices in-task, returns (bucket, stage_file) metadata rows
-          returns the metadata rows, its rows read and per-layer seconds
+            RollupEncode                                [A2 + ST1]: one
+              native pass per row (tier fold -> DoD streams -> framed
+              blob; oracle reference without a compiler); writes
+              per-bucket staged IPC slices in-task, returns (bucket,
+              stage_file) metadata rows
+          returns the metadata rows, its rows read and its per-layer wall
+          and CPU seconds
      state.manifest.stage_and_commit (the commit protocol compaction
      shares; it launches the tasks above into its staging dir):
      -> ray.get + bounded collect       driver checks rows <= unit rows
@@ -174,16 +176,22 @@ LAYERS = ("read", "bucket", "gapfill", "check", "encode")
 
 class _Ledger:
     """Per-layer seconds of one task: each call charges the time since the
-    previous call to the named layer."""
+    previous call to the named layer, as wall seconds (``seconds``) and as
+    the calling thread's CPU seconds (``cpu``, ``time.thread_time``, user
+    plus system).  CPU that Arrow spends on its own thread pools (parquet
+    decode, IO) is not counted in ``cpu``."""
 
     def __init__(self):
         self.seconds: dict[str, float] = {}
+        self.cpu: dict[str, float] = {}
         self._t = time.perf_counter()
+        self._c = time.thread_time()
 
     def __call__(self, layer: str) -> None:
-        now = time.perf_counter()
+        now, cpu = time.perf_counter(), time.thread_time()
         self.seconds[layer] = self.seconds.get(layer, 0.0) + now - self._t
-        self._t = now
+        self.cpu[layer] = self.cpu.get(layer, 0.0) + cpu - self._c
+        self._t, self._c = now, cpu
 
 
 @ray.remote
@@ -193,8 +201,9 @@ def _encode_unit(unit: Unit, input_format: str, batch_size: int, add_bucket,
     ``batch_size`` slice the bucket column + resume filter, the chain and
     the tier tree + codec + staged write.  Returns the slices' metadata
     rows (one table per slice that kept rows), the rows read and the
-    per-layer seconds.  Deterministic, so Ray's re-execution of a task
-    whose worker died rewrites the same staged files."""
+    task's :class:`_Ledger` of per-layer seconds.  Deterministic, so Ray's
+    re-execution of a task whose worker died rewrites the same staged
+    files."""
     lap = _Ledger()
     table = read_unit(unit, input_format)
     lap("read")
@@ -205,7 +214,7 @@ def _encode_unit(unit: Unit, input_format: str, batch_size: int, add_bucket,
         if batch.num_rows:
             metas.append(encode(_rollup_chain(batch, check, lap)))
             lap("encode")
-    return metas, table.num_rows, lap.seconds
+    return metas, table.num_rows, lap
 
 
 def run_rollup_job(
@@ -291,10 +300,11 @@ def run_rollup_job(
     store, use ``state.compact.compact_store`` (byte-identical rewrite).
 
     Returns a summary dict (also written to ``out_dir/metrics.json``, next
-    to the per-layer rows: tasks and summed task seconds per encode layer,
-    then finalize with its tasks, buckets committed, wall and summed commit
-    seconds) with throughput and bucket counts; the driver-side final
-    per-(source, tier) aggregates go to ``out_dir/source_stats.parquet``.
+    to the per-layer rows: tasks and summed task wall and CPU seconds per
+    encode layer, then finalize with its tasks, buckets committed, wall and
+    summed commit seconds) with throughput and bucket counts; the
+    driver-side final per-(source, tier) aggregates go to
+    ``out_dir/source_stats.parquet``.
     """
     t0 = time.perf_counter()
     n_refreshed = 0
@@ -407,14 +417,17 @@ def run_rollup_job(
         "n_buckets": n_buckets,
     }
     # one row per layer the encode tasks timed (tasks that ran it, their
-    # summed seconds), then finalize: its tasks, the buckets they
-    # committed, its phase wall time and the committed rows' seconds
-    ledgers = [sec for _, _, sec in results]
+    # summed wall and CPU seconds), then finalize: its tasks, the buckets
+    # they committed, its phase wall time and the committed rows' seconds
+    ledgers = [lap for _, _, lap in results]
     per_stage = [
         {"operator": layer,
-         "tasks": sum(layer in sec for sec in ledgers),
-         "task_wall_total_s": round(sum(sec.get(layer, 0.0) for sec in ledgers), 4)}
-        for layer in LAYERS if any(layer in sec for sec in ledgers)
+         "tasks": sum(layer in lap.seconds for lap in ledgers),
+         "task_wall_total_s": round(
+             sum(lap.seconds.get(layer, 0.0) for lap in ledgers), 4),
+         "task_cpu_total_s": round(
+             sum(lap.cpu.get(layer, 0.0) for lap in ledgers), 4)}
+        for layer in LAYERS if any(layer in lap.seconds for lap in ledgers)
     ]
     per_stage.append(finalize)
     with open(os.path.join(out_dir, "metrics.json"), "w") as fh:

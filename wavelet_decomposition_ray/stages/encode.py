@@ -8,13 +8,17 @@ computes the tier tree and encodes it in one step;
 function of its own row — no cross-partition carry-over — so partition
 rewrites are byte-identical on resume (SURVEY.md §7.3).
 
-The codec has two implementations.  This module is the production one:
-:func:`encode_streams`, :func:`_frame_blob_column` and :func:`decode_blobs`
-run the native kernels of ``native/dod.c`` over a whole batch with no
-per-blob Python objects.  ``oracle.py`` holds the scalar reference
-(``encode_rollup_block`` / ``decode_rollup_block``), which the tests pin
-these functions against byte for byte.  On a host with no C compiler the
-stage frames and reads each blob through that reference instead.
+The codec has two implementations.  This module is the production one.
+Encoding is ONE native kernel call per batch (:func:`_encode_native`):
+``rollup_encode_c`` in ``native/dod.c`` folds every tier of a row, encodes
+its stat streams and frames each blob straight into one output buffer, and
+a segmented copy puts the blobs in column order — no tier-major stat
+arrays, no per-stream scratch.  :func:`decode_blobs` reads a whole column
+with the native decoder, with no per-blob Python objects.  ``oracle.py``
+holds the scalar reference (``encode_rollup_block`` /
+``decode_rollup_block``), which the tests pin these functions against byte
+for byte.  On a host with no C compiler the stage frames and reads each
+blob through that reference instead.
 """
 
 from __future__ import annotations
@@ -32,59 +36,46 @@ _STATS = {"wmin": np.int64, "wmax": np.int64, "wsum": np.int64,
           "wcount": np.int32}
 
 
-def encode_streams(values, offsets):
-    """Delta-of-delta encode every stream of one flat int64 array with the
-    native encoder; stream i is ``values[offsets[i] : offsets[i + 1]]``.
-
-    Returns ``(buf, starts, lens)``: stream i's bytes are
-    ``buf[starts[i] : starts[i] + lens[i]]`` (uint8), equal to
-    ``oracle.dod_encode`` of that stream.  Each stream gets a capacity of
-    16 + 9 bytes per delta-of-delta, enough for its widest codes.
-    """
-    v = np.ascontiguousarray(values, dtype=np.int64)
+def _encode_native(values, offsets, n_tiers: int, n_win):
+    """The framed blobs of every (tier, row) of one batch in ONE native
+    call (``rollup_encode_c``: per row, tier fold -> DoD streams -> 28-byte
+    header, straight into one output buffer), then one segmented copy into
+    tier-major column order.  ``n_win`` is the tier-major window counts.
+    The output buffer is sized for the widest codes, 28 + 3 * (16 + 9 *
+    (w - 1)) bytes per blob, but only the bytes written are touched.
+    Returns (binary array, nbytes)."""
+    v = np.asarray(values)
+    if v.dtype != np.int32:
+        v = v.astype(np.int64)
+    v = np.ascontiguousarray(v)
     off = np.ascontiguousarray(offsets, dtype=np.int64)
-    n = len(off) - 1
-    cap_off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(16 + 9 * np.maximum(np.diff(off) - 1, 0), out=cap_off[1:])
-    buf = np.empty(int(cap_off[-1]), dtype=np.uint8)
-    lens = np.empty(n, dtype=np.int64)
-    native.encoder()(v.ctypes.data, off.ctypes.data, n, buf.ctypes.data,
-                     cap_off.ctypes.data, lens.ctypes.data)
-    return buf, cap_off[:-1], lens
-
-
-def _frame_blob_column(n_win, w_arr, last_arr, streams):
-    """Assemble the framed rollup blobs of a whole batch as ONE Arrow binary
-    array — headers scatter as a (n, 28)-byte matrix, the three encoded stat
-    streams splice in via the native segmented gather.  ``streams`` is
-    three ``(buf, starts, lens)`` triples from :func:`encode_streams`;
-    byte-identical to the per-row ``oracle.encode_rollup_block`` framing.
-    Returns (binary array, nbytes).
-    """
-    n = len(n_win)
-    l0, l1, l2 = (s[2] for s in streams)
-    nbytes = 28 + l0 + l1 + l2
-    off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(nbytes, out=off[1:])
-    total = int(off[-1])
+    n_rows = len(off) - 1
+    if n_rows and (off[0] < 0 or off[-1] > len(v)):
+        raise ValueError("offsets run past the values array")
+    n_blobs = len(n_win)
+    cap = 28 * n_blobs + 3 * int((16 + 9 * (n_win - 1)).sum())
+    buf = np.empty(cap, dtype=np.uint8)
+    start = np.empty(n_blobs, dtype=np.int64)
+    nbytes = np.empty(n_blobs, dtype=np.int64)
+    # per-row scratch: four stats x every tier of the longest row, plus the
+    # row's tier starts
+    n_max = int(np.diff(off).max()) if n_rows else 1
+    shifts = np.arange(1, n_tiers + 1, dtype=np.int64)
+    work = np.empty(4 * int((((n_max - 1) >> shifts) + 1).sum()) + n_tiers,
+                    dtype=np.int64)
+    native.encoder()(v.ctypes.data, off.ctypes.data, int(v.dtype == np.int64),
+                     n_rows, n_tiers, work.ctypes.data, buf.ctypes.data,
+                     start.ctypes.data, nbytes.ctypes.data)
+    col_off = np.zeros(n_blobs + 1, dtype=np.int64)
+    np.cumsum(nbytes, out=col_off[1:])
+    total = int(col_off[-1])
     assert total < 2**31, "blob batch exceeds 2 GiB; lower batch_size"
     out = np.empty(total, dtype=np.uint8)
-    hdr = np.empty((n, 28), dtype=np.uint8)
-    hdr[:, :4] = np.frombuffer(MAGIC, dtype=np.uint8)
-    u = np.column_stack([n_win, w_arr, last_arr, l0, l1, l2]).astype("<u4")
-    hdr[:, 4:] = u.view(np.uint8)
-    out[off[:-1, None] + np.arange(28)] = hdr
-    dst = off[:-1] + 28
-    g = native.gather()
-    for buf, starts, lens in streams:
-        starts = np.ascontiguousarray(starts)
-        lens = np.ascontiguousarray(lens)
-        g(buf.ctypes.data, starts.ctypes.data, lens.ctypes.data,
-          out.ctypes.data, np.ascontiguousarray(dst).ctypes.data, n)
-        dst = dst + lens
-    off32 = off.astype(np.int32)
+    native.gather()(buf.ctypes.data, start.ctypes.data, nbytes.ctypes.data,
+                    out.ctypes.data, col_off.ctypes.data, n_blobs)
     arr = pa.Array.from_buffers(
-        pa.binary(), n, [None, pa.py_buffer(off32), pa.py_buffer(out)]
+        pa.binary(), n_blobs,
+        [None, pa.py_buffer(col_off.astype(np.int32)), pa.py_buffer(out)],
     )
     return arr, nbytes
 
@@ -103,18 +94,22 @@ def _frame_reference(tv, out_off):
 class RollupEncode:
     """Fused rollup + encode stage for the flagship job.
 
-    Computes every tier of the continuous-aggregate tree with
-    :func:`stages.rollup.tier_tree` (native one-pass kernel, numpy
-    fallback) and feeds its flat tier-major stat streams STRAIGHT into the
-    native codec — the intermediate Arrow list columns of ``TierRollup``
-    are never materialized.  Each blob is byte-identical to
+    One native pass per row folds every tier of the continuous-aggregate
+    tree and encodes each tier's framed blob (:func:`_encode_native`); the
+    tiers and the intermediate Arrow list columns of ``TierRollup`` are
+    never materialized.  Each blob is byte-identical to
     ``oracle.encode_rollup_block`` of that row's ``TierRollup`` lists (the
-    no-compiler path calls exactly that), and decodes
-    (:func:`decode_blocks_batch`) back to them.
+    no-compiler path computes :func:`stages.rollup.tier_tree` and calls
+    exactly that), and decodes (:func:`decode_blocks_batch`) back to
+    them.
     """
 
     def __init__(self, n_tiers: int = 10, fault_flag: str | None = None,
                  stage_dir: str | None = None):
+        # the kernel writes tier 1 unconditionally and frames counts as
+        # uint32: TierRollup's range
+        if not 1 <= n_tiers <= 30:
+            raise ValueError(f"n_tiers must be in 1..30, got {n_tiers}")
         self.n_tiers = n_tiers
         # test hook: path of a flag file; the FIRST encode task to claim it
         # kills its own worker process mid-stage (simulated node loss).
@@ -145,26 +140,21 @@ class RollupEncode:
         #              a worker death, and would fail the job instead
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from .rollup import tier_tree
+        from .rollup import _tier_offsets, tier_tree
 
         self._maybe_inject_fault()
 
         values, offsets = list_to_numpy(batch["tokens"])
         n_rows = len(offsets) - 1
-        # every tier's stat streams in one tier-major layout, then ALL
-        # tiers of each stat in ONE codec call and one framed-blob column
-        tv, out_off = tier_tree(values, offsets, self.n_tiers)
-        n_win = np.diff(out_off)
         if native.encoder() is None:
+            tv, out_off = tier_tree(values, offsets, self.n_tiers)
+            n_win = np.diff(out_off)
             blob_arr, nbytes = _frame_reference(tv, out_off)
         else:
-            streams = [
-                encode_streams(tv[k], out_off) for k in ("wmin", "wmax", "wsum")
-            ]
-            cnts = tv["wcount"]
-            blob_arr, nbytes = _frame_blob_column(
-                n_win, cnts[out_off[:-1]], cnts[out_off[1:] - 1], streams
-            )
+            # raises on an empty row, as the tier tree does
+            n_win = np.diff(_tier_offsets(offsets, self.n_tiers))
+            blob_arr, nbytes = _encode_native(values, offsets, self.n_tiers,
+                                              n_win)
         tiers = np.repeat(np.arange(1, self.n_tiers + 1, dtype=np.int8), n_rows)
         cols = {
             "doc_id": _tile(batch["doc_id"], self.n_tiers),

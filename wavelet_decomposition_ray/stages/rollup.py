@@ -6,8 +6,8 @@ cell 6 time_scales), per SURVEY.md §4.3.
 
 The fold itself is :func:`tier_tree`: a native one-pass kernel
 (``native/dod.c`` ``tier_tree_c``) with the numpy reduceat ladder as the
-fallback when no C compiler exists.  ``RollupEncode`` calls the same
-function and feeds its flat streams straight into the codec.
+fallback when no C compiler exists.  ``RollupEncode``'s fused kernel runs
+the same per-row fold (``fold_row``) and encodes each tier as it goes.
 
 Output layout: one row per (doc, tier) with the four stat streams as list
 columns — the shape the Gorilla/DoD encoder stage consumes, and the shape
@@ -67,11 +67,10 @@ def tier_tree(values: np.ndarray, offsets: np.ndarray, n_tiers: int):
     of one flat ``(values, offsets)`` batch.
 
     Returns ``(stats, out_off)``: four flat int64 arrays (``STAT_NAMES``)
-    in the tier-major stream layout of :func:`_tier_offsets` — the layout
-    ``stages.encode.encode_streams`` takes.  The native kernel makes one
-    scan per row (tier 1 from raw tokens, tier t from tier t-1 in the
-    output); without a C compiler the numpy reduceat ladder computes the
-    same arrays.  Sums wrap mod 2**64, like numpy's int64 adds.
+    in the tier-major stream layout of :func:`_tier_offsets`.  The native
+    kernel makes one scan per row (tier 1 from raw tokens, tier t from
+    tier t-1 in the output); without a C compiler the numpy reduceat
+    ladder computes the same arrays.  Sums wrap mod 2**64, like numpy's int64 adds.
     """
     out_off = _tier_offsets(offsets, n_tiers)
     n_rows = len(offsets) - 1

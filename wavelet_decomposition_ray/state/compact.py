@@ -25,7 +25,6 @@ continues where it stopped.
 
 from __future__ import annotations
 
-import json
 import os
 
 import ray
@@ -47,29 +46,18 @@ def _stage_unit(unit, columns: list[str], add_bucket, stage_dir: str):
 
 def _source_files(src_dir: str) -> tuple[list[str], dict]:
     """The data files of ``src_dir``'s committed buckets and its lineage
-    config.  Raises unless the committed bucket ids are exactly
-    ``range(n)``: ``n`` is the lineage's ``n_buckets``, or the manifest's
-    row count for a store without ``lineage.json``.  A bucket counts as
-    committed when its row is empty or names an existing data file, so a
-    row of the older layout (partials in a sidecar) compacts too."""
+    config.  Raises unless the store is complete
+    (:func:`manifest.bucket_gaps`)."""
     rows = mf.read_manifest(src_dir)
     if not rows:
         raise FileNotFoundError(f"no store manifest at {mf.manifest_dir(src_dir)}")
-    lin = os.path.join(src_dir, "lineage.json")
-    config = {}
-    if os.path.isfile(lin):
-        with open(lin) as fh:
-            config = json.load(fh)["config"]
-    n = int(config.get("n_buckets", len(rows)))
-    files = [(b, p) for b, p in mf.data_files(src_dir, rows) if os.path.isfile(p)]
-    have = frozenset(int(r["bucket"]) for r in rows if r.get("file") is None)
-    have |= {b for b, _ in files}
-    if have != frozenset(range(n)):
+    n, gaps = mf.bucket_gaps(src_dir, rows)
+    if gaps:
         raise ValueError(
             f"source store {src_dir} is incomplete: its committed buckets "
-            f"differ from range({n}) at {sorted(have ^ set(range(n)))}; "
-            "resume it before compacting")
-    return [p for _, p in files], config
+            f"differ from range({n}) at {gaps}; resume it before compacting")
+    files = [p for _, p in mf.data_files(src_dir, rows) if os.path.isfile(p)]
+    return files, mf.lineage_config(src_dir)
 
 
 def compact_store(src_dir: str, dst_dir: str, n_buckets: int) -> dict:

@@ -93,6 +93,46 @@ def data_files(out_dir: str, rows=None) -> list[tuple[int, str]]:
                   for r in rows if r.get("file"))
 
 
+def lineage_config(out_dir: str) -> dict:
+    """The job config ``lineage.json`` records, or ``{}`` without one."""
+    path = os.path.join(out_dir, "lineage.json")
+    if not os.path.isfile(path):
+        return {}
+    with open(path) as fh:
+        return json.load(fh)["config"]
+
+
+def bucket_gaps(out_dir: str, rows=None) -> tuple[int, list[int]]:
+    """The store's completeness rule: its committed bucket ids must be
+    exactly ``range(n)``, ``n`` the lineage's ``n_buckets``, or the
+    manifest's row count for a store without ``lineage.json``.  A bucket
+    counts as committed when its row is empty or names an existing data
+    file, so a row of the older layout (partials in a sidecar) counts too.
+    Returns ``(n, gaps)``: the ids where the committed set and
+    ``range(n)`` differ, sorted; a complete store has none."""
+    if rows is None:
+        rows = read_manifest(out_dir)
+    n = int(lineage_config(out_dir).get("n_buckets", len(rows)))
+    have = {int(r["bucket"]) for r in rows if r.get("file") is None}
+    have |= {b for b, p in data_files(out_dir, rows) if os.path.isfile(p)}
+    return n, sorted(have ^ set(range(n)))
+
+
+def unnamed_data_files(out_dir: str, rows=None) -> list[str]:
+    """Store-relative paths of the files under ``data/`` that no manifest
+    row names, sorted: a crash's leftover ``.tmp``, or the data file of a
+    bucket whose row was removed.  Readers never see them
+    (:func:`data_files`); the store fsck reports them."""
+    if rows is None:
+        rows = read_manifest(out_dir)
+    ddir = os.path.join(out_dir, "data")
+    if not os.path.isdir(ddir):
+        return []
+    named = {r["file"] for r in rows if r.get("file")}
+    return sorted(rel for rel in (f"data/{f}" for f in os.listdir(ddir))
+                  if rel not in named)
+
+
 def mark_empty_buckets(out_dir: str, n_buckets: int) -> list[dict]:
     """After a successful run, record buckets that own no rows (no group
     ever reached the writer) as explicitly-empty partitions, so resume

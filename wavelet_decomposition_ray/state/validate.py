@@ -20,6 +20,11 @@ write path):
   data file (the input of ``source_stats.parquet``); a row without them
   fails.
 
+And for the store as a whole: it is complete (the committed buckets are
+``range(n_buckets)`` of its lineage, the rule compaction enforces —
+:func:`manifest.bucket_gaps`), and no file under its data directory goes
+unnamed by a manifest row (:func:`manifest.unnamed_data_files`).
+
 Returns a summary dict; ``ok`` is True only when every check passes.
 """
 
@@ -85,6 +90,12 @@ def validate_store(out_dir: str) -> dict:
     errs = [e for part in ray.get([_check_bucket.remote(out_dir, r)
                                    for r in rows])
             for e in part]
+    n, gaps = mf.bucket_gaps(out_dir, rows)
+    if gaps:
+        errs.append(f"store incomplete: committed buckets differ from "
+                    f"range({n}) at {gaps}")
+    errs += [f"{rel}: in the store's data directory but named by no "
+             "manifest row" for rel in mf.unnamed_data_files(out_dir, rows)]
     return {
         "ok": not errs,
         "buckets": len(rows),
