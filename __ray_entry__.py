@@ -61,6 +61,12 @@ def entry() -> Any:
 # first_week_value), three more fold_by_part queries (sessionize,
 # gap_cluster, order_priority_revenue) and four map_docs queries
 # (autocorr_lag1, cusum_flags, period_detect, peak_windows).
+# Round 7: those ten round-6 first-time slots rotate out for ten
+# never-gated queries now folded by keyed_agg instead of a Ray hash
+# aggregate over token, pair, order or user keys: bigram_code_bits,
+# fulfillment_bands, backlog_peak, vocab_growth, supplier_hhi, best_atom
+# (argmax inside the per-doc map), watermark_pick, gini_tokens,
+# dup_events and user_burstiness.
 _PRIORITY = [
     # core §2 pins
     "rollup_t1", "rollup_t3", "rollup_t6", "source_stats", "store_stats",
@@ -69,10 +75,10 @@ _PRIORITY = [
     "parseval_ok", "resample64", "bandpass_coarse", "scale_energy",
     "fft_magnitude", "dwt_haar", "tier_pick", "dau_mau", "normalize",
     "cross_source_diff", "peak_concurrency",
-    # first-time-gated core queries (round 6 rotation)
-    "new_vs_returning", "repeat_revenue_share", "sessionize", "gap_cluster",
-    "order_priority_revenue", "autocorr_lag1", "cusum_flags",
-    "period_detect", "peak_windows",
+    # first-time-gated core queries (round 7 rotation)
+    "bigram_code_bits", "fulfillment_bands", "backlog_peak", "vocab_growth",
+    "supplier_hhi", "best_atom", "watermark_pick", "gini_tokens",
+    "dup_events", "user_burstiness",
     # late core additions + the join family
     "store_refresh", "drawdown",
     "mann_kendall", "profit_by_nation_year", "dedup_incremental",
@@ -80,8 +86,6 @@ _PRIORITY = [
     "dedup_exact", "dedup_minhash", "dedup_simhash",
     "dedup_keep", "ann_ivf", "ann_lsh", "lang_id",
     "token_count_bpe", "fingerprint_rolling", "corpus_clean", "decontam",
-    # first-time-gated data queries (round 6 rotation)
-    "first_week_value",
 ]
 
 

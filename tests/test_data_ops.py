@@ -2054,6 +2054,14 @@ def test_xcorr_sources_partial_kernel():
     assert (df.loc[("s2", 0), "s"], df.loc[("s2", 0), "c"]) == (192, 64)
 
 
+def _hist_ds(df):
+    """Stand-in for the (source, tok, cnt) histogram Dataset: the finishes
+    read it only through ``to_pandas``."""
+    import types
+
+    return types.SimpleNamespace(to_pandas=lambda: df)
+
+
 def test_source_token_hist_partial_kernel():
     """The shared histogram partial must count per (source, token) with
     the packed-key unique — exact counts, no cross-source bleed."""
@@ -2087,7 +2095,8 @@ def test_winsorize_and_gini_finish():
     hist = pd.DataFrame(
         {"source": ["s"] * 3, "tok": [0, 10, 100], "cnt": [5, 90, 5]}
     )
-    with mock.patch.object(cq, "_source_token_hist", return_value=hist):
+    with mock.patch.object(cq, "_source_token_hist",
+                           return_value=_hist_ds(hist)):
         w = cq.q_winsorize_stats("unused").to_pandas().iloc[0]
         g = cq.q_gini_tokens("unused").to_pandas().iloc[0]
     assert (w["p05"], w["p95"]) == (0, 10)
@@ -2224,7 +2233,8 @@ def test_zipf_and_vocab_overlap_finish():
         "tok": [10, 20, 30, 20, 40, 99],
         "cnt": [1, 3, 4, 2, 1, 5],
     })
-    with mock.patch.object(cq, "_source_token_hist", return_value=hist):
+    with mock.patch.object(cq, "_source_token_hist",
+                           return_value=_hist_ds(hist)):
         z = cq.q_zipf_hist("unused").to_pandas().set_index(["source", "bl"])
         v = cq.q_vocab_overlap("unused").to_pandas().set_index(
             ["src_a", "src_b"])
@@ -2392,7 +2402,8 @@ def test_benford_digits_finish():
         "tok": [0, 1, 19, 234, 950, 5],
         "cnt": [7, 2, 3, 4, 5, 6],
     })
-    with mock.patch.object(cq, "_source_token_hist", return_value=hist):
+    with mock.patch.object(cq, "_source_token_hist",
+                           return_value=_hist_ds(hist)):
         b = cq.q_benford_digits("unused").to_pandas().set_index(
             ["source", "digit"])
     # x: digits 1 (tok 1, 19), 2 (234), 9 (950); tok 0 dropped
@@ -2469,7 +2480,8 @@ def test_ks_sources_finish():
         "tok": [1, 3, 2, 3],
         "cnt": [3, 1, 2, 2],
     })
-    with mock.patch.object(cq, "_source_token_hist", return_value=hist):
+    with mock.patch.object(cq, "_source_token_hist",
+                           return_value=_hist_ds(hist)):
         k = cq.q_ks_sources("unused").to_pandas().set_index(
             ["src_a", "src_b"])
     assert (k.loc[("a", "b"), "n_a"], k.loc[("a", "b"), "n_b"],
@@ -2578,7 +2590,8 @@ def test_l1_distance_finish():
         "tok": [1, 3, 2, 3],
         "cnt": [3, 1, 2, 2],
     })
-    with mock.patch.object(cq, "_source_token_hist", return_value=hist):
+    with mock.patch.object(cq, "_source_token_hist",
+                           return_value=_hist_ds(hist)):
         d = cq.q_l1_distance_sources("unused").to_pandas().set_index(
             ["src_a", "src_b"])
     assert (d.loc[("a", "b"), "n_a"], d.loc[("a", "b"), "n_b"],

@@ -1,5 +1,5 @@
 """The query registry's shared skeletons: the per-doc token map's batch
-function (Ray-free) and the coarse-partition fold."""
+function (Ray-free), the coarse-partition fold and the keyed fold."""
 
 import numpy as np
 import pyarrow as pa
@@ -72,3 +72,70 @@ def test_fold_by_part_sees_each_key_whole(ray_session):
     out = sk.fold_by_part(ds, "k", fold, 8).to_pandas()
     assert sorted(out["k"]) == list(range(-20, 20))
     assert (out["x"] == 3).all()
+
+
+def _blocks(table, n_blocks=4):
+    import ray.data
+
+    return ray.data.from_arrow(table).repartition(n_blocks)
+
+
+def test_keyed_agg_folds_each_key_whole_across_parts(ray_session):
+    rng = np.random.default_rng(7)
+    n = 4000
+    t = pa.table({
+        "src": pa.array(rng.choice(["a", "b", "c"], n)),
+        "tok": rng.integers(-50, 50, n).astype(np.int64),
+        "c": rng.integers(0, 1000, n).astype(np.int64),
+        "lo": rng.integers(-(1 << 62), 1 << 62, n).astype(np.int64),
+        "hi": rng.integers(-(1 << 62), 1 << 62, n).astype(np.int64),
+    })
+    out = sk.keyed_agg(_blocks(t, 8), ["src", "tok"],
+                       {"c": "sum", "lo": "min", "hi": "max"}, "tok", 5
+                       ).to_pandas()
+    want = t.to_pandas().groupby(["src", "tok"], as_index=False).agg(
+        {"c": "sum", "lo": "min", "hi": "max"})
+    assert list(out.columns) == ["src", "tok", "c", "lo", "hi"]
+    # one row per key: no key was split between two parts
+    assert not out.duplicated(["src", "tok"]).any()
+    got = out.sort_values(["src", "tok"]).reset_index(drop=True)
+    assert got.equals(want)
+    assert all(got[c].dtype == np.int64 for c in ("tok", "c", "lo", "hi"))
+
+
+def test_keyed_agg_parts_negative_and_near_int64_limit_keys(ray_session):
+    big = np.iinfo(np.int64)
+    keys = np.array([big.min, big.min + 1, -(1 << 40), -33, -1, 0, 1, 31,
+                     big.max - 1, big.max], dtype=np.int64)
+    t = pa.table({"k": np.repeat(keys, 3),
+                  "x": np.tile(np.array([1, 2, 4], np.int64), len(keys)),
+                  "y": np.arange(3 * len(keys), dtype=np.int64)})
+    out = sk.keyed_agg(_blocks(t), ["k"],
+                       {"x": "sum", "y": "max"}, "k", 32).to_pandas()
+    out = out.sort_values("k").reset_index(drop=True)
+    assert out["k"].tolist() == sorted(keys.tolist())
+    assert (out["x"] == 7).all()
+    assert out["y"].tolist() == [3 * i + 2 for i in range(len(keys))]
+    assert out["x"].dtype == out["y"].dtype == np.int64
+
+
+def test_keyed_agg_rejects_a_part_key_outside_the_keys():
+    with pytest.raises(AssertionError, match="part_key"):
+        sk.keyed_agg(None, ["src", "tok"], {"c": "sum"}, "c", 8)
+    with pytest.raises(AssertionError):
+        sk.keyed_agg(None, ["tok"], {"c": "mean"}, "tok", 8)
+
+
+def test_keyed_agg_of_an_empty_dataset_is_empty_like_ray_aggregate(
+        ray_session):
+    import ray.data
+    from ray.data.aggregate import Sum
+
+    empty = ray.data.from_arrow(pa.table({
+        "k": pa.array([], pa.int64()), "x": pa.array([], pa.int64())}))
+    out = sk.keyed_agg(empty, ["k"], {"x": "sum"}, "k", 8).to_pandas()
+    assert len(out) == 0
+    # Ray Data drops zero-row blocks, so neither fold can name columns
+    # it never saw a row of
+    ref = empty.groupby("k").aggregate(Sum("x")).to_pandas()
+    assert list(out.columns) == list(ref.columns)

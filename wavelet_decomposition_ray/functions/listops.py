@@ -44,6 +44,12 @@ def numpy_to_list(values: np.ndarray, offsets: np.ndarray, value_type=None) -> p
     return pa.LargeListArray.from_arrays(off_arr, vals)
 
 
+def tile(col, n: int) -> pa.ChunkedArray:
+    """``col`` repeated ``n`` times end to end, zero-copy."""
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+    return pa.chunked_array(chunks * n, type=col.type)
+
+
 def next_pow2_arr(lens: np.ndarray) -> np.ndarray:
     """Vectorized exact next-power-of-two (float log2 alone is off by one
     at exact powers of two; the two corrections below make it exact)."""

@@ -18,7 +18,7 @@ from ..functions import dedup as dd
 from ..functions import multimodal as mm
 from ..functions import similarity as sim
 from ..functions import text as tx
-from .skeletons import fold_by_part
+from .skeletons import fold_by_part, keyed_agg
 
 NEAR_DUP_TAU = 0.5       # char-5-shingle / word-3-gram Jaccard threshold
 EMBED_TAU = 0.4          # cosine near-dup threshold (data max is ~0.51)
@@ -2236,17 +2236,13 @@ def q_quality_deciles(sf_dir: str):
 
     def partial(df):
         g = df.groupby(["source", "n_chars"], as_index=False).size()
-        g["pn"] = g.pop("size").astype(np.int64)
+        g["cnt"] = g.pop("size").astype(np.int64)
         return g
 
-    from ray.data.aggregate import Sum
-
-    hist = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["source", "n_chars"])
-        .aggregate(Sum("pn", alias_name="cnt"))
-        .to_pandas()  # tiny: distinct (source, value) pairs
-    )
+    hist = keyed_agg(
+        ds.map_batches(partial, batch_format="pandas"),
+        ["source", "n_chars"], {"cnt": "sum"}, "n_chars", 8,
+    ).to_pandas()  # tiny: distinct (source, value) pairs
     out = []
     for src, h in hist.groupby("source"):
         h = h.sort_values("n_chars")
@@ -2792,8 +2788,6 @@ def q_median2_by_source(sf_dir: str):
     v_low + v_high as BIGINT, which equals 2 x median exactly."""
     import pandas as pd
 
-    from ray.data.aggregate import Sum
-
     def vc(t: pa.Table) -> pa.Table:
         g = (
             pd.DataFrame(
@@ -2807,17 +2801,14 @@ def q_median2_by_source(sf_dir: str):
         return pa.table(
             {"source": pa.array(g["source"].to_numpy(), type=pa.string()),
              "v": pa.array(g["v"].to_numpy()),
-             "pn": pa.array(g["size"].to_numpy().astype(np.int64))}
+             "n": pa.array(g["size"].to_numpy().astype(np.int64))}
         )
 
-    hist = (
+    hist = keyed_agg(
         _docs(sf_dir, columns=("source", "n_chars"))
-        .map_batches(vc, batch_format="pyarrow")
-        .groupby(["source", "v"])
-        .aggregate(Sum("pn", alias_name="n"))
-        .to_pandas()
-        .sort_values(["source", "v"])
-    )
+        .map_batches(vc, batch_format="pyarrow"),
+        ["source", "v"], {"n": "sum"}, "v", 8,
+    ).to_pandas().sort_values(["source", "v"])
     rows = []
     for src, grp in hist.groupby("source"):
         vals = grp["v"].to_numpy()
@@ -2961,7 +2952,6 @@ def q_length_rank(sf_dir: str):
     smaller) via one ``searchsorted`` per batch per source.  This is how a
     rank/percent_rank/ntile family works at 100 TB: the histogram is the
     only exchanged state, and it scales with DISTINCT values, not rows."""
-    from ray.data.aggregate import Sum
 
     def vc(t: pa.Table) -> pa.Table:
         import pandas as pd
@@ -2981,18 +2971,15 @@ def q_length_rank(sf_dir: str):
             {
                 "source": pa.array(g["source"].to_numpy(), type=pa.string()),
                 "v": pa.array(g["v"].to_numpy()),
-                "pn": pa.array(g["size"].to_numpy().astype(np.int64)),
+                "n": pa.array(g["size"].to_numpy().astype(np.int64)),
             }
         )
 
-    hist = (
+    hist = keyed_agg(
         _docs(sf_dir, columns=("source", "n_chars"))
-        .map_batches(vc, batch_format="pyarrow")
-        .groupby(["source", "v"])
-        .aggregate(Sum("pn", alias_name="n"))
-        .to_pandas()
-        .sort_values(["source", "v"])
-    )
+        .map_batches(vc, batch_format="pyarrow"),
+        ["source", "v"], {"n": "sum"}, "v", 8,
+    ).to_pandas().sort_values(["source", "v"])
     side = {}
     for src, grp in hist.groupby("source"):
         vals = grp["v"].to_numpy()

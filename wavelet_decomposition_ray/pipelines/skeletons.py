@@ -1,4 +1,4 @@
-"""The two skeletons most of the query registry is built from.
+"""The three skeletons most of the query registry is built from.
 
 - :func:`map_docs` — a per-doc token map over a sequences dataset: unpack
   the ``tokens`` list column once, answer an empty batch with the declared
@@ -6,6 +6,17 @@
 - :func:`fold_by_part` — a fold over coarse ``key mod n`` partitions: one
   Ray group per partition, one vectorized pandas fold inside it, instead
   of one Ray group per key.
+- :func:`keyed_agg` — the keyed fold of partial aggregates: sum / min /
+  max per key through :func:`fold_by_part`.
+
+The cardinality rule: a key sized by distinct tokens, pairs, docs, orders
+or users goes through :func:`keyed_agg`. Ray Data's hash
+``groupby(...).aggregate`` makes one group per key and spends its time on
+micro-group plumbing there: ``bigram_code_bits``' sum over 1.2 M distinct
+pairs took 121 s through it and 1.8 s through :func:`keyed_agg` (sf0.01,
+one CPU, four Ray slots).
+Low-cardinality keys (day, source, tier, event_type, ...) stay on
+``groupby(...).aggregate``.
 """
 
 from __future__ import annotations
@@ -81,3 +92,22 @@ def fold_by_part(ds: "ray.data.Dataset", key: str, fold: Callable,
         .groupby("part")
         .map_groups(fold, batch_format="pandas")
     )
+
+
+def keyed_agg(ds: "ray.data.Dataset", keys: list, aggs: dict,
+              part_key: str, n_parts: int) -> "ray.data.Dataset":
+    """Fold partial aggregates per ``keys``: ``aggs`` maps each column to
+    ``"sum"``, ``"min"`` or ``"max"``, and the output has the ``keys``
+    columns, then the ``aggs`` columns under their own names and types.
+
+    ``part_key`` is an integer column of ``keys``, so every row of one key
+    lands in one part, and one pandas groupby per part folds it whole.
+    For keys sized by distinct tokens, pairs, docs, orders or users; see
+    the module docstring for the cardinality rule."""
+    assert part_key in keys, f"part_key {part_key!r} is not one of {keys}"
+    assert set(aggs.values()) <= {"sum", "min", "max"}, aggs
+
+    def fold(df):
+        return df.groupby(keys, as_index=False, sort=False).agg(aggs)
+
+    return fold_by_part(ds, part_key, fold, n_parts)

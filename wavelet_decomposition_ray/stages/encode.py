@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.listops import list_to_numpy
+from ..functions.listops import list_to_numpy, tile
 from .. import oracle as oc
 from .. import native
 from ..state import manifest as mf
@@ -157,8 +157,8 @@ class RollupEncode:
                                               n_win)
         tiers = np.repeat(np.arange(1, self.n_tiers + 1, dtype=np.int8), n_rows)
         cols = {
-            "doc_id": _tile(batch["doc_id"], self.n_tiers),
-            "source": _tile(batch["source"], self.n_tiers),
+            "doc_id": tile(batch["doc_id"], self.n_tiers),
+            "source": tile(batch["source"], self.n_tiers),
             "tier": pa.array(tiers),
             "n_windows": pa.array(n_win.astype(np.int32)),
             "blob": blob_arr,
@@ -168,17 +168,11 @@ class RollupEncode:
             ),
         }
         if "bucket" in batch.column_names:
-            cols["bucket"] = _tile(batch["bucket"], self.n_tiers)
+            cols["bucket"] = tile(batch["bucket"], self.n_tiers)
         full = pa.table(cols)
         if self.stage_dir is not None and "bucket" in full.column_names:
             return self._stage_batch(full)
         return full
-
-
-def _tile(col, n: int) -> pa.ChunkedArray:
-    """``col`` repeated ``n`` times end to end, zero-copy."""
-    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
-    return pa.chunked_array(chunks * n, type=col.type)
 
 
 def blob_headers(arr):

@@ -21,7 +21,8 @@ import numpy as np
 import pyarrow as pa
 
 from .. import native
-from ..functions.listops import list_to_numpy, numpy_to_list, tumble_starts
+from ..functions.listops import (list_to_numpy, numpy_to_list, tile,
+                                 tumble_starts)
 
 STAT_NAMES = ("wmin", "wmax", "wsum", "wcount")
 
@@ -112,36 +113,24 @@ class TierRollup:
     def __call__(self, batch: pa.Table) -> pa.Table:
         values, offsets = list_to_numpy(batch["tokens"])
         n_rows = len(offsets) - 1
+        # the tier-major out_off already offsets every (tier, row) list, so
+        # each stat column is one list array over the whole stream
         tv, out_off = tier_tree(values, offsets, self.n_tiers)
-
-        doc = batch["doc_id"]
-        src = batch["source"]
-        passthrough = {
-            n: batch[n] for n in ("bucket",) if n in batch.column_names
-        }
-        pieces = []
-        for t in range(1, self.n_tiers + 1):
-            toff = out_off[(t - 1) * n_rows : t * n_rows + 1]
-            lo, hi = int(toff[0]), int(toff[-1])
-            toff = toff - lo
-            pieces.append(
-                pa.table(
-                    {
-                        "doc_id": doc,
-                        "source": src,
-                        **passthrough,
-                        "tier": pa.array(np.full(n_rows, t, dtype=np.int8)),
-                        "n_windows": pa.array(np.diff(toff).astype(np.int32)),
-                        "mins": numpy_to_list(tv["wmin"][lo:hi], toff, pa.int64()),
-                        "maxs": numpy_to_list(tv["wmax"][lo:hi], toff, pa.int64()),
-                        "sums": numpy_to_list(tv["wsum"][lo:hi], toff, pa.int64()),
-                        "counts": numpy_to_list(
-                            tv["wcount"][lo:hi].astype(np.int32), toff, pa.int32()
-                        ),
-                    }
-                )
-            )
-        return pa.concat_tables(pieces)
+        keys = ["doc_id", "source"] + [
+            n for n in ("bucket",) if n in batch.column_names]
+        return pa.table(
+            {
+                **{n: tile(batch[n], self.n_tiers) for n in keys},
+                "tier": pa.array(np.repeat(
+                    np.arange(1, self.n_tiers + 1, dtype=np.int8), n_rows)),
+                "n_windows": pa.array(np.diff(out_off).astype(np.int32)),
+                "mins": numpy_to_list(tv["wmin"], out_off, pa.int64()),
+                "maxs": numpy_to_list(tv["wmax"], out_off, pa.int64()),
+                "sums": numpy_to_list(tv["wsum"], out_off, pa.int64()),
+                "counts": numpy_to_list(tv["wcount"].astype(np.int32),
+                                        out_off, pa.int32()),
+            }
+        )
 
 
 def explode_rollup_batch(batch: pa.Table) -> pa.Table:
