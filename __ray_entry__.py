@@ -65,7 +65,7 @@ def entry() -> Any:
 # never-gated queries now folded by keyed_agg instead of a Ray hash
 # aggregate over token, pair, order or user keys: bigram_code_bits,
 # fulfillment_bands, backlog_peak, vocab_growth, supplier_hhi, best_atom
-# (argmax inside the per-doc map), watermark_pick, gini_tokens,
+# (argmax inside the per-doc map), repurchase_interval, gini_tokens,
 # dup_events and user_burstiness.
 _PRIORITY = [
     # core §2 pins
@@ -77,7 +77,7 @@ _PRIORITY = [
     "cross_source_diff", "peak_concurrency",
     # first-time-gated core queries (round 7 rotation)
     "bigram_code_bits", "fulfillment_bands", "backlog_peak", "vocab_growth",
-    "supplier_hhi", "best_atom", "watermark_pick", "gini_tokens",
+    "supplier_hhi", "best_atom", "repurchase_interval", "gini_tokens",
     "dup_events", "user_burstiness",
     # late core additions + the join family
     "store_refresh", "drawdown",

@@ -2079,6 +2079,34 @@ def test_source_token_hist_partial_kernel():
     assert df.loc[("s2", 5), "cnt"] == 1
 
 
+@pytest.mark.parametrize("tok", [-1, 1 << 20], ids=["negative", "2^20"])
+def test_source_token_hist_rejects_tokens_outside_the_packed_range(tok):
+    """The partial packs (source, token) into one int64 key with a
+    TOKEN_BITS-wide token field, and its callers' int64 finishes assume
+    that vocabulary: a token outside [0, 2^TOKEN_BITS) must raise."""
+    from wavelet_decomposition_ray.pipelines import queries as cq
+
+    fn = _capture_batch_fn(cq.q_gini_tokens, "unused")
+    t = pa.table({"doc_id": ["a"], "source": ["s1"], "tokens": [[5, tok]]})
+    with pytest.raises(ValueError, match="tokens must be in"):
+        fn(t)
+
+
+def test_source_token_hist_absolute_counts_magnitudes():
+    """``absolute`` folds the sign before the range check: -5 and 5 count
+    as the same value, and only a magnitude of 2^TOKEN_BITS raises."""
+    from wavelet_decomposition_ray.pipelines import queries as cq
+
+    fn = _capture_batch_fn(cq.q_epn_full, "unused")
+    t = pa.table({"doc_id": ["a", "b"], "source": ["s1", "s1"],
+                  "tokens": [[-5, 5], [7]]})
+    df = fn(t).to_pandas().set_index(["source", "tok"])
+    assert (df.loc[("s1", 5), "cnt"], df.loc[("s1", 7), "cnt"]) == (2, 1)
+    with pytest.raises(ValueError, match="tokens must be in"):
+        fn(pa.table({"doc_id": ["a"], "source": ["s1"],
+                     "tokens": [[-(1 << 20)]]}))
+
+
 def test_winsorize_and_gini_finish():
     """Hand-checked finishes over a planted histogram: rank-ceil
     percentile selection, clipped sum from counts (no second pass),

@@ -2241,7 +2241,7 @@ def q_quality_deciles(sf_dir: str):
 
     hist = keyed_agg(
         ds.map_batches(partial, batch_format="pandas"),
-        ["source", "n_chars"], {"cnt": "sum"}, "n_chars", 8,
+        ["source", "n_chars"], {"cnt": "sum"}, "n_chars",
     ).to_pandas()  # tiny: distinct (source, value) pairs
     out = []
     for src, h in hist.groupby("source"):
@@ -2807,7 +2807,7 @@ def q_median2_by_source(sf_dir: str):
     hist = keyed_agg(
         _docs(sf_dir, columns=("source", "n_chars"))
         .map_batches(vc, batch_format="pyarrow"),
-        ["source", "v"], {"n": "sum"}, "v", 8,
+        ["source", "v"], {"n": "sum"}, "v",
     ).to_pandas().sort_values(["source", "v"])
     rows = []
     for src, grp in hist.groupby("source"):
@@ -2978,7 +2978,7 @@ def q_length_rank(sf_dir: str):
     hist = keyed_agg(
         _docs(sf_dir, columns=("source", "n_chars"))
         .map_batches(vc, batch_format="pyarrow"),
-        ["source", "v"], {"n": "sum"}, "v", 8,
+        ["source", "v"], {"n": "sum"}, "v",
     ).to_pandas().sort_values(["source", "v"])
     side = {}
     for src, grp in hist.groupby("source"):

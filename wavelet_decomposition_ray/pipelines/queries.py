@@ -300,39 +300,42 @@ CODEC_SQL = (
 SATISFACTIONS = (80, 95, 99, 100)
 
 
+TOKEN_BITS = 20  # synth quantizes tokens to < 2^20 (synth.MAX_TOKEN)
+
+
 def _source_token_hist(sf_dir: str, absolute: bool = False
                        ) -> "ray.data.Dataset":
     """Exact (source, tok, cnt) value histogram (of ``|tok|`` when
     ``absolute``): per-batch ``np.unique`` partials over one packed int64
     key, folded per (source, tok) with :func:`keyed_agg`. Its rows are
-    distinct-value-sized, never corpus-sized, so a per-source finish over
-    it is skew-proof (VERDICT r1 "What's wrong #5")."""
+    distinct-value-sized (<= sources x 2^TOKEN_BITS), never corpus-sized,
+    so a per-source finish over it is skew-proof (VERDICT r1 "What's
+    wrong #5"), and every ``cnt`` is at most the corpus token count."""
 
     def partial(t: pa.Table, v: np.ndarray, off: np.ndarray) -> pa.Table:
         if absolute:
             v = np.abs(v)
+        if int(v.max()) >= (1 << TOKEN_BITS) or int(v.min()) < 0:
+            raise ValueError(
+                "token histogram packs (source, token) into one int64 "
+                f"key; tokens must be in [0, 2^{TOKEN_BITS})"
+            )
         srcs = sorted(set(t["source"].to_pylist()))
         src_idx = pc.index_in(
             t["source"], value_set=pa.array(srcs)
         ).to_numpy(zero_copy_only=False).astype(np.int64)
-        # bias to non-negative so (source, tok) packs into one int64 key
-        vmin = int(v.min())
-        vb = v - vmin
-        if int(vb.max()) >= (1 << 42):
-            raise ValueError("token histogram: token range exceeds 2^42")
-        key = (np.repeat(src_idx, np.diff(off)) << 42) | vb
+        key = (np.repeat(src_idx, np.diff(off)) << TOKEN_BITS) | v
         uk, cnt = np.unique(key, return_counts=True)
         return pa.table(
-            {"source": pa.array(np.array(srcs, dtype=object)[uk >> 42],
+            {"source": pa.array(np.array(srcs, dtype=object)[uk >> TOKEN_BITS],
                                 type=pa.string()),
-             "tok": pa.array((uk & ((1 << 42) - 1)) + vmin),
+             "tok": pa.array(uk & ((1 << TOKEN_BITS) - 1)),
              "cnt": pa.array(cnt.astype(np.int64))}
         )
 
     partials = map_docs(_seq_ds(sf_dir), partial, {
         "source": pa.string(), "tok": pa.int64(), "cnt": pa.int64()})
-    return keyed_agg(partials, ["source", "tok"], {"cnt": "sum"}, "tok",
-                     N_TOKEN_PARTS)
+    return keyed_agg(partials, ["source", "tok"], {"cnt": "sum"}, "tok")
 
 
 def q_epn_quantiles(sf_dir: str) -> "ray.data.Dataset":
@@ -381,7 +384,6 @@ EPN_SQL = (
 
 SESSION_GAP_US = 30 * 60 * 1_000_000  # 30-minute inactivity gap
 N_EVENT_PARTS = 32  # coarse partitions for per-user event folds
-N_TOKEN_PARTS = 8  # coarse partitions for token-value-keyed folds
 
 
 def _user_sorted(df):
@@ -5102,7 +5104,7 @@ def q_orders_no_lineitem(sf_dir: str) -> "ray.data.Dataset":
             ),
             batch_format="pyarrow",
         ),
-        ["k"], {"one": "max"}, "k", N_JOIN_PARTS,
+        ["k"], {"one": "max"}, "k",
     ).to_pandas()["k"].to_numpy()
     keys.sort()
     keys_ref = ray.put(keys)
@@ -5164,7 +5166,7 @@ def q_order_priority_skewjoin(sf_dir: str) -> "ray.data.Dataset":
     sampled = keyed_agg(
         ray.data.read_parquet(li_path, columns=["l_orderkey"])
         .map_batches(sample_counts, batch_format="pyarrow"),
-        ["okey"], {"c": "sum"}, "okey", N_JOIN_PARTS,
+        ["okey"], {"c": "sum"}, "okey",
     ).to_pandas()
     hot = np.sort(
         sampled.loc[sampled["c"] >= SKEW_HOT_SAMPLED, "okey"]
@@ -5453,9 +5455,6 @@ PACK_SQL = _pack_sql()
 # Token-distribution statistics and codec-sizing audits
 # --------------------------------------------------------------------------
 
-TOKEN_BITS = 20  # synth quantizes tokens to < 2^20 (synth.MAX_TOKEN)
-
-
 def q_token_mode(sf_dir: str) -> "ray.data.Dataset":
     """Per-doc token-distribution summary: distinct-value count plus the
     modal token (most frequent value; ties -> smallest token) and its
@@ -5538,7 +5537,7 @@ def q_token_familiarity(sf_dir: str) -> "ray.data.Dataset":
     hist = keyed_agg(
         map_docs(_seq_ds(sf_dir), hist_partial,
                  {"tok": pa.int64(), "c": pa.int64()}),
-        ["tok"], {"c": "sum"}, "tok", N_TOKEN_PARTS,
+        ["tok"], {"c": "sum"}, "tok",
     ).to_pandas()  # vocab-sized, bounded 2^20
     freq = np.zeros(vocab, dtype=np.int64)
     freq[hist["tok"].to_numpy()] = hist["c"].to_numpy()
@@ -5905,7 +5904,7 @@ def q_source_drift(sf_dir: str) -> "pa.Table":
     hist = keyed_agg(
         map_docs(_seq_ds(sf_dir), partial,
                  {"tok": pa.int64(), "c_a": pa.int64(), "c_b": pa.int64()}),
-        ["tok"], {"c_a": "sum", "c_b": "sum"}, "tok", N_TOKEN_PARTS,
+        ["tok"], {"c_a": "sum", "c_b": "sum"}, "tok",
     ).to_pandas()  # vocab-bounded
     ca = hist["c_a"].to_numpy()
     cb = hist["c_b"].to_numpy()
@@ -6824,7 +6823,7 @@ def q_rare_token_docs(sf_dir: str) -> "ray.data.Dataset":
     hist = keyed_agg(
         _seq_ds(sf_dir).map_batches(hist_partial, batch_format="pyarrow",
                                     batch_size=256),
-        ["tok"], {"cnt": "sum"}, "tok", N_TOKEN_PARTS,
+        ["tok"], {"cnt": "sum"}, "tok",
     ).to_pandas()  # vocab-bounded: <= 2^TOKEN_BITS rows
     rare = np.sort(
         hist.loc[hist["cnt"].to_numpy() <= RARE_MAX_COUNT, "tok"]
@@ -7787,7 +7786,7 @@ def q_vocab_growth(sf_dir: str) -> "pa.Table":
     first_seen = keyed_agg(
         map_docs(_seq_ds(sf_dir), partial, {
             "source": pa.string(), "tok": pa.int64(), "did": pa.int64()}),
-        ["source", "tok"], {"did": "min"}, "tok", N_TOKEN_PARTS,
+        ["source", "tok"], {"did": "min"}, "tok",
     ).to_pandas()  # distinct (source, value) pairs only
     from wavelet_decomposition_ray import synth
     from wavelet_decomposition_ray.pipelines import rollup_pipeline as rp
@@ -8122,6 +8121,7 @@ def _arrival_prefix_ref(ds: "ray.data.Dataset"):
     prefix max on the (bucket-count-sized) driver table, ray.put the
     seed dict.  Per-bucket folds then seed their local running max with
     it, making the sequential watermark scan embarrassingly parallel."""
+    from ray.data.aggregate import Max
 
     def bucket_partial(t: pa.Table) -> pa.Table:
         eid, ts = _eid_ts_arrays(t)
@@ -8130,15 +8130,17 @@ def _arrival_prefix_ref(ds: "ray.data.Dataset"):
         np.maximum.at(m, inv, ts)
         return pa.table({"bucket": pa.array(ub), "mts": pa.array(m)})
 
-    maxima = keyed_agg(
-        ds.map_batches(bucket_partial, batch_format="pyarrow"),
-        ["bucket"], {"mts": "max"}, "bucket", N_EVENT_PARTS,
-    ).to_pandas().sort_values("bucket")  # bucket-count-sized
+    maxima = (
+        ds.map_batches(bucket_partial, batch_format="pyarrow")
+        .groupby("bucket").aggregate(Max("mts", alias_name="mts"))
+        .take_all()  # bucket-count-sized, never the event stream
+    )
+    maxima.sort(key=lambda r: r["bucket"])
     pref: dict[int, int] = {}
     run = _ARRIVAL_NEG
-    for b, m in zip(maxima["bucket"].tolist(), maxima["mts"].tolist()):
-        pref[b] = run
-        run = max(run, m)
+    for r in maxima:
+        pref[int(r["bucket"])] = run
+        run = max(run, int(r["mts"]))
     return ray.put(pref)
 
 
@@ -8185,9 +8187,9 @@ def _hist_rank_pick(values: np.ndarray, counts: np.ndarray):
 def _user_day_part(t: pa.Table) -> pa.Table:
     """Batch-local distinct (user_id, day) pairs — packs
     (user << 20 | day) (epoch day < 2^20 until year ~4840, asserted)
-    and uniquifies within the batch.  Globally-distinct consumers fold
-    them per user (``_user_day_pairs``); min/max consumers (churn,
-    lifespan) fold them with ``_user_spans``."""
+    and uniquifies within the batch.  Globally-distinct consumers add
+    the groupby (``_user_day_pairs``); min/max consumers (churn,
+    lifespan) fold these partials directly."""
     ts_us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
     u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     day = ts_us // _DAY_US
@@ -8198,30 +8200,18 @@ def _user_day_part(t: pa.Table) -> pa.Table:
                      "day": pa.array(key & ((1 << 20) - 1))})
 
 
-def _user_day_partials(sf_dir: str) -> "ray.data.Dataset":
-    """The events table as :func:`_user_day_part` partials."""
-    return ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "user_id"]
-    ).map_batches(_user_day_part, batch_format="pyarrow")
-
-
 def _user_day_pairs(sf_dir: str) -> "ray.data.Dataset":
     """Globally-distinct (user_id, day) activity pairs — the dau base
     table every engagement query starts from."""
-    return fold_by_part(
-        _user_day_partials(sf_dir), "user_id",
-        lambda df: df[["user_id", "day"]].drop_duplicates(ignore_index=True),
-        N_EVENT_PARTS)
+    return (
+        ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                              columns=["ts", "user_id"])
+        .map_batches(_user_day_part, batch_format="pyarrow")
+        .groupby(["user_id", "day"]).count()
+        .select_columns(["user_id", "day"])
+    )
 
 
-def _user_spans(sf_dir: str) -> "ray.data.Dataset":
-    """(user_id, mnd, mxd): every user's first and last active day."""
-    return keyed_agg(
-        _user_day_partials(sf_dir).map_batches(
-            lambda t: pa.table({"user_id": t["user_id"], "mnd": t["day"],
-                                "mxd": t["day"]}),
-            batch_format="pyarrow"),
-        ["user_id"], {"mnd": "min", "mxd": "max"}, "user_id", N_EVENT_PARTS)
 LATE_THRESH_US = HOUR_US
 
 
@@ -8376,7 +8366,7 @@ def q_neardup_raretok(sf_dir: str) -> "ray.data.Dataset":
     hist = keyed_agg(
         _seq_ds(sf_dir).map_batches(hist_partial, batch_format="pyarrow",
                                     batch_size=256),
-        ["tok"], {"cnt": "sum"}, "tok", N_TOKEN_PARTS,
+        ["tok"], {"cnt": "sum"}, "tok",
     ).to_pandas()  # vocab-bounded: <= 2^TOKEN_BITS rows
     toks = hist["tok"].to_numpy().astype(np.int64)
     cnts = hist["cnt"].to_numpy().astype(np.int64)
@@ -8757,7 +8747,7 @@ def q_hod_median(sf_dir: str) -> "ray.data.Dataset":
 
     return keyed_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["hod", "tok"], {"cnt": "sum"}, "tok", N_TOKEN_PARTS,
+        ["hod", "tok"], {"cnt": "sum"}, "tok",
     ).groupby("hod").map_groups(finish, batch_format="pandas")
 
 
@@ -8795,12 +8785,21 @@ def q_watermark_pick(sf_dir: str) -> "pa.Table":
         uk, cnt = np.unique(late // 1000, return_counts=True)
         return pd.DataFrame({"lat_ms": uk, "cnt": cnt.astype(np.int64)})
 
-    hist = keyed_agg(
+    # one tiny distinct-ms histogram per arrival part: merge them on the
+    # driver in ~1M-row batches, not through a shuffle. At 20M events
+    # (nproc 1, 4 Ray slots) a hash groupby over these blocks took 282 s,
+    # a keyed_agg 35 s, a repartition coalesce 26 s, and this 19 s.
+    parts = (
         ds.map_batches(_add_arrival_part, batch_format="pyarrow")
         .groupby("part")
-        .map_groups(fold, batch_format="pandas"),
-        ["lat_ms"], {"cnt": "sum"}, "lat_ms", N_EVENT_PARTS,
-    ).to_pandas().sort_values("lat_ms", kind="mergesort")  # distinct ms
+        .map_groups(fold, batch_format="pandas")
+    )
+    hist = pd.concat([
+        b.groupby("lat_ms", as_index=False)["cnt"].sum()
+        for b in parts.iter_batches(batch_format="pandas",
+                                    batch_size=1 << 20)
+    ]).groupby("lat_ms", as_index=False)["cnt"].sum()  # distinct ms
+    hist = hist.sort_values("lat_ms", kind="mergesort")
     ms = hist["lat_ms"].to_numpy().astype(np.int64)
     total, pick = _hist_rank_pick(
         ms, hist["cnt"].to_numpy().astype(np.int64))
@@ -8908,8 +8907,7 @@ def q_dup_events(sf_dir: str) -> "pa.Table":
         return g
 
     groups = keyed_agg(ds.map_batches(partial, batch_format="pandas"),
-                       ["u", "t", "e", "v"], {"c": "sum"}, "u",
-                       N_EVENT_PARTS)
+                       ["u", "t", "e", "v"], {"c": "sum"}, "u")
 
     def fold(t: pa.Table) -> pa.Table:
         c = t["c"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9424,7 +9422,7 @@ def _order_ship_days(sf_dir: str) -> "ray.data.Dataset":
                 .astype("datetime64[us]").astype(np.int64) // _DAY_US)
             .groupby("l_orderkey", as_index=False)["sd"].max(),
             batch_format="pandas"),
-        ["l_orderkey"], {"sd": "max"}, "l_orderkey", N_JOIN_PARTS,
+        ["l_orderkey"], {"sd": "max"}, "l_orderkey",
     )
 
 
@@ -9502,7 +9500,7 @@ def q_delta_code_bits(sf_dir: str) -> "pa.Table":
     hist = keyed_agg(
         map_docs(_seq_ds(sf_dir), partial, {
             "d": pa.int64(), "cnt": pa.int64()}),
-        ["d"], {"cnt": "sum"}, "d", N_TOKEN_PARTS,
+        ["d"], {"cnt": "sum"}, "d",
     ).to_pandas()
     hist = hist.sort_values(["cnt", "d"], ascending=[False, True],
                             kind="mergesort")
@@ -9567,7 +9565,7 @@ def q_revenue_concentration(sf_dir: str) -> "pa.Table":
 
     cells = keyed_agg(
         ds.map_batches(partial, batch_format="pandas"),
-        ["ck", "year"], {"cents": "sum"}, "ck", N_JOIN_PARTS,
+        ["ck", "year"], {"cents": "sum"}, "ck",
     ).to_pandas()  # customers x years
     rows = []
     for yr, grp in cells.groupby("year"):
@@ -9954,7 +9952,7 @@ def q_bigram_code_bits(sf_dir: str) -> "pa.Table":
     hist = keyed_agg(
         map_docs(_seq_ds(sf_dir), partial, {
             "x": pa.int64(), "y": pa.int64(), "cnt": pa.int64()}),
-        ["x", "y"], {"cnt": "sum"}, "x", N_JOIN_PARTS,
+        ["x", "y"], {"cnt": "sum"}, "x",
     ).to_pandas()  # distinct-pair-sized
     hist = hist.sort_values(["cnt", "x", "y"],
                             ascending=[False, True, True],
@@ -10359,7 +10357,7 @@ def q_lines_per_order_hist(sf_dir: str) -> "ray.data.Dataset":
 
     hist = (
         keyed_agg(ds.map_batches(partial, batch_format="pyarrow"),
-                  ["o"], {"c": "sum"}, "o", N_JOIN_PARTS)
+                  ["o"], {"c": "sum"}, "o")
         .map_batches(
             lambda t: pa.table(
                 {"n_lines": t["c"],
@@ -10511,7 +10509,7 @@ def q_rank_code_bits(sf_dir: str) -> "pa.Table":
 
     hist = keyed_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["tok"], {"cnt": "sum"}, "tok", N_TOKEN_PARTS,
+        ["tok"], {"cnt": "sum"}, "tok",
     ).to_pandas()
     hist = hist.sort_values(["cnt", "tok"], ascending=[False, True],
                             kind="mergesort")
@@ -10599,7 +10597,7 @@ def q_repurchase_interval(sf_dir: str) -> "pa.Table":
 
     hist = keyed_agg(
         fold_by_part(ds, "o_custkey", fold, N_EVENT_PARTS),
-        ["segment", "gap"], {"cnt": "sum"}, "gap", N_EVENT_PARTS,
+        ["segment", "gap"], {"cnt": "sum"}, "gap",
     ).to_pandas()  # segments x distinct gaps
     rows = []
     for seg, grp in hist.groupby("segment"):
@@ -11018,7 +11016,7 @@ def q_coverage_curve(sf_dir: str) -> "pa.Table":
 
     hist = keyed_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["tok"], {"cnt": "sum"}, "tok", N_TOKEN_PARTS,
+        ["tok"], {"cnt": "sum"}, "tok",
     ).to_pandas()
     hist = hist.sort_values(["cnt", "tok"], ascending=[False, True],
                             kind="mergesort")
@@ -11103,7 +11101,7 @@ def q_type_mad(sf_dir: str) -> "pa.Table":
 
     h1 = keyed_agg(
         ds.map_batches(hist1, batch_format="pyarrow"),
-        ["event_type", "tok"], {"cnt": "sum"}, "tok", N_TOKEN_PARTS,
+        ["event_type", "tok"], {"cnt": "sum"}, "tok",
     ).to_pandas()
     med = med_from(h1, "tok")
     med_ref = ray.put(med)
@@ -11125,7 +11123,7 @@ def q_type_mad(sf_dir: str) -> "pa.Table":
 
     h2 = keyed_agg(
         ds.map_batches(hist2, batch_format="pyarrow"),
-        ["event_type", "dev"], {"cnt": "sum"}, "dev", N_TOKEN_PARTS,
+        ["event_type", "dev"], {"cnt": "sum"}, "dev",
     ).to_pandas()
     mad = med_from(h2, "dev")
     n_by = h1.groupby("event_type")["cnt"].sum()
@@ -11291,7 +11289,7 @@ def q_supplier_hhi(sf_dir: str) -> "ray.data.Dataset":
             f"{sf_dir}/lineitem.parquet",
             columns=["l_partkey", "l_suppkey", "l_quantity"])
         .map_batches(partial, batch_format="pandas"),
-        ["brand", "supp"], {"q": "sum"}, "supp", N_JOIN_PARTS,
+        ["brand", "supp"], {"q": "sum"}, "supp",
     )
 
     def fold(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -11326,9 +11324,16 @@ def q_user_lifespan_hist(sf_dir: str) -> "ray.data.Dataset":
     groupby -> span histogram; all counts exact."""
     import pandas as pd
 
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Max, Min, Sum
 
-    spans = _user_spans(sf_dir)
+    spans = (
+        ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                              columns=["ts", "user_id"])
+        .map_batches(_user_day_part, batch_format="pyarrow")
+        .groupby("user_id")
+        .aggregate(Min("day", alias_name="mnd"),
+                   Max("day", alias_name="mxd"))
+    )
 
     def hist_part(t: pa.Table) -> pa.Table:
         span = (t["mxd"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -11448,7 +11453,7 @@ def q_balance_vs_volume(sf_dir: str) -> "pa.Table":
         ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                               columns=["o_custkey"])
         .map_batches(partial, batch_format="pandas"),
-        ["o_custkey"], {"f": "sum"}, "o_custkey", N_JOIN_PARTS,
+        ["o_custkey"], {"f": "sum"}, "o_custkey",
     ).to_pandas()  # customers-with-orders-sized
     m = cust.merge(counts, left_on="c_custkey", right_on="o_custkey",
                    how="left")
@@ -11598,7 +11603,7 @@ def q_session_count_hist(sf_dir: str) -> "ray.data.Dataset":
 
     hist = (
         keyed_agg(sess.map_batches(per_user, batch_format="pyarrow"),
-                  ["user_id"], {"ns": "sum"}, "user_id", N_EVENT_PARTS)
+                  ["user_id"], {"ns": "sum"}, "user_id")
         .map_batches(
             lambda t: pa.table(
                 {"n_sessions": t["ns"],
@@ -11651,7 +11656,7 @@ def q_quantize_compare(sf_dir: str) -> "pa.Table":
 
     hist = keyed_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["tok"], {"cnt": "sum"}, "tok", N_TOKEN_PARTS,
+        ["tok"], {"cnt": "sum"}, "tok",
     ).to_pandas()
     hist = hist.sort_values("tok", kind="mergesort")
     toks = hist["tok"].to_numpy().astype(np.int64)
@@ -11986,10 +11991,13 @@ def q_transition_latency(sf_dir: str) -> "pa.Table":
         return pd.DataFrame({"lat_ms": uk,
                              "cnt": cnt.astype(np.int64)})
 
-    hist = keyed_agg(
-        fold_by_part(ds, "user_id", fold, N_EVENT_PARTS),
-        ["lat_ms"], {"cnt": "sum"}, "lat_ms", N_EVENT_PARTS,
-    ).to_pandas()  # distinct-ms-sized
+    from ray.data.aggregate import Sum
+
+    hist = (
+        fold_by_part(ds, "user_id", fold, N_EVENT_PARTS)
+        .groupby("lat_ms").aggregate(Sum("cnt", alias_name="cnt"))
+        .to_pandas()  # distinct-ms-sized
+    )
     hist = hist.sort_values("lat_ms", kind="mergesort")
     ms = hist["lat_ms"].to_numpy().astype(np.int64)
     total, pick = _hist_rank_pick(
@@ -12408,7 +12416,15 @@ def q_churn_split(sf_dir: str) -> "pa.Table":
 
     from ray.data.aggregate import Max, Min
 
-    spans = _user_spans(sf_dir).materialize()  # users-sized
+    spans = (
+        ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                              columns=["ts", "user_id"])
+        .map_batches(_user_day_part, batch_format="pyarrow")
+        .groupby("user_id")
+        .aggregate(Min("day", alias_name="mnd"),
+                   Max("day", alias_name="mxd"))
+        .materialize()  # users-sized
+    )
     mm = spans.aggregate(Min("mnd"), Max("mxd"))
     mid = (int(mm["min(mnd)"]) + int(mm["max(mxd)"]) + 1) // 2
 
@@ -12704,7 +12720,7 @@ def q_rfm_segments(sf_dir: str) -> "ray.data.Dataset":
 
     agg = keyed_agg(
         ds.map_batches(partial, batch_format="pandas"),
-        ["ck"], {"r_day": "max", "f": "sum", "m": "sum"}, "ck", N_JOIN_PARTS,
+        ["ck"], {"r_day": "max", "f": "sum", "m": "sum"}, "ck",
     ).materialize()  # customers-sized (dimension-scale, not fact-scale)
 
     def breakpoints(col: str) -> np.ndarray:
@@ -12717,7 +12733,7 @@ def q_rfm_segments(sf_dir: str) -> "ray.data.Dataset":
 
         hist = keyed_agg(
             agg.map_batches(h, batch_format="pyarrow"),
-            ["v"], {"cnt": "sum"}, "v", N_JOIN_PARTS,
+            ["v"], {"cnt": "sum"}, "v",
         ).to_pandas().sort_values("v", kind="mergesort")
         c = hist["cnt"].to_numpy().astype(np.int64)
         n = int(c.sum())
@@ -12792,7 +12808,7 @@ def q_equalize_map(sf_dir: str) -> "pa.Table":
 
     hist = keyed_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["tok"], {"cnt": "sum"}, "tok", N_TOKEN_PARTS,
+        ["tok"], {"cnt": "sum"}, "tok",
     ).to_pandas()
     hist = hist.sort_values("tok", kind="mergesort")
     c = hist["cnt"].to_numpy().astype(np.int64)
@@ -12912,10 +12928,13 @@ def q_session_duration_bands(sf_dir: str) -> "pa.Table":
         return pa.table({"dur_s": pa.array(uk),
                          "cnt": pa.array(cnt.astype(np.int64))})
 
-    hist = keyed_agg(
-        sess.map_batches(partial, batch_format="pyarrow"),
-        ["dur_s"], {"cnt": "sum"}, "dur_s", N_EVENT_PARTS,
-    ).to_pandas()  # bounded by distinct whole-second durations
+    from ray.data.aggregate import Sum
+
+    hist = (
+        sess.map_batches(partial, batch_format="pyarrow")
+        .groupby("dur_s").aggregate(Sum("cnt", alias_name="cnt"))
+        .to_pandas()  # bounded by distinct whole-second durations
+    )
     hist = hist.sort_values("dur_s", kind="mergesort")
     durs = hist["dur_s"].to_numpy().astype(np.int64)
     total, pick = _hist_rank_pick(
@@ -13044,7 +13063,7 @@ def q_daily_value_bands(sf_dir: str) -> "ray.data.Dataset":
 
     return keyed_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["day", "tok"], {"cnt": "sum"}, "tok", N_TOKEN_PARTS,
+        ["day", "tok"], {"cnt": "sum"}, "tok",
     ).groupby("day").map_groups(finish, batch_format="pandas")
 
 
