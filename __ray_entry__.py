@@ -67,6 +67,13 @@ def entry() -> Any:
 # fulfillment_bands, backlog_peak, vocab_growth, supplier_hhi, best_atom
 # (argmax inside the per-doc map), repurchase_interval, gini_tokens,
 # dup_events and user_burstiness.
+# Round 8: eight of those round-7 slots (bigram_code_bits,
+# fulfillment_bands, backlog_peak, vocab_growth, best_atom, gini_tokens,
+# dup_events, user_burstiness) rotate out for eight never-gated queries
+# whose map-side key joins now go through skeletons.broadcast_dim:
+# revenue_by_nation, region_share_by_year, part_size_vs_qty,
+# discount_uplift, type_mad, rare_token_docs, profile_outliers and
+# source_report (supplier_hhi and repurchase_interval stay: they moved too).
 _PRIORITY = [
     # core §2 pins
     "rollup_t1", "rollup_t3", "rollup_t6", "source_stats", "store_stats",
@@ -75,10 +82,10 @@ _PRIORITY = [
     "parseval_ok", "resample64", "bandpass_coarse", "scale_energy",
     "fft_magnitude", "dwt_haar", "tier_pick", "dau_mau", "normalize",
     "cross_source_diff", "peak_concurrency",
-    # first-time-gated core queries (round 7 rotation)
-    "bigram_code_bits", "fulfillment_bands", "backlog_peak", "vocab_growth",
-    "supplier_hhi", "best_atom", "repurchase_interval", "gini_tokens",
-    "dup_events", "user_burstiness",
+    # first-time-gated queries (round 8 rotation)
+    "revenue_by_nation", "region_share_by_year", "part_size_vs_qty",
+    "discount_uplift", "supplier_hhi", "type_mad", "repurchase_interval",
+    "rare_token_docs", "profile_outliers", "source_report",
     # late core additions + the join family
     "store_refresh", "drawdown",
     "mann_kendall", "profit_by_nation_year", "dedup_incremental",

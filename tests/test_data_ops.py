@@ -4649,6 +4649,34 @@ def test_bigram_code_bits_hand_checked():
             int(out["total_bits"])) == (5, 3, 11)
 
 
+@pytest.mark.parametrize("name", ["gini_tokens", "bigram_code_bits"])
+def test_token_histogram_finishes_on_a_corpus_without_tokens(
+        ray_session, tmp_path, name):
+    """A sequences table whose only doc has no tokens folds to an empty
+    histogram: both finishes must answer what their DuckDB oracle does
+    on that table (no rows for gini_tokens; NULL sums and a zero count
+    for bigram_code_bits), not fail on a frame without columns."""
+    import unittest.mock as mock
+
+    import duckdb
+    import ray.data
+
+    from wavelet_decomposition_ray.pipelines import queries as cq
+
+    t = pa.table({"doc_id": ["a"], "source": ["s"],
+                  "tokens": pa.array([[]], pa.list_(pa.int32()))})
+    pq.write_table(t, tmp_path / "seq.parquet")
+    sql = getattr(cq, f"{name.upper()}_SQL").replace(
+        cq.SYNTH_GLOB_001, str(tmp_path / "seq.parquet"))
+    want = duckdb.sql(sql).arrow()
+    with mock.patch.object(cq, "_seq_ds",
+                           return_value=ray.data.from_arrow(t)):
+        got = getattr(cq, f"q_{name}")("unused")
+    assert got.num_rows == want.num_rows
+    assert got.column_names == want.column_names
+    assert got.to_pylist() == want.to_pylist()
+
+
 def test_lang_source_mix_hand_checked():
     """web = 3 en + 1 fr -> shares 750000 / 250000 ppm."""
     import unittest.mock as mock

@@ -1,5 +1,9 @@
 """The query registry's shared skeletons: the per-doc token map's batch
-function (Ray-free), the coarse-partition fold and the keyed fold."""
+function (Ray-free), the coarse-partition fold, the keyed fold and the
+broadcast dimension."""
+
+import os
+import re
 
 import numpy as np
 import pyarrow as pa
@@ -129,6 +133,83 @@ def test_keyed_agg_rejects_a_part_key_outside_the_keys():
 def test_keyed_agg_of_an_empty_dataset_has_no_rows(ray_session):
     import ray.data
 
-    empty = ray.data.from_arrow(pa.table({
-        "k": pa.array([], pa.int64()), "x": pa.array([], pa.int64())}))
-    assert len(sk.keyed_agg(empty, ["k"], {"x": "sum"}, "k").to_pandas()) == 0
+    cols = {"k": pa.int64(), "x": pa.int64()}
+    empty = ray.data.from_arrow(pa.schema(cols).empty_table())
+    out = sk.keyed_agg(empty, ["k"], {"x": "sum"}, "k")
+    assert len(out.to_pandas()) == 0
+    # Ray Data collects the zero-row fold without columns; collect keeps
+    # the key and aggregate columns and their types
+    df = sk.collect(out, cols)
+    assert len(df) == 0 and list(df.columns) == ["k", "x"]
+    assert (df["k"].dtype, df["x"].dtype) == (np.int64, np.int64)
+
+
+def test_broadcast_dim_lookup_and_member(ray_session):
+    dim = sk.broadcast_dim(np.array([30, 10, 20]), "part",
+                           size=np.array([3, 1, 2]))
+    assert len(dim) == 3
+    assert dim.lookup(pa.array([20, 30, 20]))["size"].tolist() == [2, 3, 2]
+    assert dim.member(np.array([5, 10, 25, 30, 40])).tolist() == [
+        False, True, False, True, False]
+
+
+def test_broadcast_dim_dangling_key_raises(ray_session):
+    dim = sk.broadcast_dim([1, 2, 4], "customer", seg=["a", "b", "c"])
+    with pytest.raises(ValueError, match=r"'customer'.*dangling key 3"):
+        dim.lookup([2, 3, 9])
+    # past the last key too: no clamped neighbour row
+    with pytest.raises(ValueError, match="dangling key 9"):
+        dim.lookup([9])
+
+
+def test_broadcast_dim_duplicate_keys_raise():
+    # raised on the driver, before anything is put in the object store
+    with pytest.raises(ValueError, match=r"'orders' has duplicate key 7"):
+        sk.broadcast_dim([7, 3, 7], "orders")
+    with pytest.raises(ValueError, match="duplicate key 'x'"):
+        sk.sorted_dim(["x", "y", "x"], "types")
+
+
+def test_broadcast_dim_empty(ray_session):
+    dim = sk.broadcast_dim(np.empty(0, np.int64), "none",
+                           v=np.empty(0, np.int64))
+    assert len(dim) == 0
+    m = dim.member(np.array([1, 2, 3]))
+    assert m.dtype == bool and m.tolist() == [False] * 3
+    assert len(dim.lookup(np.empty(0, np.int64))["v"]) == 0
+    # a non-empty dimension answers zero probes with zero rows as well
+    full = sk.broadcast_dim([1], "one", v=["a"])
+    assert len(full.lookup(np.empty(0, np.int64))["v"]) == 0
+    assert len(full.member(np.empty(0, np.int64))) == 0
+
+
+def test_broadcast_dim_string_keys_and_payloads_round_trip(ray_session):
+    keys = np.array(["view", "click", "buy", "cart"], dtype=object)
+    names = np.array(["V", "C", "B", "C"], dtype=object)
+    dim = sk.broadcast_dim(keys, "event types", name=names,
+                           n=np.arange(8).reshape(4, 2))
+    probe = pa.chunked_array([["buy", "view"], ["cart", "buy"]])
+    got = dim.lookup(probe)
+    assert got["name"].tolist() == ["B", "V", "C", "B"]
+    assert all(type(x) is str for x in got["name"])
+    assert got["n"].tolist() == [[4, 5], [0, 1], [6, 7], [4, 5]]
+    assert dim.member(["buy", "bu", "buyer", "zzz", "click"]).tolist() == [
+        True, False, False, False, True]
+
+
+_QUERY_MODULES = ("queries.py", "data_queries.py")
+
+
+@pytest.mark.parametrize("module", _QUERY_MODULES)
+def test_query_modules_join_only_through_broadcast_dim(module):
+    """Key joins go through ``broadcast_dim``: no foreign-key ``assert``
+    (``python -O`` strips it, and a dangling key then takes its
+    neighbour's row) and no hand-clamped ``searchsorted`` probe."""
+    path = os.path.join(os.path.dirname(sk.__file__), module)
+    src = open(path).read()
+    banned = [r"assert[^\n]*\\?\n?[^\n]*(dangling|violates[^\n]*FK)",
+              r"np\.minimum\(np\.searchsorted\(",
+              r"idx\[idx >= len\("]
+    for pat in banned:
+        hit = re.search(pat, src)
+        assert hit is None, f"{module}: {hit.group(0)!r}"

@@ -18,7 +18,8 @@ from ..functions import dedup as dd
 from ..functions import multimodal as mm
 from ..functions import similarity as sim
 from ..functions import text as tx
-from .skeletons import fold_by_part, keyed_agg
+from .skeletons import (broadcast_dim, cached_get, collect, fold_by_part,
+                        keyed_agg, sorted_dim)
 
 NEAR_DUP_TAU = 0.5       # char-5-shingle / word-3-gram Jaccard threshold
 EMBED_TAU = 0.4          # cosine near-dup threshold (data max is ~0.51)
@@ -291,52 +292,20 @@ DEDUP_EXACT_SQL = (
 )
 
 
-# per-worker-process cache of broadcast sides: ray.get of a plasma ref is
-# cheap for numpy (zero-copy) but re-DESERIALIZES python objects (sets,
-# dicts) on every call — fetch each ref once per worker instead. Bounded:
-# a long pytest session runs many queries through the same workers.
-_SIDE_CACHE: dict = {}
-
-
-def _cached_side(ref):
-    key = ref.hex()
-    if key not in _SIDE_CACHE:
-        while len(_SIDE_CACHE) >= 8:
-            # FIFO-evict the oldest entry (dict preserves insertion
-            # order), never the sides the running query just fetched —
-            # a wholesale clear() would re-deserialize mid-query
-            _SIDE_CACHE.pop(next(iter(_SIDE_CACHE)))
-        _SIDE_CACHE[key] = ray.get(ref)
-    return _SIDE_CACHE[key]
-
-
-def _cached_side_strset(ref):
-    """Per-worker cached ``set[str]`` built from a broadcast Arrow string
-    array (VERDICT r4: a pickled Python set re-materializes every string
-    through the pickler per fetch; an Arrow array rides the object store
-    as ONE shared flat buffer per node — zero-copy ``ray.get`` — and the
-    set is built once per worker here, not once per broadcast copy)."""
-    key = ref.hex() + ":strset"
-    if key not in _SIDE_CACHE:
-        while len(_SIDE_CACHE) >= 8:
-            _SIDE_CACHE.pop(next(iter(_SIDE_CACHE)))
-        _SIDE_CACHE[key] = set(ray.get(ref).to_pylist())
-    return _SIDE_CACHE[key]
+def _strset(arr: pa.Array) -> set:
+    """``set[str]`` of a broadcast Arrow string array, built once per
+    worker through ``cached_get(ref, _strset)`` (VERDICT r4: a pickled
+    Python set re-materializes every string through the pickler per
+    fetch; an Arrow array rides the object store as ONE shared flat
+    buffer per node — zero-copy ``ray.get`` — and the set is built once
+    per worker, not once per broadcast copy)."""
+    return set(arr.to_pylist())
 
 
 # below this corpus size the length-histogram prune's extra pass costs
 # more than the md5 it saves (same adaptive-plan shape as the simhash
 # banding threshold)
 DEDUP_PRUNE_THRESHOLD = 100_000
-
-
-def _in_sorted(sorted_vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorized membership of ``x`` in a SORTED unique array (clamped
-    searchsorted + equality). Empty array -> all False."""
-    if len(sorted_vals) == 0:
-        return np.zeros(len(x), dtype=bool)
-    idx = np.minimum(np.searchsorted(sorted_vals, x), len(sorted_vals) - 1)
-    return sorted_vals[idx] == x
 
 
 def _collided_lengths(sf_dir: str) -> np.ndarray:
@@ -394,12 +363,10 @@ def _dropped_dup_ids(sf_dir: str) -> np.ndarray:
             # an all-filtered dataset must not reach the shuffle
             # (empty-block groupby crash)
             return np.empty(0, dtype=np.int64)
-        dup_lens_ref = ray.put(dup_lens)
+        lens = broadcast_dim(dup_lens, "collided lengths")
 
         def hash_fn(t: pa.Table) -> pa.Table:
-            lens = _cached_side(dup_lens_ref)
-            nc = pc.utf8_length(t["text"]).to_numpy(zero_copy_only=False)
-            t = t.filter(pa.array(_in_sorted(lens, nc.astype(np.int64))))
+            t = t.filter(pa.array(lens.member(pc.utf8_length(t["text"]))))
             return dd.exact_hash_part_batch(t, n_parts)
     else:
         def hash_fn(t: pa.Table) -> pa.Table:
@@ -415,11 +382,6 @@ def _dropped_dup_ids(sf_dir: str) -> np.ndarray:
     if len(dropped) == 0:
         return np.empty(0, dtype=np.int64)
     return np.sort(dropped["doc_id"].to_numpy().astype(np.int64))
-
-
-def _make_not_dropped_mask(drop: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Boolean keep-mask: ids NOT in the sorted dropped array."""
-    return ~_in_sorted(drop, ids)
 
 
 def q_dup_cluster_hist(sf_dir: str):
@@ -468,12 +430,10 @@ def q_dedup_exact_keep(sf_dir: str):
     streaming NOT-member filter of the corpus. Survivors are never
     materialized anywhere (the r3 survivor-set broadcast was corpus-sized
     at 10^12 docs); the second pass reads only (doc_id, n_chars)."""
-    drop_ref = ray.put(_dropped_dup_ids(sf_dir))
+    drop = broadcast_dim(_dropped_dup_ids(sf_dir), "dropped duplicate ids")
 
     def keep_batch(t: pa.Table) -> pa.Table:
-        drop = _cached_side(drop_ref)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(_make_not_dropped_mask(drop, ids)))
+        return t.filter(pa.array(~drop.member(t["doc_id"])))
 
     return _docs(sf_dir, columns=("doc_id", "n_chars")).map_batches(
         keep_batch, batch_format="pyarrow"
@@ -637,8 +597,7 @@ def q_dedup_keep(sf_dir: str):
         labels = cc.union_find_min_labels(
             pairs["doc_a"].to_numpy(), pairs["doc_b"].to_numpy()
         )
-        drop = np.array(sorted(d for d, root in labels.items() if root < d),
-                        dtype=np.int64)
+        drop = [d for d, root in labels.items() if root < d]
     else:
         lab = cc.propagate_min_labels(pairs_ds)
         drop_tbl = lab.map_batches(
@@ -647,13 +606,11 @@ def q_dedup_keep(sf_dir: str):
             ).select(["node"]),
             batch_format="pyarrow",
         ).to_pandas()  # dropped-doc ids only: << corpus
-        drop = np.sort(drop_tbl["node"].to_numpy().astype(np.int64))
-    drop_ref = ray.put(drop)
+        drop = drop_tbl["node"]
+    drop = broadcast_dim(drop, "dropped near-duplicate ids")
 
     def keep_batch(t: pa.Table) -> pa.Table:
-        d = ray.get(drop_ref)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(~np.isin(ids, d)))
+        return t.filter(pa.array(~drop.member(t["doc_id"])))
 
     return _docs(sf_dir, columns=("doc_id", "n_chars")).map_batches(
         keep_batch, batch_format="pyarrow"
@@ -1864,7 +1821,7 @@ def _make_decontam_score(bench_ref):
         import pandas as pd
 
         # set[str] built per worker from the broadcast Arrow array
-        bench = _cached_side_strset(bench_ref)
+        bench = cached_get(bench_ref, _strset)
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         keep = ids % DECONTAM_MOD != 0
         ids_k = ids[keep]
@@ -3121,7 +3078,7 @@ def q_corpus_clean(sf_dir: str):
     ``benchmark.parquet`` (eval-suite-sized input, no corpus pass); at
     100 TB you would compose THAT side-build with this capstone's single
     filter scan."""
-    drop_ref = ray.put(_dropped_dup_ids(sf_dir))
+    drop = broadcast_dim(_dropped_dup_ids(sf_dir), "dropped duplicate ids")
 
     def bench_grams(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3145,15 +3102,14 @@ def q_corpus_clean(sf_dir: str):
     lo, hi = QUALITY_WL_RANGE
 
     def clean_batch(t: pa.Table) -> pa.Table:
-        drop = _cached_side(drop_ref)
-        bench = _cached_side_strset(bench_ref)
+        bench = cached_get(bench_ref, _strset)
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         # cheap id-level predicates first: corpus side, train split,
         # dedup dropped-duplicate membership
         m = ids % DECONTAM_MOD != 0
         b = dd.salted_bucket(ids, dd.SPLIT_SALT)
         m &= b >= HOLDOUT_PERMILLE
-        m &= _make_not_dropped_mask(drop, ids)
+        m &= ~drop.member(ids)
         t = t.filter(pa.array(m))
         if t.num_rows == 0:
             return pa.table(
@@ -3857,8 +3813,8 @@ def q_ann_pq(sf_dir: str):
     cb_ref = ray.put(codebook)
 
     def score(t: pa.Table) -> pa.Table:
-        cb = _cached_side(cb_ref)
-        adc = _cached_side(adc_ref)
+        cb = cached_get(cb_ref)
+        adc = cached_get(adc_ref)
         qm = sim.pq_quantize(sim.embedding_matrix(t))
         codes = sim.pq_encode(qm, cb)
         dist = adc[np.arange(sim.PQ_M)[None, :], codes].sum(axis=1)
@@ -3917,8 +3873,8 @@ def q_ann_pq_rerank(sf_dir: str):
     C = max(PQ_RERANK_FLOOR, int(np.floor(n_total * PQ_RERANK_FRAC)))
 
     def score(t: pa.Table) -> pa.Table:
-        cb = _cached_side(cb_ref)
-        adc = _cached_side(adc_ref)
+        cb = cached_get(cb_ref)
+        adc = cached_get(adc_ref)
         qm = sim.pq_quantize(sim.embedding_matrix(t))
         codes = sim.pq_encode(qm, cb)
         dist = adc[np.arange(sim.PQ_M)[None, :], codes].sum(axis=1)
@@ -4019,7 +3975,7 @@ def q_dedup_incremental(sf_dir: str) -> "ray.data.Dataset":
     old doc (min old id). Neither side is broadcastable (both are
     corpus-sized), so this is ONE hash-partitioned exchange of compact
     (md5, doc_id, is_old) rows — text never shuffles — followed by a
-    vectorized per-bucket hash-join (sorted old hashes + searchsorted,
+    vectorized per-bucket hash-join (the old hashes as a ``sorted_dim``,
     min-old-id per hash via the sorted-first trick). INCR_BUCKETS
     scales with corpus size so each bucket fits a worker; matching at
     md5 identity is the standard 100-TB trade (the oracle joins on
@@ -4050,13 +4006,13 @@ def q_dedup_incremental(sf_dir: str) -> "ray.data.Dataset":
         o = old.sort_values(["h", "doc_id"], kind="mergesort")
         oh = o["h"].to_numpy()
         first = np.r_[True, oh[1:] != oh[:-1]]  # min doc_id per hash
-        oh, oid = oh[first], o["doc_id"].to_numpy()[first]
+        snap = sorted_dim(oh[first], "snapshot hashes",
+                          old_id=o["doc_id"].to_numpy()[first])
         nh = new["h"].to_numpy()
-        i = np.minimum(np.searchsorted(oh, nh), len(oh) - 1)
-        hit = oh[i] == nh
+        hit = snap.member(nh)
         return pd.DataFrame(
             {"doc_id": new["doc_id"].to_numpy()[hit].astype(np.int64),
-             "old_id": oid[i[hit]].astype(np.int64)}
+             "old_id": snap.lookup(nh[hit])["old_id"].astype(np.int64)}
         )
 
     return (
@@ -4078,32 +4034,20 @@ DEDUP_INCREMENTAL_SQL = (
 )
 
 
-def _dup_hash_ref(sf_dir: str):
-    """Broadcast handle on the sorted U32 array of content hashes that
-    occur more than once (duplicates-only, << corpus — the
-    dedup_exact_keep broadcast rule).  Shared by dup_rate_by_source and
-    source_report so the membership convention cannot drift."""
+def _dup_hashes(sf_dir: str):
+    """Broadcast set of the content hashes that occur more than once
+    (duplicates-only, << corpus — the dedup_exact_keep broadcast rule).
+    Shared by dup_rate_by_source and source_report so the membership
+    convention cannot drift."""
     from ray.data.aggregate import Count
 
     hashed = _docs(sf_dir).map_batches(dd.exact_hash_batch,
                                        batch_format="pyarrow")
     groups = hashed.groupby("content_hash").aggregate(
         Count(alias_name="c"))
-    dup = groups.filter(lambda r: r["c"] > 1).to_pandas()  # dup-sized
-    # an all-empty Dataset loses its schema through to_pandas — a
-    # duplicate-free corpus must still broadcast an empty hash set
-    dup_hashes = (np.sort(dup["content_hash"].to_numpy().astype("U32"))
-                  if len(dup) else np.empty(0, dtype="U32"))
-    return ray.put(dup_hashes)
-
-
-def _dup_membership(hashes_u32: np.ndarray, dh: np.ndarray) -> np.ndarray:
-    """int64 0/1 membership of each hash in the sorted dup-hash array."""
-    if len(dh) == 0:
-        return np.zeros(len(hashes_u32), dtype=np.int64)
-    idx = np.searchsorted(dh, hashes_u32)
-    idx[idx >= len(dh)] = 0
-    return (dh[idx] == hashes_u32).astype(np.int64)
+    dup = collect(groups.filter(lambda r: r["c"] > 1),  # dup-sized
+                  {"content_hash": pa.string(), "c": pa.int64()})
+    return broadcast_dim(dup["content_hash"], "duplicate content hashes")
 
 
 def q_source_report(sf_dir: str):
@@ -4119,17 +4063,15 @@ def q_source_report(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    dup_ref = _dup_hash_ref(sf_dir)
+    dups = _dup_hashes(sf_dir)
 
     class _Score:
         def __init__(self):
             self.lang = tx.LangId()
 
         def __call__(self, t: pa.Table) -> pa.Table:
-            dh = ray.get(dup_ref)
             h = dd.exact_hash_batch(t.select(["doc_id", "text"]))
-            hv = np.asarray(h["content_hash"].to_pylist(), dtype="U32")
-            isdup = _dup_membership(hv, dh)
+            isdup = dups.member(h["content_hash"]).astype(np.int64)
             pred = self.lang(t.select(["doc_id", "text"]))["pred_lang"] \
                 .to_numpy(zero_copy_only=False)
             declared = t["lang"].to_numpy(zero_copy_only=False)
@@ -4475,15 +4417,12 @@ def q_dup_source_matrix(sf_dir: str):
         return pa.table({"src_a": pa.array([], type=pa.string()),
                          "src_b": pa.array([], type=pa.string()),
                          "n_pairs": pa.array([], type=pa.int64())})
-    members = np.unique(np.concatenate(
+    members = broadcast_dim(np.unique(np.concatenate(
         [pt["doc_a"].to_numpy().astype(np.int64),
-         pt["doc_b"].to_numpy().astype(np.int64)]))
-    mem_ref = ray.put(members)
+         pt["doc_b"].to_numpy().astype(np.int64)])), "near-duplicate members")
 
     def member_src(t: pa.Table) -> pa.Table:
-        m = ray.get(mem_ref)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(np.isin(ids, m)))
+        return t.filter(pa.array(members.member(t["doc_id"])))
 
     meta = (
         _docs(sf_dir, columns=("doc_id", "source"))
@@ -4535,14 +4474,12 @@ def q_dup_rate_by_source(sf_dir: str):
     set."""
     from ray.data.aggregate import Sum
 
-    dup_ref = _dup_hash_ref(sf_dir)
+    dups = _dup_hashes(sf_dir)
 
     def per_source(t: pa.Table) -> pa.Table:
         import pandas as pd
 
-        dh = ray.get(dup_ref)
-        h = np.asarray(t["content_hash"].to_pylist(), dtype="U32")
-        isdup = _dup_membership(h, dh)
+        isdup = dups.member(t["content_hash"]).astype(np.int64)
         g = pd.DataFrame(
             {"source": t["source"].to_numpy(zero_copy_only=False),
              "d": isdup}
@@ -4603,13 +4540,10 @@ def q_dedup_keep_best(sf_dir: str):
         labels = dict(zip(lt["node"].astype(np.int64),
                           lt["label"].astype(np.int64)))
     if labels:
-        members = np.sort(np.fromiter(labels, dtype=np.int64, count=len(labels)))
-        mem_ref = ray.put(members)
+        members = broadcast_dim(list(labels), "near-duplicate members")
 
         def member_meta(t: pa.Table) -> pa.Table:
-            m = ray.get(mem_ref)
-            ids = t["doc_id"].to_numpy(zero_copy_only=False)
-            return t.filter(pa.array(np.isin(ids, m)))
+            return t.filter(pa.array(members.member(t["doc_id"])))
 
         meta = (
             _docs(sf_dir, columns=("doc_id", "n_chars"))
@@ -4624,16 +4558,13 @@ def q_dedup_keep_best(sf_dir: str):
             if cur is None or (-nch, did) < cur[0]:
                 best[root] = ((-int(nch), int(did)), int(did))
         survivors = {v[1] for v in best.values()}
-        drop = np.array(sorted(d for d in labels if d not in survivors),
-                        dtype=np.int64)
+        drop = [d for d in labels if d not in survivors]
     else:
         drop = np.empty(0, dtype=np.int64)
-    drop_ref = ray.put(drop)
+    drop = broadcast_dim(drop, "dropped near-duplicate ids")
 
     def keep_batch(t: pa.Table) -> pa.Table:
-        d = ray.get(drop_ref)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(~np.isin(ids, d)))
+        return t.filter(pa.array(~drop.member(t["doc_id"])))
 
     return _docs(sf_dir, columns=("doc_id", "n_chars")).map_batches(
         keep_batch, batch_format="pyarrow"
@@ -5019,7 +4950,7 @@ def q_pq_distortion(sf_dir: str):
     cb_ref = ray.put(codebook)
 
     def partial(t: pa.Table) -> pa.Table:
-        cb = _cached_side(cb_ref)
+        cb = cached_get(cb_ref)
         qm = sim.pq_quantize(sim.embedding_matrix(t))
         codes = sim.pq_encode(qm, cb)
         sub = qm.shape[1] // sim.PQ_M

@@ -1,4 +1,4 @@
-"""The three skeletons most of the query registry is built from.
+"""The four skeletons most of the query registry is built from.
 
 - :func:`map_docs` — a per-doc token map over a sequences dataset: unpack
   the ``tokens`` list column once, answer an empty batch with the declared
@@ -8,6 +8,16 @@
   of one Ray group per key.
 - :func:`keyed_agg` — the keyed fold of partial aggregates: sum / min /
   max per key through :func:`fold_by_part`.
+- :func:`broadcast_dim` — the map-side key join: a small dimension
+  (sorted unique keys plus payload columns) put in the object store
+  once and probed inside every batch, for a foreign-key lookup
+  (:meth:`BroadcastDim.lookup`) or a semi-/anti-join mask
+  (:meth:`BroadcastDim.member`). Use it when one side of an equi-join
+  fits on the driver: a dimension table, a filtered key set, a
+  duplicates-only id list. A chain of small dimensions joins on the
+  driver into one before it is broadcast, so the fact stream pays one
+  probe. Range and as-of probes (``side="right"`` searches over
+  breakpoints or timestamps) are not key joins and do not use it.
 
 The cardinality rule: a key sized by distinct tokens, pairs, docs, orders
 or users goes through :func:`keyed_agg`. Ray Data's hash
@@ -31,6 +41,7 @@ from typing import Callable
 import numpy as np
 import pyarrow as pa
 
+import ray
 import ray.data
 
 from ..functions.listops import list_to_numpy
@@ -86,8 +97,11 @@ def add_part(t: pa.Table, key: str, n_parts: int) -> pa.Table:
     return t.append_column("part", pa.array((k % n_parts).astype(np.int32)))
 
 
+KEYED_AGG_PARTS = 32  # coarse parts per fold
+
+
 def fold_by_part(ds: "ray.data.Dataset", key: str, fold: Callable,
-                 n_parts: int) -> "ray.data.Dataset":
+                 n_parts: int = KEYED_AGG_PARTS) -> "ray.data.Dataset":
     """Run the pandas ``fold`` once per coarse partition ``key mod
     n_parts``: every row of one key lands in the same call, and the
     shuffle moves ``n_parts`` groups instead of one group per key."""
@@ -97,9 +111,6 @@ def fold_by_part(ds: "ray.data.Dataset", key: str, fold: Callable,
         .groupby("part")
         .map_groups(fold, batch_format="pandas")
     )
-
-
-KEYED_AGG_PARTS = 32  # coarse parts per keyed fold
 
 
 def keyed_agg(ds: "ray.data.Dataset", keys: list, aggs: dict,
@@ -119,4 +130,138 @@ def keyed_agg(ds: "ray.data.Dataset", keys: list, aggs: dict,
     def fold(df):
         return df.groupby(keys, as_index=False, sort=False).agg(aggs)
 
-    return fold_by_part(ds, part_key, fold, KEYED_AGG_PARTS)
+    return fold_by_part(ds, part_key, fold)
+
+
+def collect(ds: "ray.data.Dataset", cols: dict) -> "pd.DataFrame":
+    """``ds.to_pandas()``, with the columns ``cols`` (name -> pyarrow
+    type) when ``ds`` has no rows: Ray Data drops zero-row blocks, so an
+    empty fold collects to a frame with no columns at all."""
+    df = ds.to_pandas()
+    if len(df) == 0:
+        return pa.schema(cols).empty_table().to_pandas()
+    return df
+
+
+_SIDES: dict = {}
+
+
+def cached_get(ref, build: Callable | None = None):
+    """``ray.get(ref)`` (then ``build`` of it) once per worker process:
+    numpy arrays come back zero-copy, but Python objects (sets, dicts,
+    object arrays) are deserialized again on every ``ray.get``. Bounded
+    FIFO: a long session runs many queries through the same workers, and
+    evicting the oldest entry never drops a side the running query just
+    fetched."""
+    key = (ref.hex(), build)
+    if key not in _SIDES:
+        while len(_SIDES) >= 8:
+            _SIDES.pop(next(iter(_SIDES)))
+        side = ray.get(ref)
+        _SIDES[key] = build(side) if build else side
+    return _SIDES[key]
+
+
+def _keys(x) -> np.ndarray:
+    """Join keys as int64 or as a numpy string array, whichever ``x``
+    holds (an empty key list of unknown type is int64)."""
+    if isinstance(x, (pa.Array, pa.ChunkedArray)):
+        x = x.to_numpy(zero_copy_only=False)
+    x = np.asarray(x)
+    if x.dtype.kind in "iub" or (x.dtype.kind == "f" and len(x) == 0):
+        return x.astype(np.int64, copy=False)
+    if x.dtype.kind in "UO":
+        return x.astype(str, copy=False)
+    raise TypeError(f"join keys must be integers or strings, not {x.dtype}")
+
+
+class SortedDim:
+    """A dimension sorted by its unique keys, probed by binary search:
+    built by :func:`sorted_dim` (local) or :func:`broadcast_dim`
+    (shared with every batch). ``len()`` is its row count."""
+
+    def __init__(self, name: str, keys: np.ndarray, cols: dict,
+                 dicts: dict):
+        self.name, self._keys, self._cols, self._dicts = \
+            name, keys, cols, dicts
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def _find(self, probe: np.ndarray) -> tuple:
+        """(row index, hit mask) of each probe key."""
+        keys = self._keys
+        if len(keys) == 0:
+            return np.zeros(len(probe), np.int64), np.zeros(len(probe), bool)
+        idx = np.searchsorted(keys, probe).clip(max=len(keys) - 1)
+        return idx, keys[idx] == probe
+
+    def member(self, probe) -> np.ndarray:
+        """Boolean mask: which probe keys the dimension holds (the
+        semi-join; its negation is the anti-join)."""
+        return self._find(_keys(probe))[1]
+
+    def lookup(self, probe) -> dict:
+        """Payload of each probe key's row, ``{column: array}`` in probe
+        order (string columns decoded). A probe key the dimension does
+        not hold is a broken foreign key and raises ``ValueError``."""
+        probe = _keys(probe)
+        idx, hit = self._find(probe)
+        if not hit.all():
+            bad = probe[~hit]
+            raise ValueError(
+                f"{len(bad)} key(s) not in dimension {self.name!r}, "
+                f"first dangling key {bad[0]!r}")
+        return {c: self._dicts[c][v[idx]] if c in self._dicts else v[idx]
+                for c, v in self._cols.items()}
+
+
+class BroadcastDim:
+    """A :class:`SortedDim` put in the object store once; each worker
+    fetches it once (:func:`cached_get`). Probe it inside batch
+    functions with the same :meth:`member` / :meth:`lookup`."""
+
+    def __init__(self, dim: SortedDim):
+        self._n = len(dim)
+        self._ref = ray.put(dim)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def member(self, probe) -> np.ndarray:
+        return cached_get(self._ref).member(probe)
+
+    def lookup(self, probe) -> dict:
+        return cached_get(self._ref).lookup(probe)
+
+
+def sorted_dim(keys, name: str, /, **cols) -> SortedDim:
+    """Sort a dimension by ``keys`` (integers or strings; a duplicate key
+    raises ``ValueError``) and dictionary-encode its string payload
+    ``cols``, so it is plain numpy arrays. Every payload column has one
+    row (first axis) per key. ``name`` names the dimension in a
+    dangling-key error."""
+    keys = _keys(keys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    dup = keys[1:] == keys[:-1]
+    if dup.any():
+        raise ValueError(f"dimension {name!r} has duplicate key "
+                         f"{keys[1:][dup][0]!r}")
+    enc, dicts = {}, {}
+    for c, v in cols.items():
+        v = np.asarray(v)
+        if len(v) != len(keys):
+            raise ValueError(f"dimension {name!r}: column {c!r} has "
+                             f"{len(v)} rows for {len(keys)} keys")
+        v = v[order]
+        if v.dtype.kind in "UOS":
+            dicts[c], v = np.unique(v.astype(object), return_inverse=True)
+        enc[c] = v
+    return SortedDim(name, keys, enc, dicts)
+
+
+def broadcast_dim(keys, name: str, /, **cols) -> BroadcastDim:
+    """The map-side key join's build side, on the driver:
+    :func:`sorted_dim`, then one ``ray.put``."""
+    return BroadcastDim(sorted_dim(keys, name, **cols))
