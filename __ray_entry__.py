@@ -74,6 +74,11 @@ def entry() -> Any:
 # revenue_by_nation, region_share_by_year, part_size_vs_qty,
 # discount_uplift, type_mad, rare_token_docs, profile_outliers and
 # source_report (supplier_hhi and repurchase_interval stay: they moved too).
+# Round 9: those eight round-8 slots rotate out for eight never-gated
+# queries whose Ray hash aggregates became a keyed_agg or a collect_agg
+# driver fold: arrival_dispersion, round_bias, user_lifespan_hist,
+# transition_latency, anomaly_mad, volume_rhythm, vocab_top20 and
+# cooc_pairs.
 _PRIORITY = [
     # core §2 pins
     "rollup_t1", "rollup_t3", "rollup_t6", "source_stats", "store_stats",
@@ -82,10 +87,10 @@ _PRIORITY = [
     "parseval_ok", "resample64", "bandpass_coarse", "scale_energy",
     "fft_magnitude", "dwt_haar", "tier_pick", "dau_mau", "normalize",
     "cross_source_diff", "peak_concurrency",
-    # first-time-gated queries (round 8 rotation)
-    "revenue_by_nation", "region_share_by_year", "part_size_vs_qty",
-    "discount_uplift", "supplier_hhi", "type_mad", "repurchase_interval",
-    "rare_token_docs", "profile_outliers", "source_report",
+    # first-time-gated queries (round 9 rotation)
+    "arrival_dispersion", "round_bias", "user_lifespan_hist",
+    "transition_latency", "supplier_hhi", "anomaly_mad",
+    "repurchase_interval", "volume_rhythm", "vocab_top20", "cooc_pairs",
     # late core additions + the join family
     "store_refresh", "drawdown",
     "mann_kendall", "profit_by_nation_year", "dedup_incremental",

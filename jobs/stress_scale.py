@@ -533,10 +533,13 @@ def rollup_stress(tmp: str) -> dict:
 def engagement_stress(tmp: str) -> dict:
     """The round-5 engagement/prefix family at 20M events / 200k users /
     90 days: dau_mau's per-user interval merge, peak_concurrency's
-    bucketed sweep line and watermark_pick's distributed lateness prefix
-    all run on ~2000x the gate's event count, with exact invariants
-    checked (mau >= dau every day; new-user total == distinct users;
-    lateness percentiles monotone and inside the planted jitter bound).
+    bucketed sweep line, watermark_pick's distributed lateness prefix and
+    the per-user first/last-day folds of user_lifespan_hist and
+    churn_split all run on ~2000x the gate's event count, with exact
+    invariants checked (mau >= dau every day; new-user total == distinct
+    users; lateness percentiles monotone and inside the planted jitter
+    bound; lifespan-histogram total == distinct users; churn halves
+    partition the users around the data's own midpoint day).
     Proves the bucket-prefix/driver-seed pattern stays bucket-sized, not
     event-sized, as the stream grows."""
     import ray.data as rd
@@ -592,14 +595,32 @@ def engagement_stress(tmp: str) -> dict:
     assert (int(wm["n_events"]) == n_ev
             and 0 <= int(wm["p50_ms"]) <= int(wm["p99_ms"])
             <= int(wm["p999_ms"]) <= int(wm["max_ms"]) <= 5_000)
+
+    n_users = int(len(np.unique(uid)))
+    t4 = time.time()
+    ls = cq.q_user_lifespan_hist(tmp).to_pandas()
+    ls_s = time.time() - t4
+    assert int(ls["n_users"].sum()) == n_users
+    assert 0 <= int(ls["span_days"].min()) <= int(ls["span_days"].max()) < days
+
+    t5 = time.time()
+    ch = cq.q_churn_split(tmp).to_pandas().iloc[0]
+    ch_s = time.time() - t5
+    day = ts // day_us
+    assert int(ch["mid_day"]) == (int(day.min()) + int(day.max()) + 1) // 2
+    assert int(ch["n_first"]) + int(ch["new_users"]) == n_users
+    assert int(ch["retained"]) + int(ch["churned"]) == int(ch["n_first"])
+    assert int(ch["retained"]) + int(ch["new_users"]) == int(ch["n_second"])
     return {
-        "n_events": n_ev, "n_users": int(len(np.unique(uid))),
+        "n_events": n_ev, "n_users": n_users,
         "days": days,
         "dau_mau_s": round(dm_s, 1), "new_vs_returning_s": round(nr_s, 1),
         "peak_concurrency_s": round(pk_s, 1),
         "peak": int(pk["peak"]),
         "watermark_pick_s": round(wm_s, 1),
         "p999_lateness_ms": int(wm["p999_ms"]),
+        "user_lifespan_hist_s": round(ls_s, 1),
+        "churn_split_s": round(ch_s, 1),
     }
 
 

@@ -79,11 +79,12 @@ def _compare(got, want) -> str | None:
 def _warm_up(n_cpus: int) -> float:
     """Start one Ray worker per CPU slot, each importing the query
     modules, and run the operators most queries use once (a pandas
-    ``map_batches``, a hash aggregate, a ``map_groups`` fold): the
-    start-up every query would otherwise charge to whichever runs first.
-    Returns its seconds."""
+    ``map_batches``, a ``collect_agg`` driver fold, a ``map_groups``
+    fold): the start-up every query would otherwise charge to whichever
+    runs first. Returns its seconds."""
     import ray.data
-    from ray.data.aggregate import Sum
+
+    from wavelet_decomposition_ray.pipelines.skeletons import collect_agg
 
     def touch(df):
         import wavelet_decomposition_ray.pipelines.queries  # noqa: F401
@@ -97,7 +98,7 @@ def _warm_up(n_cpus: int) -> float:
     t0 = time.time()
     ds = ray.data.range(1024 * n_cpus, override_num_blocks=n_cpus) \
         .map_batches(touch, batch_format="pandas").materialize()
-    ds.groupby("k").aggregate(Sum("x")).to_pandas()
+    collect_agg(ds, ["k"], {"x": "sum"}, 7)
     ds.groupby("k").map_groups(fold, batch_format="pandas").to_pandas()
     return round(time.time() - t0, 2)
 

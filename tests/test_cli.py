@@ -115,3 +115,17 @@ def test_materialize_query_lifecycle(ray_session, tmp_path):
     out2 = str(tmp_path / "views" / "vocab")
     meta2 = materialize_query("vocab_top20", sf, out2, fmt="jsonl")
     assert meta2["n_rows"] > 0 and is_complete(out2)
+
+    # a pyarrow.Table-returning query writes one part file in every format
+    import pyarrow as pa
+
+    from wavelet_decomposition_ray.pipelines import queries as cq
+
+    direct3 = cq.q_arrival_dispersion(sf)
+    assert isinstance(direct3, pa.Table)
+    for fmt in ("parquet", "jsonl", "csv"):
+        out3 = str(tmp_path / "views" / f"dispersion_{fmt}")
+        meta3 = materialize_query("arrival_dispersion", sf, out3, fmt=fmt)
+        parts = [f for f in os.listdir(out3) if not f.startswith("_")]
+        assert parts == [f"part-0.{fmt}"] and is_complete(out3)
+        assert meta3["n_rows"] == direct3.num_rows > 0

@@ -1,9 +1,11 @@
 """The query registry's shared skeletons: the per-doc token map's batch
-function (Ray-free), the coarse-partition fold, the keyed fold and the
-broadcast dimension."""
+function (Ray-free), the coarse-partition fold, the keyed fold, the
+driver fold under a row bound and the broadcast dimension."""
 
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pyarrow as pa
@@ -95,8 +97,7 @@ def test_keyed_agg_folds_each_key_whole_across_parts(ray_session):
         "hi": rng.integers(-(1 << 62), 1 << 62, n).astype(np.int64),
     })
     out = sk.keyed_agg(_blocks(t, 8), ["src", "tok"],
-                       {"c": "sum", "lo": "min", "hi": "max"}, "tok"
-                       ).to_pandas()
+                       {"c": "sum", "lo": "min", "hi": "max"}).to_pandas()
     want = t.to_pandas().groupby(["src", "tok"], as_index=False).agg(
         {"c": "sum", "lo": "min", "hi": "max"})
     assert list(out.columns) == ["src", "tok", "c", "lo", "hi"]
@@ -115,7 +116,7 @@ def test_keyed_agg_parts_negative_and_near_int64_limit_keys(ray_session):
                   "x": np.tile(np.array([1, 2, 4], np.int64), len(keys)),
                   "y": np.arange(3 * len(keys), dtype=np.int64)})
     out = sk.keyed_agg(_blocks(t), ["k"],
-                       {"x": "sum", "y": "max"}, "k").to_pandas()
+                       {"x": "sum", "y": "max"}).to_pandas()
     out = out.sort_values("k").reset_index(drop=True)
     assert out["k"].tolist() == sorted(keys.tolist())
     assert (out["x"] == 7).all()
@@ -123,11 +124,90 @@ def test_keyed_agg_parts_negative_and_near_int64_limit_keys(ray_session):
     assert out["x"].dtype == out["y"].dtype == np.int64
 
 
-def test_keyed_agg_rejects_a_part_key_outside_the_keys():
-    with pytest.raises(AssertionError, match="part_key"):
-        sk.keyed_agg(None, ["src", "tok"], {"c": "sum"}, "c")
+def test_keyed_agg_rejects_an_unknown_aggregate():
     with pytest.raises(AssertionError):
-        sk.keyed_agg(None, ["tok"], {"c": "mean"}, "tok")
+        sk.keyed_agg(None, ["tok"], {"c": "mean"})
+    with pytest.raises(AssertionError):
+        sk.collect_agg(None, ["tok"], {"c": "count"}, 1)
+
+
+@pytest.mark.parametrize("keys", [["w"], ["w", "n"]],
+                         ids=["string_key", "two_column_key"])
+def test_keyed_agg_folds_string_and_two_column_keys_whole(ray_session,
+                                                         keys):
+    rng = np.random.default_rng(3)
+    n = 3000
+    t = pa.table({
+        "w": pa.array(rng.choice(["a", "bb", "ccc", "", "zürich"], n)),
+        "n": rng.integers(-3, 3, n).astype(np.int64),
+        "c": rng.integers(0, 100, n).astype(np.int64),
+    })
+    out = sk.keyed_agg(_blocks(t, 8), keys, {"c": "sum"}).to_pandas()
+    assert not out.duplicated(keys).any()
+    want = t.to_pandas().groupby(keys, as_index=False)["c"].sum()
+    got = out.sort_values(keys).reset_index(drop=True)
+    assert got.equals(want.sort_values(keys).reset_index(drop=True))
+
+
+def test_add_part_hashes_a_string_key_the_same_in_every_process():
+    t = pa.table({"w": ["the", "ray", "rollup", "", "zürich"]})
+    pinned = [10, 12, 1, 21, 6]
+    assert sk.add_part(t, "w", 32)["part"].to_pylist() == pinned
+    # a fresh interpreter with another str-hash seed gives the same parts
+    code = ("import pyarrow as pa; "
+            "from wavelet_decomposition_ray.pipelines import skeletons; "
+            "print(skeletons.add_part(pa.table({'w': ['the', 'ray', "
+            "'rollup', '', 'zürich']}), 'w', 32)['part'].to_pylist())")
+    env = {**os.environ, "PYTHONHASHSEED": "12345"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == str(pinned)
+    two = pa.table({"a": [1, 2, -3], "b": ["x", "y", "x"]})
+    assert sk.add_part(two, ["a", "b"], 32)["part"].to_pylist() == [17, 3, 3]
+
+
+def test_collect_agg_matches_pandas_across_blocks(ray_session):
+    rng = np.random.default_rng(11)
+    n = 5000
+    t = pa.table({
+        "day": rng.integers(0, 30, n).astype(np.int64),
+        "et": pa.array(rng.choice(["view", "click", "buy"], n)),
+        "c": rng.integers(0, 100, n).astype(np.int64),
+        "lo": rng.integers(-(1 << 62), 1 << 62, n).astype(np.int64),
+        "hi": rng.random(n),
+    })
+    aggs = {"c": "sum", "lo": "min", "hi": "max"}
+    out = sk.collect_agg(_blocks(t, 8), ["day", "et"], aggs, 90)
+    want = t.to_pandas().groupby(["day", "et"], as_index=False).agg(aggs)
+    got = out.sort_values(["day", "et"]).reset_index(drop=True)
+    assert list(out.columns) == ["day", "et", "c", "lo", "hi"]
+    assert got.equals(want)
+
+
+def test_collect_agg_raises_one_row_past_the_bound(ray_session):
+    t = pa.table({"k": np.arange(100, dtype=np.int64) % 10,
+                  "x": np.ones(100, np.int64)})
+    assert len(sk.collect_agg(_blocks(t), ["k"], {"x": "sum"}, 10)) == 10
+    with pytest.raises(ValueError, match="max_rows=9"):
+        sk.collect_agg(_blocks(t), ["k"], {"x": "sum"}, 9)
+
+
+def test_collect_agg_of_an_empty_dataset_keeps_its_columns(ray_session):
+    import ray.data
+
+    cols = {"k": pa.string(), "x": pa.int64(), "f": pa.float64()}
+    empty = ray.data.from_arrow(pa.schema(cols).empty_table())
+    df = sk.collect_agg(empty, ["k"], {"x": "sum", "f": "max"}, 5)
+    assert len(df) == 0 and list(df.columns) == ["k", "x", "f"]
+    assert (df["k"].dtype, df["x"].dtype, df["f"].dtype) == (
+        object, np.int64, np.float64)
+
+
+def test_collect_agg_without_keys_gives_one_row(ray_session):
+    t = pa.table({"x": np.arange(10, dtype=np.int64),
+                  "y": np.arange(10, dtype=np.int64)})
+    df = sk.collect_agg(_blocks(t), [], {"x": "sum", "y": "max"}, 1)
+    assert df.to_dict("records") == [{"x": 45, "y": 9}]
 
 
 def test_keyed_agg_of_an_empty_dataset_has_no_rows(ray_session):
@@ -135,7 +215,7 @@ def test_keyed_agg_of_an_empty_dataset_has_no_rows(ray_session):
 
     cols = {"k": pa.int64(), "x": pa.int64()}
     empty = ray.data.from_arrow(pa.schema(cols).empty_table())
-    out = sk.keyed_agg(empty, ["k"], {"x": "sum"}, "k")
+    out = sk.keyed_agg(empty, ["k"], {"x": "sum"})
     assert len(out.to_pandas()) == 0
     # Ray Data collects the zero-row fold without columns; collect keeps
     # the key and aggregate columns and their types
@@ -198,6 +278,24 @@ def test_broadcast_dim_string_keys_and_payloads_round_trip(ray_session):
 
 
 _QUERY_MODULES = ("queries.py", "data_queries.py")
+
+
+@pytest.mark.parametrize("module",
+                         [*_QUERY_MODULES, "rollup_pipeline.py"])
+def test_query_modules_aggregate_only_through_the_skeletons(module):
+    """No Ray Data hash aggregate: no ``ray.data.aggregate`` import, no
+    ``Dataset.aggregate(...)`` of aggregate functions, no
+    ``groupby(...).count()`` and no ``.sum([...])``."""
+    path = os.path.join(os.path.dirname(sk.__file__), module)
+    src = open(path).read()
+    banned = [r"ray\.data\.aggregate",
+              r"\.aggregate\(\s*\*?\[?\s*"
+              r"(Sum|Min|Max|Count|Mean|Std|AggregateFn)\b",
+              r"\.groupby\([^()]*\)\s*\.(count\(\)|sum\(\s*\")",
+              r"\.sum\(\s*\["]
+    for pat in banned:
+        hit = re.search(pat, src)
+        assert hit is None, f"{module}: {hit.group(0)!r}"
 
 
 @pytest.mark.parametrize("module", _QUERY_MODULES)

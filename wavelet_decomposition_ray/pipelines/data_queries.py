@@ -18,12 +18,15 @@ from ..functions import dedup as dd
 from ..functions import multimodal as mm
 from ..functions import similarity as sim
 from ..functions import text as tx
-from .skeletons import (broadcast_dim, cached_get, collect, fold_by_part,
+from .rollup_pipeline import MAX_SOURCES
+from .skeletons import (MAX_COUNT_VALUES, MAX_TYPES, broadcast_dim,
+                        cached_get, collect, collect_agg, fold_by_part,
                         keyed_agg, sorted_dim)
 
 NEAR_DUP_TAU = 0.5       # char-5-shingle / word-3-gram Jaccard threshold
 EMBED_TAU = 0.4          # cosine near-dup threshold (data max is ~0.51)
 SIMHASH_MAX_HAMMING = 6
+MAX_DIMS = 4096          # embedding components (collect_agg row bound)
 
 
 def _docs(sf_dir: str, columns=("doc_id", "text")) -> "ray.data.Dataset":
@@ -173,14 +176,10 @@ def q_vocab_top20(sf_dir: str):
     word-keyed groupby of word-sized partials, then local-top-K per block
     and a bounded final top-K on the driver (<= K rows per block, never the
     vocabulary itself)."""
-    from ray.data.aggregate import Sum
-
-    agg = (
-        _docs(sf_dir)
-        .map_batches(tx.vocab_partial_batch, batch_format="pyarrow")
-        .groupby("word")
-        .aggregate(Sum("n", alias_name="n"), Sum("df", alias_name="df"))
-    )
+    agg = keyed_agg(
+        _docs(sf_dir).map_batches(tx.vocab_partial_batch,
+                                  batch_format="pyarrow"),
+        ["word"], {"n": "sum", "df": "sum"})
 
     def local_top(df):
         return df.sort_values(["n", "word"], ascending=[False, True]).head(
@@ -271,19 +270,9 @@ FINGERPRINT_ROLLING_SQL = (
 
 def q_dedup_exact(sf_dir: str):
     """Exact duplicate groups: content-hash every document and keep groups with >1 member (hash-partition + count, fixed-width exchange)."""
-    from ray.data.aggregate import Count, Min
-
-    ds = _docs(sf_dir).map_batches(dd.exact_hash_batch, batch_format="pyarrow")
-    agg = ds.groupby("content_hash").aggregate(
-        Min("doc_id", alias_name="keep_id"), Count(alias_name="dup_count")
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {"keep_id": t["keep_id"],
-             "dup_count": pc.cast(t["dup_count"], pa.int64())}
-        ),
-        batch_format="pyarrow",
-    )
+    return _hash_counts(sf_dir).map_batches(
+        lambda df: df[["keep_id", "cnt"]].rename(columns={"cnt": "dup_count"}),
+        batch_format="pandas")
 
 
 DEDUP_EXACT_SQL = (
@@ -318,20 +307,17 @@ def _collided_lengths(sf_dir: str) -> np.ndarray:
     (doc_id, text). The exchange is distinct-length-sized partials; a
     deployment with trustworthy length statistics can swap this scan for
     the stats column."""
-    from ray.data.aggregate import Count
 
     def lens_batch(t: pa.Table) -> pa.Table:
         return pa.table(
-            {"len": pc.cast(pc.utf8_length(t["text"]), pa.int64())}
+            {"len": pc.cast(pc.utf8_length(t["text"]), pa.int64()),
+             "n": np.ones(t.num_rows, np.int64)}
         )
 
-    counts = (
-        _docs(sf_dir)
-        .map_batches(lens_batch, batch_format="pyarrow")
-        .groupby("len")
-        .aggregate(Count(alias_name="n"))
-        .to_pandas()
-    )
+    # distinct lengths of docs up to 16 M characters
+    counts = collect_agg(
+        _docs(sf_dir).map_batches(lens_batch, batch_format="pyarrow"),
+        ["len"], {"n": "sum"}, 1 << 24)
     return np.sort(
         counts.loc[counts["n"] > 1, "len"].to_numpy().astype(np.int64)
     )
@@ -384,36 +370,35 @@ def _dropped_dup_ids(sf_dir: str) -> np.ndarray:
     return np.sort(dropped["doc_id"].to_numpy().astype(np.int64))
 
 
+def _hash_counts(sf_dir: str) -> "ray.data.Dataset":
+    """(content_hash, keep_id, cnt): per exact content hash its smallest
+    doc_id and its document count, folded by :func:`keyed_agg`."""
+
+    def keyed(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "content_hash": dd.exact_hash_batch(t)["content_hash"],
+            "keep_id": t["doc_id"], "cnt": np.ones(t.num_rows, np.int64)})
+
+    return keyed_agg(_docs(sf_dir).map_batches(keyed, batch_format="pyarrow"),
+                     ["content_hash"], {"keep_id": "min", "cnt": "sum"})
+
+
 def q_dup_cluster_hist(sf_dir: str):
     """Duplicate-cluster size histogram — the dedup AUDIT view (how much
     of the corpus is 2x, 10x, 1000x duplicated): exact-dedup counts per
     content hash, then a value-counts fold of the counts. Both exchanges
     are small (distinct-content partials, then cluster-size-distinct
     rows)."""
-    from ray.data.aggregate import Count, Sum
 
-    counts = (
-        _docs(sf_dir)
-        .map_batches(dd.exact_hash_batch, batch_format="pyarrow")
-        .groupby("content_hash")
-        .aggregate(Count(alias_name="cnt"))
-    )
+    counts = _hash_counts(sf_dir)
 
-    def vc(t: pa.Table) -> pa.Table:
-        v, c = np.unique(
-            t["cnt"].to_numpy(zero_copy_only=False).astype(np.int64),
-            return_counts=True,
-        )
-        return pa.table(
-            {"cluster_size": pa.array(v),
-             "pn": pa.array(c.astype(np.int64))}
-        )
+    def sizes(t: pa.Table) -> pa.Table:
+        return pa.table({"cluster_size": t["cnt"],
+                         "n_clusters": np.ones(t.num_rows, np.int64)})
 
-    return (
-        counts.map_batches(vc, batch_format="pyarrow")
-        .groupby("cluster_size")
-        .aggregate(Sum("pn", alias_name="n_clusters"))
-    )
+    return pa.Table.from_pandas(collect_agg(
+        counts.map_batches(sizes, batch_format="pyarrow"), ["cluster_size"],
+        {"n_clusters": "sum"}, MAX_COUNT_VALUES), preserve_index=False)
 
 
 DUP_CLUSTER_HIST_SQL = (
@@ -482,12 +467,8 @@ def _dedupe_pairs(cand: "ray.data.Dataset") -> "ray.data.Dataset":
 def _dedupe_verified(ds: "ray.data.Dataset", value_col: str
                      ) -> "ray.data.Dataset":
     """Global pair dedupe on the (small) verified output; the duplicate
-    rows carry identical values, so Min is a pure tie-break."""
-    from ray.data.aggregate import Min
-
-    return ds.groupby(["doc_a", "doc_b"]).aggregate(
-        Min(value_col, alias_name=value_col)
-    )
+    rows carry identical values, so min is a pure tie-break."""
+    return keyed_agg(ds, ["doc_a", "doc_b"], {value_col: "min"})
 
 
 def _verify_pairs(cand, sets_ds, tau: float,
@@ -2005,15 +1986,10 @@ def q_tfdf_top3(sf_dir: str):
     corpus); phase 2 broadcasts the df map via ray.put and streams the
     corpus through a per-batch rank — the same DF-broadcast pattern a
     100-TB tf-idf featurizer uses."""
-    from ray.data.aggregate import Sum
-
-    df_tbl = (
-        _docs(sf_dir)
-        .map_batches(tx.vocab_partial_batch, batch_format="pyarrow")
-        .groupby("word")
-        .aggregate(Sum("df", alias_name="df"))
-        .to_pandas()
-    )
+    df_tbl = keyed_agg(
+        _docs(sf_dir).map_batches(tx.vocab_partial_batch,
+                                  batch_format="pyarrow"),
+        ["word"], {"df": "sum"}).to_pandas()
     df_ref = ray.put(
         dict(zip(df_tbl["word"], df_tbl["df"].astype(np.int64)))
     )
@@ -2063,23 +2039,15 @@ def q_props_extract(sf_dir: str):
         k = df["props"].str.extract(r'"k":\s*(-?\d+)', expand=False).astype(
             np.int64
         )
-        g = pd.DataFrame({"event_type": df["event_type"], "k": k}).groupby(
-            "event_type"
-        )["k"]
-        return g.agg(n="size", sum_k="sum", min_k="min", max_k="max").reset_index()
+        return pd.DataFrame({"event_type": df["event_type"],
+                             "n": np.ones(len(k), np.int64),
+                             "sum_k": k, "min_k": k, "max_k": k})
 
-    from ray.data.aggregate import Max, Min, Sum
-
-    return (
-        ds.map_batches(part, batch_format="pandas", batch_size=4096)
-        .groupby("event_type")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sum_k", alias_name="sum_k"),
-            Min("min_k", alias_name="min_k"),
-            Max("max_k", alias_name="max_k"),
-        )
-    )
+    return pa.Table.from_pandas(collect_agg(
+        ds.map_batches(part, batch_format="pandas", batch_size=4096),
+        ["event_type"],
+        {"n": "sum", "sum_k": "sum", "min_k": "min", "max_k": "max"},
+        MAX_TYPES), preserve_index=False)
 
 
 PROPS_EXTRACT_SQL = (
@@ -2198,7 +2166,7 @@ def q_quality_deciles(sf_dir: str):
 
     hist = keyed_agg(
         ds.map_batches(partial, batch_format="pandas"),
-        ["source", "n_chars"], {"cnt": "sum"}, "n_chars",
+        ["source", "n_chars"], {"cnt": "sum"}
     ).to_pandas()  # tiny: distinct (source, value) pairs
     out = []
     for src, h in hist.groupby("source"):
@@ -2337,15 +2305,11 @@ def q_kmeans_update(sf_dir: str):
              "cnt": pa.array(np.repeat(cnt, D)[keep])}
         )
 
-    agg = (
+    return pa.Table.from_pandas(collect_agg(
         _emb(sf_dir).map_batches(partial, batch_format="pyarrow",
-                                 batch_size=1024)
-        .groupby(["cluster", "i"]).sum(["qsum", "cnt"])
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["cluster", "i", "qsum", "cnt"]),
-        batch_format="pyarrow",
-    )
+                                 batch_size=1024),
+        ["cluster", "i"], {"qsum": "sum", "cnt": "sum"}, K * D),
+        preserve_index=False)
 
 
 def _kmeans_update_sql() -> str:
@@ -2393,16 +2357,12 @@ def q_label_centroids(sf_dir: str):
              "cnt": pa.array(np.repeat(cnt, D))}
         )
 
-    agg = (
+    return pa.Table.from_pandas(collect_agg(
         ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                               columns=["embedding", "label"])
-        .map_batches(partial, batch_format="pyarrow", batch_size=1024)
-        .groupby(["label", "i"]).sum(["qsum", "cnt"])
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["label", "i", "qsum", "cnt"]),
-        batch_format="pyarrow",
-    )
+        .map_batches(partial, batch_format="pyarrow", batch_size=1024),
+        ["label", "i"], {"qsum": "sum", "cnt": "sum"}, MAX_TYPES * MAX_DIMS),
+        preserve_index=False)
 
 
 LABEL_CENTROIDS_SQL = (
@@ -2443,16 +2403,12 @@ def q_label_sumsq(sf_dir: str):
              "qss": pa.array(qss)}
         )
 
-    agg = (
+    return pa.Table.from_pandas(collect_agg(
         ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                               columns=["embedding", "label"])
-        .map_batches(partial, batch_format="pyarrow", batch_size=1024)
-        .groupby("label").sum(["n", "qss"])
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["label", "n", "qss"]),
-        batch_format="pyarrow",
-    )
+        .map_batches(partial, batch_format="pyarrow", batch_size=1024),
+        ["label"], {"n": "sum", "qss": "sum"}, MAX_TYPES),
+        preserve_index=False)
 
 
 def q_ncm_confusion(sf_dir: str):
@@ -2499,16 +2455,12 @@ def q_ncm_confusion(sf_dir: str):
              "n": pa.array(n.astype(np.int64))}
         )
 
-    agg = (
+    return pa.Table.from_pandas(collect_agg(
         ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                               columns=["embedding", "label"])
-        .map_batches(confuse, batch_format="pyarrow", batch_size=1024)
-        .groupby(["label", "pred"]).sum(["n"])
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["label", "pred", "n"]),
-        batch_format="pyarrow",
-    )
+        .map_batches(confuse, batch_format="pyarrow", batch_size=1024),
+        ["label", "pred"], {"n": "sum"}, MAX_TYPES ** 2),
+        preserve_index=False)
 
 
 NCM_CONFUSION_SQL = (
@@ -2593,13 +2545,9 @@ def q_hll_users(sf_dir: str):
         return pa.table({"register": hit.astype(np.int64),
                          "rho": regs[hit]})
 
-    from ray.data.aggregate import Max
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("register")
-        .aggregate(Max("rho", alias_name="rho"))
-    )
+    return pa.Table.from_pandas(collect_agg(
+        ds.map_batches(partial, batch_format="pyarrow"), ["register"],
+        {"rho": "max"}, HLL_M), preserve_index=False)
 
 
 def q_hll_by_type(sf_dir: str):
@@ -2610,8 +2558,6 @@ def q_hll_by_type(sf_dir: str):
     stays O(batches x groups x registers-hit).  Register table is
     bit-exact against the SQL twin; per-type estimates come from
     ``hll_estimate`` over each group's slice."""
-    from ray.data.aggregate import Max
-
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
     )
@@ -2657,11 +2603,10 @@ def q_hll_by_type(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "register"])
-        .aggregate(Max("rho", alias_name="rho"))
-    )
+    return pa.Table.from_pandas(collect_agg(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["event_type", "register"], {"rho": "max"}, MAX_TYPES * HLL_M),
+        preserve_index=False)
 
 
 HLL_BY_TYPE_SQL = (
@@ -2706,15 +2651,16 @@ def q_rollup_cube(sf_dir: str):
     NULL grouping keys surface as 'ALL' on both sides (hash-stable)."""
     import pandas as pd
 
-    from ray.data.aggregate import Count, Sum
+    def cells(t: pa.Table) -> pa.Table:
+        return pa.table({"source": t["source"], "lang": t["lang"],
+                         "n_docs": np.ones(t.num_rows, np.int64),
+                         "chars": pc.cast(t["n_chars"], pa.int64())})
 
-    fine = (
+    fine = collect_agg(
         _docs(sf_dir, columns=("source", "lang", "n_chars"))
-        .groupby(["source", "lang"])
-        .aggregate(Count(alias_name="n_docs"),
-                   Sum("n_chars", alias_name="chars"))
-        .to_pandas()
-    )
+        .map_batches(cells, batch_format="pyarrow"),
+        ["source", "lang"], {"n_docs": "sum", "chars": "sum"},
+        MAX_SOURCES * MAX_TYPES)
     per_src = fine.groupby("source", as_index=False)[["n_docs", "chars"]].sum()
     per_src["lang"] = "ALL"
     total = pd.DataFrame(
@@ -2764,7 +2710,7 @@ def q_median2_by_source(sf_dir: str):
     hist = keyed_agg(
         _docs(sf_dir, columns=("source", "n_chars"))
         .map_batches(vc, batch_format="pyarrow"),
-        ["source", "v"], {"n": "sum"}, "v",
+        ["source", "v"], {"n": "sum"}
     ).to_pandas().sort_values(["source", "v"])
     rows = []
     for src, grp in hist.groupby("source"):
@@ -2935,7 +2881,7 @@ def q_length_rank(sf_dir: str):
     hist = keyed_agg(
         _docs(sf_dir, columns=("source", "n_chars"))
         .map_batches(vc, batch_format="pyarrow"),
-        ["source", "v"], {"n": "sum"}, "v",
+        ["source", "v"], {"n": "sum"}
     ).to_pandas().sort_values(["source", "v"])
     side = {}
     for src, grp in hist.groupby("source"):
@@ -2993,7 +2939,6 @@ def q_cooc_pairs(sf_dir: str):
     then one pair-keyed groupby sums partials, local top-K supersets per
     block feed a bounded driver finish (the ``vocab_top20`` shape).
     Tie-break (n desc, w1, w2) makes the cut deterministic."""
-    from ray.data.aggregate import Sum
 
     def partial(t: pa.Table) -> pa.Table:
         import itertools
@@ -3014,16 +2959,13 @@ def q_cooc_pairs(sf_dir: str):
             {
                 "w1": pa.array(c["word1"].to_numpy(), type=pa.string()),
                 "w2": pa.array(c["word2"].to_numpy(), type=pa.string()),
-                "pn": pa.array(c["size"].to_numpy().astype(np.int64)),
+                "n": pa.array(c["size"].to_numpy().astype(np.int64)),
             }
         )
 
-    agg = (
-        _docs(sf_dir)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["w1", "w2"])
-        .aggregate(Sum("pn", alias_name="n"))
-    )
+    agg = keyed_agg(_docs(sf_dir).map_batches(partial,
+                                              batch_format="pyarrow"),
+                    ["w1", "w2"], {"n": "sum"})
 
     def local_top(df):
         return df.sort_values(
@@ -3190,7 +3132,6 @@ def q_embed_gram(sf_dir: str):
     1e9+ vectors per shard the int64 cells would saturate — shard partials
     and widen at the merge (documented bound: |qv| < 2^20, so int64 holds
     ~2^23 vectors per cell)."""
-    from ray.data.aggregate import Sum
 
     def partial(t: pa.Table) -> pa.Table:
         m = np.stack(t["embedding"].to_pandas().to_numpy())
@@ -3207,14 +3148,12 @@ def q_embed_gram(sf_dir: str):
             }
         )
 
-    return (
+    return pa.Table.from_pandas(collect_agg(
         ray.data.read_parquet(
             f"{sf_dir}/embeddings.parquet", columns=["embedding"]
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["i", "j"])
-        .aggregate(Sum("s", alias_name="s"))
-    )
+        ).map_batches(partial, batch_format="pyarrow"),
+        ["i", "j"], {"s": "sum"}, MAX_DIMS * (MAX_DIMS + 1) // 2),
+        preserve_index=False)
 
 
 EMBED_GRAM_SQL = (
@@ -3240,15 +3179,11 @@ def q_trend_by_type(sf_dir: str):
     integer moment table (hash-stable); the slope/intercept are one
     driver-side division from it (``trend_slope``), never part of the
     compared result."""
-    from ray.data.aggregate import Sum
-
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
     )
 
     def partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
         ts_us = (
             t["ts"].to_numpy(zero_copy_only=False)
             .astype("datetime64[us]").astype(np.int64)
@@ -3257,30 +3192,15 @@ def q_trend_by_type(sf_dir: str):
         y = np.rint(
             t["value"].to_numpy(zero_copy_only=False) * TREND_Y_SCALE
         ).astype(np.int64)
-        g = (
-            pd.DataFrame(
-                {
-                    "event_type": t["event_type"].to_pandas(),
-                    "n1": np.ones(len(x), dtype=np.int64),
-                    "sx": x, "sy": y, "sxy": x * y, "sx2": x * x,
-                }
-            )
-            .groupby("event_type", as_index=False)
-            .sum()
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({"event_type": t["event_type"],
+                         "n": np.ones(len(x), dtype=np.int64),
+                         "sum_x": x, "sum_y": y, "sum_xy": x * y,
+                         "sum_x2": x * x})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Sum("n1", alias_name="n"),
-            Sum("sx", alias_name="sum_x"),
-            Sum("sy", alias_name="sum_y"),
-            Sum("sxy", alias_name="sum_xy"),
-            Sum("sx2", alias_name="sum_x2"),
-        )
-    )
+    return pa.Table.from_pandas(collect_agg(
+        ds.map_batches(partial, batch_format="pyarrow"), ["event_type"],
+        {c: "sum" for c in ("n", "sum_x", "sum_y", "sum_xy", "sum_x2")},
+        MAX_TYPES), preserve_index=False)
 
 
 def trend_slope(row) -> float:
@@ -3392,7 +3312,6 @@ def q_boilerplate(sf_dir: str):
     set (df >= threshold) is small by Zipf — guarded by BOILER_HOT_CAP —
     collected once, broadcast via ``ray.put``, and the corpus rescans as a
     pure streaming membership pass, the ``decontam`` shape."""
-    from ray.data.aggregate import Sum
 
     def gram_partial(t: pa.Table) -> pa.Table:
         g = tx.word3_grams_frame(
@@ -3405,14 +3324,10 @@ def q_boilerplate(sf_dir: str):
              "df": pa.array(n.to_numpy().astype(np.int64))}
         )
 
-    hot_df = (
-        _docs(sf_dir)
-        .map_batches(gram_partial, batch_format="pyarrow")
-        .groupby("gram")
-        .aggregate(Sum("df", alias_name="df"))
-        .filter(expr=f"df >= {BOILER_DF}")
-        .to_pandas()
-    )
+    hot_df = keyed_agg(
+        _docs(sf_dir).map_batches(gram_partial, batch_format="pyarrow"),
+        ["gram"], {"df": "sum"},
+    ).filter(expr=f"df >= {BOILER_DF}").to_pandas()
     if len(hot_df) > BOILER_HOT_CAP:
         raise RuntimeError(
             f"boilerplate hot-gram set {len(hot_df)} exceeds "
@@ -3476,7 +3391,6 @@ def q_cms_words(sf_dir: str):
     disjoint shards add losslessly, and a point query (min over the d row
     cells) upper-bounds any word's true count.  Output is the exact cell
     table, so the SQL twin pins every count bit-for-bit."""
-    from ray.data.aggregate import Sum
 
     def partial(t: pa.Table) -> pa.Table:
         counts = tx.vocab_partial_batch(t)
@@ -3490,27 +3404,14 @@ def q_cms_words(sf_dir: str):
             )
             np.add.at(cms[r], b, n)
         flat = cms.ravel()
-        cell = np.nonzero(flat)[0]
-        return pa.table({"cell": cell.astype(np.int64), "n": flat[cell]})
+        cell = np.nonzero(flat)[0].astype(np.int64)
+        return pa.table({"row": cell // CMS_W, "bucket": cell % CMS_W,
+                         "cnt": flat[cell]})
 
-    agg = (
-        _docs(sf_dir)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("cell")
-        .aggregate(Sum("n", alias_name="cnt"))
-    )
-
-    def unpack(t: pa.Table) -> pa.Table:
-        cell = t["cell"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "row": (cell // CMS_W).astype(np.int64),
-                "bucket": (cell % CMS_W).astype(np.int64),
-                "cnt": t["cnt"],
-            }
-        )
-
-    return agg.map_batches(unpack, batch_format="pyarrow")
+    return pa.Table.from_pandas(collect_agg(
+        _docs(sf_dir).map_batches(partial, batch_format="pyarrow"),
+        ["row", "bucket"], {"cnt": "sum"}, CMS_D * CMS_W),
+        preserve_index=False)
 
 
 def cms_point_query(cms_table, word: str) -> int:
@@ -4039,14 +3940,8 @@ def _dup_hashes(sf_dir: str):
     (duplicates-only, << corpus — the dedup_exact_keep broadcast rule).
     Shared by dup_rate_by_source and source_report so the membership
     convention cannot drift."""
-    from ray.data.aggregate import Count
-
-    hashed = _docs(sf_dir).map_batches(dd.exact_hash_batch,
-                                       batch_format="pyarrow")
-    groups = hashed.groupby("content_hash").aggregate(
-        Count(alias_name="c"))
-    dup = collect(groups.filter(lambda r: r["c"] > 1),  # dup-sized
-                  {"content_hash": pa.string(), "c": pa.int64()})
+    dup = collect(_hash_counts(sf_dir).filter(expr="cnt > 1"),  # dup-sized
+                  {"content_hash": pa.string(), "cnt": pa.int64()})
     return broadcast_dim(dup["content_hash"], "duplicate content hashes")
 
 
@@ -4059,10 +3954,6 @@ def q_source_report(sf_dir: str):
     dup-hash membership, lang-ID) sharing the broadcast dup-hash set;
     every exchange is source- or dup-sized.  The composite exists so a
     pipeline run can gate promotion on ONE query instead of four."""
-    import pandas as pd
-
-    from ray.data.aggregate import Sum
-
     dups = _dup_hashes(sf_dir)
 
     class _Score:
@@ -4075,34 +3966,21 @@ def q_source_report(sf_dir: str):
             pred = self.lang(t.select(["doc_id", "text"]))["pred_lang"] \
                 .to_numpy(zero_copy_only=False)
             declared = t["lang"].to_numpy(zero_copy_only=False)
-            g = pd.DataFrame(
-                {"source": t["source"].to_numpy(zero_copy_only=False),
-                 "nc": t["n_chars"].to_numpy(zero_copy_only=False)
-                 .astype(np.int64),
-                 "dup": isdup,
-                 "mism": (pred != declared).astype(np.int64)}
-            ).groupby("source", as_index=False).agg(
-                n_docs=("nc", "size"), n_chars=("nc", "sum"),
-                n_dup=("dup", "sum"), n_lang_mismatch=("mism", "sum"))
-            g["n_docs"] = g["n_docs"].astype(np.int64)
-            return pa.Table.from_pandas(g, preserve_index=False)
+            return pa.table({
+                "source": t["source"],
+                "n_docs": np.ones(t.num_rows, np.int64),
+                "n_chars": pc.cast(t["n_chars"], pa.int64()),
+                "n_dup": isdup,
+                "n_lang_mismatch": (pred != declared).astype(np.int64)})
 
-    agg = (
+    return pa.Table.from_pandas(collect_agg(
         _docs(sf_dir, columns=("doc_id", "text", "source", "lang",
                                "n_chars"))
         .map_batches(_Score, batch_format="pyarrow", batch_size=256,
-                     concurrency=2)
-        .groupby("source")
-        .aggregate(Sum("n_docs", alias_name="n_docs"),
-                   Sum("n_chars", alias_name="n_chars"),
-                   Sum("n_dup", alias_name="n_dup"),
-                   Sum("n_lang_mismatch", alias_name="n_lang_mismatch"))
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(
-            ["source", "n_docs", "n_chars", "n_dup", "n_lang_mismatch"]),
-        batch_format="pyarrow",
-    )
+                     concurrency=2),
+        ["source"], {c: "sum" for c in ("n_docs", "n_chars", "n_dup",
+                                        "n_lang_mismatch")}, MAX_SOURCES),
+        preserve_index=False)
 
 
 def _source_report_sql() -> str:
@@ -4134,8 +4012,6 @@ def q_langid_confusion(sf_dir: str):
     corpus labels (off-diagonal mass = either mislabeled feeds or a
     profile that needs more trigrams — both actionable).  Same actor-
     pool scorer, plus a (langs²)-sized count rollup."""
-    import pandas as pd
-
     ds = _docs(sf_dir, columns=("doc_id", "text", "lang"))
 
     class _LangIdKeep:
@@ -4153,25 +4029,13 @@ def q_langid_confusion(sf_dir: str):
                             batch_size=256, concurrency=2)
 
     def partial(t: pa.Table) -> pa.Table:
-        g = pd.DataFrame(
-            {"declared": t["lang"].to_numpy(zero_copy_only=False),
-             "pred": t["pred_lang"].to_numpy(zero_copy_only=False)}
-        ).groupby(["declared", "pred"], as_index=False).size()
-        g.rename(columns={"size": "n"}, inplace=True)
-        g["n"] = g["n"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({"declared": t["lang"], "pred": t["pred_lang"],
+                         "n": np.ones(t.num_rows, np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        scored.map_batches(partial, batch_format="pyarrow")
-        .groupby(["declared", "pred"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["declared", "pred", "n"]),
-        batch_format="pyarrow",
-    )
+    return pa.Table.from_pandas(collect_agg(
+        scored.map_batches(partial, batch_format="pyarrow"),
+        ["declared", "pred"], {"n": "sum"}, MAX_TYPES ** 2),
+        preserve_index=False)
 
 
 def _langid_confusion_sql() -> str:
@@ -4200,10 +4064,6 @@ def q_ngram_novelty(sf_dir: str):
     Two gram-table-sized exchanges (the inverted-index scale every
     shingle operator here pays): distinct (gram, doc) pairs ->
     per-gram df -> df==1 grams re-keyed by their single owner."""
-    import pandas as pd
-
-    from ray.data.aggregate import Count, Min, Sum
-
     ds = _docs(sf_dir)
 
     def grams(t: pa.Table) -> pa.Table:
@@ -4221,27 +4081,32 @@ def q_ngram_novelty(sf_dir: str):
 
     pairs = ds.map_batches(grams, batch_format="pyarrow",
                            batch_size=256).materialize()
-    per_doc = (
-        pairs.groupby("doc_id").count().to_pandas()
-    )
-    per_doc.columns = ["doc_id", "n_grams"]
+
+    def per_doc_part(t: pa.Table) -> pa.Table:
+        uk, cnt = np.unique(
+            t["doc_id"].to_numpy(zero_copy_only=False), return_counts=True)
+        return pa.table({"doc_id": uk, "n_grams": cnt.astype(np.int64)})
+
+    per_doc = keyed_agg(pairs.map_batches(per_doc_part,
+                                          batch_format="pyarrow"),
+                        ["doc_id"], {"n_grams": "sum"}).to_pandas()
+
+    def gram_part(t: pa.Table) -> pa.Table:
+        return pa.table({"gram": t["gram"], "owner": t["doc_id"],
+                         "df": np.ones(t.num_rows, np.int64)})
 
     def uniq_part(t: pa.Table) -> pa.Table:
-        m = pc.equal(t["df"], pa.scalar(1, type=t["df"].type))
-        kept = t.filter(m)
+        kept = t.filter(pc.equal(t["df"], 1))
         u = kept["owner"].to_numpy(zero_copy_only=False).astype(np.int64)
         uk, cnt = np.unique(u, return_counts=True)
         return pa.table({"doc_id": pa.array(uk),
-                         "nu": pa.array(cnt.astype(np.int64))})
+                         "n_unique": pa.array(cnt.astype(np.int64))})
 
-    uniq = (
-        pairs.groupby("gram")
-        .aggregate(Count(alias_name="df"), Min("doc_id",
-                                               alias_name="owner"))
-        .map_batches(uniq_part, batch_format="pyarrow")
-        .groupby("doc_id").aggregate(Sum("nu", alias_name="n_unique"))
-        .to_pandas()
-    )
+    uniq = keyed_agg(
+        keyed_agg(pairs.map_batches(gram_part, batch_format="pyarrow"),
+                  ["gram"], {"df": "sum", "owner": "min"})
+        .map_batches(uniq_part, batch_format="pyarrow"),
+        ["doc_id"], {"n_unique": "sum"}).to_pandas()
     m = per_doc.merge(uniq, on="doc_id", how="left")
     m["n_unique"] = m["n_unique"].fillna(0).astype(np.int64)
     m["novelty_ppm"] = (m["n_unique"].to_numpy() * 1_000_000
@@ -4282,28 +4147,17 @@ def q_fertility_by_lang(sf_dir: str):
     before setting per-language sampling weights.  Reuses the
     ``token_count`` kernel per batch; the only exchange is a
     language-alphabet-sized sum."""
-    import pandas as pd
-
     ds = _docs(sf_dir, columns=("doc_id", "text", "lang"))
 
     def partial(t: pa.Table) -> pa.Table:
         c = tx.token_count_batch(t)
-        g = pd.DataFrame(
-            {"lang": t["lang"].to_numpy(zero_copy_only=False),
-             "w": c["n_words"].to_numpy(zero_copy_only=False),
-             "ch": c["word_chars"].to_numpy(zero_copy_only=False)}
-        ).groupby("lang", as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({"lang": t["lang"],
+                         "n_words": pc.cast(c["n_words"], pa.int64()),
+                         "n_chars": pc.cast(c["word_chars"], pa.int64())})
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("w", alias_name="n_words"),
-                   Sum("ch", alias_name="n_chars"))
-        .to_pandas()  # language-alphabet-sized
-    )
+    agg = collect_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                      ["lang"], {"n_words": "sum", "n_chars": "sum"},
+                      MAX_TYPES)
     agg["chars_per_word_ppm"] = (
         agg["n_chars"].to_numpy().astype(np.int64) * 1_000_000
         // agg["n_words"].to_numpy().astype(np.int64))
@@ -4336,8 +4190,6 @@ def q_split_leakage(sf_dir: str):
     (train_cnt, holdout_cnt) partials -> one corpus-distinct-sized
     groupby -> a one-row fold; no split's member set is ever
     broadcast."""
-    import pandas as pd
-
     ds = _docs(sf_dir)
 
     def partial(t: pa.Table) -> pa.Table:
@@ -4345,40 +4197,25 @@ def q_split_leakage(sf_dir: str):
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = dd.salted_bucket(ids, dd.SPLIT_SALT)
         ho = (b < HOLDOUT_PERMILLE).astype(np.int64)
-        g = pd.DataFrame(
-            {"content_hash": h["content_hash"].to_numpy(
-                zero_copy_only=False),
-             "ho": ho, "tr": 1 - ho}
-        ).groupby("content_hash", as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({"content_hash": h["content_hash"], "ho": ho,
+                         "tr": 1 - ho})
 
-    from ray.data.aggregate import Sum
-
-    per_hash = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("content_hash")
-        .aggregate(Sum("tr", alias_name="tr"), Sum("ho", alias_name="ho"))
-    )
+    per_hash = keyed_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                         ["content_hash"], {"tr": "sum", "ho": "sum"})
 
     def fold(t: pa.Table) -> pa.Table:
         tr = t["tr"].to_numpy(zero_copy_only=False).astype(np.int64)
         ho = t["ho"].to_numpy(zero_copy_only=False).astype(np.int64)
         leak = (tr > 0)
-        return pa.table(
-            {"n_train": pa.array([int(tr.sum())]),
-             "n_holdout": pa.array([int(ho.sum())]),
-             "n_leaked_docs": pa.array([int(ho[leak].sum())]),
-             "n_leaked_texts": pa.array(
-                 [int((leak & (ho > 0)).sum())])}
-        )
+        return pa.table({"n_train": tr, "n_holdout": ho,
+                         "n_leaked_docs": np.where(leak, ho, 0),
+                         "n_leaked_texts": (leak & (ho > 0)).astype(
+                             np.int64)})
 
-    tot = per_hash.map_batches(fold, batch_format="pyarrow").sum(
-        ["n_train", "n_holdout", "n_leaked_docs", "n_leaked_texts"])
-    out = pd.DataFrame(
-        {k: np.array([int(tot[f"sum({k})"])], dtype=np.int64)
-         for k in ("n_train", "n_holdout", "n_leaked_docs",
-                   "n_leaked_texts")})
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return pa.Table.from_pandas(collect_agg(
+        per_hash.map_batches(fold, batch_format="pyarrow"), [],
+        {k: "sum" for k in ("n_train", "n_holdout", "n_leaked_docs",
+                            "n_leaked_texts")}, 1), preserve_index=False)
 
 
 def _split_leakage_sql() -> str:
@@ -4472,34 +4309,19 @@ def q_dup_rate_by_source(sf_dir: str):
     the dedup_exact_keep broadcast rule); pass 2 streams the corpus
     once, counting per-source membership in the broadcast dup-hash
     set."""
-    from ray.data.aggregate import Sum
-
     dups = _dup_hashes(sf_dir)
 
     def per_source(t: pa.Table) -> pa.Table:
-        import pandas as pd
+        return pa.table({
+            "source": t["source"], "n_docs": np.ones(t.num_rows, np.int64),
+            "n_dup": dups.member(t["content_hash"]).astype(np.int64)})
 
-        isdup = dups.member(t["content_hash"]).astype(np.int64)
-        g = pd.DataFrame(
-            {"source": t["source"].to_numpy(zero_copy_only=False),
-             "d": isdup}
-        ).groupby("source", as_index=False).agg(
-            pn=("d", "size"), pd_=("d", "sum"))
-        g["pn"] = g["pn"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    agg = (
+    return pa.Table.from_pandas(collect_agg(
         _docs(sf_dir, columns=("doc_id", "text", "source"))
         .map_batches(dd.exact_hash_batch, batch_format="pyarrow")
-        .map_batches(per_source, batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(Sum("pn", alias_name="n_docs"),
-                   Sum("pd_", alias_name="n_dup"))
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["source", "n_docs", "n_dup"]),
-        batch_format="pyarrow",
-    )
+        .map_batches(per_source, batch_format="pyarrow"),
+        ["source"], {"n_docs": "sum", "n_dup": "sum"}, MAX_SOURCES),
+        preserve_index=False)
 
 
 DUP_RATE_BY_SOURCE_SQL = (
@@ -4615,15 +4437,11 @@ def q_embed_norm_deciles(sf_dir: str) -> "pa.Table":
         return pa.table({"qss": pa.array(uk),
                          "cnt": pa.array(cnt.astype(np.int64))})
 
-    from ray.data.aggregate import Sum
-
-    hist = (
-        _emb(sf_dir)
-        .map_batches(partial, batch_format="pyarrow", batch_size=1024)
-        .groupby("qss").aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()
-    )
-    hist = hist.sort_values("qss", kind="mergesort")
+    hist = keyed_agg(
+        _emb(sf_dir).map_batches(partial, batch_format="pyarrow",
+                                 batch_size=1024),
+        ["qss"], {"cnt": "sum"},
+    ).to_pandas().sort_values("qss", kind="mergesort")
     c = hist["cnt"].to_numpy().astype(np.int64)
     total = int(c.sum())
     cum = np.cumsum(c)
@@ -4672,15 +4490,10 @@ def q_bucket_skew(sf_dir: str) -> "pa.Table":
         return pa.table({"b": pa.array(uk),
                          "cnt": pa.array(cnt.astype(np.int64))})
 
-    from ray.data.aggregate import Sum
-
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("b").aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()
-    )
-    # empty corpus: to_pandas drops the schema entirely — emit the
-    # all-zero row the SQL twin's COALESCEd aggregates produce
+    hist = collect_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                       ["b"], {"cnt": "sum"}, SKEW_MOD)
+    # empty corpus: emit the all-zero row the SQL twin's COALESCEd
+    # aggregates produce
     if len(hist) == 0:
         z = np.zeros(1, dtype=np.int64)
         return pa.Table.from_pandas(
@@ -4729,8 +4542,6 @@ def q_simhash_bit_balance(sf_dir: str):
     ``dedup_simhash``'s effective radius; healthy md5-vote bits sit
     near 50%).  Reuses the SimHasher actor kernel; the exchange is 64
     rows per batch."""
-    import pandas as pd
-
     hashed = _docs(sf_dir).map_batches(
         dd.SimHasher(), batch_format="pyarrow", batch_size=256
     )
@@ -4747,18 +4558,9 @@ def q_simhash_bit_balance(sf_dir: str):
              "n_docs": pa.array(np.full(64, len(h), dtype=np.int64))}
         )
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        hashed.map_batches(partial, batch_format="pyarrow")
-        .groupby("bit")
-        .aggregate(Sum("n_ones", alias_name="n_ones"),
-                   Sum("n_docs", alias_name="n_docs"))
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["bit", "n_ones", "n_docs"]),
-        batch_format="pyarrow",
-    )
+    return pa.Table.from_pandas(collect_agg(
+        hashed.map_batches(partial, batch_format="pyarrow"), ["bit"],
+        {"n_ones": "sum", "n_docs": "sum"}, 64), preserve_index=False)
 
 
 def _simhash_bit_balance_sql() -> str:
@@ -4810,15 +4612,11 @@ def q_first_week_value(sf_dir: str) -> "pa.Table":
                                           dtype=np.int64),
              "cents": np.array([int(cents.sum())], dtype=np.int64)})
 
-    tot = fold_by_part(ds, "o_custkey", split, 4 * _join_parts()).sum(
-        ["n_cust", "first_week_cents", "cents"])
-    fw = int(tot["sum(first_week_cents)"])
-    al = int(tot["sum(cents)"])
-    out = pd.DataFrame(
-        {"n_cust": np.array([int(tot["sum(n_cust)"])], dtype=np.int64),
-         "first_week_cents": np.array([fw], dtype=np.int64),
-         "cents": np.array([al], dtype=np.int64),
-         "share_ppm": np.array([fw * 1_000_000 // al], dtype=np.int64)})
+    out = collect_agg(fold_by_part(ds, "o_custkey", split, 4 * _join_parts()),
+                      [], {"n_cust": "sum", "first_week_cents": "sum",
+                           "cents": "sum"}, 1)
+    out["share_ppm"] = (int(out["first_week_cents"].iloc[0]) * 1_000_000
+                        // int(out["cents"].iloc[0]))
     return pa.Table.from_pandas(out, preserve_index=False)
 
 
@@ -4899,7 +4697,6 @@ def q_dim_range(sf_dir: str):
     distance-based op inherits it, and the box is the natural grid for
     coarse spatial partitioning).  One columnwise min/max partial per
     batch, a d-sized exchange."""
-    from ray.data.aggregate import Max, Min
 
     def partial(t: pa.Table) -> pa.Table:
         m = sim.embedding_matrix(t).astype(np.float64)
@@ -4911,17 +4708,11 @@ def q_dim_range(sf_dir: str):
              "qmax": pa.array(qx.max(axis=0))}
         )
 
-    agg = (
-        _emb(sf_dir)
-        .map_batches(partial, batch_format="pyarrow", batch_size=1024)
-        .groupby("i")
-        .aggregate(Min("qmin", alias_name="qmin"),
-                   Max("qmax", alias_name="qmax"))
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["i", "qmin", "qmax"]),
-        batch_format="pyarrow",
-    )
+    return pa.Table.from_pandas(collect_agg(
+        _emb(sf_dir).map_batches(partial, batch_format="pyarrow",
+                                 batch_size=1024),
+        ["i"], {"qmin": "min", "qmax": "max"}, MAX_DIMS),
+        preserve_index=False)
 
 
 DIM_RANGE_SQL = (
@@ -5042,18 +4833,16 @@ def q_kmeans3(sf_dir: str):
                  "cnt": pa.array(np.repeat(cnt, D)[keep])}
             )
 
-        agg = (
-            _emb(sf_dir)
-            .map_batches(partial, batch_format="pyarrow", batch_size=1024)
-            .groupby(["cluster", "i"]).sum(["qsum", "cnt"])
-            .to_pandas()  # K x 64 rows
-        )
+        agg = collect_agg(
+            _emb(sf_dir).map_batches(partial, batch_format="pyarrow",
+                                     batch_size=1024),
+            ["cluster", "i"], {"qsum": "sum", "cnt": "sum"}, K * D)
         qsum = np.zeros((K, D), dtype=np.int64)
         cnt = np.zeros(K, dtype=np.int64)
         ci = agg["cluster"].to_numpy().astype(np.int64)
         di = agg["i"].to_numpy().astype(np.int64) - 1
-        qsum[ci, di] = agg["sum(qsum)"].to_numpy().astype(np.int64)
-        cnt[ci] = agg["sum(cnt)"].to_numpy().astype(np.int64)
+        qsum[ci, di] = agg["qsum"].to_numpy().astype(np.int64)
+        cnt[ci] = agg["cnt"].to_numpy().astype(np.int64)
         nz = cnt > 0
         newc = qc.copy()
         newc[nz] = np.floor_divide(
@@ -5142,24 +4931,15 @@ def q_case_profile(sf_dir: str):
         lo = t.str.count(r"[a-z]").to_numpy().astype(np.int64)
         dg = t.str.count(r"[0-9]").to_numpy().astype(np.int64)
         tot = t.str.len().to_numpy().astype(np.int64)
-        g = pd.DataFrame(
+        return pd.DataFrame(
             {"source": df["source"].to_numpy(), "n_upper": up,
              "n_lower": lo, "n_digit": dg,
-             "n_other": tot - up - lo - dg}
-        ).groupby("source", as_index=False).sum()
-        return g
+             "n_other": tot - up - lo - dg})
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("source")
-        .aggregate(Sum("n_upper", alias_name="n_upper"),
-                   Sum("n_lower", alias_name="n_lower"),
-                   Sum("n_digit", alias_name="n_digit"),
-                   Sum("n_other", alias_name="n_other"))
-        .to_pandas()
-    )
+    agg = collect_agg(
+        ds.map_batches(partial, batch_format="pandas"), ["source"],
+        {c: "sum" for c in ("n_upper", "n_lower", "n_digit", "n_other")},
+        MAX_SOURCES)
     cased = (agg["n_upper"].to_numpy().astype(np.int64)
              + agg["n_lower"].to_numpy().astype(np.int64))
     agg["upper_ppm"] = np.where(
@@ -5203,8 +4983,6 @@ def q_nn_purity(sf_dir: str):
     (batch × corpus); at retrieval scale the ANN family (ann_lsh / ivf
     / pq) replaces the scan, this stays the labeled ground-truth
     complement, same as ``embed_dedup``."""
-    import pandas as pd
-
     full = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet",
         columns=["vec_id", "embedding", "label"],
@@ -5236,28 +5014,16 @@ def q_nn_purity(sf_dir: str):
         self_pos = np.searchsorted(sids, bids)
         sc[np.arange(len(bids)), self_pos] = np.iinfo(np.int64).max
         nn = np.argmin(sc, axis=1)
-        agree = (slab[nn] == blab).astype(np.int64)
-        g = pd.DataFrame({"label": blab, "agree": agree}).groupby(
-            "label", as_index=False).agg(n=("agree", "size"),
-                                         n_agree=("agree", "sum"))
-        g["n"] = g["n"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({"label": blab, "n": np.ones(len(blab), np.int64),
+                         "n_agree": (slab[nn] == blab).astype(np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    agg = (
+    return pa.Table.from_pandas(collect_agg(
         ray.data.read_parquet(
             f"{sf_dir}/embeddings.parquet",
             columns=["vec_id", "embedding", "label"])
-        .map_batches(score, batch_format="pyarrow", batch_size=512)
-        .groupby("label")
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("n_agree", alias_name="n_agree"))
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["label", "n", "n_agree"]),
-        batch_format="pyarrow",
-    )
+        .map_batches(score, batch_format="pyarrow", batch_size=512),
+        ["label"], {"n": "sum", "n_agree": "sum"}, MAX_TYPES),
+        preserve_index=False)
 
 
 NN_PURITY_SQL = (
@@ -5314,13 +5080,11 @@ def q_embed_grid(sf_dir: str):
              "cnt": pa.array(cnt.astype(np.int64))}
         )
 
-    cells = (
-        _emb(sf_dir)
-        .map_batches(partial, batch_format="pyarrow", batch_size=1024)
-        .groupby(["gx", "gy"]).sum(["cnt"])
-        .to_pandas()  # bounded by occupied-cell count, not vectors
-    )
-    cells.columns = ["gx", "gy", "cnt"]
+    cells = collect(keyed_agg(
+        _emb(sf_dir).map_batches(partial, batch_format="pyarrow",
+                                 batch_size=1024),
+        ["gx", "gy"], {"cnt": "sum"},
+    ), {"gx": pa.int64(), "gy": pa.int64(), "cnt": pa.int64()})
     cells = cells.sort_values(
         ["cnt", "gx", "gy"], ascending=[False, True, True],
         kind="mergesort").head(GRID_TOPK)
@@ -5368,15 +5132,11 @@ def q_dim_variance(sf_dir: str):
              "qss": pa.array((qx * qx).sum(axis=0))}
         )
 
-    agg = (
-        _emb(sf_dir)
-        .map_batches(partial, batch_format="pyarrow", batch_size=1024)
-        .groupby("i").sum(["n", "qsum", "qss"])
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["i", "n", "qsum", "qss"]),
-        batch_format="pyarrow",
-    )
+    return pa.Table.from_pandas(collect_agg(
+        _emb(sf_dir).map_batches(partial, batch_format="pyarrow",
+                                 batch_size=1024),
+        ["i"], {"n": "sum", "qsum": "sum", "qss": "sum"}, MAX_DIMS),
+        preserve_index=False)
 
 
 DIM_VARIANCE_SQL = (

@@ -90,8 +90,7 @@ def materialize_query(
     under ``out_dir``.  Returns the _SUCCESS manifest dict (existing one
     on a skip).  Ray must already be initialised by the caller."""
     import pandas as pd
-
-    import ray.data
+    import pyarrow as pa
 
     if fmt not in FORMATS:
         raise ValueError(f"fmt must be one of {FORMATS}, got {fmt!r}")
@@ -128,6 +127,8 @@ def materialize_query(
 
     t0 = time.perf_counter()
     res = registry[name][0](sf_dir)
+    if isinstance(res, pa.Table):  # driver-collected: one part file
+        res = res.to_pandas()
     if isinstance(res, pd.DataFrame):
         path = os.path.join(tmp, f"part-0.{fmt}")
         if fmt == "parquet":

@@ -31,8 +31,12 @@ from ..stages.encode import RollupEncode, decode_blocks_batch
 from ..stages.gapfill import gapfill_batch, make_resample_batch
 from ..stages.rollup import TierRollup, explode_rollup_batch
 from . import rollup_pipeline as rp
-from .skeletons import (KEYED_AGG_PARTS, broadcast_dim, collect,
-                        fold_by_part, keep_docs, keyed_agg, map_docs)
+from .skeletons import (KEYED_AGG_PARTS, MAX_COUNT_VALUES, MAX_DAYS,
+                        MAX_TYPES, broadcast_dim, collect, collect_agg,
+                        count_col, fold_by_part, keep_docs, keyed_agg,
+                        map_docs)
+
+MAX_DAY_PAIRS = 3660 * 3661 // 2  # (first day, later day) over a decade
 
 # the driver correctness-checks at sf0.01: oracle SQL pins that synth path
 SYNTH_GLOB_001 = "/tmp/graft_synth/sf0.01/sequences/*.parquet"
@@ -346,7 +350,7 @@ def _source_token_hist(sf_dir: str, absolute: bool = False,
 
     cols = _hist_cols(by_source)
     return keyed_agg(map_docs(_seq_ds(sf_dir), partial, cols),
-                     list(cols)[:-1], {"cnt": "sum"}, "tok")
+                     list(cols)[:-1], {"cnt": "sum"})
 
 
 def _token_counts(sf_dir: str, by_source: bool = True) -> "pd.DataFrame":
@@ -477,7 +481,7 @@ SESSIONIZE_SQL = (
 )
 
 
-def q_funnel(sf_dir: str) -> "ray.data.Dataset":
+def q_funnel(sf_dir: str) -> "pa.Table":
     """Ordered funnel analysis (view -> click -> purchase): per user, the
     deepest stage reached with strictly increasing timestamps — stage 1
     needs a view, stage 2 a click after the FIRST view, stage 3 a purchase
@@ -518,16 +522,13 @@ def q_funnel(sf_dir: str) -> "ray.data.Dataset":
         stage[t1.index] = 1
         stage[t2.index] = 2
         stage[u3] = 3
-        out = stage.value_counts().rename_axis("stage").reset_index(name="pn")
-        return out.astype({"stage": np.int64, "pn": np.int64})
+        out = stage.value_counts().rename_axis("stage").reset_index(
+            name="n_users")
+        return out.astype({"stage": np.int64, "n_users": np.int64})
 
-    from ray.data.aggregate import Sum
-
-    return (
-        fold_by_part(ds, "user_id", fold)
-        .groupby("stage")
-        .aggregate(Sum("pn", alias_name="n_users"))
-    )
+    return pa.Table.from_pandas(
+        collect_agg(fold_by_part(ds, "user_id", fold), ["stage"],
+                    {"n_users": "sum"}, 4), preserve_index=False)
 
 
 FUNNEL_SQL = (
@@ -551,6 +552,23 @@ FUNNEL_SQL = (
 )
 
 
+def _daily_qty(sf_dir: str) -> "pd.DataFrame":
+    """Lineitem quantity per ship day (``day`` a ``%Y-%m-%d`` string),
+    sorted by day: folded in Ray, only the per-day rows reach the
+    driver."""
+    li = ray.data.read_parquet(
+        f"{sf_dir}/lineitem.parquet", columns=["l_shipdate", "l_quantity"]
+    )
+
+    def day_partial(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "day": t["l_shipdate"].to_pandas().dt.strftime("%Y-%m-%d"),
+            "qty": t["l_quantity"].to_numpy().astype(np.int64)})
+
+    return collect_agg(li.map_batches(day_partial, batch_format="pyarrow"),
+                       ["day"], {"qty": "sum"}, MAX_DAYS).sort_values("day")
+
+
 def q_range_join(sf_dir: str) -> "ray.data.Dataset":
     """RANGE join (non-equi): each event joined to the per-day lineitem
     quantity aggregate over the +-3 calendar-day window around its
@@ -559,31 +577,7 @@ def q_range_join(sf_dir: str) -> "ray.data.Dataset":
     vectorized searchsorteds per batch — the broadcast-range-join shape
     (band joins at scale partition both sides by coarse time bucket and
     replicate the band edges)."""
-    from ray.data.aggregate import Sum
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_shipdate", "l_quantity"]
-    )
-
-    def day_partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        day = t["l_shipdate"].to_pandas().dt.strftime("%Y-%m-%d")
-        qty = t["l_quantity"].to_numpy().astype(np.int64)
-        g = (
-            pd.DataFrame({"day": day, "qty": qty})
-            .groupby("day", as_index=False)["qty"]
-            .sum()
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    daily = (
-        li.map_batches(day_partial, batch_format="pyarrow")
-        .groupby("day")
-        .aggregate(Sum("qty", alias_name="qty"))
-        .to_pandas()  # tiny: one row per calendar day
-        .sort_values("day")
-    )
+    daily = _daily_qty(sf_dir)
     DAY_US = 86_400_000_000
     day_us = (
         daily["day"].astype("datetime64[us]").to_numpy().astype(np.int64)
@@ -856,39 +850,24 @@ EWMA8_SQL = (
 # Calendar-day rollup over lineitem (partial+final aggregate showcase)
 # --------------------------------------------------------------------------
 
-def q_daily_rollup(sf_dir: str) -> "ray.data.Dataset":
+def q_daily_rollup(sf_dir: str) -> "pa.Table":
     """Calendar-day event rollup (count + integer-cent sum per day) — the classic partial+final time bucket aggregate."""
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_shipdate", "l_quantity"]
     )
 
     def partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
         # day as canonical string: date handling differs between arrow
         # date32 and duckdb DATE in pandas, strings hash identically
         day = t["l_shipdate"].to_pandas().dt.strftime("%Y-%m-%d")
         qty = t["l_quantity"].to_numpy().astype(np.int64)
-        g = (
-            pd.DataFrame({"day": day, "qty": qty})
-            .groupby("day", as_index=False)
-            .agg(pmin=("qty", "min"), pmax=("qty", "max"),
-                 psum=("qty", "sum"), pcount=("qty", "size"))
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({"day": day, "qmin": qty, "qmax": qty, "qsum": qty,
+                         "qcount": np.ones(len(qty), np.int64)})
 
-    from ray.data.aggregate import Max, Min, Sum
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("day")
-        .aggregate(
-            Min("pmin", alias_name="qmin"),
-            Max("pmax", alias_name="qmax"),
-            Sum("psum", alias_name="qsum"),
-            Sum("pcount", alias_name="qcount"),
-        )
-    )
+    return pa.Table.from_pandas(collect_agg(
+        ds.map_batches(partial, batch_format="pyarrow"), ["day"],
+        {"qmin": "min", "qmax": "max", "qsum": "sum", "qcount": "sum"},
+        MAX_DAYS), preserve_index=False)
 
 
 DAILY_ROLLUP_SQL = (
@@ -1303,25 +1282,17 @@ def _sax_breakpoints(means_ds) -> "np.ndarray | None":
     histogram exchange shared by sax_symbols and seq_neardup_sax): rank
     ((n-1)*q)//4 + 1 order statistics, matching the SQL row_number
     convention. Returns None when no sequence was long enough."""
-    from ray.data.aggregate import Sum
 
     def vc(t: pa.Table) -> pa.Table:
-        from ..functions.listops import list_to_numpy
-
         flat, _ = list_to_numpy(t["means"])
         v, c = np.unique(flat, return_counts=True)
         return pa.table({"m": pa.array(v.astype(np.int64)),
-                         "pn": pa.array(c.astype(np.int64))})
+                         "n": pa.array(c.astype(np.int64))})
 
-    hist = (
-        means_ds.map_batches(vc, batch_format="pyarrow")
-        .groupby("m")
-        .aggregate(Sum("pn", alias_name="n"))
-        .to_pandas()
-    )
+    # a mean of tokens in [0, 2^TOKEN_BITS) stays in that range
+    hist = collect_agg(means_ds.map_batches(vc, batch_format="pyarrow"),
+                       ["m"], {"n": "sum"}, 1 << TOKEN_BITS)
     if len(hist) == 0:
-        # checked before sort_values: an EMPTY aggregate also loses its
-        # column schema entirely
         return None
     hist = hist.sort_values("m")
     vals_h = hist["m"].to_numpy()
@@ -1920,22 +1891,10 @@ def q_sax_motifs(sf_dir: str):
     PAA resolution — the classic coarse motif screen). One 4^8-bounded
     word-keyed groupby on top of the shuffle-free symbolization, local
     top-K finish."""
-    from ray.data.aggregate import Count
-
-    agg = (
-        q_sax_symbols(sf_dir)
-        .groupby("sax")
-        .aggregate(Count(alias_name="n_docs"))
-    )
-
-    def finish(df):
-        df = df.copy()
-        df["n_docs"] = df["n_docs"].astype(np.int64)
-        return df.sort_values(["n_docs", "sax"],
-                              ascending=[False, True]).head(SAX_MOTIF_TOPK)
-
-    top = agg.map_batches(finish, batch_format="pandas",
-                          batch_size=None).to_pandas()
+    top = collect_agg(
+        q_sax_symbols(sf_dir).map_batches(count_col("n_docs"),
+                                          batch_format="pyarrow"),
+        ["sax"], {"n_docs": "sum"}, 4 ** 8)
     return (
         top.sort_values(["n_docs", "sax"], ascending=[False, True])
         .head(SAX_MOTIF_TOPK)
@@ -2336,34 +2295,7 @@ def q_events_asof(sf_dir: str) -> "ray.data.Dataset":
     lineitem's shipdate rollup) at or before its timestamp. The small side
     (daily table) is broadcast; the probe is a vectorized searchsorted per
     batch — the no-shuffle as-of pattern (ray_guide 'Joins and lookups')."""
-    # small side computed IN RAY (partial+final over lineitem, same shape as
-    # daily_rollup), then only the tiny per-day aggregate is collected and
-    # broadcast — the raw lineitem table never touches the driver
-    from ray.data.aggregate import Sum
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_shipdate", "l_quantity"]
-    )
-
-    def day_partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        day = t["l_shipdate"].to_pandas().dt.strftime("%Y-%m-%d")
-        qty = t["l_quantity"].to_numpy().astype(np.int64)
-        g = (
-            pd.DataFrame({"day": day, "qty": qty})
-            .groupby("day", as_index=False)["qty"]
-            .sum()
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    daily = (
-        li.map_batches(day_partial, batch_format="pyarrow")
-        .groupby("day")
-        .aggregate(Sum("qty", alias_name="qty"))
-        .to_pandas()  # tiny: one row per calendar day
-        .sort_values("day")
-    )
+    daily = _daily_qty(sf_dir)
     day_ns = (
         daily["day"].astype("datetime64[ns]").to_numpy().astype(np.int64)
     )
@@ -2408,8 +2340,6 @@ def q_source_stats_salted(sf_dir: str) -> "ray.data.Dataset":
     identical to source_stats (same SQL oracle)."""
     import zlib
 
-    from ray.data.aggregate import Max, Min, Sum
-
     from ..stages.rollup import source_partials_batch
 
     rolled = rp.rollup_dataset(_seq_ds(sf_dir), bank="haar", n_tiers=10,
@@ -2425,26 +2355,8 @@ def q_source_stats_salted(sf_dir: str) -> "ray.data.Dataset":
         return part.append_column("salt", pa.array(salt))
 
     partials = rolled.map_batches(salted_partials, batch_format="pyarrow")
-    salted = partials.groupby(["source", "tier", "salt"]).aggregate(
-        Min("pmin", alias_name="pmin"),
-        Max("pmax", alias_name="pmax"),
-        Sum("psum", alias_name="psum"),
-        Sum("pcount", alias_name="pcount"),
-        Sum("pwindows", alias_name="pwindows"),
-    )
-    final = salted.groupby(["source", "tier"]).aggregate(
-        Min("pmin", alias_name="min_val"),
-        Max("pmax", alias_name="max_val"),
-        Sum("psum", alias_name="total_sum"),
-        Sum("pcount", alias_name="n_points"),
-        Sum("pwindows", alias_name="n_windows"),
-    )
-    return final.map_batches(
-        lambda t: t.set_column(
-            t.column_names.index("tier"), "tier", pc.cast(t["tier"], pa.int8())
-        ),
-        batch_format="pyarrow",
-    )
+    return rp.fold_source_partials(keyed_agg(
+        partials, ["source", "tier", "salt"], rp.SOURCE_PARTIAL_AGGS))
 
 
 def _ensure_store(sf_dir: str) -> str:
@@ -2589,49 +2501,38 @@ EVENTS_ZSCORE_SQL = (
 # Seasonal hour-of-day profile (partial+final aggregate)
 # --------------------------------------------------------------------------
 
-def q_hourly_profile(sf_dir: str) -> "ray.data.Dataset":
-    """Per-(event_type, hour-of-day) event count, token sum and mean — the
-    seasonal-profile aggregate (24 x types output).  Pre-aggregated inside
-    ``map_batches`` (one row per key per batch) so the global groupby
-    shuffles a few hundred partial rows, not the event stream; the mean is
-    the identical IEEE double division on both sides."""
+def _type_hour_profile(sf_dir: str) -> "pd.DataFrame":
+    """Event count and cent-value sum per (event_type, hour of day),
+    folded in Ray under a types x 24 row bound."""
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
     )
 
-    def partial(df):
-        import pandas as pd
+    def partial(t: pa.Table) -> pa.Table:
+        ts_us = t["ts"].to_numpy(zero_copy_only=False).astype(
+            "datetime64[us]").astype(np.int64)
+        tok = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100)
+        return pa.table({"event_type": t["event_type"],
+                         "hod": (ts_us // HOUR_US) % 24,
+                         "n_events": np.ones(len(ts_us), np.int64),
+                         "tok_sum": tok.astype(np.int64)})
 
-        ts_us = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        g = pd.DataFrame(
-            {
-                "event_type": df["event_type"].to_numpy(),
-                "hod": (ts_us // HOUR_US) % 24,
-                "tok": np.rint(df["value"].to_numpy() * 100).astype(np.int64),
-            }
-        ).groupby(["event_type", "hod"], as_index=False).agg(
-            pn=("tok", "size"), psum=("tok", "sum")
-        )
-        g["pn"] = g["pn"].astype(np.int64)
-        return g
+    return collect_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                       ["event_type", "hod"],
+                       {"n_events": "sum", "tok_sum": "sum"}, 24 * MAX_TYPES)
 
-    from ray.data.aggregate import Sum
 
-    agg = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["event_type", "hod"])
-        .aggregate(
-            Sum("pn", alias_name="n_events"), Sum("psum", alias_name="tok_sum")
-        )
-    )
-
-    def finish(df):
-        df["avg_tok"] = df["tok_sum"].to_numpy().astype(np.float64) / df[
-            "n_events"
-        ].to_numpy()
-        return df
-
-    return agg.map_batches(finish, batch_format="pandas")
+def q_hourly_profile(sf_dir: str) -> "pa.Table":
+    """Per-(event_type, hour-of-day) event count, token sum and mean — the
+    seasonal-profile aggregate (24 x types output).  Pre-aggregated inside
+    ``map_batches`` (one row per key per batch) so the driver folds a few
+    hundred partial rows, not the event stream; the mean is the identical
+    IEEE double division on both sides."""
+    df = _type_hour_profile(sf_dir)
+    df["avg_tok"] = df["tok_sum"].to_numpy().astype(np.float64) / df[
+        "n_events"
+    ].to_numpy()
+    return pa.Table.from_pandas(df, preserve_index=False)
 
 
 HOURLY_PROFILE_SQL = (
@@ -2653,7 +2554,7 @@ _DAY_US = 86_400_000_000
 _DAY_BITS = 20  # day index < 2^20 until year ~4840
 
 
-def q_distinct_users_daily(sf_dir: str) -> "ray.data.Dataset":
+def q_distinct_users_daily(sf_dir: str) -> "pa.Table":
     """Per-day distinct active users — the distributed COUNT DISTINCT
     pattern.  Three-level: (1) per-batch dedup of packed (user, day) keys
     shrinks the exchange to unique pairs, (2) a hash partition on user_id
@@ -2687,17 +2588,13 @@ def q_distinct_users_daily(sf_dir: str) -> "ray.data.Dataset":
 
         key = np.unique(df["key"].to_numpy())
         day, cnt = np.unique(key & ((1 << _DAY_BITS) - 1), return_counts=True)
-        return pd.DataFrame({"day": day, "pn": cnt.astype(np.int64)})
+        return pd.DataFrame({"day": day, "n_users": cnt.astype(np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    return (
+    return pa.Table.from_pandas(collect_agg(
         ds.map_batches(pairs, batch_format="pyarrow")
         .groupby("part")
-        .map_groups(fold, batch_format="pandas")
-        .groupby("day")
-        .aggregate(Sum("pn", alias_name="n_users"))
-    )
+        .map_groups(fold, batch_format="pandas"),
+        ["day"], {"n_users": "sum"}, MAX_DAYS), preserve_index=False)
 
 
 DISTINCT_USERS_SQL = (
@@ -2712,6 +2609,38 @@ MAD_K = 2  # flag |x - med| > MAD_K * MAD (2 MAD; the synth counts are
 # stays integer-exact for any K)
 
 
+def _day_counts(sf_dir: str) -> "pd.DataFrame":
+    """Events per day index, folded in Ray under a days row bound."""
+    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
+
+    def partial(t: pa.Table) -> pa.Table:
+        ts_us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        return pa.table({"day": ts_us // _DAY_US,
+                         "n": np.ones(len(ts_us), np.int64)})
+
+    return collect_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                       ["day"], {"n": "sum"}, MAX_DAYS)
+
+
+def _type_day_counts(sf_dir: str) -> "pd.DataFrame":
+    """Events per (event_type, day index), folded in Ray under a types x
+    days row bound."""
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["ts", "event_type"]
+    )
+
+    def partial(t: pa.Table) -> pa.Table:
+        ts_us = t["ts"].to_numpy(zero_copy_only=False).astype(
+            "datetime64[us]").astype(np.int64)
+        return pa.table({"event_type": t["event_type"],
+                         "day": ts_us // _DAY_US,
+                         "n": np.ones(t.num_rows, np.int64)})
+
+    return collect_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                       ["event_type", "day"], {"n": "sum"},
+                       MAX_TYPES * MAX_DAYS)
+
+
 def q_anomaly_mad(sf_dir: str) -> "object":
     """Robust per-type daily anomaly flags: days whose count deviates from
     the type's MEDIAN by more than MAD_K x the MAD (the outlier rule that, unlike
@@ -2724,35 +2653,7 @@ def q_anomaly_mad(sf_dir: str) -> "object":
     is integer-exact against the SQL twin's median()/2*median() chain."""
     import pandas as pd
 
-    from ray.data.aggregate import Sum
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"]
-    )
-
-    def partial(t: pa.Table) -> pa.Table:
-        ts_us = t["ts"].to_numpy(zero_copy_only=False).astype(
-            "datetime64[us]").astype(np.int64)
-        day = ts_us // _DAY_US
-        df = pd.DataFrame(
-            {"event_type": t["event_type"].to_pandas(), "day": day}
-        ).groupby(["event_type", "day"], as_index=False).size()
-        # explicit schema: an EMPTY batch would otherwise infer a
-        # null-typed event_type column that conflicts in the groupby
-        return pa.table(
-            {
-                "event_type": pa.array(df["event_type"], type=pa.string()),
-                "day": pa.array(df["day"].to_numpy(), type=pa.int64()),
-                "pn": pa.array(df["size"].to_numpy(), type=pa.int64()),
-            }
-        )
-
-    daily = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "day"])
-        .aggregate(Sum("pn", alias_name="n"))
-        .to_pandas()  # tiny: #types x #days
-    )
+    daily = _type_day_counts(sf_dir)
 
     def med2_of(v: np.ndarray) -> int:
         v = np.sort(v)
@@ -2802,33 +2703,7 @@ def q_seasonal_naive_error(sf_dir: str) -> "object":
     exact: counts are ints, so the error sum is a BIGINT."""
     import pandas as pd
 
-    from ray.data.aggregate import Sum
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"]
-    )
-
-    def partial(t: pa.Table) -> pa.Table:
-        ts_us = t["ts"].to_numpy(zero_copy_only=False).astype(
-            "datetime64[us]").astype(np.int64)
-        day = ts_us // _DAY_US
-        df = pd.DataFrame(
-            {"event_type": t["event_type"].to_pandas(), "day": day}
-        ).groupby(["event_type", "day"], as_index=False).size()
-        return pa.table(
-            {
-                "event_type": pa.array(df["event_type"], type=pa.string()),
-                "day": pa.array(df["day"].to_numpy(), type=pa.int64()),
-                "pn": pa.array(df["size"].to_numpy(), type=pa.int64()),
-            }
-        )
-
-    daily = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "day"])
-        .aggregate(Sum("pn", alias_name="n"))
-        .to_pandas()  # tiny: #types x #days
-    )
+    daily = _type_day_counts(sf_dir)
     rows = []
     for etype, grp in daily.groupby("event_type"):
         g = grp.set_index("day")["n"]
@@ -2871,32 +2746,11 @@ def q_type_corr(sf_dir: str):
     (``pearson_from_moments``) — never part of the compared result."""
     import pandas as pd
 
-    from ray.data.aggregate import Sum
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"]
-    )
-
-    def partial(t: pa.Table) -> pa.Table:
-        ts_us = (
-            t["ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        day = ts_us // _DAY_US
-        g = pd.DataFrame(
-            {"day": day,
-             "x": (et == CORR_X).astype(np.int64),
-             "y": (et == CORR_Y).astype(np.int64)}
-        ).groupby("day", as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    daily = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("day")
-        .aggregate(Sum("x", alias_name="x"), Sum("y", alias_name="y"))
-        .to_pandas()
-    )
+    daily = _type_day_counts(sf_dir)
+    daily = pd.DataFrame({
+        c: daily["n"].where(daily["event_type"] == et, 0)
+        .groupby(daily["day"]).sum() for c, et in (("x", CORR_X),
+                                                   ("y", CORR_Y))})
     x = daily["x"].to_numpy().astype(object)  # python ints: no overflow
     y = daily["y"].to_numpy().astype(object)
     return pd.DataFrame(
@@ -2938,7 +2792,7 @@ TYPE_CORR_SQL = (
 EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
 
 
-def q_events_pivot(sf_dir: str) -> "ray.data.Dataset":
+def q_events_pivot(sf_dir: str) -> "pa.Table":
     """PIVOT/reshape surface: the per-day event-type count matrix (one
     column per type) — long-to-wide with a FIXED, declared column set, the
     only shape that scales (a data-dependent pivot would need a schema
@@ -2949,30 +2803,18 @@ def q_events_pivot(sf_dir: str) -> "ray.data.Dataset":
     )
 
     def partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
         ts_us = (
             t["ts"].to_numpy(zero_copy_only=False)
             .astype("datetime64[us]").astype(np.int64)
         )
-        ct = pd.crosstab(
-            pd.Series(ts_us // _DAY_US, name="day"),
-            pd.Series(t["event_type"].to_pandas(), name="et"),
-        ).reindex(columns=list(EVENT_TYPES), fill_value=0)
-        ct.columns = [f"n_{c}" for c in ct.columns]
-        return pa.Table.from_pandas(
-            ct.astype(np.int64).reset_index(), preserve_index=False
-        )
+        et = t["event_type"].to_numpy(zero_copy_only=False)
+        return pa.table({"day": ts_us // _DAY_US, **{
+            f"n_{c}": (et == c).astype(np.int64) for c in EVENT_TYPES}})
 
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("day")
-        .aggregate(
-            *[Sum(f"n_{c}", alias_name=f"n_{c}") for c in EVENT_TYPES]
-        )
-    )
+    return pa.Table.from_pandas(collect_agg(
+        ds.map_batches(partial, batch_format="pyarrow"), ["day"],
+        {f"n_{c}": "sum" for c in EVENT_TYPES}, MAX_DAYS),
+        preserve_index=False)
 
 
 EVENTS_PIVOT_SQL = (
@@ -3000,27 +2842,16 @@ def q_missing_hours(sf_dir: str) -> "ray.data.Dataset":
             t["ts"].to_numpy(zero_copy_only=False)
             .astype("datetime64[us]").astype(np.int64)
         )
-        day = ts_us // _DAY_US
-        hour = (ts_us // 3_600_000_000) % 24
-        key = np.unique(day * 32 + hour)
-        return pa.table({"key": key, "one": np.ones(len(key), np.int64)})
+        return pa.table({"day": ts_us // _DAY_US,
+                         "hour": (ts_us // 3_600_000_000) % 24})
 
-    from ray.data.aggregate import Max
-
-    distinct = (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("key")
-        .aggregate(Max("one", alias_name="one"))
-    )
-
-    # the distinct table is <= days x 24 rows — finish on the driver (a
-    # per-block finish could split one day's hours across block borders)
+    # the distinct (day, hour) pairs; the finish runs on the driver
+    df = collect_agg(ds.map_batches(pairs, batch_format="pyarrow"),
+                     ["day", "hour"], {}, MAX_DAYS * 24)
     import pandas as pd
 
-    df = distinct.to_pandas()
-    day = df["key"].to_numpy() // 32
-    hour = df["key"].to_numpy() % 32
-    g = pd.DataFrame({"day": day, "bit": np.int64(1) << hour}).groupby(
+    g = pd.DataFrame({"day": df["day"],
+                      "bit": np.int64(1) << df["hour"].to_numpy()}).groupby(
         "day", as_index=False
     ).agg(n_hours=("bit", "size"), hour_mask=("bit", "sum"))
     g["n_missing"] = (24 - g["n_hours"]).astype(np.int64)
@@ -3081,7 +2912,7 @@ LAST_EVENT_SQL = (
 )
 
 
-def q_event_transitions(sf_dir: str) -> "ray.data.Dataset":
+def q_event_transitions(sf_dir: str) -> "pa.Table":
     """Markov transition counts over per-user event streams: for every
     (previous event_type -> event_type) pair, how many consecutive-event
     transitions occur — the behavioral bigram table funnels and anomaly
@@ -3105,27 +2936,16 @@ def q_event_transitions(sf_dir: str) -> "ray.data.Dataset":
             return pd.DataFrame(
                 {"prev_type": pd.Series([], dtype=object),
                  "event_type": pd.Series([], dtype=object),
-                 "pn": pd.Series([], dtype=np.int64)}
+                 "n": pd.Series([], dtype=np.int64)}
             )
         same = uid[1:] == uid[:-1]
-        g = (
-            pd.DataFrame(
-                {"prev_type": et[:-1][same], "event_type": et[1:][same]}
-            )
-            .groupby(["prev_type", "event_type"], as_index=False)
-            .size()
-            .rename(columns={"size": "pn"})
-        )
-        g["pn"] = g["pn"].astype(np.int64)
-        return g
+        return pd.DataFrame({"prev_type": et[:-1][same],
+                             "event_type": et[1:][same],
+                             "n": np.ones(int(same.sum()), np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    return (
-        fold_by_part(ds, "user_id", fold)
-        .groupby(["prev_type", "event_type"])
-        .aggregate(Sum("pn", alias_name="n"))
-    )
+    return pa.Table.from_pandas(collect_agg(
+        fold_by_part(ds, "user_id", fold), ["prev_type", "event_type"],
+        {"n": "sum"}, MAX_TYPES ** 2), preserve_index=False)
 
 
 EVENT_TRANSITIONS_SQL = (
@@ -3140,7 +2960,7 @@ EVENT_TRANSITIONS_SQL = (
 WAU_WINDOW = 7
 
 
-def q_wau7(sf_dir: str) -> "ray.data.Dataset":
+def q_wau7(sf_dir: str) -> "pa.Table":
     """Trailing 7-day active users (WAU) per window-end day — COUNT
     DISTINCT over a sliding window, which no plain groupby expresses
     because one event makes its user active for SEVEN window-end days.
@@ -3186,17 +3006,14 @@ def q_wau7(sf_dir: str) -> "ray.data.Dataset":
         wday, cnt = np.unique(
             covered & ((1 << _DAY_BITS) - 1), return_counts=True
         )
-        return pd.DataFrame({"wday": wday, "pn": cnt.astype(np.int64)})
+        return pd.DataFrame({"wday": wday, "n_users": cnt.astype(np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    return (
+    return pa.Table.from_pandas(collect_agg(
         ds.map_batches(pairs, batch_format="pyarrow")
         .groupby("part")
-        .map_groups(fold, batch_format="pandas")
-        .groupby("wday")
-        .aggregate(Sum("pn", alias_name="n_users"))
-    )
+        .map_groups(fold, batch_format="pandas"),
+        ["wday"], {"n_users": "sum"}, MAX_DAYS + WAU_WINDOW),
+        preserve_index=False)
 
 
 WAU7_SQL = (
@@ -3209,7 +3026,7 @@ WAU7_SQL = (
 )
 
 
-def q_retention_cohorts(sf_dir: str) -> "ray.data.Dataset":
+def q_retention_cohorts(sf_dir: str) -> "pa.Table":
     """Cohort retention matrix: each user is cohorted by their FIRST active
     day; for every (cohort_day, day_offset) count the users active that
     many days after joining — the classic product-analytics /
@@ -3256,7 +3073,7 @@ def q_retention_cohorts(sf_dir: str) -> "ray.data.Dataset":
             return pd.DataFrame(
                 {"cohort_day": np.array([], dtype=np.int64),
                  "day_offset": np.array([], dtype=np.int64),
-                 "pn": np.array([], dtype=np.int64)}
+                 "n_users": np.array([], dtype=np.int64)}
             )
         start = np.ones(n, dtype=bool)
         start[1:] = uid[1:] != uid[:-1]
@@ -3266,18 +3083,15 @@ def q_retention_cohorts(sf_dir: str) -> "ray.data.Dataset":
         uniq, cnt = np.unique(co, axis=0, return_counts=True)
         return pd.DataFrame(
             {"cohort_day": uniq[:, 0], "day_offset": uniq[:, 1],
-             "pn": cnt.astype(np.int64)}
+             "n_users": cnt.astype(np.int64)}
         )
 
-    from ray.data.aggregate import Sum
-
-    return (
+    return pa.Table.from_pandas(collect_agg(
         ds.map_batches(pairs, batch_format="pyarrow")
         .groupby("part")
-        .map_groups(fold, batch_format="pandas")
-        .groupby(["cohort_day", "day_offset"])
-        .aggregate(Sum("pn", alias_name="n_users"))
-    )
+        .map_groups(fold, batch_format="pandas"),
+        ["cohort_day", "day_offset"], {"n_users": "sum"}, MAX_DAY_PAIRS),
+        preserve_index=False)
 
 
 RETENTION_SQL = (
@@ -4357,8 +4171,6 @@ def q_cross_motifs(sf_dir: str):
     counts (per-batch doc-deduped), then local-top-K per block and a
     bounded driver finish — never the corpus, mirroring vocab_top20.
     Ties order by shape id ascending for a deterministic top-20."""
-    from ray.data.aggregate import Sum
-
     L = MOTIF_L
     n_win = MOTIF_W - L + 1
 
@@ -4381,16 +4193,13 @@ def q_cross_motifs(sf_dir: str):
         return pa.table({"shape": pa.array(sh),
                          "nd": pa.array(nd.astype(np.int64))})
 
-    agg = (
-        _seq_ds(sf_dir)
-        .map_batches(partials, batch_format="pyarrow", batch_size=256)
-        .groupby("shape")
-        .aggregate(Sum("nd", alias_name="n_docs"))
-    )
+    agg = keyed_agg(_seq_ds(sf_dir).map_batches(
+        partials, batch_format="pyarrow", batch_size=256),
+        ["shape"], {"nd": "sum"})
 
     def local_top(df):
-        return df.sort_values(["n_docs", "shape"],
-                              ascending=[False, True]).head(CROSS_MOTIF_K)
+        return df.rename(columns={"nd": "n_docs"}).sort_values(
+            ["n_docs", "shape"], ascending=[False, True]).head(CROSS_MOTIF_K)
 
     top = agg.map_batches(
         local_top, batch_format="pandas", batch_size=None
@@ -4594,7 +4403,7 @@ def _customer_dim(sf_dir: str, col: str):
     return broadcast_dim(chain["c_custkey"], "customer", **{col: chain[col]})
 
 
-def q_revenue_by_nation(sf_dir: str) -> "ray.data.Dataset":
+def q_revenue_by_nation(sf_dir: str) -> "pa.Table":
     """Broadcast equi-join: the large orders stream joined to the SMALL
     customer->nation dimension chain entirely map-side — the chain is
     joined on the driver into one custkey -> nation ``broadcast_dim``
@@ -4605,41 +4414,21 @@ def q_revenue_by_nation(sf_dir: str) -> "ray.data.Dataset":
     cust = _customer_dim(sf_dir, "n_name")
 
     def probe(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
         cents = np.rint(
             t["o_totalprice"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
-        g = (
-            pd.DataFrame({"n_name": cust.lookup(t["o_custkey"])["n_name"],
-                          "cents": cents})
-            .groupby("n_name", as_index=False)
-            .agg(pn=("cents", "size"), pcents=("cents", "sum"))
-        )
-        g["pn"] = g["pn"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    from ray.data.aggregate import Sum
+        return pa.table({"n_name": cust.lookup(t["o_custkey"])["n_name"],
+                         "n_orders": np.ones(len(cents), np.int64),
+                         "revenue_cents": cents})
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     )
-    agg = (
-        ds.map_batches(probe, batch_format="pyarrow")
-        .groupby("n_name")
-        .aggregate(
-            Sum("pn", alias_name="n_orders"),
-            Sum("pcents", alias_name="revenue_cents"),
-        )
-    )
-
-    def finish(df):
-        df["revenue"] = (
-            df["revenue_cents"].to_numpy().astype(np.float64) / 100.0
-        )
-        return df
-
-    return agg.map_batches(finish, batch_format="pandas")
+    df = collect_agg(ds.map_batches(probe, batch_format="pyarrow"),
+                     ["n_name"], {"n_orders": "sum", "revenue_cents": "sum"},
+                     MAX_TYPES)
+    df["revenue"] = df["revenue_cents"].to_numpy().astype(np.float64) / 100.0
+    return pa.Table.from_pandas(df, preserve_index=False)
 
 
 REVENUE_BY_NATION_SQL = (
@@ -4654,7 +4443,7 @@ REVENUE_BY_NATION_SQL = (
 )
 
 
-def q_revenue_by_region(sf_dir: str) -> "ray.data.Dataset":
+def q_revenue_by_region(sf_dir: str) -> "pa.Table":
     """``revenue_by_nation`` extended one dimension hop (customer ->
     nation -> REGION): the snowflake-chain broadcast join — all three
     dimension tables are collected once, composed into a single
@@ -4662,36 +4451,22 @@ def q_revenue_by_region(sf_dir: str) -> "ray.data.Dataset":
     inside every orders batch.  Chain composition on the driver is the
     point: N dimension hops still cost the fact stream exactly one
     probe."""
-    import pandas as pd
-
     cust = _customer_dim(sf_dir, "r_name")
 
     def probe(t: pa.Table) -> pa.Table:
         cents = np.rint(
             t["o_totalprice"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
-        g = (
-            pd.DataFrame({"r_name": cust.lookup(t["o_custkey"])["r_name"],
-                          "cents": cents})
-            .groupby("r_name", as_index=False)
-            .agg(pn=("cents", "size"), pcents=("cents", "sum"))
-        )
-        g["pn"] = g["pn"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({"r_name": cust.lookup(t["o_custkey"])["r_name"],
+                         "n_orders": np.ones(len(cents), np.int64),
+                         "revenue_cents": cents})
 
-    from ray.data.aggregate import Sum
-
-    return (
+    return pa.Table.from_pandas(collect_agg(
         ray.data.read_parquet(
             f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
-        )
-        .map_batches(probe, batch_format="pyarrow")
-        .groupby("r_name")
-        .aggregate(
-            Sum("pn", alias_name="n_orders"),
-            Sum("pcents", alias_name="revenue_cents"),
-        )
-    )
+        ).map_batches(probe, batch_format="pyarrow"),
+        ["r_name"], {"n_orders": "sum", "revenue_cents": "sum"}, MAX_TYPES),
+        preserve_index=False)
 
 
 REVENUE_BY_REGION_SQL = (
@@ -4706,7 +4481,7 @@ REVENUE_BY_REGION_SQL = (
 )
 
 
-def q_order_priority_revenue(sf_dir: str) -> "ray.data.Dataset":
+def q_order_priority_revenue(sf_dir: str) -> "pa.Table":
     """Large x large shuffle hash join: lineitem joined to orders on
     orderkey with NEITHER side broadcastable.  Both sides hash-partition on
     the join key into the same coarse buckets (one tagged union dataset,
@@ -4767,25 +4542,18 @@ def q_order_priority_revenue(sf_dir: str) -> "ray.data.Dataset":
             return pd.DataFrame(
                 {"priority": pd.Series([], dtype=object),
                  "flag": pd.Series([], dtype=object),
-                 "pn": pd.Series([], dtype=np.int64),
-                 "prev": pd.Series([], dtype=np.int64)}
+                 "n_items": pd.Series([], dtype=np.int64),
+                 "revenue_u": pd.Series([], dtype=np.int64)}
             )
         m = l.merge(o, on="okey", how="inner")
-        g = m.groupby(["priority", "flag"], as_index=False).agg(
-            pn=("rev_u", "size"), prev=("rev_u", "sum")
-        )
-        g["pn"] = g["pn"].astype(np.int64)
-        return g
+        return pd.DataFrame({"priority": m["priority"], "flag": m["flag"],
+                             "n_items": np.ones(len(m), np.int64),
+                             "revenue_u": m["rev_u"]})
 
-    from ray.data.aggregate import Sum
-
-    return (
-        fold_by_part(both, "okey", fold)
-        .groupby(["priority", "flag"])
-        .aggregate(
-            Sum("pn", alias_name="n_items"), Sum("prev", alias_name="revenue_u")
-        )
-    )
+    return pa.Table.from_pandas(collect_agg(
+        fold_by_part(both, "okey", fold), ["priority", "flag"],
+        {"n_items": "sum", "revenue_u": "sum"}, MAX_TYPES ** 2),
+        preserve_index=False)
 
 
 Q3_SEGMENT = "BUILDING"
@@ -4923,7 +4691,7 @@ TOP_ORDERS_Q3_SQL = (
 Q9_PART_WORD = "red"
 
 
-def q_profit_by_nation_year(sf_dir: str) -> "ray.data.Dataset":
+def q_profit_by_nation_year(sf_dir: str) -> "pa.Table":
     """TPC-H Q9 analog — the four-table pipeline (part |> supplier+nation
     |> lineitem |> orders) with a selective dimension filter and a
     two-key rollup: revenue of '%red%' parts per supplier nation per
@@ -5010,26 +4778,19 @@ def q_profit_by_nation_year(sf_dir: str) -> "ray.data.Dataset":
             return pd.DataFrame(
                 {"nation": pd.Series([], dtype=object),
                  "o_year": pd.Series([], dtype=np.int64),
-                 "pn": pd.Series([], dtype=np.int64),
-                 "prev": pd.Series([], dtype=np.int64)}
+                 "n_items": pd.Series([], dtype=np.int64),
+                 "revenue_u": pd.Series([], dtype=np.int64)}
             )
         m = l.merge(o, on="okey", how="inner")
-        g = m.groupby(["nation", "o_year"], as_index=False).agg(
-            pn=("rev_u", "size"), prev=("rev_u", "sum")
-        )
-        g["pn"] = g["pn"].astype(np.int64)
-        return g
+        return pd.DataFrame({"nation": m["nation"], "o_year": m["o_year"],
+                             "n_items": np.ones(len(m), np.int64),
+                             "revenue_u": m["rev_u"]})
 
-    from ray.data.aggregate import Sum
-
-    return (
-        fold_by_part(li.union(orders), "okey", fold)
-        .groupby(["nation", "o_year"])
-        .aggregate(
-            Sum("pn", alias_name="n_items"),
-            Sum("prev", alias_name="revenue_u"),
-        )
-    )
+    # nations x years of a century
+    return pa.Table.from_pandas(collect_agg(
+        fold_by_part(li.union(orders), "okey", fold), ["nation", "o_year"],
+        {"n_items": "sum", "revenue_u": "sum"}, MAX_TYPES * 100),
+        preserve_index=False)
 
 
 PROFIT_Q9_SQL = (
@@ -5074,7 +4835,7 @@ def q_orders_no_lineitem(sf_dir: str) -> "ray.data.Dataset":
             ),
             batch_format="pyarrow",
         ),
-        ["k"], {"one": "max"}, "k",
+        ["k"], {"one": "max"}
     )
     keys = broadcast_dim(collect(keys, {"k": pa.int64()})["k"],
                          "lineitem orders")
@@ -5104,7 +4865,7 @@ SKEW_SAMPLE_EVERY = 64     # sample 1/64 of fact rows for hot-key detection
 SKEW_HOT_SAMPLED = 200     # sampled-count threshold -> treat key as hot
 
 
-def q_order_priority_skewjoin(sf_dir: str) -> "ray.data.Dataset":
+def q_order_priority_skewjoin(sf_dir: str) -> "pa.Table":
     """The skew-aware variant of ``order_priority_revenue`` — same join,
     same answer, different routing: a cheap sampled pre-pass finds HOT
     join keys (a viral order at 100 TB would melt its co-partition), the
@@ -5131,7 +4892,7 @@ def q_order_priority_skewjoin(sf_dir: str) -> "ray.data.Dataset":
     sampled = keyed_agg(
         ray.data.read_parquet(li_path, columns=["l_orderkey"])
         .map_batches(sample_counts, batch_format="pyarrow"),
-        ["okey"], {"c": "sum"}, "okey",
+        ["okey"], {"c": "sum"}
     ).to_pandas()
     hot = np.sort(
         sampled.loc[sampled["c"] >= SKEW_HOT_SAMPLED, "okey"]
@@ -5241,18 +5002,12 @@ def q_order_priority_skewjoin(sf_dir: str) -> "ray.data.Dataset":
             )
         return out[["priority", "flag", "pn", "prev"]]
 
-    from ray.data.aggregate import Sum
-
-    return (
-        li.union(orders)
-        .groupby("part")
-        .map_groups(fold, batch_format="pandas")
-        .groupby(["priority", "flag"])
-        .aggregate(
-            Sum("pn", alias_name="n_items"),
-            Sum("prev", alias_name="revenue_u"),
-        )
-    )
+    return pa.Table.from_pandas(collect_agg(
+        li.union(orders).groupby("part").map_groups(
+            fold, batch_format="pandas"),
+        ["priority", "flag"], {"pn": "sum", "prev": "sum"}, MAX_TYPES ** 2
+    ).rename(columns={"pn": "n_items", "prev": "revenue_u"}),
+        preserve_index=False)
 
 
 ORDER_PRIORITY_REVENUE_SQL = (
@@ -5491,7 +5246,7 @@ def q_token_familiarity(sf_dir: str) -> "ray.data.Dataset":
     hist = keyed_agg(
         map_docs(_seq_ds(sf_dir), hist_partial,
                  {"tok": pa.int64(), "c": pa.int64()}),
-        ["tok"], {"c": "sum"}, "tok",
+        ["tok"], {"c": "sum"}
     ).to_pandas()  # vocab-sized, bounded 2^20
     freq = np.zeros(vocab, dtype=np.int64)
     freq[hist["tok"].to_numpy()] = hist["c"].to_numpy()
@@ -5574,7 +5329,7 @@ RLE_RUNS_SQL = (
 DOD_BOUNDS = ((-63, 64), (-255, 256), (-2047, 2048))
 
 
-def q_dod_width_hist(sf_dir: str) -> "ray.data.Dataset":
+def q_dod_width_hist(sf_dir: str) -> "pa.Table":
     """Codec-sizing audit: the corpus-wide histogram of delta-of-delta
     bit-width classes per source — what fraction of a source's points
     would encode in 0 / 7 / 9 / 12 / 32+ bits under the Gorilla DoD
@@ -5610,15 +5365,12 @@ def q_dod_width_hist(sf_dir: str) -> "ray.data.Dataset":
              "c": pa.array(cnt[nz].astype(np.int64))}
         )
 
-    agg = (
+    return pa.Table.from_pandas(collect_agg(
         map_docs(_seq_ds(sf_dir), partial, {
-            "source": pa.string(), "width_class": pa.int64(), "c": pa.int64()})
-        .groupby(["source", "width_class"]).sum("c")
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["source", "width_class", "c"]),
-        batch_format="pyarrow",
-    )
+            "source": pa.string(), "width_class": pa.int64(),
+            "c": pa.int64()}),
+        ["source", "width_class"], {"c": "sum"}, rp.MAX_SOURCES * n_cls),
+        preserve_index=False)
 
 
 def _dod_sql() -> str:
@@ -5769,19 +5521,16 @@ def q_source_profile_corr(sf_dir: str) -> "pa.Table":
              "s": pa.array(s[nz].astype(np.int64))}
         )
 
-    prof = (
-        map_docs(_seq_ds(sf_dir), partial, {
-            "source": pa.string(), "ph": pa.int64(), "c": pa.int64(),
-            "s": pa.int64()})
-        .groupby(["source", "ph"]).sum(["c", "s"])
-        .to_pandas()  # <= sources x 64 rows — bounded, never the corpus
-    )
+    prof = collect_agg(map_docs(_seq_ds(sf_dir), partial, {
+        "source": pa.string(), "ph": pa.int64(), "c": pa.int64(),
+        "s": pa.int64()}), ["source", "ph"], {"c": "sum", "s": "sum"},
+        rp.MAX_SOURCES * P)
     means: dict[str, np.ndarray] = {}
     have: dict[str, np.ndarray] = {}
     for src, grp in prof.groupby("source"):
         m = np.full(P, -1, dtype=np.int64)
         m[grp["ph"].to_numpy()] = (
-            grp["sum(s)"].to_numpy() // grp["sum(c)"].to_numpy()
+            grp["s"].to_numpy() // grp["c"].to_numpy()
         )
         means[src] = m
         have[src] = m >= 0
@@ -5858,7 +5607,7 @@ def q_source_drift(sf_dir: str) -> "pa.Table":
     hist = keyed_agg(
         map_docs(_seq_ds(sf_dir), partial,
                  {"tok": pa.int64(), "c_a": pa.int64(), "c_b": pa.int64()}),
-        ["tok"], {"c_a": "sum", "c_b": "sum"}, "tok",
+        ["tok"], {"c_a": "sum", "c_b": "sum"}
     ).to_pandas()  # vocab-bounded
     ca = hist["c_a"].to_numpy()
     cb = hist["c_b"].to_numpy()
@@ -6469,16 +6218,10 @@ def q_xcorr_sources(sf_dir: str) -> "pa.Table":
              "s": pa.array(s), "c": pa.array(c)}
         )
 
-    from ray.data.aggregate import Sum
-
-    hist = (
-        map_docs(_seq_ds(sf_dir), partial, {
-            "source": pa.string(), "b": pa.int64(), "s": pa.int64(),
-            "c": pa.int64()})
-        .groupby(["source", "b"])
-        .aggregate(Sum("s", alias_name="s"), Sum("c", alias_name="c"))
-        .to_pandas()  # tiny: sources x 64 buckets
-    )
+    hist = collect_agg(map_docs(_seq_ds(sf_dir), partial, {
+        "source": pa.string(), "b": pa.int64(), "s": pa.int64(),
+        "c": pa.int64()}), ["source", "b"], {"s": "sum", "c": "sum"},
+        rp.MAX_SOURCES * (XCORR_SPAN // XCORR_W))
     hist["avg"] = hist["s"].to_numpy() // hist["c"].to_numpy()
     prof = {
         src: dict(zip(h["b"].to_numpy(), h["avg"].to_numpy()))
@@ -7334,8 +7077,6 @@ def q_bigram_diversity(sf_dir: str) -> "pa.Table":
     the histogram — the corpus itself is never shuffled."""
     import pandas as pd
 
-    from ray.data.aggregate import Sum
-
     def partial(t: pa.Table, v: np.ndarray, off: np.ndarray) -> pa.Table:
         n_docs = len(off) - 1
         if len(v) < 2:
@@ -7363,7 +7104,7 @@ def q_bigram_diversity(sf_dir: str) -> "pa.Table":
              "cnt": pa.array(cnt.astype(np.int64))}
         )
 
-    # A Ray .aggregate() here would walk millions of near-distinct
+    # A Ray hash aggregate here would walk millions of near-distinct
     # (source, bigram) groups in Python (~100 s at sf0.01); instead fold
     # inside COARSE hash partitions (the fold_by_part trick):
     # every distinct (source, bigram) lands in exactly one part, so the
@@ -7389,18 +7130,14 @@ def q_bigram_diversity(sf_dir: str) -> "pa.Table":
         return out.astype({"t_bigrams": np.int64, "u_bigrams": np.int64,
                            "simpson_num": np.int64})
 
-    out = (
+    out = collect_agg(
         map_docs(_seq_ds(sf_dir), partial, {
             "source": pa.string(), "key": pa.int64(), "cnt": pa.int64()})
         .map_batches(add_part, batch_format="pyarrow")
         .groupby("part")
-        .map_groups(fold, batch_format="pandas")
-        .groupby("source")
-        .aggregate(Sum("t_bigrams", alias_name="t_bigrams"),
-                   Sum("u_bigrams", alias_name="u_bigrams"),
-                   Sum("simpson_num", alias_name="simpson_num"))
-        .to_pandas()  # sources-sized
-    )
+        .map_groups(fold, batch_format="pandas"),
+        ["source"], {"t_bigrams": "sum", "u_bigrams": "sum",
+                     "simpson_num": "sum"}, rp.MAX_SOURCES)
     return pa.Table.from_pandas(out, preserve_index=False)
 
 
@@ -7493,7 +7230,7 @@ THEIL_SEN_SQL = (
 )
 
 
-def q_ordinal_patterns(sf_dir: str) -> "ray.data.Dataset":
+def q_ordinal_patterns(sf_dir: str) -> "pa.Table":
     """Ordinal (permutation-entropy) pattern census per source — every
     consecutive token triple classified by its two step signs
     (sign(x2-x1), sign(x3-x2)), nine patterns total with ties kept as
@@ -7504,8 +7241,6 @@ def q_ordinal_patterns(sf_dir: str) -> "ray.data.Dataset":
     doc-boundary triples masked, one bincount per batch on the packed
     (source, pattern) key, then a 9-rows-per-source groupby — the
     exchange is sources x 9, never the corpus."""
-    from ray.data.aggregate import Sum
-
 
     def partial(t: pa.Table, v: np.ndarray, off: np.ndarray) -> pa.Table:
         n_docs = len(off) - 1
@@ -7535,13 +7270,12 @@ def q_ordinal_patterns(sf_dir: str) -> "ray.data.Dataset":
              "cnt": pa.array(cnt[nz].astype(np.int64))}
         )
 
-    return (
+    return pa.Table.from_pandas(collect_agg(
         map_docs(_seq_ds(sf_dir), partial, {
             "source": pa.string(), "s1": pa.int64(), "s2": pa.int64(),
-            "cnt": pa.int64()})
-        .groupby(["source", "s1", "s2"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-    )
+            "cnt": pa.int64()}),
+        ["source", "s1", "s2"], {"cnt": "sum"}, rp.MAX_SOURCES * 9),
+        preserve_index=False)
 
 
 ORDINAL_PATTERNS_SQL = (
@@ -7686,9 +7420,6 @@ def q_vocab_growth(sf_dir: str) -> "pa.Table":
     so id-value deciles == rank deciles). The five non-numeric
     calibration probes ('probe-*') are excluded on both sides — they
     are fixtures, not corpus."""
-    import pandas as pd
-
-    from ray.data.aggregate import Max
 
     def partial(t: pa.Table, v: np.ndarray, off: np.ndarray) -> pa.Table:
         if int(v.max()) >= (1 << TOKEN_BITS) or int(v.min()) < 0:
@@ -7725,22 +7456,18 @@ def q_vocab_growth(sf_dir: str) -> "pa.Table":
     first_seen = keyed_agg(
         map_docs(_seq_ds(sf_dir), partial, {
             "source": pa.string(), "tok": pa.int64(), "did": pa.int64()}),
-        ["source", "tok"], {"did": "min"}, "tok",
+        ["source", "tok"], {"did": "min"},
     ).to_pandas()  # distinct (source, value) pairs only
-    from wavelet_decomposition_ray import synth
-    from wavelet_decomposition_ray.pipelines import rollup_pipeline as rp
 
-    def batch_max(t: pa.Table) -> pa.Table:
-        dids = [int(s[4:]) for s in t["doc_id"].to_pylist()
-                if s.startswith("doc-")]
-        return pa.table(
-            {"did": pa.array([max(dids)] if dids else [], type=pa.int64())}
-        )
+    def dids(t: pa.Table) -> pa.Table:
+        return pa.table({"did": pa.array(
+            [int(s[4:]) for s in t["doc_id"].to_pylist()
+             if s.startswith("doc-")], type=pa.int64())})
 
-    ids = rp.sequences_dataset(
+    nd = int(collect_agg(rp.sequences_dataset(
         synth.ensure_sequences(sf_dir), columns=["doc_id"]
-    ).map_batches(batch_max, batch_format="pyarrow").aggregate(Max("did"))
-    nd = int(ids["max(did)"]) + 1
+    ).map_batches(dids, batch_format="pyarrow"), [], {"did": "max"}, 1
+    )["did"].iloc[0]) + 1
     first_seen["decile"] = first_seen["did"] * 10 // nd
     out = (
         first_seen.groupby(["source", "decile"], as_index=False)
@@ -7904,7 +7631,7 @@ HALF_DRIFT_SQL = (
 POS_BUCKETS = 64  # normalized-position profile resolution
 
 
-def q_position_profile(sf_dir: str) -> "ray.data.Dataset":
+def q_position_profile(sf_dir: str) -> "pa.Table":
     """Positional-bias profile per source — token count and integer sum
     in each of POS_BUCKETS normalized-position buckets
     (bucket = pos * 64 // n, so every doc contributes its full length
@@ -7915,8 +7642,6 @@ def q_position_profile(sf_dir: str) -> "ray.data.Dataset":
     keyed bincount per batch (key = src * 64 + bucket), then a
     sources x 64-row groupby — the exchange is profile-sized, never
     the corpus."""
-    from ray.data.aggregate import Sum
-
 
     def partial(t: pa.Table, v: np.ndarray, off: np.ndarray) -> pa.Table:
         n = np.diff(off)
@@ -7944,14 +7669,12 @@ def q_position_profile(sf_dir: str) -> "ray.data.Dataset":
              "tok_sum": pa.array(ts[nz])}
         )
 
-    return (
+    return pa.Table.from_pandas(collect_agg(
         map_docs(_seq_ds(sf_dir), partial, {
             "source": pa.string(), "bucket": pa.int64(),
-            "n_toks": pa.int64(), "tok_sum": pa.int64()})
-        .groupby(["source", "bucket"])
-        .aggregate(Sum("n_toks", alias_name="n_toks"),
-                   Sum("tok_sum", alias_name="tok_sum"))
-    )
+            "n_toks": pa.int64(), "tok_sum": pa.int64()}),
+        ["source", "bucket"], {"n_toks": "sum", "tok_sum": "sum"},
+        rp.MAX_SOURCES * POS_BUCKETS), preserve_index=False)
 
 
 POSITION_PROFILE_SQL = (
@@ -8041,6 +7764,8 @@ RSI_WINDOW_SQL = (
 
 LATE_BUCKET_BITS = 10   # arrival-order bucket = event_id >> 10
 LATE_PART_SHIFT = 5     # Ray group = 32 buckets (micro-group guard)
+LATE_MAX_BUCKETS = 1 << 22  # arrival buckets of 2^32 events
+MAX_LATENESS_MS = 86_400_000  # distinct lateness values: a day in ms
 
 _ARRIVAL_NEG = -(2 ** 62)
 
@@ -8060,26 +7785,20 @@ def _arrival_prefix_ref(ds: "ray.data.Dataset"):
     prefix max on the (bucket-count-sized) driver table, ray.put the
     seed dict.  Per-bucket folds then seed their local running max with
     it, making the sequential watermark scan embarrassingly parallel."""
-    from ray.data.aggregate import Max
 
     def bucket_partial(t: pa.Table) -> pa.Table:
         eid, ts = _eid_ts_arrays(t)
-        ub, inv = np.unique(eid >> LATE_BUCKET_BITS, return_inverse=True)
-        m = np.full(len(ub), _ARRIVAL_NEG, dtype=np.int64)
-        np.maximum.at(m, inv, ts)
-        return pa.table({"bucket": pa.array(ub), "mts": pa.array(m)})
+        return pa.table({"bucket": eid >> LATE_BUCKET_BITS, "mts": ts})
 
-    maxima = (
-        ds.map_batches(bucket_partial, batch_format="pyarrow")
-        .groupby("bucket").aggregate(Max("mts", alias_name="mts"))
-        .take_all()  # bucket-count-sized, never the event stream
-    )
-    maxima.sort(key=lambda r: r["bucket"])
+    maxima = collect_agg(ds.map_batches(bucket_partial,
+                                        batch_format="pyarrow"),
+                         ["bucket"], {"mts": "max"}, LATE_MAX_BUCKETS
+                         ).sort_values("bucket")
     pref: dict[int, int] = {}
     run = _ARRIVAL_NEG
-    for r in maxima:
-        pref[int(r["bucket"])] = run
-        run = max(run, int(r["mts"]))
+    for b, m in zip(maxima["bucket"].tolist(), maxima["mts"].tolist()):
+        pref[b] = run
+        run = max(run, m)
     return ray.put(pref)
 
 
@@ -8142,19 +7861,33 @@ def _user_day_part(t: pa.Table) -> pa.Table:
 def _user_day_pairs(sf_dir: str) -> "ray.data.Dataset":
     """Globally-distinct (user_id, day) activity pairs — the dau base
     table every engagement query starts from."""
-    return (
+    return keyed_agg(
         ray.data.read_parquet(f"{sf_dir}/events.parquet",
                               columns=["ts", "user_id"])
-        .map_batches(_user_day_part, batch_format="pyarrow")
-        .groupby(["user_id", "day"]).count()
-        .select_columns(["user_id", "day"])
-    )
+        .map_batches(_user_day_part, batch_format="pyarrow"),
+        ["user_id", "day"], {})
+
+
+def _user_day_spans(sf_dir: str) -> "ray.data.Dataset":
+    """Each user's first (``mnd``) and last (``mxd``) active day index,
+    folded by :func:`keyed_agg` from the per-batch distinct pairs."""
+
+    def ends(t: pa.Table) -> pa.Table:
+        t = _user_day_part(t)
+        return pa.table({"user_id": t["user_id"], "mnd": t["day"],
+                         "mxd": t["day"]})
+
+    return keyed_agg(
+        ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                              columns=["ts", "user_id"])
+        .map_batches(ends, batch_format="pyarrow"),
+        ["user_id"], {"mnd": "min", "mxd": "max"})
 
 
 LATE_THRESH_US = HOUR_US
 
 
-def q_late_events(sf_dir: str) -> "ray.data.Dataset":
+def q_late_events(sf_dir: str) -> "pa.Table":
     """Watermark lateness accounting — the out-of-order audit every
     event-time streaming job needs before picking a watermark delay.
     Arrival order is ``event_id`` (the ingestion sequence); the watermark
@@ -8171,8 +7904,6 @@ def q_late_events(sf_dir: str) -> "ray.data.Dataset":
     bucket so this stays ~10^6 entries at 10^12 events); (3) each bucket
     folds independently, seeding its local running max with the prefix.
     The only exchanges are bucket-count- and type-count-sized."""
-    from ray.data.aggregate import Max, Sum
-
     import pandas as pd
 
     ds = ray.data.read_parquet(
@@ -8194,16 +7925,13 @@ def q_late_events(sf_dir: str) -> "ray.data.Dataset":
         return out.astype({c: np.int64 for c in out.columns
                            if c != "event_type"})
 
-    return (
+    return pa.Table.from_pandas(collect_agg(
         ds.map_batches(_add_arrival_part, batch_format="pyarrow")
         .groupby("part")
-        .map_groups(fold, batch_format="pandas")
-        .groupby("event_type")
-        .aggregate(Sum("n_events", alias_name="n_events"),
-                   Sum("n_late", alias_name="n_late"),
-                   Max("max_late_us", alias_name="max_late_us"),
-                   Sum("sum_late_us", alias_name="sum_late_us"))
-    )
+        .map_groups(fold, batch_format="pandas"),
+        ["event_type"], {"n_events": "sum", "n_late": "sum",
+                         "max_late_us": "max", "sum_late_us": "sum"},
+        MAX_TYPES), preserve_index=False)
 
 
 LATE_EVENTS_SQL = (
@@ -8221,55 +7949,26 @@ LATE_EVENTS_SQL = (
 
 
 TOP_TYPES_K = 3
-_TT_DAY_US = 86_400_000_000
 
 
-def q_daily_top_types(sf_dir: str) -> "ray.data.Dataset":
+def q_daily_top_types(sf_dir: str) -> "pa.Table":
     """Windowed heavy hitters — the top-TOP_TYPES_K event types per UTC
     day by count, ties broken by event_type ascending so the ranking is
     deterministic (the property a streaming top-k must pin before its
-    output is cacheable). Classic two-level plan: per-batch (day, type)
-    bincount partials, one (days x types)-sized groupby sum, then a
-    per-day map_groups that sorts its handful of type rows — the
-    exchange is distinct-pair-sized, never the event stream."""
-    from ray.data.aggregate import Sum
-
-    import pandas as pd
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        ts = t["ts"].to_numpy(zero_copy_only=False).astype(
-            "datetime64[us]").astype(np.int64)
-        day = ts // _TT_DAY_US
-        df = pd.DataFrame({"day": day,
-                           "event_type": t["event_type"].to_pylist()})
-        out = df.groupby(["day", "event_type"], sort=False).size()
-        out = out.rename("cnt").reset_index()
-        out["cnt"] = out["cnt"].astype(np.int64)
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    def topk(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.sort_values(["cnt", "event_type"],
-                            ascending=[False, True],
-                            kind="mergesort").head(TOP_TYPES_K)
-        df = df.reset_index(drop=True)
-        df["rank"] = np.arange(1, len(df) + 1, dtype=np.int64)
-        return df
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["day", "event_type"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .groupby("day")
-        .map_groups(topk, batch_format="pandas")
-    )
+    output is cacheable). The (days x types)-sized counts of
+    :func:`_type_day_counts`, then a per-day sort on the driver — the
+    event stream never leaves the workers."""
+    df = _type_day_counts(sf_dir).rename(columns={"n": "cnt"}).sort_values(
+        ["day", "cnt", "event_type"], ascending=[True, False, True],
+        kind="mergesort")
+    df = df.groupby("day").head(TOP_TYPES_K).reset_index(drop=True)
+    df["rank"] = df.groupby("day").cumcount().astype(np.int64) + 1
+    return pa.Table.from_pandas(df, preserve_index=False)
 
 
 DAILY_TOP_TYPES_SQL = (
     "WITH c AS (SELECT"
-    f" epoch_us(ts) // {_TT_DAY_US} AS day,"
+    f" epoch_us(ts) // {_DAY_US} AS day,"
     " event_type, count(*) AS cnt FROM events GROUP BY day, event_type),"
     " r AS (SELECT day, event_type, cnt, row_number() OVER ("
     "  PARTITION BY day ORDER BY cnt DESC, event_type) AS rank FROM c)"
@@ -8386,7 +8085,7 @@ NEARDUP_RARETOK_SQL = (
 WDIST_W = 16  # tokens per distinct-count tumbling window
 
 
-def q_window_distinct(sf_dir: str) -> "ray.data.Dataset":
+def q_window_distinct(sf_dir: str) -> "pa.Table":
     """Local-repetitiveness histogram — per source, how many tumbling
     WDIST_W-token windows have exactly k distinct values (k = 1..WDIST_W;
     the ragged tail window of each doc counts its own, smaller, distinct
@@ -8396,8 +8095,6 @@ def q_window_distinct(sf_dir: str) -> "ray.data.Dataset":
     ((doc * max_w + widx) << TOKEN_BITS | tok makes every window a
     contiguous sorted block), distinct counts from adjacent-difference
     bincounts, then a (sources x WDIST_W)-sized groupby."""
-    from ray.data.aggregate import Sum
-
 
     def partial(t: pa.Table, v: np.ndarray, off: np.ndarray) -> pa.Table:
         n_docs = len(off) - 1
@@ -8436,13 +8133,12 @@ def q_window_distinct(sf_dir: str) -> "ray.data.Dataset":
              "n_windows": pa.array(hist[nz].astype(np.int64))}
         )
 
-    return (
+    return pa.Table.from_pandas(collect_agg(
         map_docs(_seq_ds(sf_dir), partial, {
             "source": pa.string(), "n_distinct": pa.int64(),
-            "n_windows": pa.int64()})
-        .groupby(["source", "n_distinct"])
-        .aggregate(Sum("n_windows", alias_name="n_windows"))
-    )
+            "n_windows": pa.int64()}),
+        ["source", "n_distinct"], {"n_windows": "sum"},
+        rp.MAX_SOURCES * (WDIST_W + 1)), preserve_index=False)
 
 
 WINDOW_DISTINCT_SQL = (
@@ -8468,9 +8164,7 @@ def q_path_trigrams(sf_dir: str) -> pa.Table:
     is partition-local on the same user-hash partitions every other
     per-user event query rides (one co-partitioned exchange); partials
     are (path, cnt) rows, the global finish is a distinct-path-sized
-    groupby + sort/limit — the driver sees PATH_TOPK rows."""
-    from ray.data.aggregate import Sum
-
+    groupby + sort/limit on the driver (types^3 rows at most)."""
     import pandas as pd
 
     ds = ray.data.read_parquet(
@@ -8488,22 +8182,15 @@ def q_path_trigrams(sf_dir: str) -> pa.Table:
         same = uid[:-1] == uid[1:]
         valid = same[:-1] & same[1:]
         paths = (et[:-2] + ">" + et[1:-1] + ">" + et[2:])[valid]
-        out = pd.Series(paths).value_counts().rename_axis("path")
-        out = out.rename("cnt").reset_index()
-        out["cnt"] = out["cnt"].astype(np.int64)
-        return out
+        return pd.DataFrame({"path": paths,
+                             "cnt": np.ones(len(paths), np.int64)})
 
-    counts = (
-        fold_by_part(ds, "user_id", fold)
-        .groupby("path")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .sort(["cnt", "path"], descending=[True, False])
-        .limit(PATH_TOPK)
-        .take_all()  # PATH_TOPK rows
-    )
+    counts = collect_agg(fold_by_part(ds, "user_id", fold), ["path"],
+                         {"cnt": "sum"}, MAX_TYPES ** 3).sort_values(
+        ["cnt", "path"], ascending=[False, True]).head(PATH_TOPK)
     return pa.table(
-        {"path": pa.array([r["path"] for r in counts], type=pa.string()),
-         "cnt": pa.array([int(r["cnt"]) for r in counts], type=pa.int64()),
+        {"path": pa.array(counts["path"], type=pa.string()),
+         "cnt": pa.array(counts["cnt"], type=pa.int64()),
          "rank": pa.array(np.arange(1, len(counts) + 1, dtype=np.int64))}
     )
 
@@ -8571,7 +8258,7 @@ def q_window_copairs(sf_dir: str) -> pa.Table:
             {"key": pa.array(uk), "cnt": pa.array(cnt.astype(np.int64))}
         )
 
-    # A Ray .aggregate() over millions of near-distinct pair keys walks
+    # A Ray hash aggregate over millions of near-distinct pair keys walks
     # them in Python (~260 s at sf0.01); fold inside COARSE hash
     # partitions instead (the bigram_diversity trick): a pair key lands
     # in exactly ONE part, so within-part sums are global counts and the
@@ -8675,7 +8362,7 @@ def q_hod_median(sf_dir: str) -> "ray.data.Dataset":
 
     return keyed_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["hod", "tok"], {"cnt": "sum"}, "tok",
+        ["hod", "tok"], {"cnt": "sum"}
     ).groupby("hod").map_groups(finish, batch_format="pandas")
 
 
@@ -8713,21 +8400,15 @@ def q_watermark_pick(sf_dir: str) -> "pa.Table":
         uk, cnt = np.unique(late // 1000, return_counts=True)
         return pd.DataFrame({"lat_ms": uk, "cnt": cnt.astype(np.int64)})
 
-    # one tiny distinct-ms histogram per arrival part: merge them on the
-    # driver in ~1M-row batches, not through a shuffle. At 20M events
-    # (nproc 1, 4 Ray slots) a hash groupby over these blocks took 282 s,
-    # a keyed_agg 35 s, a repartition coalesce 26 s, and this 19 s.
-    parts = (
+    # one distinct-ms histogram per arrival part, folded on the driver
+    # (at 20M events, nproc 1, 4 Ray slots: a hash groupby over these
+    # blocks took 282 s, a keyed_agg 35 s, the driver fold 19 s)
+    hist = collect_agg(
         ds.map_batches(_add_arrival_part, batch_format="pyarrow")
         .groupby("part")
-        .map_groups(fold, batch_format="pandas")
-    )
-    hist = pd.concat([
-        b.groupby("lat_ms", as_index=False)["cnt"].sum()
-        for b in parts.iter_batches(batch_format="pandas",
-                                    batch_size=1 << 20)
-    ]).groupby("lat_ms", as_index=False)["cnt"].sum()  # distinct ms
-    hist = hist.sort_values("lat_ms", kind="mergesort")
+        .map_groups(fold, batch_format="pandas"),
+        ["lat_ms"], {"cnt": "sum"}, MAX_LATENESS_MS,
+    ).sort_values("lat_ms", kind="mergesort")
     ms = hist["lat_ms"].to_numpy().astype(np.int64)
     total, pick = _hist_rank_pick(
         ms, hist["cnt"].to_numpy().astype(np.int64))
@@ -8767,27 +8448,19 @@ def q_overnight_sessions(sf_dir: str) -> "pa.Table":
     if the share is material, daily engagement counts need session
     attribution rules, not just event counts).  One scan over the
     sessionizer's output."""
-    import pandas as pd
-
     sess = q_sessionize(sf_dir)
 
     def partial(t: pa.Table) -> pa.Table:
         a = t["first_us"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = t["last_us"].to_numpy(zero_copy_only=False).astype(np.int64)
-        over = ((a // _DAY_US) != (b // _DAY_US)).astype(np.int64)
-        return pa.table(
-            {"n_sessions": pa.array([len(a)]),
-             "n_overnight": pa.array([int(over.sum())])}
-        )
+        return pa.table({"n_sessions": np.ones(len(a), np.int64),
+                         "n_overnight": ((a // _DAY_US) != (b // _DAY_US)
+                                         ).astype(np.int64)})
 
-    tot = sess.map_batches(partial, batch_format="pyarrow").sum(
-        ["n_sessions", "n_overnight"])
-    out = pd.DataFrame(
-        {"n_sessions": np.array([int(tot["sum(n_sessions)"])],
-                                dtype=np.int64),
-         "n_overnight": np.array([int(tot["sum(n_overnight)"])],
-                                 dtype=np.int64)})
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return pa.Table.from_pandas(collect_agg(
+        sess.map_batches(partial, batch_format="pyarrow"), [],
+        {"n_sessions": "sum", "n_overnight": "sum"}, 1),
+        preserve_index=False)
 
 
 OVERNIGHT_SESSIONS_SQL = (
@@ -8835,24 +8508,17 @@ def q_dup_events(sf_dir: str) -> "pa.Table":
         return g
 
     groups = keyed_agg(ds.map_batches(partial, batch_format="pandas"),
-                       ["u", "t", "e", "v"], {"c": "sum"}, "u")
+                       ["u", "t", "e", "v"], {"c": "sum"})
 
     def fold(t: pa.Table) -> pa.Table:
         c = t["c"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dup = c > 1
-        return pa.table(
-            {"dup_groups": pa.array([int(dup.sum())]),
-             "extra_rows": pa.array([int((c[dup] - 1).sum())])}
-        )
+        return pa.table({"dup_groups": (c > 1).astype(np.int64),
+                         "extra_rows": np.maximum(c - 1, 0)})
 
-    tot = groups.map_batches(fold, batch_format="pyarrow").sum(
-        ["dup_groups", "extra_rows"])
-    out = pd.DataFrame(
-        {"dup_groups": np.array([int(tot["sum(dup_groups)"])],
-                                dtype=np.int64),
-         "extra_rows": np.array([int(tot["sum(extra_rows)"])],
-                                dtype=np.int64)})
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return pa.Table.from_pandas(collect_agg(
+        groups.map_batches(fold, batch_format="pyarrow"), [],
+        {"dup_groups": "sum", "extra_rows": "sum"}, 1),
+        preserve_index=False)
 
 
 DUP_EVENTS_SQL = (
@@ -8958,16 +8624,9 @@ def q_onboarding_effect(sf_dir: str) -> "pa.Table":
         return pd.DataFrame(out, columns=["bucket", "n_users",
                                           "n_returned"])
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        fold_by_part(sess, "user_id", fold)
-        .groupby("bucket")
-        .aggregate(Sum("n_users", alias_name="n_users"),
-                   Sum("n_returned", alias_name="n_returned"))
-        .to_pandas()
-    )
-    agg = agg.sort_values("bucket")
+    agg = collect_agg(fold_by_part(sess, "user_id", fold), ["bucket"],
+                      {"n_users": "sum", "n_returned": "sum"}, 3
+                      ).sort_values("bucket")
     agg = agg[agg["n_users"] > 0]  # SQL emits only observed buckets
     return pa.Table.from_pandas(
         agg.astype({"bucket": np.int64, "n_users": np.int64,
@@ -9026,14 +8685,9 @@ def q_intersession_bands(sf_dir: str) -> "pa.Table":
         uk, cnt = np.unique(g, return_counts=True)
         return pd.DataFrame({"gap_h": uk, "cnt": cnt.astype(np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    hist = (
-        fold_by_part(sess, "user_id", gaps)
-        .groupby("gap_h").aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()  # distinct-hour-gaps-sized
-    )
-    hist = hist.sort_values("gap_h", kind="mergesort")
+    hist = collect_agg(fold_by_part(sess, "user_id", gaps), ["gap_h"],
+                       {"cnt": "sum"}, MAX_DAYS * 24
+                       ).sort_values("gap_h", kind="mergesort")
     gh = hist["gap_h"].to_numpy().astype(np.int64)
     total, pick = _hist_rank_pick(
         gh, hist["cnt"].to_numpy().astype(np.int64))
@@ -9065,7 +8719,7 @@ INTERSESSION_BANDS_SQL = (
 )
 
 
-def q_repeat_revenue_share(sf_dir: str) -> "ray.data.Dataset":
+def q_repeat_revenue_share(sf_dir: str) -> "pa.Table":
     """Repeat-customer revenue share per year — cents booked by orders
     that are NOT the customer's first-ever order (first = smallest
     (order date, order key)), over the year's total: the
@@ -9073,12 +8727,9 @@ def q_repeat_revenue_share(sf_dir: str) -> "ray.data.Dataset":
     this weights them by money).  One fold per coarse customer
     partition: a customer's orders all land in one call, which finds
     the first order as the per-customer min of the packed (date, order
-    key) and sums the year's repeat and total cents; a final
-    groupby(year) sums the partitions and a per-year map adds the share
-    — no self-join, nothing collected on the driver."""
+    key) and sums the year's repeat and total cents; the driver sums
+    the partitions per year and adds the share — no self-join."""
     import pandas as pd
-
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -9102,19 +8753,12 @@ def q_repeat_revenue_share(sf_dir: str) -> "ray.data.Dataset":
              "repeat_cents": cents * repeat, "cents": cents}
         ).groupby("year", as_index=False).sum()
 
-    def share(df: "pd.DataFrame") -> "pd.DataFrame":
-        df["share_ppm"] = [int(r) * 1_000_000 // int(c) for r, c
-                           in zip(df["repeat_cents"], df["cents"])]
-        return df.astype({"year": np.int64, "repeat_cents": np.int64,
-                          "cents": np.int64, "share_ppm": np.int64})
-
-    return (
-        fold_by_part(ds, "o_custkey", split)
-        .groupby("year")
-        .aggregate(Sum("repeat_cents", alias_name="repeat_cents"),
-                   Sum("cents", alias_name="cents"))
-        .map_batches(share, batch_format="pandas")
-    )
+    df = collect_agg(fold_by_part(ds, "o_custkey", split), ["year"],
+                     {"repeat_cents": "sum", "cents": "sum"}, 100)
+    df["share_ppm"] = np.array(
+        [int(r) * 1_000_000 // int(c)
+         for r, c in zip(df["repeat_cents"], df["cents"])], dtype=np.int64)
+    return pa.Table.from_pandas(df, preserve_index=False)
 
 
 REPEAT_REVENUE_SHARE_SQL = (
@@ -9147,28 +8791,7 @@ def q_type_mix_drift(sf_dir: str) -> "pa.Table":
     split."""
     import pandas as pd
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"]
-    )
-
-    def partial(df: "pd.DataFrame") -> "pd.DataFrame":
-        ts_us = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        g = pd.DataFrame(
-            {"day": ts_us // _DAY_US,
-             "event_type": df["event_type"].to_numpy()}
-        ).groupby(["day", "event_type"], as_index=False).size()
-        g.rename(columns={"size": "cnt"}, inplace=True)
-        g["cnt"] = g["cnt"].astype(np.int64)
-        return g
-
-    from ray.data.aggregate import Sum
-
-    hist = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["day", "event_type"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()
-    )
+    hist = _type_day_counts(sf_dir).rename(columns={"n": "cnt"})
     days = hist["day"].to_numpy().astype(np.int64)
     mid = (int(days.min()) + int(days.max()) + 1) // 2
     first = days < mid
@@ -9207,7 +8830,7 @@ TYPE_MIX_DRIFT_SQL = (
 )
 
 
-def q_session_length_hist(sf_dir: str) -> "ray.data.Dataset":
+def q_session_length_hist(sf_dir: str) -> "pa.Table":
     """Events-per-session histogram — how many sessions contain exactly
     k events: the bounce-rate distribution (k=1 mass) and the
     interaction-depth tail in one table, the event-count companion to
@@ -9221,17 +8844,9 @@ def q_session_length_hist(sf_dir: str) -> "ray.data.Dataset":
         return pa.table({"n_events": pa.array(uk),
                          "n_sessions": pa.array(cnt.astype(np.int64))})
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        sess.map_batches(partial, batch_format="pyarrow")
-        .groupby("n_events")
-        .aggregate(Sum("n_sessions", alias_name="n_sessions"))
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["n_events", "n_sessions"]),
-        batch_format="pyarrow",
-    )
+    return pa.Table.from_pandas(collect_agg(
+        sess.map_batches(partial, batch_format="pyarrow"), ["n_events"],
+        {"n_sessions": "sum"}, MAX_COUNT_VALUES), preserve_index=False)
 
 
 SESSION_LENGTH_HIST_SQL = (
@@ -9345,7 +8960,7 @@ def _order_ship_days(sf_dir: str) -> "ray.data.Dataset":
                 .astype("datetime64[us]").astype(np.int64) // _DAY_US)
             .groupby("l_orderkey", as_index=False)["sd"].max(),
             batch_format="pandas"),
-        ["l_orderkey"], {"sd": "max"}, "l_orderkey",
+        ["l_orderkey"], {"sd": "max"}
     )
 
 
@@ -9423,7 +9038,7 @@ def q_delta_code_bits(sf_dir: str) -> "pa.Table":
     hist = keyed_agg(
         map_docs(_seq_ds(sf_dir), partial, {
             "d": pa.int64(), "cnt": pa.int64()}),
-        ["d"], {"cnt": "sum"}, "d",
+        ["d"], {"cnt": "sum"}
     ).to_pandas()
     hist = hist.sort_values(["cnt", "d"], ascending=[False, True],
                             kind="mergesort")
@@ -9488,7 +9103,7 @@ def q_revenue_concentration(sf_dir: str) -> "pa.Table":
 
     cells = keyed_agg(
         ds.map_batches(partial, batch_format="pandas"),
-        ["ck", "year"], {"cents": "sum"}, "ck",
+        ["ck", "year"], {"cents": "sum"}
     ).to_pandas()  # customers x years
     rows = []
     for yr, grp in cells.groupby("year"):
@@ -9517,7 +9132,7 @@ REVENUE_CONCENTRATION_SQL = (
 )
 
 
-def q_round_bias(sf_dir: str) -> "ray.data.Dataset":
+def q_round_bias(sf_dir: str) -> "pa.Table":
     """Round-number bias per event type — of each type's cent values,
     how many are exact multiples of 100 (whole currency units) and of
     1000: the data-entry / synthetic-data artifact detector (human-
@@ -9525,38 +9140,22 @@ def q_round_bias(sf_dir: str) -> "ray.data.Dataset":
     measurements don't) — the trailing-digit complement to
     ``benford_digits``' leading-digit audit.  One pre-aggregated pass,
     a types-sized exchange."""
-    import pandas as pd
-
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     )
 
-    def partial(df: "pd.DataFrame") -> "pd.DataFrame":
-        tok = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
-        g = pd.DataFrame(
-            {"event_type": df["event_type"].to_numpy(),
-             "r100": (tok % 100 == 0).astype(np.int64),
-             "r1000": (tok % 1000 == 0).astype(np.int64)}
-        ).groupby("event_type", as_index=False).agg(
-            pn=("r100", "size"), p100=("r100", "sum"),
-            p1000=("r1000", "sum"))
-        g["pn"] = g["pn"].astype(np.int64)
-        return g
+    def partial(t: pa.Table) -> pa.Table:
+        tok = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100
+                      ).astype(np.int64)
+        return pa.table({"event_type": t["event_type"],
+                         "n": np.ones(len(tok), np.int64),
+                         "n_round100": (tok % 100 == 0).astype(np.int64),
+                         "n_round1000": (tok % 1000 == 0).astype(np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("event_type")
-        .aggregate(Sum("pn", alias_name="n"),
-                   Sum("p100", alias_name="n_round100"),
-                   Sum("p1000", alias_name="n_round1000"))
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(
-            ["event_type", "n", "n_round100", "n_round1000"]),
-        batch_format="pyarrow",
-    )
+    return pa.Table.from_pandas(collect_agg(
+        ds.map_batches(partial, batch_format="pyarrow"), ["event_type"],
+        {"n": "sum", "n_round100": "sum", "n_round1000": "sum"}, MAX_TYPES),
+        preserve_index=False)
 
 
 ROUND_BIAS_SQL = (
@@ -9590,18 +9189,11 @@ def q_arrival_dispersion(sf_dir: str) -> "pa.Table":
         ts_us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         day = ts_us // _DAY_US
         hod = (ts_us // HOUR_US) % 24
-        key = day * 24 + hod
-        uk, cnt = np.unique(key, return_counts=True)
-        return pa.table({"dh": pa.array(uk),
-                         "c": pa.array(cnt.astype(np.int64))})
+        return pa.table({"dh": day * 24 + hod,
+                         "c": np.ones(len(day), np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    cells = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("dh").aggregate(Sum("c", alias_name="c"))
-        .to_pandas()  # (active day x hour)-sized
-    )
+    cells = collect_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                        ["dh"], {"c": "sum"}, MAX_DAYS * 24)
     dh = cells["dh"].to_numpy().astype(np.int64)
     c = cells["c"].to_numpy().astype(np.int64)
     day = dh // 24
@@ -9647,22 +9239,7 @@ def q_volume_rhythm(sf_dir: str) -> "pa.Table":
     are a driver array op."""
     import pandas as pd
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        ts_us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        uk, cnt = np.unique(ts_us // _DAY_US, return_counts=True)
-        return pa.table({"day": pa.array(uk),
-                         "c": pa.array(cnt.astype(np.int64))})
-
-    from ray.data.aggregate import Sum
-
-    days = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("day").aggregate(Sum("c", alias_name="c"))
-        .to_pandas()
-    )
+    days = _day_counts(sf_dir).rename(columns={"n": "c"})
     d = days["day"].to_numpy().astype(np.int64)
     c = days["c"].to_numpy().astype(np.int64)
     lo, hi = int(d.min()), int(d.max())
@@ -9717,7 +9294,7 @@ def _volume_rhythm_sql() -> str:
 VOLUME_RHYTHM_SQL = _volume_rhythm_sql()
 
 
-def q_parts_per_supplier_hist(sf_dir: str) -> "ray.data.Dataset":
+def q_parts_per_supplier_hist(sf_dir: str) -> "pa.Table":
     """Supplier catalog-breadth histogram — how many suppliers ship
     exactly k distinct parts: the assortment fan-out that bounds the
     worst-case width of any supplier-side co-partition, dual to
@@ -9742,14 +9319,11 @@ def q_parts_per_supplier_hist(sf_dir: str) -> "ray.data.Dataset":
         k, c = np.unique(n.astype(np.int64), return_counts=True)
         return pd.DataFrame({"n_parts": k, "n_suppliers": c.astype(np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    return (
+    return pa.Table.from_pandas(collect_agg(
         fold_by_part(ds.map_batches(pairs, batch_format="pyarrow"),
-                     "s", per_supp)
-        .groupby("n_parts")
-        .aggregate(Sum("n_suppliers", alias_name="n_suppliers"))
-    )
+                     "s", per_supp),
+        ["n_parts"], {"n_suppliers": "sum"}, MAX_COUNT_VALUES),
+        preserve_index=False)
 
 
 PARTS_PER_SUPPLIER_HIST_SQL = (
@@ -9872,7 +9446,7 @@ def q_bigram_code_bits(sf_dir: str) -> "pa.Table":
 
     cols = {"x": pa.int64(), "y": pa.int64(), "cnt": pa.int64()}
     hist = collect(keyed_agg(map_docs(_seq_ds(sf_dir), partial, cols),
-                             ["x", "y"], {"cnt": "sum"}, "x"),
+                             ["x", "y"], {"cnt": "sum"}),
                    cols)  # distinct-pair-sized
     hist = hist.sort_values(["cnt", "x", "y"],
                             ascending=[False, True, True],
@@ -9920,25 +9494,11 @@ def q_lang_source_mix(sf_dir: str):
     ``langid_confusion``'s mismatches — a source that is 2% German
     explains a 2% 'de' confusion row).  One (sources × langs)-sized
     exchange, shares a driver fold."""
-    import pandas as pd
-
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["source", "lang"])
-
-    def partial(df: "pd.DataFrame") -> "pd.DataFrame":
-        g = df.groupby(["source", "lang"], as_index=False).size()
-        g.rename(columns={"size": "n"}, inplace=True)
-        g["n"] = g["n"].astype(np.int64)
-        return g
-
-    from ray.data.aggregate import Sum
-
-    cells = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["source", "lang"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
+    cells = collect_agg(
+        ds.map_batches(count_col("n"), batch_format="pyarrow"),
+        ["source", "lang"], {"n": "sum"}, rp.MAX_SOURCES * MAX_TYPES)
     tot = cells.groupby("source")["n"].sum()
     cells["share_ppm"] = [
         int(r["n"]) * 1_000_000 // int(tot[r["source"]])
@@ -9969,29 +9529,8 @@ def q_seasonal_amplitude(sf_dir: str) -> "pa.Table":
     Python-int driver argmax (24 cells/type)."""
     import pandas as pd
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
-    )
-
-    def partial(df: "pd.DataFrame") -> "pd.DataFrame":
-        ts_us = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        g = pd.DataFrame(
-            {"event_type": df["event_type"].to_numpy(),
-             "hod": (ts_us // HOUR_US) % 24,
-             "tok": np.rint(df["value"].to_numpy() * 100).astype(np.int64)}
-        ).groupby(["event_type", "hod"], as_index=False).agg(
-            pn=("tok", "size"), ps=("tok", "sum"))
-        g["pn"] = g["pn"].astype(np.int64)
-        return g
-
-    from ray.data.aggregate import Sum
-
-    prof = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["event_type", "hod"])
-        .aggregate(Sum("pn", alias_name="n"), Sum("ps", alias_name="s"))
-        .to_pandas()
-    )
+    prof = _type_hour_profile(sf_dir).rename(
+        columns={"n_events": "n", "tok_sum": "s"})
     rows = []
     for ty, grp in prof.groupby("event_type"):
         cells = sorted((int(r["hod"]), int(r["n"]), int(r["s"]))
@@ -10062,22 +9601,16 @@ def q_region_share_by_year(sf_dir: str) -> "pa.Table":
         year = df["o_orderdate"].dt.year.to_numpy().astype(np.int64)
         cents = np.rint(df["o_totalprice"].to_numpy() * 100) \
             .astype(np.int64)
-        g = pd.DataFrame({"region": cust.lookup(df["o_custkey"])["r_name"],
-                          "year": year, "cents": cents}) \
-            .groupby(["region", "year"], as_index=False)["cents"].sum()
-        return g
+        return pd.DataFrame({
+            "region": cust.lookup(df["o_custkey"])["r_name"],
+            "year": year, "cents": cents})
 
-    from ray.data.aggregate import Sum
-
-    cells = (
+    cells = collect_agg(
         ray.data.read_parquet(
             f"{sf_dir}/orders.parquet",
             columns=["o_custkey", "o_orderdate", "o_totalprice"])
-        .map_batches(partial, batch_format="pandas")
-        .groupby(["region", "year"])
-        .aggregate(Sum("cents", alias_name="cents"))
-        .to_pandas()  # regions x years
-    )
+        .map_batches(partial, batch_format="pandas"),
+        ["region", "year"], {"cents": "sum"}, MAX_TYPES * 100)
     tot = cells.groupby("year")["cents"].sum()
     cells["share_ppm"] = [
         int(r["cents"]) * 1_000_000 // int(tot[r["year"]])
@@ -10191,15 +9724,9 @@ def q_order_value_delta(sf_dir: str) -> "pa.Table":
              "first_cents": np.array([int(first.sum())], dtype=np.int64),
              "last_cents": np.array([int(last.sum())], dtype=np.int64)})
 
-    tot = (
-        fold_by_part(ds, "o_custkey", fold)
-        .sum(["n_cust", "n_up", "n_down", "n_flat", "first_cents",
-              "last_cents"])
-    )
-    out = pd.DataFrame(
-        {k: np.array([int(tot[f"sum({k})"])], dtype=np.int64)
-         for k in ("n_cust", "n_up", "n_down", "n_flat", "first_cents",
-                   "last_cents")})
+    out = collect_agg(fold_by_part(ds, "o_custkey", fold), [], {
+        k: "sum" for k in ("n_cust", "n_up", "n_down", "n_flat",
+                           "first_cents", "last_cents")}, 1)
     return pa.Table.from_pandas(out, preserve_index=False)
 
 
@@ -10228,14 +9755,12 @@ ORDER_VALUE_DELTA_SQL = (
 )
 
 
-def q_lines_per_order_hist(sf_dir: str) -> "ray.data.Dataset":
+def q_lines_per_order_hist(sf_dir: str) -> "pa.Table":
     """Order-complexity histogram — how many orders have exactly k
     lineitems: the fan-out distribution that sizes the order->lineitem
     join's skew budget (a fat tail here is tomorrow's straggling
     co-partition task).  Per-batch partial counts, an orders-sized
     count groupby, a histogram-sized second rollup."""
-    import pandas as pd
-
     ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
                                columns=["l_orderkey"])
 
@@ -10245,22 +9770,16 @@ def q_lines_per_order_hist(sf_dir: str) -> "ray.data.Dataset":
         return pa.table({"o": pa.array(uk),
                          "c": pa.array(cnt.astype(np.int64))})
 
-    from ray.data.aggregate import Sum
-
-    hist = (
+    return pa.Table.from_pandas(collect_agg(
         keyed_agg(ds.map_batches(partial, batch_format="pyarrow"),
-                  ["o"], {"c": "sum"}, "o")
+                  ["o"], {"c": "sum"})
         .map_batches(
             lambda t: pa.table(
                 {"n_lines": t["c"],
-                 "one": pa.array(np.ones(len(t), dtype=np.int64))}),
-            batch_format="pyarrow")
-        .groupby("n_lines").aggregate(Sum("one", alias_name="n_orders"))
-    )
-    return hist.map_batches(
-        lambda t: t.rename_columns(["n_lines", "n_orders"]),
-        batch_format="pyarrow",
-    )
+                 "n_orders": pa.array(np.ones(len(t), dtype=np.int64))}),
+            batch_format="pyarrow"),
+        ["n_lines"], {"n_orders": "sum"}, MAX_COUNT_VALUES),
+        preserve_index=False)
 
 
 LINES_PER_ORDER_HIST_SQL = (
@@ -10271,7 +9790,7 @@ LINES_PER_ORDER_HIST_SQL = (
 )
 
 
-def q_types_per_user_hist(sf_dir: str) -> "ray.data.Dataset":
+def q_types_per_user_hist(sf_dir: str) -> "pa.Table":
     """Behavioral-breadth histogram — how many users touch exactly k
     distinct event types: the engagement-diversity distribution
     (single-type users are bots or single-feature visitors; full-
@@ -10294,13 +9813,10 @@ def q_types_per_user_hist(sf_dir: str) -> "ray.data.Dataset":
         k, c = np.unique(n.astype(np.int64), return_counts=True)
         return pd.DataFrame({"n_types": k, "n_users": c.astype(np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    return (
+    return pa.Table.from_pandas(collect_agg(
         fold_by_part(ds.map_batches(pairs, batch_format="pandas"),
-                     "user_id", per_user)
-        .groupby("n_types").aggregate(Sum("n_users", alias_name="n_users"))
-    )
+                     "user_id", per_user),
+        ["n_types"], {"n_users": "sum"}, MAX_TYPES), preserve_index=False)
 
 
 TYPES_PER_USER_HIST_SQL = (
@@ -10473,7 +9989,7 @@ def q_repurchase_interval(sf_dir: str) -> "pa.Table":
 
     hist = keyed_agg(
         fold_by_part(ds, "o_custkey", fold),
-        ["segment", "gap"], {"cnt": "sum"}, "gap",
+        ["segment", "gap"], {"cnt": "sum"}
     ).to_pandas()  # segments x distinct gaps
     rows = []
     for seg, grp in hist.groupby("segment"):
@@ -10511,7 +10027,7 @@ def _part_brands(sf_dir: str):
     return broadcast_dim(part["p_partkey"], "part", brand=part["p_brand"])
 
 
-def q_discount_uplift(sf_dir: str) -> "ray.data.Dataset":
+def q_discount_uplift(sf_dir: str) -> "pa.Table":
     """Discount uplift per brand — do discounted lineitems move MORE
     units?  Per p_brand: discounted/undiscounted line counts and
     quantity sums plus the exact cross-statistic uplift =
@@ -10528,38 +10044,21 @@ def q_discount_uplift(sf_dir: str) -> "ray.data.Dataset":
         disc = np.rint(df["l_discount"].to_numpy() * 100).astype(np.int64)
         qty = df["l_quantity"].to_numpy().astype(np.int64)
         isd = (disc > 0).astype(np.int64)
-        g = pd.DataFrame(
+        return pd.DataFrame(
             {"brand": part.lookup(df["l_partkey"])["brand"],
              "n_disc": isd,
              "q_disc": qty * isd, "n_free": 1 - isd,
-             "q_free": qty * (1 - isd)}
-        ).groupby("brand", as_index=False).sum()
-        return g
+             "q_free": qty * (1 - isd)})
 
-    from ray.data.aggregate import Sum
-
-    agg = (
+    df = collect_agg(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_partkey", "l_discount", "l_quantity"])
-        .map_batches(partial, batch_format="pandas")
-        .groupby("brand")
-        .aggregate(Sum("n_disc", alias_name="n_disc"),
-                   Sum("q_disc", alias_name="q_disc"),
-                   Sum("n_free", alias_name="n_free"),
-                   Sum("q_free", alias_name="q_free"))
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
-        t = t.rename_columns(["brand", "n_disc", "q_disc", "n_free",
-                              "q_free"])
-        qd = t["q_disc"].to_numpy(zero_copy_only=False).astype(np.int64)
-        qf = t["q_free"].to_numpy(zero_copy_only=False).astype(np.int64)
-        nd = t["n_disc"].to_numpy(zero_copy_only=False).astype(np.int64)
-        nf = t["n_free"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column("uplift", pa.array(qd * nf - qf * nd))
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+        .map_batches(partial, batch_format="pandas"),
+        ["brand"], {c: "sum" for c in ("n_disc", "q_disc", "n_free",
+                                       "q_free")}, MAX_TYPES)
+    df["uplift"] = df["q_disc"] * df["n_free"] - df["q_free"] * df["n_disc"]
+    return pa.Table.from_pandas(df, preserve_index=False)
 
 
 DISCOUNT_UPLIFT_SQL = (
@@ -10599,25 +10098,8 @@ def q_profile_outliers(sf_dir: str) -> "pa.Table":
         columns=["event_id", "ts", "event_type", "value"],
     )
 
-    def prof_part(df: "pd.DataFrame") -> "pd.DataFrame":
-        ts_us = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        g = pd.DataFrame(
-            {"event_type": df["event_type"].to_numpy(),
-             "hod": (ts_us // HOUR_US) % 24,
-             "tok": np.rint(df["value"].to_numpy() * 100).astype(np.int64)}
-        ).groupby(["event_type", "hod"], as_index=False).agg(
-            pn=("tok", "size"), ps=("tok", "sum"))
-        g["pn"] = g["pn"].astype(np.int64)
-        return g
-
-    from ray.data.aggregate import Sum
-
-    prof = (
-        ds.map_batches(prof_part, batch_format="pandas")
-        .groupby(["event_type", "hod"])
-        .aggregate(Sum("pn", alias_name="n"), Sum("ps", alias_name="s"))
-        .to_pandas()  # type-alphabet x 24
-    )
+    prof = _type_hour_profile(sf_dir).rename(
+        columns={"n_events": "n", "tok_sum": "s"})
     utypes, ti = np.unique(prof["event_type"].to_numpy(),
                            return_inverse=True)
     tn = np.zeros((len(utypes), 24), dtype=np.int64)
@@ -10689,23 +10171,7 @@ def q_anomaly_days(sf_dir: str) -> "pa.Table":
     fold."""
     import pandas as pd
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        ts_us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        uk, cnt = np.unique(ts_us // _DAY_US, return_counts=True)
-        return pa.table({"day": pa.array(uk),
-                         "n": pa.array(cnt.astype(np.int64))})
-
-    from ray.data.aggregate import Sum
-
-    days = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("day").aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
-    days = days.sort_values("day", kind="mergesort")
+    days = _day_counts(sf_dir).sort_values("day", kind="mergesort")
     n = days["n"].to_numpy().astype(np.int64)
 
     def lower_median(v: np.ndarray) -> int:
@@ -10757,22 +10223,12 @@ def q_fav_type_dist(sf_dir: str) -> "pa.Table":
                           ascending=[True, False, True],
                           kind="mergesort")
         fav = g.drop_duplicates("user_id", keep="first")
-        out = fav.groupby("event_type", as_index=False).size()
-        out.rename(columns={"size": "n_users"}, inplace=True)
-        out["n_users"] = out["n_users"].astype(np.int64)
-        return out
+        return pd.DataFrame({"event_type": fav["event_type"],
+                             "n_users": np.ones(len(fav), np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        fold_by_part(ds, "user_id", fold)
-        .groupby("event_type")
-        .aggregate(Sum("n_users", alias_name="n_users"))
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["event_type", "n_users"]),
-        batch_format="pyarrow",
-    )
+    return pa.Table.from_pandas(collect_agg(
+        fold_by_part(ds, "user_id", fold), ["event_type"],
+        {"n_users": "sum"}, MAX_TYPES), preserve_index=False)
 
 
 FAV_TYPE_DIST_SQL = (
@@ -10786,7 +10242,7 @@ FAV_TYPE_DIST_SQL = (
 )
 
 
-def q_compress_bits_by_source(sf_dir: str) -> "ray.data.Dataset":
+def q_compress_bits_by_source(sf_dir: str) -> "pa.Table":
     """Per-source Gorilla sizing table — docs, delta-of-delta count and
     the exact total payload bits under the tier encoder's DOD budget:
     the capacity-planning rollup of ``doc_compress_bits`` (which source
@@ -10826,22 +10282,12 @@ def q_compress_bits_by_source(sf_dir: str) -> "ray.data.Dataset":
              "n_dod": pa.array(nd), "dod_bits": pa.array(nb)}
         )
 
-    from ray.data.aggregate import Sum
-
-    agg = (
+    return pa.Table.from_pandas(collect_agg(
         map_docs(_seq_ds(sf_dir), stats, {
             "source": pa.string(), "n_docs": pa.int64(), "n_dod": pa.int64(),
-            "dod_bits": pa.int64()})
-        .groupby("source")
-        .aggregate(Sum("n_docs", alias_name="n_docs"),
-                   Sum("n_dod", alias_name="n_dod"),
-                   Sum("dod_bits", alias_name="dod_bits"))
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["source", "n_docs", "n_dod",
-                                    "dod_bits"]),
-        batch_format="pyarrow",
-    )
+            "dod_bits": pa.int64()}),
+        ["source"], {"n_docs": "sum", "n_dod": "sum", "dod_bits": "sum"},
+        rp.MAX_SOURCES), preserve_index=False)
 
 
 def _compress_by_source_sql() -> str:
@@ -10964,7 +10410,7 @@ def q_type_mad(sf_dir: str) -> "pa.Table":
 
     h1 = keyed_agg(
         ds.map_batches(hist1, batch_format="pyarrow"),
-        ["event_type", "tok"], {"cnt": "sum"}, "tok",
+        ["event_type", "tok"], {"cnt": "sum"}
     ).to_pandas()
     med = med_from(h1, "tok")
     meds = broadcast_dim(list(med), "event-type medians",
@@ -10985,7 +10431,7 @@ def q_type_mad(sf_dir: str) -> "pa.Table":
 
     h2 = keyed_agg(
         ds.map_batches(hist2, batch_format="pyarrow"),
-        ["event_type", "dev"], {"cnt": "sum"}, "dev",
+        ["event_type", "dev"], {"cnt": "sum"}
     ).to_pandas()
     mad = med_from(h2, "dev")
     n_by = h1.groupby("event_type")["cnt"].sum()
@@ -11113,7 +10559,7 @@ BEST_ATOM_SQL = (
 )
 
 
-def q_supplier_hhi(sf_dir: str) -> "ray.data.Dataset":
+def q_supplier_hhi(sf_dir: str) -> "pa.Table":
     """Supplier-concentration audit per part brand — the Herfindahl
     ingredients over shipped quantities: n_suppliers, total quantity Q
     and Σq_s² (HHI = Σq_s²/Q², left as exact integers; a brand whose
@@ -11140,18 +10586,19 @@ def q_supplier_hhi(sf_dir: str) -> "ray.data.Dataset":
             f"{sf_dir}/lineitem.parquet",
             columns=["l_partkey", "l_suppkey", "l_quantity"])
         .map_batches(partial, batch_format="pandas"),
-        ["brand", "supp"], {"q": "sum"}, "supp",
+        ["brand", "supp"], {"q": "sum"},
     )
 
-    def fold(df: "pd.DataFrame") -> "pd.DataFrame":
-        q = df["q"].to_numpy().astype(np.int64)
-        return pd.DataFrame(
-            {"brand": df["brand"].iloc[:1].to_numpy(),
-             "n_suppliers": np.array([len(q)], dtype=np.int64),
-             "total_qty": np.array([int(q.sum())], dtype=np.int64),
-             "sum_q_sq": np.array([int((q * q).sum())], dtype=np.int64)})
+    def per_supp(t: pa.Table) -> pa.Table:
+        q = t["q"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table({"brand": t["brand"],
+                         "n_suppliers": np.ones(len(q), np.int64),
+                         "total_qty": q, "sum_q_sq": q * q})
 
-    return cells.groupby("brand").map_groups(fold, batch_format="pandas")
+    return pa.Table.from_pandas(collect_agg(
+        cells.map_batches(per_supp, batch_format="pyarrow"), ["brand"],
+        {"n_suppliers": "sum", "total_qty": "sum", "sum_q_sq": "sum"},
+        MAX_TYPES), preserve_index=False)
 
 
 SUPPLIER_HHI_SQL = (
@@ -11166,41 +10613,24 @@ SUPPLIER_HHI_SQL = (
 )
 
 
-def q_user_lifespan_hist(sf_dir: str) -> "ray.data.Dataset":
+def q_user_lifespan_hist(sf_dir: str) -> "pa.Table":
     """User-lifespan histogram — how many users have an active span of
     exactly k days (last active day − first active day): the
     time-to-churn distribution behind ``churn_split``'s one-row
     verdict (a mass at span 0 is drive-by traffic; the tail is the
     durable cohort).  Distinct-(user, day) pass -> users-sized min/max
     groupby -> span histogram; all counts exact."""
-    import pandas as pd
-
-    from ray.data.aggregate import Max, Min, Sum
-
-    spans = (
-        ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                              columns=["ts", "user_id"])
-        .map_batches(_user_day_part, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Min("day", alias_name="mnd"),
-                   Max("day", alias_name="mxd"))
-    )
 
     def hist_part(t: pa.Table) -> pa.Table:
         span = (t["mxd"].to_numpy(zero_copy_only=False).astype(np.int64)
                 - t["mnd"].to_numpy(zero_copy_only=False).astype(np.int64))
-        uk, cnt = np.unique(span, return_counts=True)
-        return pa.table({"span_days": pa.array(uk),
-                         "n_users": pa.array(cnt.astype(np.int64))})
+        return pa.table({"span_days": span,
+                         "n_users": np.ones(len(span), np.int64)})
 
-    agg = (
-        spans.map_batches(hist_part, batch_format="pyarrow")
-        .groupby("span_days").aggregate(Sum("n_users", alias_name="n_users"))
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["span_days", "n_users"]),
-        batch_format="pyarrow",
-    )
+    return pa.Table.from_pandas(collect_agg(
+        _user_day_spans(sf_dir).map_batches(hist_part,
+                                            batch_format="pyarrow"),
+        ["span_days"], {"n_users": "sum"}, MAX_DAYS), preserve_index=False)
 
 
 USER_LIFESPAN_HIST_SQL = (
@@ -11227,7 +10657,6 @@ def q_q6_revenue(sf_dir: str) -> "pa.Table":
     the fact table and the whole query is one filter-aggregate with NO
     shuffle at all.  Revenue carried as cents x integer-percent so the
     distributed sum is order-independent and hash-exact."""
-    import pandas as pd
     import pyarrow.compute as _pc
 
     lo = np.datetime64(f"{Q6_YEAR}-01-01", "us")
@@ -11255,12 +10684,11 @@ def q_q6_revenue(sf_dir: str) -> "pa.Table":
              "rev": pa.array([int((cents[keep] * disc[keep]).sum())])}
         )
 
-    tot = ds.map_batches(partial, batch_format="pyarrow").sum(["n", "rev"])
-    out = pd.DataFrame(
-        {"n_items": np.array([int(tot["sum(n)"])], dtype=np.int64),
-         "revenue_cent_pct": np.array([int(tot["sum(rev)"])],
-                                      dtype=np.int64)})
-    return pa.Table.from_pandas(out, preserve_index=False)
+    tot = collect_agg(ds.map_batches(partial, batch_format="pyarrow"), [],
+                      {"n": "sum", "rev": "sum"}, 1)
+    return pa.Table.from_pandas(tot.rename(
+        columns={"n": "n_items", "rev": "revenue_cent_pct"}),
+        preserve_index=False)
 
 
 Q6_REVENUE_SQL = (
@@ -11304,7 +10732,7 @@ def q_balance_vs_volume(sf_dir: str) -> "pa.Table":
         ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                               columns=["o_custkey"])
         .map_batches(partial, batch_format="pandas"),
-        ["o_custkey"], {"f": "sum"}, "o_custkey",
+        ["o_custkey"], {"f": "sum"}
     ).to_pandas()  # customers-with-orders-sized
     m = cust.merge(counts, left_on="c_custkey", right_on="o_custkey",
                    how="left")
@@ -11379,15 +10807,9 @@ def q_bits_plan(sf_dir: str) -> "pa.Table":
         return pa.table({"source": pa.array(usrc), "mx": pa.array(mx),
                          "mxd": pa.array(mxd)})
 
-    from ray.data.aggregate import Max
-
-    agg = (
-        map_docs(_seq_ds(sf_dir), partial, {
-            "source": pa.string(), "mx": pa.int64(), "mxd": pa.int64()})
-        .groupby("source")
-        .aggregate(Max("mx", alias_name="mx"), Max("mxd", alias_name="mxd"))
-        .to_pandas()  # sources-sized
-    )
+    agg = collect_agg(map_docs(_seq_ds(sf_dir), partial, {
+        "source": pa.string(), "mx": pa.int64(), "mxd": pa.int64()}),
+        ["source"], {"mx": "max", "mxd": "max"}, rp.MAX_SOURCES)
 
     def bits(x: int) -> int:
         k = 0
@@ -11433,15 +10855,13 @@ def _bits_plan_sql() -> str:
 BITS_PLAN_SQL = _bits_plan_sql()
 
 
-def q_session_count_hist(sf_dir: str) -> "ray.data.Dataset":
+def q_session_count_hist(sf_dir: str) -> "pa.Table":
     """Sessions-per-user histogram — how many users had exactly k
     sessions: the engagement-depth distribution (a spike at k=1 is a
     bounce problem; a long tail is the power-user cohort
     ``user_burstiness`` ranks individually).  Composes the sessionizer
     with two count-rollups; every exchange is user- then
     histogram-sized."""
-    import pandas as pd
-
     sess = q_sessionize(sf_dir)
 
     def per_user(t: pa.Table) -> pa.Table:
@@ -11450,22 +10870,16 @@ def q_session_count_hist(sf_dir: str) -> "ray.data.Dataset":
         return pa.table({"user_id": pa.array(uk),
                          "ns": pa.array(cnt.astype(np.int64))})
 
-    from ray.data.aggregate import Sum
-
-    hist = (
+    return pa.Table.from_pandas(collect_agg(
         keyed_agg(sess.map_batches(per_user, batch_format="pyarrow"),
-                  ["user_id"], {"ns": "sum"}, "user_id")
+                  ["user_id"], {"ns": "sum"})
         .map_batches(
             lambda t: pa.table(
                 {"n_sessions": t["ns"],
-                 "one": pa.array(np.ones(len(t), dtype=np.int64))}),
-            batch_format="pyarrow")
-        .groupby("n_sessions").aggregate(Sum("one", alias_name="n_users"))
-    )
-    return hist.map_batches(
-        lambda t: t.rename_columns(["n_sessions", "n_users"]),
-        batch_format="pyarrow",
-    )
+                 "n_users": pa.array(np.ones(len(t), dtype=np.int64))}),
+            batch_format="pyarrow"),
+        ["n_sessions"], {"n_users": "sum"}, MAX_COUNT_VALUES),
+        preserve_index=False)
 
 
 SESSION_COUNT_HIST_SQL = (
@@ -11622,42 +11036,32 @@ def q_kanon_audit(sf_dir: str) -> "pa.Table":
     exposure screen a release/sharing pass runs before publishing a
     corpus slice (a doc alone in its quasi-identifier cell is
     linkable even with text removed).  One partial count per batch, a
-    quasi-identifier-alphabet-sized groupby, a one-row driver fold."""
-    import pandas as pd
-
+    quasi-identifier-keyed fold, a one-row fold of the groups."""
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet",
         columns=["lang", "source", "n_chars"],
     )
 
-    def partial(df: "pd.DataFrame") -> "pd.DataFrame":
-        g = pd.DataFrame(
-            {"lang": df["lang"].to_numpy(),
-             "source": df["source"].to_numpy(),
-             "cb": (df["n_chars"].to_numpy().astype(np.int64)
-                    // KANON_CHARS_BUCKET)}
-        ).groupby(["lang", "source", "cb"], as_index=False).size()
-        g.rename(columns={"size": "cnt"}, inplace=True)
-        g["cnt"] = g["cnt"].astype(np.int64)
-        return g
+    def partial(t: pa.Table) -> pa.Table:
+        cb = t["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table({"lang": t["lang"], "source": t["source"],
+                         "cb": cb // KANON_CHARS_BUCKET,
+                         "cnt": np.ones(len(cb), np.int64)})
 
-    from ray.data.aggregate import Sum
+    def stats(t: pa.Table) -> pa.Table:
+        c = t["cnt"].to_numpy(zero_copy_only=False).astype(np.int64)
+        small = c < KANON_K
+        return pa.table({"n_groups": np.ones(len(c), np.int64),
+                         "n_singletons": (c == 1).astype(np.int64),
+                         "n_small_groups": small.astype(np.int64),
+                         "n_docs_small": np.where(small, c, 0)})
 
-    groups = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["lang", "source", "cb"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()  # quasi-identifier-alphabet-sized
-    )
-    c = groups["cnt"].to_numpy().astype(np.int64)
-    out = pd.DataFrame(
-        {"n_groups": np.array([len(c)], dtype=np.int64),
-         "n_singletons": np.array([int((c == 1).sum())], dtype=np.int64),
-         "n_small_groups": np.array([int((c < KANON_K).sum())],
-                                    dtype=np.int64),
-         "n_docs_small": np.array([int(c[c < KANON_K].sum())],
-                                  dtype=np.int64)})
-    return pa.Table.from_pandas(out, preserve_index=False)
+    groups = keyed_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                       ["lang", "source", "cb"], {"cnt": "sum"})
+    return pa.Table.from_pandas(collect_agg(
+        groups.map_batches(stats, batch_format="pyarrow"), [],
+        {c: "sum" for c in ("n_groups", "n_singletons", "n_small_groups",
+                            "n_docs_small")}, 1), preserve_index=False)
 
 
 KANON_AUDIT_SQL = (
@@ -11719,17 +11123,10 @@ def q_tier_pick(sf_dir: str) -> "pa.Table":
              "npts": pa.array(np.concatenate(rows_n))}
         )
 
-    from ray.data.aggregate import Sum
-
-    cells = (
-        map_docs(_seq_ds(sf_dir), partial, {
-            "source": pa.string(), "tier": pa.int64(), "err": pa.int64(),
-            "npts": pa.int64()})
-        .groupby(["source", "tier"])
-        .aggregate(Sum("err", alias_name="err"),
-                   Sum("npts", alias_name="npts"))
-        .to_pandas()  # sources x tiers
-    )
+    cells = collect_agg(map_docs(_seq_ds(sf_dir), partial, {
+        "source": pa.string(), "tier": pa.int64(), "err": pa.int64(),
+        "npts": pa.int64()}), ["source", "tier"],
+        {"err": "sum", "npts": "sum"}, rp.MAX_SOURCES * rp.MAX_TIERS)
     out_rows = []
     for src, grp in cells.groupby("source"):
         npts = int(grp["npts"].iloc[0])
@@ -11831,14 +11228,10 @@ def q_transition_latency(sf_dir: str) -> "pa.Table":
         return pd.DataFrame({"lat_ms": uk,
                              "cnt": cnt.astype(np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    hist = (
-        fold_by_part(ds, "user_id", fold)
-        .groupby("lat_ms").aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()  # distinct-ms-sized
-    )
-    hist = hist.sort_values("lat_ms", kind="mergesort")
+    # latencies are inside the window: at most one row per ms of it
+    hist = collect_agg(fold_by_part(ds, "user_id", fold), ["lat_ms"],
+                       {"cnt": "sum"}, TRANS_WINDOW_US // 1000 + 1
+                       ).sort_values("lat_ms", kind="mergesort")
     ms = hist["lat_ms"].to_numpy().astype(np.int64)
     total, pick = _hist_rank_pick(
         ms, hist["cnt"].to_numpy().astype(np.int64))
@@ -11899,25 +11292,17 @@ def q_peak_concurrency(sf_dir: str) -> "pa.Table":
 
     def bucket_partial(t: pa.Table) -> pa.Table:
         ts = t["ts"].to_numpy(zero_copy_only=False)
-        d = t["d"].to_numpy(zero_copy_only=False)
-        ub, inv = np.unique(ts // HOUR_US, return_inverse=True)
-        s = np.zeros(len(ub), dtype=np.int64)
-        np.add.at(s, inv, d)
-        return pa.table({"bucket": pa.array(ub), "ds": pa.array(s)})
+        return pa.table({"bucket": ts // HOUR_US, "ds": t["d"]})
 
-    from ray.data.aggregate import Sum
-
-    sums = (
-        dds.map_batches(bucket_partial, batch_format="pyarrow")
-        .groupby("bucket").aggregate(Sum("ds", alias_name="ds"))
-        .take_all()  # bucket-count-sized
-    )
-    sums.sort(key=lambda r: r["bucket"])
+    sums = collect_agg(dds.map_batches(bucket_partial,
+                                       batch_format="pyarrow"),
+                       ["bucket"], {"ds": "sum"}, MAX_DAYS * 24
+                       ).sort_values("bucket")
     pref: dict[int, int] = {}
     run = 0
-    for r in sums:
-        pref[int(r["bucket"])] = run
-        run += int(r["ds"])
+    for b, d in zip(sums["bucket"].tolist(), sums["ds"].tolist()):
+        pref[b] = run
+        run += d
     pref_ref = ray.put(pref)
 
     def add_bucket(t: pa.Table) -> pa.Table:
@@ -11976,7 +11361,7 @@ PEAK_CONCURRENCY_SQL = (
 DEBOUNCE_US = 5_000_000  # repeat-suppression window (5 s)
 
 
-def q_debounce_events(sf_dir: str) -> "ray.data.Dataset":
+def q_debounce_events(sf_dir: str) -> "pa.Table":
     """Debounce audit — per event type, how many events are BOUNCES:
     byte-identical repeats (same user, same type, same cent value) of
     the immediately previous event within DEBOUNCE_US.  The double-
@@ -12007,25 +11392,14 @@ def q_debounce_events(sf_dir: str) -> "ray.data.Dataset":
                           & (ety[1:] == ety[:-1])
                           & (tok[1:] == tok[:-1])
                           & (ts_us[1:] - ts_us[:-1] <= DEBOUNCE_US))
-        g = pd.DataFrame(
-            {"event_type": ety, "b": bounce.astype(np.int64)}
-        ).groupby("event_type", as_index=False).agg(
-            pn=("b", "size"), pb=("b", "sum"))
-        g["pn"] = g["pn"].astype(np.int64)
-        return g
+        return pd.DataFrame({"event_type": ety,
+                             "n_events": np.ones(n, np.int64),
+                             "n_bounce": bounce.astype(np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        fold_by_part(ds, "user_id", fold)
-        .groupby("event_type")
-        .aggregate(Sum("pn", alias_name="n_events"),
-                   Sum("pb", alias_name="n_bounce"))
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["event_type", "n_events", "n_bounce"]),
-        batch_format="pyarrow",
-    )
+    return pa.Table.from_pandas(collect_agg(
+        fold_by_part(ds, "user_id", fold), ["event_type"],
+        {"n_events": "sum", "n_bounce": "sum"}, MAX_TYPES),
+        preserve_index=False)
 
 
 DEBOUNCE_EVENTS_SQL = (
@@ -12041,42 +11415,29 @@ DEBOUNCE_EVENTS_SQL = (
 )
 
 
-def q_punchcard(sf_dir: str) -> "ray.data.Dataset":
+def q_punchcard(sf_dir: str) -> "pa.Table":
     """(day-of-week, hour-of-day) activity punchcard — event count and
     cent-value sum per cell of the 7x24 grid: the load-shape heatmap
     capacity planning and anomaly baselining start from.  Same pure
     epoch arithmetic as ``weekday_contrast`` ((epoch_day + 3) % 7,
     Monday = 0) so no date-function convention can drift.  Partials
-    collapse each batch to <= 168 rows before the one tiny groupby."""
-    import pandas as pd
-
+    collapse each batch to <= 168 rows before the driver fold."""
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "value"]
     )
 
-    def partial(df: "pd.DataFrame") -> "pd.DataFrame":
-        ts_us = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        g = pd.DataFrame(
-            {"dow": ((ts_us // _DAY_US) + 3) % 7,
-             "hod": (ts_us // HOUR_US) % 24,
-             "tok": np.rint(df["value"].to_numpy() * 100).astype(np.int64)}
-        ).groupby(["dow", "hod"], as_index=False).agg(
-            pn=("tok", "size"), ps=("tok", "sum"))
-        g["pn"] = g["pn"].astype(np.int64)
-        return g
+    def partial(t: pa.Table) -> pa.Table:
+        ts_us = t["ts"].to_numpy(zero_copy_only=False).astype(
+            "datetime64[us]").astype(np.int64)
+        tok = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100)
+        return pa.table({"dow": ((ts_us // _DAY_US) + 3) % 7,
+                         "hod": (ts_us // HOUR_US) % 24,
+                         "n": np.ones(len(ts_us), np.int64),
+                         "tok_sum": tok.astype(np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["dow", "hod"])
-        .aggregate(Sum("pn", alias_name="n"),
-                   Sum("ps", alias_name="tok_sum"))
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["dow", "hod", "n", "tok_sum"]),
-        batch_format="pyarrow",
-    )
+    return pa.Table.from_pandas(collect_agg(
+        ds.map_batches(partial, batch_format="pyarrow"), ["dow", "hod"],
+        {"n": "sum", "tok_sum": "sum"}, 7 * 24), preserve_index=False)
 
 
 PUNCHCARD_SQL = (
@@ -12102,30 +11463,7 @@ def q_daily_movers(sf_dir: str) -> "pa.Table":
     slope, this pinpoints the individual jumps.  One (type x day)-sized
     partial groupby; the lag alignment runs on that small table on the
     driver."""
-    import pandas as pd
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"]
-    )
-
-    def partial(df: "pd.DataFrame") -> "pd.DataFrame":
-        ts_us = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        g = pd.DataFrame(
-            {"event_type": df["event_type"].to_numpy(),
-             "day": ts_us // _DAY_US}
-        ).groupby(["event_type", "day"], as_index=False).size()
-        g.rename(columns={"size": "n"}, inplace=True)
-        g["n"] = g["n"].astype(np.int64)
-        return g
-
-    from ray.data.aggregate import Sum
-
-    counts = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["event_type", "day"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()  # types x active-days, << events
-    )
+    counts = _type_day_counts(sf_dir)
     prev = counts.rename(columns={"day": "pd_", "n": "prev_n"})
     prev["day"] = prev["pd_"] + 1
     m = counts.merge(prev[["event_type", "day", "prev_n"]],
@@ -12195,13 +11533,9 @@ def q_value_drift_halves(sf_dir: str) -> "pa.Table":
              "cnt": pa.array(cnt.astype(np.int64))}
         )
 
-    from ray.data.aggregate import Sum
-
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["day", "bk"]).aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()  # day-range x buckets, << events
-    )
+    hist = keyed_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                     ["day", "bk"], {"cnt": "sum"}
+                     ).to_pandas()  # day-range x buckets, << events
     days = hist["day"].to_numpy().astype(np.int64)
     mid = (int(days.min()) + int(days.max()) + 1) // 2
     first = days < mid
@@ -12252,43 +11586,24 @@ def q_churn_split(sf_dir: str) -> "pa.Table":
     max >= mid), so the whole query is one distinct-(user, day) pass, a
     users-sized min/max groupby and a counting fold — no per-half
     distinct re-count."""
-    import pandas as pd
-
-    from ray.data.aggregate import Max, Min
-
-    spans = (
-        ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                              columns=["ts", "user_id"])
-        .map_batches(_user_day_part, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Min("day", alias_name="mnd"),
-                   Max("day", alias_name="mxd"))
-        .materialize()  # users-sized
-    )
-    mm = spans.aggregate(Min("mnd"), Max("mxd"))
-    mid = (int(mm["min(mnd)"]) + int(mm["max(mxd)"]) + 1) // 2
+    spans = _user_day_spans(sf_dir).materialize()  # users-sized
+    mm = collect_agg(spans, [], {"mnd": "min", "mxd": "max"}, 1)
+    mid = (int(mm["mnd"].iloc[0]) + int(mm["mxd"].iloc[0]) + 1) // 2
 
     def counts(t: pa.Table) -> pa.Table:
         mn = t["mnd"].to_numpy(zero_copy_only=False).astype(np.int64)
         mx = t["mxd"].to_numpy(zero_copy_only=False).astype(np.int64)
         f, s = mn < mid, mx >= mid
-        return pa.table(
-            {"n_first": pa.array([int(f.sum())]),
-             "n_second": pa.array([int(s.sum())]),
-             "retained": pa.array([int((f & s).sum())]),
-             "churned": pa.array([int((f & ~s).sum())]),
-             "new_users": pa.array([int((~f).sum())])}
-        )
+        return pa.table({"n_first": f.astype(np.int64),
+                         "n_second": s.astype(np.int64),
+                         "retained": (f & s).astype(np.int64),
+                         "churned": (f & ~s).astype(np.int64),
+                         "new_users": (~f).astype(np.int64)})
 
-    tot = (
-        spans.map_batches(counts, batch_format="pyarrow")
-        .sum(["n_first", "n_second", "retained", "churned", "new_users"])
-    )
-    out = pd.DataFrame(
-        {"mid_day": np.array([mid], dtype=np.int64),
-         **{k: np.array([int(tot[f"sum({k})"])], dtype=np.int64)
-            for k in ("n_first", "n_second", "retained", "churned",
-                      "new_users")}})
+    out = collect_agg(spans.map_batches(counts, batch_format="pyarrow"), [],
+                      {k: "sum" for k in ("n_first", "n_second", "retained",
+                                          "churned", "new_users")}, 1)
+    out.insert(0, "mid_day", np.int64(mid))
     return pa.Table.from_pandas(out, preserve_index=False)
 
 
@@ -12336,10 +11651,9 @@ def q_dau_mau(sf_dir: str) -> "pa.Table":
         .materialize()  # the distinct dau table, reused by both sides
     )
 
-    dau = (
-        pairs.groupby("day").count().to_pandas()  # active-days-sized
-    )
-    dau.columns = ["day", "dau"]
+    dau = collect_agg(pairs.map_batches(count_col("dau"),
+                                        batch_format="pyarrow"),
+                      ["day"], {"dau": "sum"}, MAX_DAYS).sort_values("day")
 
     def interval_deltas(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.sort_values(["user_id", "day"], kind="mergesort")
@@ -12355,19 +11669,15 @@ def q_dau_mau(sf_dir: str) -> "pa.Table":
         ends = np.append(si[1:], n) - 1
         a = d[si]                      # interval start day
         b = d[ends] + MAU_WINDOW       # one past the last covered day
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"day": np.concatenate([a, b]),
              "delta": np.concatenate([np.ones(len(a), dtype=np.int64),
                                       -np.ones(len(b), dtype=np.int64)])}
         )
-        return out.groupby("day", as_index=False)["delta"].sum()
 
-    deltas = (
-        fold_by_part(pairs, "user_id", interval_deltas)
-        .to_pandas()  # distinct boundary-days-sized
-    )
-    deltas = deltas.groupby("day", as_index=False)["delta"].sum() \
-                   .sort_values("day", kind="mergesort")
+    deltas = collect_agg(fold_by_part(pairs, "user_id", interval_deltas),
+                         ["day"], {"delta": "sum"}, MAX_DAYS + MAU_WINDOW
+                         ).sort_values("day", kind="mergesort")
     bdays = deltas["day"].to_numpy().astype(np.int64)
     cum = np.cumsum(deltas["delta"].to_numpy().astype(np.int64))
     days = dau["day"].to_numpy().astype(np.int64)
@@ -12401,27 +11711,21 @@ def q_new_vs_returning(sf_dir: str) -> "pa.Table":
     ``dau_mau`` (same distinct-(day,user) base table).  One fold per
     coarse user partition: a user's pairs all land in one call, which
     takes the user's first day (min day), splits the pairs into new and
-    returning and counts them per day; a final groupby(day) sums the
-    partition counts.  Nothing users-sized reaches the driver; all
-    counts exact."""
+    returning; the driver sums them per day.  Nothing users-sized
+    reaches the driver; all counts exact."""
     import pandas as pd
-
-    from ray.data.aggregate import Sum
 
     def split(df: "pd.DataFrame") -> "pd.DataFrame":
         first = df.groupby("user_id")["day"].transform("min")
         new = (df["day"] == first).to_numpy().astype(np.int64)
         return pd.DataFrame(
             {"day": df["day"].to_numpy().astype(np.int64),
-             "new_users": new, "returning_users": 1 - new}
-        ).groupby("day", as_index=False).sum()
+             "new_users": new, "returning_users": 1 - new})
 
-    return (
-        fold_by_part(_user_day_pairs(sf_dir), "user_id", split)
-        .groupby("day")
-        .aggregate(Sum("new_users", alias_name="new_users"),
-                   Sum("returning_users", alias_name="returning_users"))
-    )
+    return pa.Table.from_pandas(collect_agg(
+        fold_by_part(_user_day_pairs(sf_dir), "user_id", split), ["day"],
+        {"new_users": "sum", "returning_users": "sum"}, MAX_DAYS),
+        preserve_index=False)
 
 
 NEW_VS_RETURNING_SQL = (
@@ -12467,13 +11771,9 @@ def q_doc_typicality(sf_dir: str) -> "pa.Table":
         return pa.table({"bk": pa.array(uk),
                          "cnt": pa.array(cnt.astype(np.int64))})
 
-    from ray.data.aggregate import Sum
-
-    g = (
-        ds.map_batches(hist_part, batch_format="pyarrow")
-        .groupby("bk").aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()  # bucket-alphabet-sized
-    )
+    # tokens in [0, 2^TOKEN_BITS): that many buckets of 2^TYP_SHIFT
+    g = collect_agg(ds.map_batches(hist_part, batch_format="pyarrow"),
+                    ["bk"], {"cnt": "sum"}, 1 << (TOKEN_BITS - TYP_SHIFT))
     gb = np.zeros(int(g["bk"].max()) + 1, dtype=np.int64)
     gb[g["bk"].to_numpy().astype(np.int64)] = \
         g["cnt"].to_numpy().astype(np.int64)
@@ -12559,7 +11859,7 @@ def q_rfm_segments(sf_dir: str) -> "ray.data.Dataset":
 
     agg = keyed_agg(
         ds.map_batches(partial, batch_format="pandas"),
-        ["ck"], {"r_day": "max", "f": "sum", "m": "sum"}, "ck",
+        ["ck"], {"r_day": "max", "f": "sum", "m": "sum"}
     ).materialize()  # customers-sized (dimension-scale, not fact-scale)
 
     def breakpoints(col: str) -> np.ndarray:
@@ -12572,7 +11872,7 @@ def q_rfm_segments(sf_dir: str) -> "ray.data.Dataset":
 
         hist = keyed_agg(
             agg.map_batches(h, batch_format="pyarrow"),
-            ["v"], {"cnt": "sum"}, "v",
+            ["v"], {"cnt": "sum"}
         ).to_pandas().sort_values("v", kind="mergesort")
         c = hist["cnt"].to_numpy().astype(np.int64)
         n = int(c.sum())
@@ -12680,27 +11980,19 @@ def q_weekday_contrast(sf_dir: str) -> "pa.Table":
         f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
     )
 
-    def partial(df: "pd.DataFrame") -> "pd.DataFrame":
-        ts_us = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
+    def partial(t: pa.Table) -> pa.Table:
+        ts_us = t["ts"].to_numpy(zero_copy_only=False).astype(
+            "datetime64[us]").astype(np.int64)
         dow = ((ts_us // _DAY_US) + 3) % 7
-        we = (dow >= 5).astype(np.int64)
-        tok = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
-        g = pd.DataFrame(
-            {"event_type": df["event_type"].to_numpy(), "we": we,
-             "tok": tok}
-        ).groupby(["event_type", "we"], as_index=False).agg(
-            pn=("tok", "size"), ps=("tok", "sum"))
-        g["pn"] = g["pn"].astype(np.int64)
-        return g
+        tok = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100)
+        return pa.table({"event_type": t["event_type"],
+                         "we": (dow >= 5).astype(np.int64),
+                         "n": np.ones(len(dow), np.int64),
+                         "s": tok.astype(np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    cells = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["event_type", "we"])
-        .aggregate(Sum("pn", alias_name="n"), Sum("ps", alias_name="s"))
-        .to_pandas()  # bounded: type alphabet x 2
-    )
+    cells = collect_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                        ["event_type", "we"], {"n": "sum", "s": "sum"},
+                        MAX_TYPES * 2)
     piv = cells.pivot_table(index="event_type", columns="we",
                             values=["n", "s"], fill_value=0,
                             aggfunc="sum")
@@ -12756,14 +12048,10 @@ def q_session_duration_bands(sf_dir: str) -> "pa.Table":
         return pa.table({"dur_s": pa.array(uk),
                          "cnt": pa.array(cnt.astype(np.int64))})
 
-    from ray.data.aggregate import Sum
-
-    hist = (
-        sess.map_batches(partial, batch_format="pyarrow")
-        .groupby("dur_s").aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()  # bounded by distinct whole-second durations
-    )
-    hist = hist.sort_values("dur_s", kind="mergesort")
+    # distinct whole-second durations of sessions up to a year long
+    hist = collect_agg(sess.map_batches(partial, batch_format="pyarrow"),
+                       ["dur_s"], {"cnt": "sum"}, 366 * 86_400
+                       ).sort_values("dur_s", kind="mergesort")
     durs = hist["dur_s"].to_numpy().astype(np.int64)
     total, pick = _hist_rank_pick(
         durs, hist["cnt"].to_numpy().astype(np.int64))
@@ -12891,7 +12179,7 @@ def q_daily_value_bands(sf_dir: str) -> "ray.data.Dataset":
 
     return keyed_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["day", "tok"], {"cnt": "sum"}, "tok",
+        ["day", "tok"], {"cnt": "sum"}
     ).groupby("day").map_groups(finish, batch_format="pandas")
 
 
@@ -12945,14 +12233,10 @@ def q_pmi_buckets(sf_dir: str) -> "pa.Table":
              "cnt": pa.array(cnt.astype(np.int64))}
         )
 
-    from ray.data.aggregate import Sum
-
-    pairs = (
-        map_docs(_seq_ds(sf_dir), partial, {
-            "x": pa.int64(), "y": pa.int64(), "cnt": pa.int64()})
-        .groupby(["x", "y"]).aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()  # bounded by bucket-alphabet^2, not corpus size
-    )
+    pairs = collect_agg(map_docs(_seq_ds(sf_dir), partial, {
+        "x": pa.int64(), "y": pa.int64(), "cnt": pa.int64()}),
+        ["x", "y"], {"cnt": "sum"},
+        (1 << (TOKEN_BITS - PMI_SHIFT)) ** 2)  # bucket alphabet^2
     if len(pairs) == 0:
         return pa.table({"x": pa.array([], type=pa.int64()),
                          "y": pa.array([], type=pa.int64()),
@@ -13015,24 +12299,15 @@ def q_type_hour_assoc(sf_dir: str) -> "pa.Table":
         f"{sf_dir}/events.parquet", columns=["ts", "event_type"]
     )
 
-    def partial(df: "pd.DataFrame") -> "pd.DataFrame":
-        ts_us = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        g = pd.DataFrame(
-            {"event_type": df["event_type"].to_numpy(),
-             "hod": (ts_us // HOUR_US) % 24}
-        ).groupby(["event_type", "hod"], as_index=False).size()
-        g.rename(columns={"size": "n"}, inplace=True)
-        g["n"] = g["n"].astype(np.int64)
-        return g
+    def partial(t: pa.Table) -> pa.Table:
+        ts_us = t["ts"].to_numpy(zero_copy_only=False).astype(
+            "datetime64[us]").astype(np.int64)
+        return pa.table({"event_type": t["event_type"],
+                         "hod": (ts_us // HOUR_US) % 24,
+                         "n": np.ones(len(ts_us), np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    cells = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["event_type", "hod"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()  # bounded: event-type alphabet x 24
-    )
+    cells = collect_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                        ["event_type", "hod"], {"n": "sum"}, 24 * MAX_TYPES)
     n = cells["n"].to_numpy().astype(np.int64)
     n_tot = int(n.sum())
     assert n_tot < (1 << 31), "type_hour_assoc int64 finish guard"

@@ -147,27 +147,35 @@ class RoundTripCheck:
         return batch
 
 
+MAX_SOURCES = 4096  # source labels
+MAX_TIERS = 64  # tiers of one rollup
+# how each per-(source, tier) partial column folds, and the stat it becomes
+SOURCE_PARTIAL_AGGS = {"pmin": "min", "pmax": "max", "psum": "sum",
+                       "pcount": "sum", "pwindows": "sum"}
+_SOURCE_STAT_NAMES = {"pmin": "min_val", "pmax": "max_val",
+                      "psum": "total_sum", "pcount": "n_points",
+                      "pwindows": "n_windows"}
+
+
+def fold_source_partials(partials: "ray.data.Dataset") -> "ray.data.Dataset":
+    """Per-(source, tier) stats from per-batch partials
+    (:data:`SOURCE_PARTIAL_AGGS` columns), folded on the driver under a
+    sources x tiers row bound. ``tier`` comes back as int8, the store's
+    and the SQL oracles' type."""
+    from .skeletons import collect_agg
+
+    df = collect_agg(partials, ["source", "tier"], SOURCE_PARTIAL_AGGS,
+                     MAX_SOURCES * MAX_TIERS).rename(
+                         columns=_SOURCE_STAT_NAMES)
+    return ray.data.from_pandas(df.astype({"tier": np.int8}))
+
+
 def source_tier_aggregate(rollup_ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Per-(source, tier) global stats via partial+final: batch-local
-    combiners (one row per key per batch) then the small groupby shuffle —
-    the reference's stack+calc_epn path (SURVEY.md §2.5 A1/A2).  ``tier``
-    comes back as int8, the store's and the SQL oracles' type."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Min, Sum
-
-    partials = rollup_ds.map_batches(source_partials_batch, batch_format="pyarrow")
-    agg = partials.groupby(["source", "tier"]).aggregate(
-        Min("pmin", alias_name="min_val"),
-        Max("pmax", alias_name="max_val"),
-        Sum("psum", alias_name="total_sum"),
-        Sum("pcount", alias_name="n_points"),
-        Sum("pwindows", alias_name="n_windows"),
-    )
-    return agg.map_batches(
-        lambda t: t.set_column(t.column_names.index("tier"), "tier",
-                               pc.cast(t["tier"], pa.int8())),
-        batch_format="pyarrow",
-    )
+    combiners (one row per key per batch) then one driver fold — the
+    reference's stack+calc_epn path (SURVEY.md §2.5 A1/A2)."""
+    return fold_source_partials(
+        rollup_ds.map_batches(source_partials_batch, batch_format="pyarrow"))
 
 
 # the layers an encode task times, in chain order (metrics.json per_stage)

@@ -1,13 +1,16 @@
-"""The four skeletons most of the query registry is built from.
+"""The five skeletons most of the query registry is built from.
 
 - :func:`map_docs` — a per-doc token map over a sequences dataset: unpack
   the ``tokens`` list column once, answer an empty batch with the declared
   schema, and check every non-empty batch against that same schema.
-- :func:`fold_by_part` — a fold over coarse ``key mod n`` partitions: one
-  Ray group per partition, one vectorized pandas fold inside it, instead
-  of one Ray group per key.
+- :func:`fold_by_part` — a fold over coarse partitions of a key: one Ray
+  group per partition, one vectorized pandas fold inside it, instead of
+  one Ray group per key.
 - :func:`keyed_agg` — the keyed fold of partial aggregates: sum / min /
-  max per key through :func:`fold_by_part`.
+  max per key of any type through :func:`fold_by_part`.
+- :func:`collect_agg` — the same fold for a key bounded by a small
+  domain: each batch reduced to one row per key on the workers, the
+  partials folded on the driver under a row bound.
 - :func:`broadcast_dim` — the map-side key join: a small dimension
   (sorted unique keys plus payload columns) put in the object store
   once and probed inside every batch, for a foreign-key lookup
@@ -19,19 +22,16 @@
   probe. Range and as-of probes (``side="right"`` searches over
   breakpoints or timestamps) are not key joins and do not use it.
 
-The cardinality rule: a key sized by distinct tokens, pairs, docs, orders
-or users goes through :func:`keyed_agg`. Ray Data's hash
-``groupby(...).aggregate`` makes one group per key and spends its time on
-micro-group plumbing there: ``bigram_code_bits``' sum over 1.2 M distinct
-pairs took 121 s through it and 1.8 s through :func:`keyed_agg` (sf0.01,
-one CPU, four Ray slots).
-Low-cardinality keys (day, source, tier, event_type, ...) and keys
-bounded by a small value domain (whole-second durations, millisecond
-latencies) stay on ``groupby(...).aggregate``, where the hash aggregate
-is the faster of the two. When unsure, time both:
-``repurchase_interval``'s (segment, gap-in-days) key looks small but
-took 9.1 s through the hash aggregate and 1.2 s through
-:func:`keyed_agg`.
+The cardinality rule, checked in code: a key sized by the data (tokens,
+pairs, docs, orders, users, strings) goes through :func:`keyed_agg`; a
+key bounded by a domain the query states (days, hours, sources, tiers,
+event types, millisecond latencies) goes through :func:`collect_agg`
+with that domain's size as ``max_rows``, and raises ``ValueError``
+instead of crawling when the data is wider than stated. Ray Data's hash
+aggregate is not used: per key it lost to both (``bigram_code_bits``'
+sum over 1.2 M pairs took 121 s through it and 1.8 s through
+:func:`keyed_agg`; a per-day count over 5 M events 2.78 s against 0.82 s
+as a driver fold; one CPU, four Ray slots).
 """
 
 from __future__ import annotations
@@ -90,47 +90,73 @@ def map_docs(ds: "ray.data.Dataset", fn: DocFn, cols: dict,
     )
 
 
-def add_part(t: pa.Table, key: str, n_parts: int) -> pa.Table:
-    """Append the int32 ``part`` column ``key mod n_parts`` (non-negative
-    for any int64 key: NumPy's ``%`` takes the divisor's sign)."""
-    k = t[key].to_numpy(zero_copy_only=False).astype(np.int64)
-    return t.append_column("part", pa.array((k % n_parts).astype(np.int32)))
+def add_part(t: pa.Table, keys, n_parts: int) -> pa.Table:
+    """Append the int32 ``part`` column: ``key mod n_parts`` for a single
+    integer key (non-negative for any int64 key: NumPy's ``%`` takes the
+    divisor's sign), else a stable 64-bit hash of the ``keys`` columns
+    (pandas' fixed-seed ``hash_pandas_object``, the same in every
+    process) mod ``n_parts``."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    if len(keys) == 1 and pa.types.is_integer(t.schema.field(keys[0]).type):
+        k = t[keys[0]].to_numpy(zero_copy_only=False).astype(np.int64)
+        part = k % n_parts
+    else:
+        import pandas as pd
+
+        # categorical strings hash once per distinct value, to the same
+        # hash as the plain strings
+        h = pd.util.hash_pandas_object(
+            t.select(keys).to_pandas(strings_to_categorical=True),
+            index=False).to_numpy()
+        part = h % np.uint64(n_parts)
+    return t.append_column("part", pa.array(part.astype(np.int32)))
 
 
 KEYED_AGG_PARTS = 32  # coarse parts per fold
 
 
-def fold_by_part(ds: "ray.data.Dataset", key: str, fold: Callable,
+def fold_by_part(ds: "ray.data.Dataset", keys, fold: Callable,
                  n_parts: int = KEYED_AGG_PARTS) -> "ray.data.Dataset":
-    """Run the pandas ``fold`` once per coarse partition ``key mod
-    n_parts``: every row of one key lands in the same call, and the
-    shuffle moves ``n_parts`` groups instead of one group per key."""
+    """Run the pandas ``fold`` once per coarse partition of ``keys`` (one
+    column name or a list, see :func:`add_part`): every row of one key
+    lands in the same call, and the shuffle moves ``n_parts`` groups
+    instead of one group per key.
+
+    The output can hold zero-row blocks with no columns: the sort
+    shuffle behind ``groupby("part").map_groups`` returns one such block
+    for every partition that received no rows (8 input blocks of 5
+    integer keys came back as five blocks of 160 rows and three zero-row
+    blocks, and Ray Data logged its schema-mismatch warning twice),
+    whatever ``fold`` returns. That is why :func:`collect` and
+    :func:`collect_agg` carry the result's columns themselves."""
     return (
-        ds.map_batches(add_part, fn_args=(key, n_parts),
+        ds.map_batches(add_part, fn_args=(keys, n_parts),
                        batch_format="pyarrow")
         .groupby("part")
         .map_groups(fold, batch_format="pandas")
     )
 
 
-def keyed_agg(ds: "ray.data.Dataset", keys: list, aggs: dict,
-              part_key: str) -> "ray.data.Dataset":
-    """Fold partial aggregates per ``keys``: ``aggs`` maps each column to
-    ``"sum"``, ``"min"`` or ``"max"``, and the output has the ``keys``
-    columns, then the ``aggs`` columns under their own names and types.
+_OPS = {"sum", "min", "max"}
 
-    ``part_key`` is an integer column of ``keys``, so every row of one key
-    lands in one of :data:`KEYED_AGG_PARTS` parts, and one pandas
-    groupby per part folds it whole.
-    For keys sized by distinct tokens, pairs, docs, orders or users; see
-    the module docstring for the cardinality rule."""
-    assert part_key in keys, f"part_key {part_key!r} is not one of {keys}"
-    assert set(aggs.values()) <= {"sum", "min", "max"}, aggs
+
+def keyed_agg(ds: "ray.data.Dataset", keys: list, aggs: dict
+              ) -> "ray.data.Dataset":
+    """Fold partial aggregates per ``keys`` (any column types): ``aggs``
+    maps each column to ``"sum"``, ``"min"`` or ``"max"``, and the output
+    has the ``keys`` columns, then the ``aggs`` columns under their own
+    names and types (empty ``aggs``: the distinct keys). Every row of
+    one key lands in one of :data:`KEYED_AGG_PARTS` parts
+    (:func:`add_part`), and one pandas groupby per part folds it whole.
+    For keys sized by the data."""
+    assert set(aggs.values()) <= _OPS, aggs
 
     def fold(df):
+        if not aggs:
+            return df[keys].drop_duplicates()
         return df.groupby(keys, as_index=False, sort=False).agg(aggs)
 
-    return fold_by_part(ds, part_key, fold)
+    return fold_by_part(ds, keys, fold)
 
 
 def collect(ds: "ray.data.Dataset", cols: dict) -> "pd.DataFrame":
@@ -141,6 +167,85 @@ def collect(ds: "ray.data.Dataset", cols: dict) -> "pd.DataFrame":
     if len(df) == 0:
         return pa.schema(cols).empty_table().to_pandas()
     return df
+
+
+def count_col(name: str) -> Callable[[pa.Table], pa.Table]:
+    """Batch function appending the int64 column ``name`` of ones: a row
+    count, folded as a ``"sum"``."""
+
+    def batch(t: pa.Table) -> pa.Table:
+        return t.append_column(name, pa.array(np.ones(t.num_rows, np.int64)))
+
+    return batch
+
+
+COLLECT_CHUNK_ROWS = 1 << 20  # partial rows the driver folds at once
+
+# domain sizes callers pass as collect_agg's max_rows
+MAX_DAYS = 36_600  # calendar days: a century
+MAX_TYPES = 256  # event types, brands, segments, priorities, languages
+# distinct values of a per-group count: k distinct counts need at least
+# k(k+1)/2 rows, so 2^20 of them take 5e11 rows
+MAX_COUNT_VALUES = 1 << 20
+
+
+def _reduce(t: pa.Table, keys: list, aggs: dict) -> pa.Table:
+    """One row per ``keys`` value of ``t``: the ``aggs`` columns folded
+    under their own names, after the key columns."""
+    out = t.group_by(keys, use_threads=False).aggregate(list(aggs.items()))
+    return out.select([*keys, *(f"{c}_{op}" for c, op in aggs.items())]
+                      ).rename_columns([*keys, *aggs])
+
+
+def collect_agg(ds: "ray.data.Dataset", keys: list, aggs: dict,
+                max_rows: int) -> "pd.DataFrame":
+    """Fold partial aggregates per ``keys`` into one pandas frame on the
+    driver: ``aggs`` maps each column to ``"sum"``, ``"min"`` or
+    ``"max"``, as in :func:`keyed_agg`. The workers reduce each batch to
+    one row per key; the driver folds those partials in
+    :data:`COLLECT_CHUNK_ROWS`-row chunks and raises ``ValueError`` as
+    soon as the result passes ``max_rows`` (the key's domain size, which
+    the caller states). ``keys=[]`` folds the whole dataset into one row
+    (null aggregates when it has no rows).
+
+    The frame has the key and aggregate columns even when it has no rows:
+    their types come from the first non-empty partial, else from
+    ``ds.schema()``, else int64."""
+    assert set(aggs.values()) <= _OPS, aggs
+    keys, cols = list(keys), [*keys, *aggs]
+
+    def reduce(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return t
+        return _reduce(t.select(cols), keys, aggs)
+
+    def fold(parts: list) -> pa.Table:
+        out = _reduce(pa.concat_tables(parts), keys, aggs)
+        if out.num_rows > max_rows:
+            raise ValueError(
+                f"collect_agg over {keys}: more than max_rows={max_rows} "
+                f"keys ({out.num_rows} so far)")
+        return out
+
+    acc, n_acc = [], 0
+    for b in ds.map_batches(reduce, batch_format="pyarrow").iter_batches(
+            batch_format="pyarrow", batch_size=None):
+        if b.num_rows == 0:
+            continue
+        b = b.select(cols)
+        acc.append(b.cast(acc[0].schema) if acc else b)
+        n_acc += b.num_rows
+        if n_acc > COLLECT_CHUNK_ROWS:
+            acc = [fold(acc)]
+            n_acc = acc[0].num_rows
+    if acc:
+        return fold(acc).to_pandas()
+    src = ds.schema()  # no rows: the input's types, if it has the columns
+    names = getattr(src, "names", None) or []
+    types = ([src.types[names.index(c)] for c in cols]
+             if set(cols) <= set(names) else [pa.int64()] * len(cols))
+    return _reduce(pa.schema(list(zip(cols, types))).empty_table(), keys,
+                   aggs).to_pandas()
 
 
 _SIDES: dict = {}
