@@ -79,6 +79,12 @@ def entry() -> Any:
 # driver fold: arrival_dispersion, round_bias, user_lifespan_hist,
 # transition_latency, anomaly_mad, volume_rhythm, vocab_top20 and
 # cooc_pairs.
+# Round 10: those eight round-9 slots rotate out for eight never-gated
+# queries whose Ray group-bys now all go through skeletons.fold_by_part
+# (or keyed_agg on it): hod_median and daily_value_bands (one fold over
+# the per-batch histogram partials), neardup_raretok (keyed_agg over its
+# signatures), max_quiet, inverted_index, window_copairs,
+# bigram_diversity and retention_cohorts.
 _PRIORITY = [
     # core §2 pins
     "rollup_t1", "rollup_t3", "rollup_t6", "source_stats", "store_stats",
@@ -87,10 +93,11 @@ _PRIORITY = [
     "parseval_ok", "resample64", "bandpass_coarse", "scale_energy",
     "fft_magnitude", "dwt_haar", "tier_pick", "dau_mau", "normalize",
     "cross_source_diff", "peak_concurrency",
-    # first-time-gated queries (round 9 rotation)
-    "arrival_dispersion", "round_bias", "user_lifespan_hist",
-    "transition_latency", "supplier_hhi", "anomaly_mad",
-    "repurchase_interval", "volume_rhythm", "vocab_top20", "cooc_pairs",
+    # first-time-gated queries (round 10 rotation)
+    "hod_median", "daily_value_bands", "neardup_raretok",
+    "max_quiet", "supplier_hhi", "inverted_index",
+    "repurchase_interval", "window_copairs", "bigram_diversity",
+    "retention_cohorts",
     # late core additions + the join family
     "store_refresh", "drawdown",
     "mann_kendall", "profit_by_nation_year", "dedup_incremental",

@@ -79,12 +79,13 @@ def _compare(got, want) -> str | None:
 def _warm_up(n_cpus: int) -> float:
     """Start one Ray worker per CPU slot, each importing the query
     modules, and run the operators most queries use once (a pandas
-    ``map_batches``, a ``collect_agg`` driver fold, a ``map_groups``
+    ``map_batches``, a ``collect_agg`` driver fold, a ``fold_by_part``
     fold): the start-up every query would otherwise charge to whichever
     runs first. Returns its seconds."""
     import ray.data
 
-    from wavelet_decomposition_ray.pipelines.skeletons import collect_agg
+    from wavelet_decomposition_ray.pipelines.skeletons import (collect_agg,
+                                                                fold_by_part)
 
     def touch(df):
         import wavelet_decomposition_ray.pipelines.queries  # noqa: F401
@@ -99,7 +100,7 @@ def _warm_up(n_cpus: int) -> float:
     ds = ray.data.range(1024 * n_cpus, override_num_blocks=n_cpus) \
         .map_batches(touch, batch_format="pandas").materialize()
     collect_agg(ds, ["k"], {"x": "sum"}, 7)
-    ds.groupby("k").map_groups(fold, batch_format="pandas").to_pandas()
+    fold_by_part(ds, "k", fold).to_pandas()
     return round(time.time() - t0, 2)
 
 

@@ -2175,7 +2175,9 @@ def test_dedup_incremental_bucket_join():
 
     class _Probe:
         def map_batches(self, fn, **kw):
-            captured["tag"] = fn
+            # the query's own tag runs first; fold_by_part's part column
+            # follows it
+            captured.setdefault("tag", fn)
             return self
 
         def groupby(self, key):
@@ -2790,6 +2792,35 @@ def test_late_events_cross_bucket_prefix(tmp_path):
     assert int(out.loc["b", "n_late"]) == 2
     assert int(out.loc["b", "max_late_us"]) == 10 * 3_600_000_000
     assert int(out.loc["b", "sum_late_us"]) == 18 * 3_600_000_000
+
+
+def test_seeded_lateness_of_a_part_with_non_adjacent_buckets():
+    """A fold part of the arrival bucket holds every 32nd bucket (here 3,
+    35 and 67): seeded by each bucket's exclusive prefix max, its
+    lateness equals a brute-force running max over the whole stream."""
+    import pandas as pd
+
+    from wavelet_decomposition_ray.pipelines import queries as cq
+    from wavelet_decomposition_ray.pipelines import skeletons as sk
+
+    rng = np.random.default_rng(7)
+    n_buckets = 70
+    eid = np.sort(rng.choice(n_buckets << cq.LATE_BUCKET_BITS, 20_000,
+                             replace=False)).astype(np.int64)
+    ts = rng.integers(0, 10**12, len(eid)).astype(np.int64)
+    want = np.maximum.accumulate(ts) - ts
+    bkt = eid >> cq.LATE_BUCKET_BITS
+    pref = {b: int(ts[bkt < b].max()) if (bkt < b).any() else cq._ARRIVAL_NEG
+            for b in range(n_buckets)}
+    parts = sk.add_part(pa.table({"bucket": bkt}), "bucket",
+                        sk.KEYED_AGG_PARTS)["part"].to_numpy()
+    rows = np.flatnonzero(parts == 3)
+    assert set(bkt[rows].tolist()) == {3, 35, 67}
+    part = pd.DataFrame({"event_id": eid[rows],
+                         "ts": ts[rows].astype("datetime64[us]")})
+    late = cq._seeded_lateness(part, pref)
+    assert late.tolist() == want[rows].tolist()
+    assert late.min() >= 0 and late.max() > 0
 
 
 def test_daily_top_types_tiebreak(tmp_path):

@@ -278,24 +278,52 @@ def test_broadcast_dim_string_keys_and_payloads_round_trip(ray_session):
 
 
 _QUERY_MODULES = ("queries.py", "data_queries.py")
+_PIPELINES = os.path.dirname(sk.__file__)
+_FUNCTIONS = os.path.join(os.path.dirname(_PIPELINES), "functions")
+_FUNCTION_MODULES = tuple(sorted(
+    f for f in os.listdir(_FUNCTIONS) if f.endswith(".py")))
+_SCANNED = (*_QUERY_MODULES, "rollup_pipeline.py", *_FUNCTION_MODULES)
 
 
-@pytest.mark.parametrize("module",
-                         [*_QUERY_MODULES, "rollup_pipeline.py"])
+def _source(module: str) -> str:
+    """Source of a ``pipelines/`` module, else of a ``functions/`` one."""
+    path = os.path.join(_PIPELINES, module)
+    if not os.path.exists(path):
+        path = os.path.join(_FUNCTIONS, module)
+    return open(path).read()
+
+
+@pytest.mark.parametrize("module", _SCANNED)
 def test_query_modules_aggregate_only_through_the_skeletons(module):
     """No Ray Data hash aggregate: no ``ray.data.aggregate`` import, no
     ``Dataset.aggregate(...)`` of aggregate functions, no
-    ``groupby(...).count()`` and no ``.sum([...])``."""
-    path = os.path.join(os.path.dirname(sk.__file__), module)
-    src = open(path).read()
+    ``groupby(...).count()``, no ``.sum([...])`` and no ``.sum("col")``
+    (``Dataset.sum`` of a column)."""
+    src = _source(module)
     banned = [r"ray\.data\.aggregate",
               r"\.aggregate\(\s*\*?\[?\s*"
               r"(Sum|Min|Max|Count|Mean|Std|AggregateFn)\b",
               r"\.groupby\([^()]*\)\s*\.(count\(\)|sum\(\s*\")",
-              r"\.sum\(\s*\["]
+              r"\.sum\(\s*[\[\"']"]
     for pat in banned:
         hit = re.search(pat, src)
         assert hit is None, f"{module}: {hit.group(0)!r}"
+
+
+def test_package_groups_only_through_fold_by_part():
+    """``skeletons.fold_by_part`` is the package's only Ray group-by: no
+    ``.map_groups(`` and no ``num_partitions=`` in the query modules, the
+    flagship pipeline or ``functions/``, and one ``.map_groups(`` in
+    ``skeletons.py``, inside ``fold_by_part``."""
+    hits = [f"{module}:{src.count(chr(10), 0, m.start()) + 1}: {m.group(0)}"
+            for module in _SCANNED for src in [_source(module)]
+            for m in re.finditer(r"\.map_groups\(|num_partitions=", src)]
+    assert hits == [], hits
+    sk_src = _source("skeletons.py")
+    assert sk_src.count(".map_groups(") == 1
+    fold = sk_src[sk_src.index("def fold_by_part("):]
+    fold = fold[:fold.index("\ndef ")]
+    assert ".map_groups(" in fold and "num_partitions=" not in sk_src
 
 
 @pytest.mark.parametrize("module", _QUERY_MODULES)
@@ -303,8 +331,7 @@ def test_query_modules_join_only_through_broadcast_dim(module):
     """Key joins go through ``broadcast_dim``: no foreign-key ``assert``
     (``python -O`` strips it, and a dangling key then takes its
     neighbour's row) and no hand-clamped ``searchsorted`` probe."""
-    path = os.path.join(os.path.dirname(sk.__file__), module)
-    src = open(path).read()
+    src = _source(module)
     banned = [r"assert[^\n]*\\?\n?[^\n]*(dangling|violates[^\n]*FK)",
               r"np\.minimum\(np\.searchsorted\(",
               r"idx\[idx >= len\("]

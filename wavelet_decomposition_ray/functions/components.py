@@ -9,9 +9,10 @@ over the guard, :func:`propagate_min_labels` runs the same computation
 DISTRIBUTED: iterative min-label propagation (each node takes the min label
 over itself and its neighbours) plus pointer jumping (label <- label(label),
 halving path lengths), so convergence is O(log diameter) rounds rather than
-O(diameter). All wide steps are coarse-partition pandas folds (never one
-Ray group per node — the micro-group trap, and never Acero joins — they
-crash on the empty hash partitions converged label tables produce).
+O(diameter). All wide steps are ``skeletons.fold_by_part`` pandas folds
+over coarse partitions (never one Ray group per node — the micro-group
+trap, and never Acero joins — they crash on the empty hash partitions
+converged label tables produce).
 """
 
 from __future__ import annotations
@@ -19,19 +20,12 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+import ray
+
+from ..pipelines.skeletons import collect_agg, fold_by_part
+
 MAX_DRIVER_PAIRS = 5_000_000
-_CC_PARTS = 16
-
-
-def _shuffle_parts() -> int:
-    """Shuffle partition count for the label-propagation groupbys: capped
-    LOW — the loop runs O(log diameter) shuffles back-to-back and each
-    hash-shuffle's aggregator pool reserves CPUs; uncapped defaults queue
-    minutes of aggregator churn on a small cluster."""
-    import ray
-
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(2, min(8, ncpu // 2))
+_CC_PARTS = 16  # fold_by_part parts of each label-propagation fold
 
 
 def _snap(ds):
@@ -47,47 +41,30 @@ def _snap(ds):
 
 
 def _fold_min_label(ds):
-    """(node, label) rows -> per-node min label, via coarse hash partitions
-    with ONE pandas groupby per partition."""
-
-    def add_part(t: pa.Table) -> pa.Table:
-        n = t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column(
-            "part", pa.array(((n % _CC_PARTS) + _CC_PARTS) % _CC_PARTS,
-                             type=pa.int32())
-        )
+    """(node, label) rows -> per-node min label, via coarse partitions of
+    ``node`` with ONE pandas groupby per partition."""
 
     def fold(df):
         out = df.groupby("node", as_index=False)["label"].min()
         out["label"] = out["label"].astype(np.int64)
         return out
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part", num_partitions=_shuffle_parts())
-        .map_groups(fold, batch_format="pandas")
-    )
+    return fold_by_part(ds, "node", fold, _CC_PARTS)
 
 
 def _keyed_lookup(req_ds, svc_ds):
     """Distributed lookup without Acero: requests (key, val=requester) meet
-    services (key, val=answer, one row per key) inside coarse hash
-    partitions of ``key``; ONE pandas merge per partition emits
+    services (key, val=answer, one row per key) inside coarse partitions
+    of ``key``; ONE pandas merge per partition emits
     (node=requester, label=answer). Dataset.join hash-partitions by key and
     crashes on the empty (schemaless) partitions that converged label
     tables produce — partition folds never see empty groups."""
 
     def tag(side):
         def f(t: pa.Table) -> pa.Table:
-            k = t["key"].to_numpy(zero_copy_only=False).astype(np.int64)
             return pa.table(
-                {
-                    "key": t["key"],
-                    "val": t["val"],
-                    "side": pa.array(np.full(len(k), side, dtype=np.int8)),
-                    "part": pa.array(((k % _CC_PARTS) + _CC_PARTS)
-                                     % _CC_PARTS, type=pa.int32()),
-                }
+                {"key": t["key"], "val": t["val"],
+                 "side": pa.array(np.full(t.num_rows, side, dtype=np.int8))}
             )
 
         return f
@@ -104,9 +81,13 @@ def _keyed_lookup(req_ds, svc_ds):
         out["label"] = out["label"].astype(np.int64)
         return out
 
-    return both.groupby("part", num_partitions=_shuffle_parts()).map_groups(
-        fold, batch_format="pandas"
-    )
+    return fold_by_part(both, "key", fold, _CC_PARTS)
+
+
+def _label_sum(labels) -> int:
+    """Sum of the label column (labels only decrease, so an unchanged sum
+    is the fixpoint)."""
+    return int(collect_agg(labels, [], {"label": "sum"}, 1)["label"].iloc[0])
 
 
 def propagate_min_labels(pairs_ds, max_iters: int = 64):
@@ -149,7 +130,7 @@ def propagate_min_labels(pairs_ds, max_iters: int = 64):
     labels = _snap(_fold_min_label(
         edges.map_batches(init_labels, batch_format="pyarrow")
     ))
-    prev_sum = labels.sum("label")
+    prev_sum = _label_sum(labels)
 
     def as_svc(t: pa.Table) -> pa.Table:
         return pa.table({"key": t["node"], "val": t["label"]})
@@ -157,14 +138,16 @@ def propagate_min_labels(pairs_ds, max_iters: int = 64):
     def as_jump_req(t: pa.Table) -> pa.Table:
         return pa.table({"key": t["label"], "val": t["node"]})
 
-    np_ = _shuffle_parts()
+    # label blocks kept per round: few, and at most one per two CPUs
+    ncpu = int(ray.cluster_resources().get("CPU", 8))
+    np_ = max(2, min(8, ncpu // 2))
     for _ in range(max_iters):
         svc = labels.map_batches(as_svc, batch_format="pyarrow")
         # (1) neighbour min: edge (src, dst) ships label(src) to node dst.
         # NB each shuffle runs in its OWN materialized plan (two chained
         # shuffle groupbys in one plan deadlock a small cluster — the
         # pool-sizing landmine, SURVEY.md §4.2.3), and the label table is
-        # REPARTITIONED each round: groupby().map_groups() emits roughly
+        # REPARTITIONED each round: a fold's sort shuffle emits roughly
         # one output block per input block, so without the coalesce the
         # block count compounds ~4x per round (measured 6 -> 426 by round
         # 3) and scheduling cost, not data, dominates.
@@ -175,7 +158,7 @@ def propagate_min_labels(pairs_ds, max_iters: int = 64):
         req = labels.map_batches(as_jump_req, batch_format="pyarrow")
         jumped = _snap(_keyed_lookup(req, svc))
         labels = _snap(_fold_min_label(jumped).repartition(np_))
-        cur_sum = labels.sum("label")
+        cur_sum = _label_sum(labels)
         if cur_sum == prev_sum:
             return labels
         prev_sum = cur_sum

@@ -85,7 +85,7 @@ def lsh_code_batch(batch: pa.Table, n_planes: int = 12, seed: int = 11) -> pa.Ta
 
 
 def pairs_within_group(group, threshold: float):
-    """map_groups fn: exact cosine over one LSH bucket, emit pairs >= τ."""
+    """Exact cosine over one LSH bucket's rows, emit pairs >= τ."""
     import pandas as pd
 
     m = normalize_rows(np.stack(group["embedding"].to_numpy()))

@@ -327,9 +327,8 @@ def _dropped_dup_ids(sf_dir: str) -> np.ndarray:
     """Distributed exact-dedup NON-survivor extraction: a cheap length-
     histogram pass prunes docs whose byte length is globally unique (they
     cannot be duplicates — on natural corpora most long docs), then the
-    md5 pass hashes only length-colliding docs (digest-derived coarse
-    partition key computed in the same loop), one keyed exchange of
-    (part, content_hash, doc_id), and a pandas fold per partition emits
+    md5 pass hashes only length-colliding docs, one keyed exchange of
+    (content_hash, doc_id), and a pandas fold per partition emits
     ids != per-hash min. The result is duplicates-only — << corpus at any
     scale — which is what makes broadcasting it safe at 10^12 docs,
     unlike the survivor set (one id per DISTINCT content ≈ corpus-sized)
@@ -339,9 +338,9 @@ def _dropped_dup_ids(sf_dir: str) -> np.ndarray:
     pass costs more than the md5 it saves (fixed per-execution overhead
     dominates at toy scale), so small corpora hash everything in one
     pass; large ones prune first."""
-    n_parts = 4 * _join_parts()
     n_docs = _docs(sf_dir, columns=("doc_id",)).count()  # parquet metadata
 
+    lens = None
     if n_docs > DEDUP_PRUNE_THRESHOLD:
         dup_lens = _collided_lengths(sf_dir)
         if len(dup_lens) == 0:
@@ -351,20 +350,15 @@ def _dropped_dup_ids(sf_dir: str) -> np.ndarray:
             return np.empty(0, dtype=np.int64)
         lens = broadcast_dim(dup_lens, "collided lengths")
 
-        def hash_fn(t: pa.Table) -> pa.Table:
+    def hash_fn(t: pa.Table) -> pa.Table:
+        if lens is not None:
             t = t.filter(pa.array(lens.member(pc.utf8_length(t["text"]))))
-            return dd.exact_hash_part_batch(t, n_parts)
-    else:
-        def hash_fn(t: pa.Table) -> pa.Table:
-            return dd.exact_hash_part_batch(t, n_parts)
+        return dd.exact_hash_batch(t).select(["doc_id", "content_hash"])
 
-    dropped = (
-        _docs(sf_dir)
-        .map_batches(hash_fn, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(dd.non_survivor_fold, batch_format="pandas")
-        .to_pandas()
-    )
+    dropped = fold_by_part(
+        _docs(sf_dir).map_batches(hash_fn, batch_format="pyarrow"),
+        "content_hash", dd.non_survivor_fold, 4 * _join_parts(),
+    ).to_pandas()
     if len(dropped) == 0:
         return np.empty(0, dtype=np.int64)
     return np.sort(dropped["doc_id"].to_numpy().astype(np.int64))
@@ -785,7 +779,7 @@ def q_ngram_jaccard(sf_dir: str):
 
 
 def _gram_mass_fold(df):
-    """map_groups fn over a coarse gram partition: candidate-pair mass
+    """Fold over a coarse gram partition: candidate-pair mass
     C(df,2) per gram, split into kept (df <= GRAM_DF_CAP) vs dropped —
     the recall audit for the DF cap (gram determines partition, and
     per-doc gram sets are distinct, so partition-local df IS global df)."""
@@ -974,8 +968,8 @@ def q_knn_cosine_multi(sf_dir: str):
     """Batched similarity search — the realistic serving shape: top-10 per
     query for a BATCH of query vectors, via ONE broadcast query matrix and
     one matmul per data batch (scores all queries simultaneously), local
-    top-10 per (batch, query), then a per-query finish over the tiny
-    candidate set (3 groups — not a micro-group risk)."""
+    top-10 per (batch, query), then a per-query finish on the driver over
+    the candidate set (batches x queries x 10 rows)."""
     rows = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet",
         columns=["vec_id", "embedding"],
@@ -989,13 +983,12 @@ def q_knn_cosine_multi(sf_dir: str):
     ds = _emb(sf_dir).map_batches(
         sim.CosineTopK(q_ref, qids), batch_format="pyarrow", batch_size=512
     )
-    cand = ds.map_batches(_local_topk_per_query(10), batch_format="pyarrow")
-
-    def finish(t: pa.Table) -> pa.Table:
-        out = _local_topk_per_query(10)(t)
-        return out.select(["query_id", "vec_id", "cos_sim"])
-
-    return cand.groupby("query_id").map_groups(finish, batch_format="pyarrow")
+    topk = _local_topk_per_query(10)
+    cols = {"vec_id": pa.int64(), "query_id": pa.int64(),
+            "cos_sim": pa.float64()}
+    cand = collect(ds.map_batches(topk, batch_format="pyarrow"), cols)
+    return topk(pa.Table.from_pandas(cand[list(cols)], preserve_index=False)
+                ).select(["query_id", "vec_id", "cos_sim"])
 
 
 KNN_MULTI_SQL = (
@@ -1246,7 +1239,7 @@ def q_embed_dedup_lsh(sf_dir: str):
     cos 0.4 vs ~0.004 for the full 12-bit code — the reason dedup must
     band, not bucket). Only same-(band, code) candidates are exactly
     scored, so compute is O(sum bucket^2) per band instead of O(N^2);
-    cross-band duplicate pairs collapse in a pairs-sized groupby. Recall
+    cross-band duplicate pairs collapse in a pairs-sized keyed fold. Recall
     < 1 BY DESIGN (candidates missed by every band); the recall vs the
     exact join is pytest-pinned on the gate corpus and the exact path
     stays available as q_embed_dedup."""
@@ -1260,30 +1253,28 @@ def q_embed_dedup_lsh(sf_dir: str):
         codes = t["lsh_bucket"].to_numpy(zero_copy_only=False)
         n = len(codes)
         rep = t.take(pa.array(np.repeat(np.arange(n), B)))
-        band = np.tile(np.arange(B, dtype=np.int32), n)
+        band = np.tile(np.arange(B, dtype=np.int64), n)
         band_code = (np.repeat(codes, B) >> (band * r)) & ((1 << r) - 1)
         return pa.table(
             {
                 "vec_id": rep["vec_id"],
                 "embedding": rep["embedding"],
-                "band": pa.array(band),
-                "code": pa.array(band_code.astype(np.int32)),
+                # the (band, code) bucket as one int: band-major
+                "bucket": pa.array((band << r) | band_code),
             }
         )
 
-    def pair_bucket(df: "pd.DataFrame") -> "pd.DataFrame":
-        return sim.pairs_within_group(df, EMBED_TAU)
+    def pair_buckets(df: "pd.DataFrame") -> "pd.DataFrame":
+        return pd.concat([sim.pairs_within_group(g, EMBED_TAU)
+                          for _, g in df.groupby("bucket", sort=False)],
+                         ignore_index=True)
 
-    pairs = (
-        coded.map_batches(explode_bands, batch_format="pyarrow")
-        .groupby(["band", "code"])
-        .map_groups(pair_bucket, batch_format="pandas")
-    )
+    pairs = fold_by_part(
+        coded.map_batches(explode_bands, batch_format="pyarrow"),
+        "bucket", pair_buckets)
     # a pair found in k bands appears k times with identical cos — the
     # dedup exchange is pairs-sized (<< corpus)
-    return pairs.groupby(["vec_a", "vec_b"]).map_groups(
-        lambda df: df.head(1), batch_format="pandas"
-    )
+    return keyed_agg(pairs, ["vec_a", "vec_b"], {"cos_sim": "min"})
 
 
 def _embed_dedup_lsh_sql(dim: int = 64, n_planes: int = 12,
@@ -1611,9 +1602,8 @@ def q_top_docs_per_lang(sf_dir: str):
     """Top-``k`` documents per language by (n_chars DESC, doc_id ASC) — the
     distributed grouped-top-k pattern: each batch keeps only its local
     top-k per lang (a superset of the global winners under the same total
-    order), so the groupby shuffles at most ``k x langs`` rows per batch
-    instead of the corpus; the final per-group fold re-ranks the
-    candidates."""
+    order), so the driver collects at most ``k x langs`` rows per batch
+    instead of the corpus and re-ranks them."""
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
     )
@@ -1626,21 +1616,12 @@ def q_top_docs_per_lang(sf_dir: str):
             .head(TOPK_PER_LANG)
         )
 
-    def final_topk(df):
-        out = (
-            df.sort_values(["n_chars", "doc_id"], ascending=[False, True],
-                           kind="mergesort")
-            .head(TOPK_PER_LANG)
-            .reset_index(drop=True)
-        )
-        out["rank"] = np.arange(1, len(out) + 1, dtype=np.int64)
-        return out
-
-    return (
-        ds.map_batches(partial_topk, batch_format="pandas", batch_size=1024)
-        .groupby("lang")
-        .map_groups(final_topk, batch_format="pandas")
-    )
+    out = partial_topk(collect(
+        ds.map_batches(partial_topk, batch_format="pandas", batch_size=1024),
+        {"doc_id": pa.int64(), "lang": pa.string(), "n_chars": pa.int64()}
+    )).reset_index(drop=True)
+    out["rank"] = out.groupby("lang").cumcount().astype(np.int64) + 1
+    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 TOP_DOCS_SQL = (
@@ -3226,15 +3207,12 @@ TREND_SQL = (
 )
 
 
-N_INDEX_PARTS = 32
-
-
 def q_inverted_index(sf_dir: str):
     """Inverted-index construction (word -> sorted posting list + df) —
     the search/retrieval index build step.  Per-batch DISTINCT (doc, word)
     pairs (each doc is one row, so batch-distinct is globally distinct)
-    hash into N_INDEX_PARTS coarse partitions on md5-u64(word) — never one
-    Ray group per word — and each partition folds its whole vocabulary
+    fold by coarse partitions of ``word`` — never one Ray group per
+    word — and each partition folds its whole vocabulary
     slice with one pandas groupby: df = pair count, postings = doc ids
     joined ascending.  The only shuffle is the distinct pair exchange; a
     word's postings live wholly in one partition, so the fold is globally
@@ -3254,17 +3232,10 @@ def q_inverted_index(sf_dir: str):
         g = pd.DataFrame(
             {"doc": np.repeat(ids, lens), "word": flat}
         ).drop_duplicates()
-        uniq = g["word"].unique()
-        part = {
-            w: dd._stable_u64(f"idx:{w}") % N_INDEX_PARTS for w in uniq
-        }
         return pa.table(
             {
                 "doc": pa.array(g["doc"].to_numpy()),
                 "word": pa.array(g["word"].to_numpy(), type=pa.string()),
-                "part": pa.array(
-                    g["word"].map(part).to_numpy().astype(np.int32)
-                ),
             }
         )
 
@@ -3277,12 +3248,9 @@ def q_inverted_index(sf_dir: str):
         out["df"] = out["df"].astype(np.int64)
         return out
 
-    return (
-        _docs(sf_dir)
-        .map_batches(pairs, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pandas")
-    )
+    return fold_by_part(
+        _docs(sf_dir).map_batches(pairs, batch_format="pyarrow"), "word",
+        fold)
 
 
 INVERTED_INDEX_SQL = (
@@ -3469,8 +3437,8 @@ def q_sample_per_source(sf_dir: str):
     smallest salted splitmix64 hash — a fixed-size, growth-stable,
     re-derivable sample per stratum (the eyeball-sample / eval-slice
     builder of a data-curation pipeline). Per-batch local top-K per
-    source, then one tiny source-keyed final fold: the exchange is
-    O(batches x sources x K) regardless of corpus size."""
+    source, then the same top-K on the driver over those partials:
+    O(batches x sources x K) rows regardless of corpus size."""
     import pandas as pd
 
     ds = _docs(sf_dir, columns=("doc_id", "source", "n_chars"))
@@ -3484,17 +3452,13 @@ def q_sample_per_source(sf_dir: str):
         df = df.sort_values(["source", "rk", "doc_id"], kind="mergesort")
         return df.groupby("source", sort=False).head(k)
 
-    def final(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.sort_values(["rk", "doc_id"], kind="mergesort").head(k)
-        out = df[["source", "doc_id", "n_chars"]].reset_index(drop=True)
-        out["rank"] = np.arange(1, len(out) + 1, dtype=np.int64)
-        return out
-
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=1024)
-        .groupby("source")
-        .map_groups(final, batch_format="pandas")
-    )
+    top = partial(collect(
+        ds.map_batches(partial, batch_format="pandas", batch_size=1024),
+        {"doc_id": pa.int64(), "source": pa.string(), "n_chars": pa.int64(),
+         "rk": pa.int64()}))
+    out = top[["source", "doc_id", "n_chars"]].reset_index(drop=True)
+    out["rank"] = out.groupby("source").cumcount().astype(np.int64) + 1
+    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 SAMPLE_PER_SOURCE_SQL = (
@@ -3862,7 +3826,6 @@ ANN_PQ_RERANK_SQL = (
 
 
 INCR_OLD_MOD = 4        # doc_id % 4 == 0 plays the existing snapshot
-INCR_BUCKETS = 64       # hash-partition fan-out for the local hash-join
 INCR_PREFIX = 64        # fingerprint the first N chars (boilerplate id)
 
 
@@ -3876,24 +3839,21 @@ def q_dedup_incremental(sf_dir: str) -> "ray.data.Dataset":
     old doc (min old id). Neither side is broadcastable (both are
     corpus-sized), so this is ONE hash-partitioned exchange of compact
     (md5, doc_id, is_old) rows — text never shuffles — followed by a
-    vectorized per-bucket hash-join (the old hashes as a ``sorted_dim``,
-    min-old-id per hash via the sorted-first trick). INCR_BUCKETS
-    scales with corpus size so each bucket fits a worker; matching at
-    md5 identity is the standard 100-TB trade (the oracle joins on
-    md5(prefix) too)."""
+    vectorized hash-join in each of 64 parts of the md5 (the old hashes
+    as a ``sorted_dim``, min-old-id per hash via the sorted-first trick);
+    the part count scales with corpus size so each part fits a worker.
+    Matching at md5 identity is the standard 100-TB trade (the oracle
+    joins on md5(prefix) too)."""
     import hashlib
 
     def tag(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         h = [hashlib.md5(s[:INCR_PREFIX].encode()).hexdigest()
              for s in t["text"].to_pylist()]
-        bucket = np.array([int(x[:4], 16) % INCR_BUCKETS for x in h],
-                          dtype=np.int64)
         return pa.table(
             {"h": pa.array(h, type=pa.string()),
              "doc_id": pa.array(ids),
-             "is_old": pa.array((ids % INCR_OLD_MOD == 0)),
-             "bucket": pa.array(bucket)}
+             "is_old": pa.array((ids % INCR_OLD_MOD == 0))}
         )
 
     def bucket_join(df):
@@ -3916,12 +3876,9 @@ def q_dedup_incremental(sf_dir: str) -> "ray.data.Dataset":
              "old_id": snap.lookup(nh[hit])["old_id"].astype(np.int64)}
         )
 
-    return (
-        _docs(sf_dir)
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_join, batch_format="pandas")
-    )
+    return fold_by_part(
+        _docs(sf_dir).map_batches(tag, batch_format="pyarrow"), "h",
+        bucket_join, 64)
 
 
 DEDUP_INCREMENTAL_SQL = (

@@ -353,41 +353,47 @@ def _source_token_hist(sf_dir: str, absolute: bool = False,
                      list(cols)[:-1], {"cnt": "sum"})
 
 
-def _token_counts(sf_dir: str, by_source: bool = True) -> "pd.DataFrame":
+def _token_counts(sf_dir: str, by_source: bool = True,
+                  absolute: bool = False) -> "pd.DataFrame":
     """:func:`_source_token_hist` collected on the driver, where the
     histogram finishes read it; a corpus without tokens gives zero rows
     that still carry the histogram's columns."""
-    return collect(_source_token_hist(sf_dir, by_source=by_source),
+    return collect(_source_token_hist(sf_dir, absolute=absolute,
+                                      by_source=by_source),
                    _hist_cols(by_source))
 
 
-def q_epn_quantiles(sf_dir: str) -> "ray.data.Dataset":
+def _per_source(hist: "pd.DataFrame", finish, cols: dict) -> pa.Table:
+    """``finish(source, rows)`` over each source's rows of a collected
+    histogram (sorted by ``tok``), concatenated in source order: the
+    ``cols`` schema's empty table when there are none."""
+    outs = [finish(src, h.sort_values("tok", kind="mergesort"))
+            for src, h in hist.groupby("source")]
+    return pa.concat_tables(outs) if outs else pa.schema(cols).empty_table()
+
+
+def q_epn_quantiles(sf_dir: str) -> "pa.Table":
     """Per-source satisfaction order statistics (calc_EPN.py:23-33), exact,
-    via the distributed value histogram (no whole-source sort)."""
+    via the distributed value histogram (no whole-source sort), finished
+    per source on the driver."""
 
-    def finish(group: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        g = group.to_pandas().sort_values("tok")
+    def finish(src: str, g: "pd.DataFrame") -> pa.Table:
         cum = g["cnt"].to_numpy().cumsum()
         n = int(cum[-1])
         toks = g["tok"].to_numpy()
-        sats, qs = [], []
-        for s in SATISFACTIONS:
-            k = max(int(np.ceil(s * n / 100.0)), 1)
-            qs.append(int(toks[int(np.searchsorted(cum, k))]))
-            sats.append(s)
+        qs = [int(toks[int(np.searchsorted(
+            cum, max(int(np.ceil(s * n / 100.0)), 1)))])
+            for s in SATISFACTIONS]
         return pa.table(
             {
-                "source": pa.array([group["source"][0].as_py()] * len(sats)),
-                "satisfaction": pa.array(sats, type=pa.int64()),
+                "source": pa.array([src] * len(qs), type=pa.string()),
+                "satisfaction": pa.array(SATISFACTIONS, type=pa.int64()),
                 "q": pa.array(qs, type=pa.int64()),
             }
         )
 
-    return _source_token_hist(sf_dir).groupby("source").map_groups(
-        finish, batch_format="pyarrow"
-    )
+    return _per_source(_token_counts(sf_dir), finish, {
+        "source": pa.string(), "satisfaction": pa.int64(), "q": pa.int64()})
 
 
 EPN_SQL = (
@@ -1943,23 +1949,28 @@ TOPK_TOKENS_SQL = (
 SATS_EPN = (80.0, 95.0, 99.0, 100.0)
 
 
-def _epn_rows_from_counts(group: pa.Table, sine: bool = False,
+EPN_FULL_COLS = {"source": pa.string(), "satisfaction": pa.int64(),
+                 "pmax": pa.float64(), "emax": pa.float64(),
+                 "n_cycles": pa.float64(), "uf": pa.float64(),
+                 "serv": pa.float64()}
+
+
+def _epn_rows_from_counts(src: str, g: "pd.DataFrame", sine: bool = False,
                           load_factor: float = 1.0) -> pa.Table:
-    """Finish calc_EPN from a per-source (|tok|, count) histogram, mirroring
-    :func:`oracle.epn_stats` (calc_EPN.py:12-42, veclength=n_years=1):
+    """Finish calc_EPN from one source's (|tok|, count) histogram ``g``
+    (sorted by ``tok``), mirroring :func:`oracle.epn_stats`
+    (calc_EPN.py:12-42, veclength=n_years=1):
     pmax = q*load_factor; emax = pmax/2 (*2/pi for the sine profile);
     n_cycles = sum(min(v, q))/q with the RAW order statistic q, computed
     EXACTLY in int64 from the counts (so it equals the SQL oracle's
     float-exact integer sums); uf = 100*n/(365*24); serv = emax*n."""
-    g = group.to_pandas().sort_values("tok")
     toks = g["tok"].to_numpy()
     c = g["cnt"].to_numpy()
     cum = c.cumsum()
     vc = (toks * c).cumsum()  # running sum of v*count, int64
     n = int(cum[-1])
     shape_mult = (2.0 / np.pi) if sine else 1.0
-    rows = {"source": [], "satisfaction": [], "pmax": [], "emax": [],
-            "n_cycles": [], "uf": [], "serv": []}
+    rows = {col: [] for col in EPN_FULL_COLS}
     for s in SATS_EPN:
         k = max(int(np.ceil(s * n / 100.0)), 1)
         i = int(np.searchsorted(cum, k))
@@ -1972,51 +1983,39 @@ def _epn_rows_from_counts(group: pa.Table, sine: bool = False,
             ncyc = float(min_sum) / float(qi)
         else:
             ncyc = 0.0
-        rows["source"].append(group["source"][0].as_py())
+        rows["source"].append(src)
         rows["satisfaction"].append(int(s))
         rows["pmax"].append(round(pmax, 6))
         rows["emax"].append(round(emax, 6))
         rows["n_cycles"].append(round(ncyc, 6))
         rows["uf"].append(round(100.0 * ncyc / (365.0 * 24.0), 6))
         rows["serv"].append(round(emax * ncyc, 6))
-    return pa.table(
-        {
-            "source": pa.array(rows["source"], type=pa.string()),
-            "satisfaction": pa.array(rows["satisfaction"], type=pa.int64()),
-            "pmax": pa.array(rows["pmax"], type=pa.float64()),
-            "emax": pa.array(rows["emax"], type=pa.float64()),
-            "n_cycles": pa.array(rows["n_cycles"], type=pa.float64()),
-            "uf": pa.array(rows["uf"], type=pa.float64()),
-            "serv": pa.array(rows["serv"], type=pa.float64()),
-        }
-    )
+    return pa.table({col: pa.array(v, type=EPN_FULL_COLS[col])
+                     for col, v in rows.items()})
 
 
-def q_epn_full(sf_dir: str) -> "ray.data.Dataset":
+def q_epn_full(sf_dir: str) -> "pa.Table":
     """Full calc_EPN statistics per source over |token| magnitudes
     (calc_EPN.py:12-42 with load_factor=veclength=n_years=1, square shape),
     exact, via the distributed value histogram (no whole-source sort)."""
-    return _source_token_hist(sf_dir, absolute=True).groupby(
-        "source"
-    ).map_groups(_epn_rows_from_counts, batch_format="pyarrow")
+    return _per_source(_token_counts(sf_dir, absolute=True),
+                       _epn_rows_from_counts, EPN_FULL_COLS)
 
 
 EPN_SINE_LOAD_FACTOR = 0.8
 
 
-def q_epn_full_sine(sf_dir: str) -> "ray.data.Dataset":
+def q_epn_full_sine(sf_dir: str) -> "pa.Table":
     """The reference's SINE-shape, physical-units EPN variant
     (calc_EPN.py:35-39: the 2/pi energy factor; :35 load_factor) — the
     endpoint round-1 users were missing (VERDICT "What's missing #2")."""
 
-    def finish(group: pa.Table) -> pa.Table:
-        return _epn_rows_from_counts(group, sine=True,
+    def finish(src: str, g: "pd.DataFrame") -> pa.Table:
+        return _epn_rows_from_counts(src, g, sine=True,
                                      load_factor=EPN_SINE_LOAD_FACTOR)
 
-    finish.__name__ = "epn_sine_finish"
-    return _source_token_hist(sf_dir, absolute=True).groupby(
-        "source"
-    ).map_groups(finish, batch_format="pyarrow")
+    return _per_source(_token_counts(sf_dir, absolute=True), finish,
+                       EPN_FULL_COLS)
 
 
 def _epn_sine_sql() -> str:
@@ -2561,39 +2560,16 @@ def q_distinct_users_daily(sf_dir: str) -> "pa.Table":
     makes partition-local dedup globally exact (each user lives in exactly
     one partition), (3) per-day partial counts sum in a tiny final groupby.
     No global distinct shuffle of raw events."""
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "user_id"]
-    )
-
-    def pairs(t: pa.Table) -> pa.Table:
-        u = t["ts"].to_numpy(zero_copy_only=False)
-        ts_us = u.astype("datetime64[us]").astype(np.int64)
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        day = ts_us // _DAY_US
-        if len(uid):
-            assert uid.min() >= 0 and uid.max() < (1 << (62 - _DAY_BITS)) and (
-                day.min() >= 0 and day.max() < (1 << _DAY_BITS)
-            ), "distinct_users_daily key packing out of range"
-        key = np.unique(uid * (1 << _DAY_BITS) + day)
-        return pa.table(
-            {
-                "key": key,
-                "part": ((key >> _DAY_BITS) % KEYED_AGG_PARTS
-                         ).astype(np.int32),
-            }
-        )
-
     def fold(df):
         import pandas as pd
 
-        key = np.unique(df["key"].to_numpy())
-        day, cnt = np.unique(key & ((1 << _DAY_BITS) - 1), return_counts=True)
+        day, cnt = np.unique(
+            df.drop_duplicates(["user_id", "day"])["day"].to_numpy(),
+            return_counts=True)
         return pd.DataFrame({"day": day, "n_users": cnt.astype(np.int64)})
 
     return pa.Table.from_pandas(collect_agg(
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pandas"),
+        fold_by_part(_user_day_partials(sf_dir), "user_id", fold),
         ["day"], {"n_users": "sum"}, MAX_DAYS), preserve_index=False)
 
 
@@ -2971,33 +2947,13 @@ def q_wau7(sf_dir: str) -> "pa.Table":
     7 covered window days by pure packed-key arithmetic (+0..+6 on the low
     bits) followed by one unique — per-user interval math with no per-user
     loop.  Only per-(window day) partial counts meet the final sum."""
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "user_id"]
-    )
-
-    def pairs(t: pa.Table) -> pa.Table:
-        u = t["ts"].to_numpy(zero_copy_only=False)
-        ts_us = u.astype("datetime64[us]").astype(np.int64)
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        day = ts_us // _DAY_US
-        if len(uid):
-            assert uid.min() >= 0 and uid.max() < (1 << (62 - _DAY_BITS)) and (
-                day.min() >= 0
-                and day.max() + WAU_WINDOW < (1 << _DAY_BITS)
-            ), "wau_7d key packing out of range"
-        key = np.unique(uid * (1 << _DAY_BITS) + day)
-        return pa.table(
-            {
-                "key": key,
-                "part": ((key >> _DAY_BITS) % KEYED_AGG_PARTS
-                         ).astype(np.int32),
-            }
-        )
-
     def fold(df):
         import pandas as pd
 
-        key = np.unique(df["key"].to_numpy())
+        day = df["day"].to_numpy()
+        assert day.max() + WAU_WINDOW < (1 << _DAY_BITS), \
+            "wau_7d key packing out of range"
+        key = np.unique(df["user_id"].to_numpy() * (1 << _DAY_BITS) + day)
         # each active (user, day) covers window-end days day..day+6; the
         # day index lives in the low bits, so the expansion is key + i
         covered = np.unique(
@@ -3009,9 +2965,7 @@ def q_wau7(sf_dir: str) -> "pa.Table":
         return pd.DataFrame({"wday": wday, "n_users": cnt.astype(np.int64)})
 
     return pa.Table.from_pandas(collect_agg(
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pandas"),
+        fold_by_part(_user_day_partials(sf_dir), "user_id", fold),
         ["wday"], {"n_users": "sum"}, MAX_DAYS + WAU_WINDOW),
         preserve_index=False)
 
@@ -3039,42 +2993,14 @@ def q_retention_cohorts(sf_dir: str) -> "pa.Table":
     per-(cohort, offset) partial counts; a tiny final groupby sums them.
     No raw-event shuffle, no driver-side user map — user cardinality never
     leaves the workers."""
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "user_id"]
-    )
-
-    def pairs(t: pa.Table) -> pa.Table:
-        ts_us = t["ts"].to_numpy(zero_copy_only=False).astype(
-            "datetime64[us]"
-        ).astype(np.int64)
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        day = ts_us // _DAY_US
-        if len(uid):
-            assert uid.min() >= 0 and uid.max() < (1 << (62 - _DAY_BITS)) and (
-                day.min() >= 0 and day.max() < (1 << _DAY_BITS)
-            ), "retention_cohorts key packing out of range"
-        key = np.unique(uid * (1 << _DAY_BITS) + day)
-        return pa.table(
-            {
-                "key": key,
-                "part": ((key >> _DAY_BITS) % KEYED_AGG_PARTS
-                         ).astype(np.int32),
-            }
-        )
-
     def fold(df):
         import pandas as pd
 
-        key = np.unique(df["key"].to_numpy())  # uid-major, day ascending
+        key = np.unique(df["user_id"].to_numpy() * (1 << _DAY_BITS)
+                        + df["day"].to_numpy())  # uid-major, day ascending
         uid = key >> _DAY_BITS
         day = key & ((1 << _DAY_BITS) - 1)
         n = len(key)
-        if n == 0:
-            return pd.DataFrame(
-                {"cohort_day": np.array([], dtype=np.int64),
-                 "day_offset": np.array([], dtype=np.int64),
-                 "n_users": np.array([], dtype=np.int64)}
-            )
         start = np.ones(n, dtype=bool)
         start[1:] = uid[1:] != uid[:-1]
         runs = np.diff(np.append(np.nonzero(start)[0], n))
@@ -3087,9 +3013,7 @@ def q_retention_cohorts(sf_dir: str) -> "pa.Table":
         )
 
     return pa.Table.from_pandas(collect_agg(
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pandas"),
+        fold_by_part(_user_day_partials(sf_dir), "user_id", fold),
         ["cohort_day", "day_offset"], {"n_users": "sum"}, MAX_DAY_PAIRS),
         preserve_index=False)
 
@@ -4282,13 +4206,8 @@ def seq_neardup_pairs(ds: "ray.data.Dataset"):
         sym = letters[np.searchsorted(b, flat, side="right")]
         n = len(off) - 1
         words = ["".join(sym[off[i]:off[i + 1]]) for i in range(n)]
-        # 8 ASCII letters == one uint64: the deterministic partition key
-        wu = np.frombuffer(
-            np.array(words, dtype="S8").tobytes(), dtype=np.uint64
-        )
         return pa.table(
             {"doc_id": t["doc_id"], "sax": pa.array(words),
-             "part": pa.array((wu % SEQ_NEARDUP_NPARTS).astype(np.int64)),
              "means": t["means"]}
         )
 
@@ -4352,9 +4271,7 @@ def seq_neardup_pairs(ds: "ray.data.Dataset"):
             )
         return pd.concat(outs, ignore_index=True)
 
-    return worded.groupby("part").map_groups(
-        part_pairs, batch_format="pandas"
-    )
+    return fold_by_part(worded, "sax", part_pairs, SEQ_NEARDUP_NPARTS)
 
 
 SEQ_NEARDUP_SQL = (
@@ -4937,8 +4854,7 @@ def q_order_priority_skewjoin(sf_dir: str) -> "pa.Table":
                 .agg(pn=("rev_u", "size"), prev=("rev_u", "sum"))
             )
             parts.append(pa.table(
-                {"part": pa.array(np.full(len(g), -1, np.int32)),
-                 "side": pa.array(np.full(len(g), 2, np.int8)),
+                {"side": pa.array(np.full(len(g), 2, np.int8)),
                  "okey": pa.array(np.zeros(len(g), np.int64)),
                  "rev_u": pa.array(g["prev"].to_numpy().astype(np.int64)),
                  "pn": pa.array(g["pn"].to_numpy().astype(np.int64)),
@@ -4948,8 +4864,7 @@ def q_order_priority_skewjoin(sf_dir: str) -> "pa.Table":
             ))
         cold = ~is_hot
         parts.append(pa.table(
-            {"part": pa.array((okey[cold] % KEYED_AGG_PARTS).astype(np.int32)),
-             "side": pa.array(np.zeros(int(cold.sum()), np.int8)),
+            {"side": pa.array(np.zeros(int(cold.sum()), np.int8)),
              "okey": pa.array(okey[cold]),
              "rev_u": pa.array(rev[cold]),
              "pn": pa.array(np.ones(int(cold.sum()), np.int64)),
@@ -4961,8 +4876,7 @@ def q_order_priority_skewjoin(sf_dir: str) -> "pa.Table":
     def tag_orders(t: pa.Table) -> pa.Table:
         okey = t["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
-            {"part": pa.array((okey % KEYED_AGG_PARTS).astype(np.int32)),
-             "side": pa.array(np.ones(len(okey), np.int8)),
+            {"side": pa.array(np.ones(len(okey), np.int8)),
              "okey": pa.array(okey),
              "rev_u": pa.array(np.zeros(len(okey), np.int64)),
              "pn": pa.array(np.zeros(len(okey), np.int64)),
@@ -5003,8 +4917,7 @@ def q_order_priority_skewjoin(sf_dir: str) -> "pa.Table":
         return out[["priority", "flag", "pn", "prev"]]
 
     return pa.Table.from_pandas(collect_agg(
-        li.union(orders).groupby("part").map_groups(
-            fold, batch_format="pandas"),
+        fold_by_part(li.union(orders), "okey", fold),
         ["priority", "flag"], {"pn": "sum", "prev": "sum"}, MAX_TYPES ** 2
     ).rename(columns={"pn": "n_items", "prev": "revenue_u"}),
         preserve_index=False)
@@ -5095,44 +5008,33 @@ def q_corpus_pack512(sf_dir: str) -> "ray.data.Dataset":
 
     ds = _seq_ds(sf_dir)
 
-    def addpart(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
-        part = np.array(
-            [_stable_u64(f"pack:{i}") % PACK_PARTS for i in ids],
-            dtype=np.int64,
-        )
-        return pa.table(
-            {"doc_id": t["doc_id"], "tokens": t["tokens"],
-             "part": pa.array(part, type=pa.int64())}
-        )
+    def add_shard(t: pa.Table) -> pa.Table:
+        shard = [_stable_u64(f"pack:{i}") % PACK_PARTS
+                 for i in t["doc_id"].to_pylist()]
+        return pa.table({"doc_id": t["doc_id"], "tokens": t["tokens"],
+                         "shard": pa.array(shard, type=pa.int64())})
 
     def fold(df):
         import pandas as pd
 
         df = df.sort_values("doc_id", kind="mergesort")
-        arrs = list(df["tokens"].to_numpy())
-        if not arrs:
-            return pd.DataFrame(
-                {c: np.array([], dtype=np.int64)
-                 for c in ("part", "chunk_idx", "n", "s")}
-            )
-        flat = np.concatenate(arrs).astype(np.int64)
+        flat = np.concatenate(list(df["tokens"].to_numpy())).astype(np.int64)
         total = len(flat)
         cuts = np.arange(0, total, PACK_CHUNK)
         return pd.DataFrame(
             {
-                "part": np.full(len(cuts), df["part"].iloc[0], dtype=np.int64),
+                "part": np.full(len(cuts), df["shard"].iloc[0],
+                                dtype=np.int64),
                 "chunk_idx": cuts // PACK_CHUNK,
                 "n": np.minimum(PACK_CHUNK, total - cuts),
                 "s": np.add.reduceat(flat, cuts),
             }
         )
 
-    return (
-        ds.map_batches(addpart, batch_format="pyarrow", batch_size=256)
-        .groupby("part")
-        .map_groups(fold, batch_format="pandas")
-    )
+    # a shard id is below PACK_PARTS, so each part holds one shard
+    return fold_by_part(
+        ds.map_batches(add_shard, batch_format="pyarrow", batch_size=256),
+        "shard", fold, PACK_PARTS)
 
 
 def _pack_sql() -> str:
@@ -7098,28 +7000,21 @@ def q_bigram_diversity(sf_dir: str) -> "pa.Table":
         skey = skey[within]
         uk, cnt = np.unique(skey, return_counts=True)
         src_names = np.array(srcs, dtype=object)[uk >> (2 * TOKEN_BITS)]
+        key = uk & ((1 << (2 * TOKEN_BITS)) - 1)
         return pa.table(
             {"source": pa.array(src_names, type=pa.string()),
-             "key": pa.array(uk & ((1 << (2 * TOKEN_BITS)) - 1)),
-             "cnt": pa.array(cnt.astype(np.int64))}
+             "key": pa.array(key),
+             "cnt": pa.array(cnt.astype(np.int64)),
+             # the fold's part key: spreads Zipf-hot b1 prefixes
+             "mix": pa.array((key >> TOKEN_BITS) ^ key)}
         )
 
     # A Ray hash aggregate here would walk millions of near-distinct
-    # (source, bigram) groups in Python (~100 s at sf0.01); instead fold
-    # inside COARSE hash partitions (the fold_by_part trick):
-    # every distinct (source, bigram) lands in exactly one part, so the
-    # within-part pandas groupby yields GLOBAL bigram counts and the
-    # per-source (total, unique, simpson) partials it emits are exact —
-    # the only Ray exchange is a 64-group sort, and the final groupby
-    # merges parts x sources rows.
-    n_parts = 64
-
-    def add_part(t: pa.Table) -> pa.Table:
-        key = t["key"].to_numpy(zero_copy_only=False)
-        mixed = (key >> TOKEN_BITS) ^ key  # spread Zipf-hot b1 prefixes
-        return t.append_column(
-            "part", pa.array((mixed % n_parts).astype(np.int32))
-        )
+    # (source, bigram) groups in Python (~100 s at sf0.01); instead
+    # every distinct (source, bigram) lands in exactly one of 64 parts
+    # of its mixed key, so the within-part pandas groupby yields GLOBAL
+    # bigram counts and the per-source (total, unique, simpson) partials
+    # it emits are exact; the final fold merges parts x sources rows.
 
     def fold(df: "pd.DataFrame") -> "pd.DataFrame":
         g = df.groupby(["source", "key"], as_index=False)["cnt"].sum()
@@ -7131,11 +7026,9 @@ def q_bigram_diversity(sf_dir: str) -> "pa.Table":
                            "simpson_num": np.int64})
 
     out = collect_agg(
-        map_docs(_seq_ds(sf_dir), partial, {
-            "source": pa.string(), "key": pa.int64(), "cnt": pa.int64()})
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pandas"),
+        fold_by_part(map_docs(_seq_ds(sf_dir), partial, {
+            "source": pa.string(), "key": pa.int64(), "cnt": pa.int64(),
+            "mix": pa.int64()}), "mix", fold, 64),
         ["source"], {"t_bigrams": "sum", "u_bigrams": "sum",
                      "simpson_num": "sum"}, rp.MAX_SOURCES)
     return pa.Table.from_pandas(out, preserve_index=False)
@@ -7763,7 +7656,6 @@ RSI_WINDOW_SQL = (
 
 
 LATE_BUCKET_BITS = 10   # arrival-order bucket = event_id >> 10
-LATE_PART_SHIFT = 5     # Ray group = 32 buckets (micro-group guard)
 LATE_MAX_BUCKETS = 1 << 22  # arrival buckets of 2^32 events
 MAX_LATENESS_MS = 86_400_000  # distinct lateness values: a day in ms
 
@@ -7802,28 +7694,27 @@ def _arrival_prefix_ref(ds: "ray.data.Dataset"):
     return ray.put(pref)
 
 
-def _add_arrival_part(t: pa.Table) -> pa.Table:
-    """Coarse arrival-partition column: 2^LATE_PART_SHIFT buckets per
-    Ray group, so seeds stay bucket-grained while the shuffle moves far
-    fewer groups (the sessionize micro-group lesson)."""
+def _add_arrival_bucket(t: pa.Table) -> pa.Table:
+    """The arrival-bucket column (event_id >> LATE_BUCKET_BITS) the
+    lateness folds partition on: a part holds whole buckets, so every
+    bucket's scan sees all of its rows."""
     eid, _ = _eid_ts_arrays(t)
-    return t.append_column(
-        "part", pa.array(eid >> (LATE_BUCKET_BITS + LATE_PART_SHIFT),
-                         type=pa.int64()))
+    return t.append_column("bucket", pa.array(eid >> LATE_BUCKET_BITS))
 
 
 def _seeded_lateness(df, pref: dict) -> np.ndarray:
-    """Per-row lateness (running-max event-time − own event-time) inside
-    one arrival partition, each bucket's scan seeded with its exclusive
-    prefix.  Expects the partition frame SORTED by event_id."""
+    """Per-row lateness (running-max event-time − own event-time) of a
+    fold part SORTED by event_id: each arrival bucket is a contiguous
+    slice, scanned with its running max seeded by the bucket's exclusive
+    prefix. A part's buckets need not be adjacent in arrival order."""
     eid = df["event_id"].to_numpy().astype(np.int64)
     ts = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
     bkt = eid >> LATE_BUCKET_BITS
+    starts = np.flatnonzero(np.r_[True, bkt[1:] != bkt[:-1]])
     late = np.empty(len(ts), dtype=np.int64)
-    for b in np.unique(bkt):  # <= 2^LATE_PART_SHIFT slices
-        m = bkt == b
-        seed = pref.get(int(b), _ARRIVAL_NEG)
-        late[m] = np.maximum(np.maximum.accumulate(ts[m]), seed) - ts[m]
+    for i, j in zip(starts.tolist(), [*starts[1:].tolist(), len(ts)]):
+        seed = pref.get(int(bkt[i]), _ARRIVAL_NEG)
+        late[i:j] = np.maximum(np.maximum.accumulate(ts[i:j]), seed) - ts[i:j]
     return late
 
 
@@ -7842,6 +7733,23 @@ def _hist_rank_pick(values: np.ndarray, counts: np.ndarray):
     return total, pick
 
 
+def _value_hist_fold(key: str, finish):
+    """Fold over per-batch (``key``, tok, cnt) value-histogram partials:
+    per ``key`` value the counts summed per tok, then
+    ``finish(key value, toks ascending, counts)`` -> one int64 row."""
+
+    def fold(df: "pd.DataFrame") -> "pd.DataFrame":
+        import pandas as pd
+
+        g = df.groupby([key, "tok"], sort=True)["cnt"].sum().reset_index()
+        rows = [finish(int(k), h["tok"].to_numpy().astype(np.int64),
+                       h["cnt"].to_numpy().astype(np.int64))
+                for k, h in g.groupby(key, sort=False)]
+        return pd.DataFrame(rows).astype(np.int64)
+
+    return fold
+
+
 def _user_day_part(t: pa.Table) -> pa.Table:
     """Batch-local distinct (user_id, day) pairs — packs
     (user << 20 | day) (epoch day < 2^20 until year ~4840, asserted)
@@ -7851,21 +7759,25 @@ def _user_day_part(t: pa.Table) -> pa.Table:
     ts_us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
     u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     day = ts_us // _DAY_US
-    assert len(day) == 0 or (0 <= day.min() and day.max() < (1 << 20)), \
-        "_user_day_part day packing out of range"
+    assert len(day) == 0 or (0 <= day.min() and day.max() < (1 << 20)
+                             and 0 <= u.min() and u.max() < (1 << 42)), \
+        "_user_day_part key packing out of range"
     key = np.unique(u * (1 << 20) + day)
     return pa.table({"user_id": pa.array(key >> 20),
                      "day": pa.array(key & ((1 << 20) - 1))})
 
 
+def _user_day_partials(sf_dir: str) -> "ray.data.Dataset":
+    """:func:`_user_day_part` over the event stream."""
+    return ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["ts", "user_id"]
+    ).map_batches(_user_day_part, batch_format="pyarrow")
+
+
 def _user_day_pairs(sf_dir: str) -> "ray.data.Dataset":
     """Globally-distinct (user_id, day) activity pairs — the dau base
     table every engagement query starts from."""
-    return keyed_agg(
-        ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                              columns=["ts", "user_id"])
-        .map_batches(_user_day_part, batch_format="pyarrow"),
-        ["user_id", "day"], {})
+    return keyed_agg(_user_day_partials(sf_dir), ["user_id", "day"], {})
 
 
 def _user_day_spans(sf_dir: str) -> "ray.data.Dataset":
@@ -7926,9 +7838,8 @@ def q_late_events(sf_dir: str) -> "pa.Table":
                            if c != "event_type"})
 
     return pa.Table.from_pandas(collect_agg(
-        ds.map_batches(_add_arrival_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pandas"),
+        fold_by_part(ds.map_batches(_add_arrival_bucket,
+                                    batch_format="pyarrow"), "bucket", fold),
         ["event_type"], {"n_events": "sum", "n_late": "sum",
                          "max_late_us": "max", "sum_late_us": "sum"},
         MAX_TYPES), preserve_index=False)
@@ -7992,8 +7903,6 @@ def q_neardup_raretok(sf_dir: str) -> "ray.data.Dataset":
     distinct tokens; a per-signature fold reports candidate buckets
     with >= 2 docs. Exchanges are vocab- and docs-row-sized — never
     token streams."""
-    import pandas as pd
-
     hist = _token_counts(sf_dir, by_source=False)  # <= 2^TOKEN_BITS rows
     toks = hist["tok"].to_numpy().astype(np.int64)
     cnts = hist["cnt"].to_numpy().astype(np.int64)
@@ -8030,39 +7939,21 @@ def q_neardup_raretok(sf_dir: str) -> "ray.data.Dataset":
                 + np.arange(RARETOK_K, dtype=np.int64)[None, :])
         sig_toks = r2t[drank[take]]  # (n_kept, K) in rank order
         sigs = [",".join(map(str, row)) for row in sig_toks]
+        ids = t["doc_id"].take(pa.array(kept))
         return pa.table(
             {"sig": pa.array(sigs, type=pa.string()),
-             "doc_id": t["doc_id"].take(pa.array(kept))}
+             "n_docs": pa.array(np.ones(len(kept), np.int64)),
+             "min_doc": ids, "max_doc": ids}
         )
 
-    def bucket(df: "pd.DataFrame") -> "pd.DataFrame":
-        ids = df["doc_id"].to_numpy()
-        return pd.DataFrame({"sig": [df["sig"].iloc[0]],
-                             "n_docs": np.array([len(ids)], dtype=np.int64),
-                             "min_doc": [ids.min()],
-                             "max_doc": [ids.max()]})
-
-    rows = (
-        map_docs(_seq_ds(sf_dir), sig_scan, {
-            "sig": pa.string(), "doc_id": pa.string()})
-        .groupby("sig")
-        .map_groups(bucket, batch_format="pandas")
-        .map_batches(lambda t: t.filter(pc.greater_equal(t["n_docs"], 2)),
-                     batch_format="pyarrow")
-        .take_all()  # shared-signature buckets only: duplicates-sized,
-        #              never the corpus (and a typed table survives the
-        #              legitimately-empty small-sf case, where Ray's
-        #              to_pandas() on an empty Dataset drops the schema)
-    )
-    return pa.table(
-        {"sig": pa.array([r["sig"] for r in rows], type=pa.string()),
-         "n_docs": pa.array([int(r["n_docs"]) for r in rows],
-                            type=pa.int64()),
-         "min_doc": pa.array([r["min_doc"] for r in rows],
-                             type=pa.string()),
-         "max_doc": pa.array([r["max_doc"] for r in rows],
-                             type=pa.string())}
-    )
+    cols = {"sig": pa.string(), "n_docs": pa.int64(),
+            "min_doc": pa.string(), "max_doc": pa.string()}
+    out = collect(keyed_agg(
+        map_docs(_seq_ds(sf_dir), sig_scan, cols), ["sig"],
+        {"n_docs": "sum", "min_doc": "min", "max_doc": "max"}), cols)
+    # shared-signature buckets only: duplicates-sized, never the corpus
+    return pa.Table.from_pandas(out[out["n_docs"] >= 2],
+                                schema=pa.schema(cols), preserve_index=False)
 
 
 NEARDUP_RARETOK_SQL = (
@@ -8255,22 +8146,17 @@ def q_window_copairs(sf_dir: str) -> pa.Table:
         key = a[ok] * SENT + b[ok]
         uk, cnt = np.unique(key, return_counts=True)
         return pa.table(
-            {"key": pa.array(uk), "cnt": pa.array(cnt.astype(np.int64))}
+            {"key": pa.array(uk), "cnt": pa.array(cnt.astype(np.int64)),
+             # the fold's part key: spreads Zipf-hot prefixes
+             "mix": pa.array((uk >> TOKEN_BITS) ^ uk)}
         )
 
     # A Ray hash aggregate over millions of near-distinct pair keys walks
-    # them in Python (~260 s at sf0.01); fold inside COARSE hash
-    # partitions instead (the bigram_diversity trick): a pair key lands
+    # them in Python (~260 s at sf0.01); fold inside 64 parts of the
+    # mixed key instead (the bigram_diversity trick): a pair key lands
     # in exactly ONE part, so within-part sums are global counts and the
     # per-part local top-COPAIR_TOPK provably contains every global
-    # top-COPAIR_TOPK pair. Driver sees n_parts x COPAIR_TOPK rows.
-    n_parts = 64
-
-    def add_part(t: pa.Table) -> pa.Table:
-        key = t["key"].to_numpy(zero_copy_only=False)
-        mixed = (key >> TOKEN_BITS) ^ key  # spread Zipf-hot prefixes
-        return t.append_column(
-            "part", pa.array((mixed % n_parts).astype(np.int32)))
+    # top-COPAIR_TOPK pair. Driver sees 64 x COPAIR_TOPK rows.
 
     def fold(df):
         import pandas as pd
@@ -8283,14 +8169,11 @@ def q_window_copairs(sf_dir: str) -> pa.Table:
         return pd.DataFrame({"key": g["key"].to_numpy(),
                              "cnt": g["cnt"].to_numpy().astype(np.int64)})
 
-    top = (
+    top = fold_by_part(
         map_docs(_seq_ds(sf_dir), partial,
-                 {"key": pa.int64(), "cnt": pa.int64()})
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pandas")
-        .take_all()  # n_parts x COPAIR_TOPK rows
-    )
+                 {"key": pa.int64(), "cnt": pa.int64(), "mix": pa.int64()}),
+        "mix", fold, 64,
+    ).take_all()  # 64 x COPAIR_TOPK rows
     top.sort(key=lambda r: (-int(r["cnt"]), int(r["key"])))
     top = top[:COPAIR_TOPK]
     keys = np.array([int(r["key"]) for r in top], dtype=np.int64)
@@ -8325,12 +8208,9 @@ def q_hod_median(sf_dir: str) -> "ray.data.Dataset":
     ``hourly_profile``'s mean is pulled by heavy-tail hours, the median
     is not, and the gap between the two per hour is itself the
     skew signal. Medians don't merge, so the distributed shape is the
-    value-histogram one: per-batch (hod, value, cnt) partials, ONE
-    distinct-(hod, value)-sized groupby, then a 24-group fold that walks
-    each hour's histogram cumsum to the middle element — the event
-    stream itself is never shuffled."""
-    import pandas as pd
-
+    value-histogram one: per-batch (hod, value, cnt) partials, then ONE
+    fold per hour that sums its histogram and walks the cumsum to the
+    middle element — the event stream itself is never shuffled."""
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "value"])
 
@@ -8350,20 +8230,12 @@ def q_hod_median(sf_dir: str) -> "ray.data.Dataset":
              "cnt": pa.array(cnt.astype(np.int64))}
         )
 
-    def finish(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.sort_values("tok", kind="mergesort")
-        total, pick = _hist_rank_pick(
-            df["tok"].to_numpy().astype(np.int64),
-            df["cnt"].to_numpy().astype(np.int64))
-        return pd.DataFrame({"hod": df["hod"].iloc[:1].to_numpy(),
-                             "n": np.array([total], dtype=np.int64),
-                             "med": np.array([pick(1, 2)],
-                                             dtype=np.int64)})
+    def finish(hod: int, toks: np.ndarray, cnts: np.ndarray) -> dict:
+        total, pick = _hist_rank_pick(toks, cnts)
+        return {"hod": hod, "n": total, "med": pick(1, 2)}
 
-    return keyed_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["hod", "tok"], {"cnt": "sum"}
-    ).groupby("hod").map_groups(finish, batch_format="pandas")
+    return fold_by_part(ds.map_batches(partial, batch_format="pyarrow"),
+                        "hod", _value_hist_fold("hod", finish))
 
 
 HOD_MEDIAN_SQL = (
@@ -8404,9 +8276,8 @@ def q_watermark_pick(sf_dir: str) -> "pa.Table":
     # (at 20M events, nproc 1, 4 Ray slots: a hash groupby over these
     # blocks took 282 s, a keyed_agg 35 s, the driver fold 19 s)
     hist = collect_agg(
-        ds.map_batches(_add_arrival_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pandas"),
+        fold_by_part(ds.map_batches(_add_arrival_bucket,
+                                    batch_format="pyarrow"), "bucket", fold),
         ["lat_ms"], {"cnt": "sum"}, MAX_LATENESS_MS,
     ).sort_values("lat_ms", kind="mergesort")
     ms = hist["lat_ms"].to_numpy().astype(np.int64)
@@ -8886,30 +8757,27 @@ def q_max_quiet(sf_dir: str) -> "pa.Table":
         return t.append_column(
             "day", pa.array(ts_us // _DAY_US, type=pa.int64()))
 
-    def fold(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.sort_values(["ts", "event_id"], kind="mergesort")
-        ts = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
+    def day_summary(key, df: "pd.DataFrame") -> tuple:
+        ts = np.sort(df["ts"].to_numpy().astype("datetime64[us]")
+                     .astype(np.int64))
         if len(ts) >= 2:
             gaps = np.diff(ts)
             gi = int(np.argmax(gaps))
             mg, mg_at = int(gaps[gi]), int(ts[gi])
         else:
             mg, mg_at = 0, int(ts[0])
-        return pd.DataFrame(
-            {"event_type": df["event_type"].iloc[:1].to_numpy(),
-             "day": df["day"].iloc[:1].to_numpy().astype(np.int64),
-             "n": np.array([len(ts)], dtype=np.int64),
-             "first_us": np.array([int(ts[0])], dtype=np.int64),
-             "last_us": np.array([int(ts[-1])], dtype=np.int64),
-             "max_gap": np.array([mg], dtype=np.int64),
-             "gap_at": np.array([mg_at], dtype=np.int64)})
+        return (*key, len(ts), int(ts[0]), int(ts[-1]), mg, mg_at)
 
-    days = (
-        ds.map_batches(add_key, batch_format="pyarrow")
-        .groupby(["event_type", "day"])
-        .map_groups(fold, batch_format="pandas")
-        .to_pandas()  # types x active-days
-    )
+    def fold(df: "pd.DataFrame") -> "pd.DataFrame":
+        return pd.DataFrame(
+            [day_summary(k, g)
+             for k, g in df.groupby(["event_type", "day"], sort=False)],
+            columns=["event_type", "day", "n", "first_us", "last_us",
+                     "max_gap", "gap_at"])
+
+    days = fold_by_part(ds.map_batches(add_key, batch_format="pyarrow"),
+                        ["event_type", "day"], fold
+                        ).to_pandas()  # types x active-days
     rows = []
     for ty, grp in days.groupby("event_type"):
         grp = grp.sort_values("day")
@@ -11272,8 +11140,8 @@ def q_peak_concurrency(sf_dir: str) -> "pa.Table":
     exclusive prefix (the concurrency entering that hour) -> (3) every
     bucket folds independently (group deltas by identical ts BEFORE the
     cumsum, so +1/-1 at the same instant never order-skews the max).
-    Exchanges: session deltas groupby-bucket, then a buckets-sized
-    finish."""
+    Exchanges: session deltas folded by bucket part (each part reports
+    its own peak), then a parts-sized finish."""
     import pandas as pd
 
     sess = q_sessionize(sf_dir)
@@ -11298,12 +11166,10 @@ def q_peak_concurrency(sf_dir: str) -> "pa.Table":
                                        batch_format="pyarrow"),
                        ["bucket"], {"ds": "sum"}, MAX_DAYS * 24
                        ).sort_values("bucket")
-    pref: dict[int, int] = {}
-    run = 0
-    for b, d in zip(sums["bucket"].tolist(), sums["ds"].tolist()):
-        pref[b] = run
-        run += d
-    pref_ref = ray.put(pref)
+    # each bucket's exclusive prefix: the concurrency entering that hour
+    d = sums["ds"].to_numpy().astype(np.int64)
+    pref_ref = ray.put((sums["bucket"].to_numpy().astype(np.int64),
+                        np.cumsum(d) - d))
 
     def add_bucket(t: pa.Table) -> pa.Table:
         ts = t["ts"].to_numpy(zero_copy_only=False)
@@ -11311,23 +11177,20 @@ def q_peak_concurrency(sf_dir: str) -> "pa.Table":
             "bucket", pa.array(ts // HOUR_US, type=pa.int64()))
 
     def fold(df: "pd.DataFrame") -> "pd.DataFrame":
-        p = ray.get(pref_ref)
-        seed = p.get(int(df["bucket"].iloc[0]), 0)
-        g = df.groupby("ts", as_index=False)["d"].sum() \
-              .sort_values("ts", kind="mergesort")
-        conc = seed + np.cumsum(g["d"].to_numpy().astype(np.int64))
-        i = int(np.argmax(conc))  # first occurrence of the bucket max
+        buckets, pref = ray.get(pref_ref)
+        g = df.groupby(["bucket", "ts"], as_index=False, sort=True)["d"].sum()
+        b = g["bucket"].to_numpy()
+        conc = (pref[np.searchsorted(buckets, b)]
+                + g.groupby("bucket", sort=False)["d"].cumsum().to_numpy())
+        i = int(np.argmax(conc))  # first occurrence of the part's max
         return pd.DataFrame(
             {"peak": np.array([int(conc[i])], dtype=np.int64),
              "ts_us": np.array([int(g["ts"].iloc[i])], dtype=np.int64)})
 
-    per_bucket = (
-        dds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
-        .to_pandas()  # buckets-sized
-    )
-    best = per_bucket.sort_values(["peak", "ts_us"],
+    per_part = fold_by_part(
+        dds.map_batches(add_bucket, batch_format="pyarrow"), "bucket", fold
+    ).to_pandas()  # one row per part
+    best = per_part.sort_values(["peak", "ts_us"],
                                   ascending=[False, True],
                                   kind="mergesort").iloc[0]
     return pa.Table.from_pandas(
@@ -12142,10 +12005,8 @@ def q_daily_value_bands(sf_dir: str) -> "ray.data.Dataset":
     convention): the control-chart envelope a drift monitor draws, and
     the day-granularity complement to ``hod_median``'s hour-of-day view.
     Histogram-exact at any scale: one (day, value)-partial map_batches,
-    a distinct-(day, value)-sized groupby, then a per-day fold over its
-    own value histogram — the event stream itself never shuffles."""
-    import pandas as pd
-
+    then ONE fold per day over its summed value histogram — the event
+    stream itself never shuffles."""
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "value"]
     )
@@ -12164,23 +12025,13 @@ def q_daily_value_bands(sf_dir: str) -> "ray.data.Dataset":
              "cnt": pa.array(cnt.astype(np.int64))}
         )
 
-    def finish(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.sort_values("tok", kind="mergesort")
-        toks = df["tok"].to_numpy().astype(np.int64)
-        total, pick = _hist_rank_pick(
-            toks, df["cnt"].to_numpy().astype(np.int64))
-        return pd.DataFrame(
-            {"day": df["day"].iloc[:1].to_numpy(),
-             "n": np.array([total], dtype=np.int64),
-             "p10": np.array([pick(1, 10)], dtype=np.int64),
-             "p50": np.array([pick(1, 2)], dtype=np.int64),
-             "p90": np.array([pick(9, 10)], dtype=np.int64)}
-        )
+    def finish(day: int, toks: np.ndarray, cnts: np.ndarray) -> dict:
+        total, pick = _hist_rank_pick(toks, cnts)
+        return {"day": day, "n": total, "p10": pick(1, 10),
+                "p50": pick(1, 2), "p90": pick(9, 10)}
 
-    return keyed_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["day", "tok"], {"cnt": "sum"}
-    ).groupby("day").map_groups(finish, batch_format="pandas")
+    return fold_by_part(ds.map_batches(partial, batch_format="pyarrow"),
+                        "day", _value_hist_fold("day", finish))
 
 
 DAILY_VALUE_BANDS_SQL = (

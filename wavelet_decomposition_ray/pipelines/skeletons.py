@@ -5,7 +5,8 @@
   schema, and check every non-empty batch against that same schema.
 - :func:`fold_by_part` — a fold over coarse partitions of a key: one Ray
   group per partition, one vectorized pandas fold inside it, instead of
-  one Ray group per key.
+  one Ray group per key. It is the package's only Ray group-by (the
+  only ``map_groups``; checked in tests).
 - :func:`keyed_agg` — the keyed fold of partial aggregates: sum / min /
   max per key of any type through :func:`fold_by_part`.
 - :func:`collect_agg` — the same fold for a key bounded by a small
@@ -21,6 +22,18 @@
   driver into one before it is broadcast, so the fact stream pays one
   probe. Range and as-of probes (``side="right"`` searches over
   breakpoints or timestamps) are not key joins and do not use it.
+
+A wide step takes one of three shapes:
+
+1. A partition column is never written by hand: the fold runs on the
+   column the part would be computed from (a derived key, such as a
+   mixed bigram key or an arrival bucket, is a column of its own).
+2. A key sized by the data is never one Ray group per key: sum / min /
+   max go through :func:`keyed_agg`; any other per-key fold runs inside
+   :func:`fold_by_part` on that key, looping over the keys of its part.
+3. A small key is never a second shuffle: the per-key finish runs in
+   the same fold (one fold on the small key over per-batch partials), or
+   on the driver over collected partials bounded by batches x keys x K.
 
 The cardinality rule, checked in code: a key sized by the data (tokens,
 pairs, docs, orders, users, strings) goes through :func:`keyed_agg`; a
