@@ -2544,9 +2544,10 @@ def test_bigram_diversity_partial_kernel():
                   "tokens": [[1, 2, 1, 2], [1, 2], [7, 7]],
                   "source": ["s1", "s1", "s2"]})
     out = captured["fn"](t).to_pandas()
-    got = {(r["source"], int(r["key"])): int(r["cnt"])
-           for _, r in out.iterrows()}
     B = cq.TOKEN_BITS
+    # the partial carries the mixed key (b1, b1 ^ b2); invert it
+    got = {(r["source"], int(r["mix"]) ^ (int(r["mix"]) >> B)): int(r["cnt"])
+           for _, r in out.iterrows()}
     assert got == {("s1", (1 << B) | 2): 3, ("s1", (2 << B) | 1): 1,
                    ("s2", (7 << B) | 7): 1}
 
@@ -2960,7 +2961,9 @@ def test_window_copairs_kernel():
                   "tokens": [[1, 2] * 8 + [2, 3], [1, 2]],
                   "source": ["s", "s"]})
     out = fn(t).to_pandas()
-    got = {int(r["key"]): int(r["cnt"]) for _, r in out.iterrows()}
+    # the partial carries the mixed key (a, a ^ b); invert it
+    got = {int(r["mix"]) ^ (int(r["mix"]) >> 20): int(r["cnt"])
+           for _, r in out.iterrows()}
     assert got == {1 * SENT + 2: 2, 2 * SENT + 3: 1}
 
 

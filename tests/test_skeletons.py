@@ -210,6 +210,44 @@ def test_collect_agg_without_keys_gives_one_row(ray_session):
     assert df.to_dict("records") == [{"x": 45, "y": 9}]
 
 
+def _top3(df):
+    return (df.sort_values(["k", "v", "id"], ascending=[True, False, True],
+                           kind="mergesort")
+            .groupby("k", sort=False).head(3).reset_index(drop=True))
+
+
+def test_collect_topk_refolds_chunk_by_chunk(ray_session, monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 800
+    t = pa.table({"id": np.arange(n, dtype=np.int64),
+                  "k": rng.integers(0, 5, n).astype(np.int64),
+                  "v": rng.integers(0, 50, n).astype(np.int64)})
+    seen = []
+
+    def top3(df):
+        seen.append(len(df))
+        return _top3(df)
+
+    monkeypatch.setattr(sk, "COLLECT_CHUNK_ROWS", 150)
+    cols = {"id": pa.int64(), "k": pa.int64(), "v": pa.int64()}
+    got = sk.collect_topk(_blocks(t, 8), cols, top3, 15)
+    assert got.equals(_top3(t.to_pandas()))
+    # refolded as it went: no call held the whole input
+    assert len(seen) > 1 and max(seen) < n
+    with pytest.raises(ValueError, match="max_rows=14"):
+        sk.collect_topk(_blocks(t, 8), cols, _top3, 14)
+
+
+def test_collect_topk_of_an_empty_dataset_keeps_its_columns(ray_session):
+    import ray.data
+
+    cols = {"id": pa.int64(), "k": pa.int64(), "v": pa.int64()}
+    empty = ray.data.from_arrow(pa.schema(cols).empty_table())
+    df = sk.collect_topk(empty, cols, _top3, 15)
+    assert len(df) == 0 and list(df.columns) == ["id", "k", "v"]
+    assert df["v"].dtype == np.int64
+
+
 def test_keyed_agg_of_an_empty_dataset_has_no_rows(ray_session):
     import ray.data
 

@@ -20,10 +20,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
-
-from ..pipelines.skeletons import collect_agg, fold_by_part
-
 MAX_DRIVER_PAIRS = 5_000_000
 _CC_PARTS = 16  # fold_by_part parts of each label-propagation fold
 
@@ -43,6 +39,7 @@ def _snap(ds):
 def _fold_min_label(ds):
     """(node, label) rows -> per-node min label, via coarse partitions of
     ``node`` with ONE pandas groupby per partition."""
+    from ..pipelines.skeletons import fold_by_part
 
     def fold(df):
         out = df.groupby("node", as_index=False)["label"].min()
@@ -59,6 +56,7 @@ def _keyed_lookup(req_ds, svc_ds):
     (node=requester, label=answer). Dataset.join hash-partitions by key and
     crashes on the empty (schemaless) partitions that converged label
     tables produce — partition folds never see empty groups."""
+    from ..pipelines.skeletons import fold_by_part
 
     def tag(side):
         def f(t: pa.Table) -> pa.Table:
@@ -87,6 +85,8 @@ def _keyed_lookup(req_ds, svc_ds):
 def _label_sum(labels) -> int:
     """Sum of the label column (labels only decrease, so an unchanged sum
     is the fixpoint)."""
+    from ..pipelines.skeletons import collect_agg
+
     return int(collect_agg(labels, [], {"label": "sum"}, 1)["label"].iloc[0])
 
 
@@ -111,6 +111,7 @@ def propagate_min_labels(pairs_ds, max_iters: int = 64):
     collect (> MAX_DRIVER_PAIRS), where per-round cost is dominated by the
     edge-sized lookup shuffle, i.e. O(E/cluster) per round, O(log D)
     rounds."""
+    import ray
 
     def both_dirs(t: pa.Table) -> pa.Table:
         a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -95,9 +95,8 @@ def pairs_within_group(group, threshold: float):
     keep = sims[iu] >= threshold
     ia, ib = ids[iu[0][keep]], ids[iu[1][keep]]
     # canonical vec_a < vec_b: group-row order is NOT contracted across
-    # bands, so without this a cross-band duplicate could appear in both
-    # orientations and survive the downstream head(1) dedup twice
-    # (code review, round 5)
+    # bands, so a pair found in several bands must carry one orientation
+    # for the downstream (vec_a, vec_b) keyed fold to merge it into one row
     return pd.DataFrame(
         {
             "vec_a": np.minimum(ia, ib),

@@ -20,8 +20,8 @@ from ..functions import similarity as sim
 from ..functions import text as tx
 from .rollup_pipeline import MAX_SOURCES
 from .skeletons import (MAX_COUNT_VALUES, MAX_TYPES, broadcast_dim,
-                        cached_get, collect, collect_agg, fold_by_part,
-                        keyed_agg, sorted_dim)
+                        cached_get, collect, collect_agg, collect_topk,
+                        fold_by_part, keyed_agg, sorted_dim)
 
 NEAR_DUP_TAU = 0.5       # char-5-shingle / word-3-gram Jaccard threshold
 EMBED_TAU = 0.4          # cosine near-dup threshold (data max is ~0.51)
@@ -968,8 +968,9 @@ def q_knn_cosine_multi(sf_dir: str):
     """Batched similarity search — the realistic serving shape: top-10 per
     query for a BATCH of query vectors, via ONE broadcast query matrix and
     one matmul per data batch (scores all queries simultaneously), local
-    top-10 per (batch, query), then a per-query finish on the driver over
-    the candidate set (batches x queries x 10 rows)."""
+    top-10 per (batch, query), then the same top-10 on the driver over
+    those partials, chunk by chunk (``collect_topk``: queries x 10 rows
+    plus one chunk)."""
     rows = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet",
         columns=["vec_id", "embedding"],
@@ -984,11 +985,17 @@ def q_knn_cosine_multi(sf_dir: str):
         sim.CosineTopK(q_ref, qids), batch_format="pyarrow", batch_size=512
     )
     topk = _local_topk_per_query(10)
+
+    def topk_df(df: "pd.DataFrame") -> "pd.DataFrame":
+        return topk(pa.Table.from_pandas(df, preserve_index=False)
+                    ).to_pandas()
+
     cols = {"vec_id": pa.int64(), "query_id": pa.int64(),
             "cos_sim": pa.float64()}
-    cand = collect(ds.map_batches(topk, batch_format="pyarrow"), cols)
-    return topk(pa.Table.from_pandas(cand[list(cols)], preserve_index=False)
-                ).select(["query_id", "vec_id", "cos_sim"])
+    top = collect_topk(ds.map_batches(topk, batch_format="pyarrow"), cols,
+                       topk_df, len(qids) * 10)
+    return pa.Table.from_pandas(top[["query_id", "vec_id", "cos_sim"]],
+                                preserve_index=False)
 
 
 KNN_MULTI_SQL = (
@@ -1602,8 +1609,8 @@ def q_top_docs_per_lang(sf_dir: str):
     """Top-``k`` documents per language by (n_chars DESC, doc_id ASC) — the
     distributed grouped-top-k pattern: each batch keeps only its local
     top-k per lang (a superset of the global winners under the same total
-    order), so the driver collects at most ``k x langs`` rows per batch
-    instead of the corpus and re-ranks them."""
+    order), and the driver re-ranks those partials chunk by chunk
+    (``collect_topk``), holding ``k x langs`` rows plus one chunk."""
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
     )
@@ -1616,10 +1623,10 @@ def q_top_docs_per_lang(sf_dir: str):
             .head(TOPK_PER_LANG)
         )
 
-    out = partial_topk(collect(
+    out = collect_topk(
         ds.map_batches(partial_topk, batch_format="pandas", batch_size=1024),
-        {"doc_id": pa.int64(), "lang": pa.string(), "n_chars": pa.int64()}
-    )).reset_index(drop=True)
+        {"doc_id": pa.int64(), "lang": pa.string(), "n_chars": pa.int64()},
+        partial_topk, MAX_TYPES * TOPK_PER_LANG).reset_index(drop=True)
     out["rank"] = out.groupby("lang").cumcount().astype(np.int64) + 1
     return pa.Table.from_pandas(out, preserve_index=False)
 
@@ -3437,8 +3444,9 @@ def q_sample_per_source(sf_dir: str):
     smallest salted splitmix64 hash — a fixed-size, growth-stable,
     re-derivable sample per stratum (the eyeball-sample / eval-slice
     builder of a data-curation pipeline). Per-batch local top-K per
-    source, then the same top-K on the driver over those partials:
-    O(batches x sources x K) rows regardless of corpus size."""
+    source, then the same top-K on the driver over those partials, chunk
+    by chunk (``collect_topk``): the driver holds sources x K rows plus
+    one chunk regardless of corpus size."""
     import pandas as pd
 
     ds = _docs(sf_dir, columns=("doc_id", "source", "n_chars"))
@@ -3452,10 +3460,10 @@ def q_sample_per_source(sf_dir: str):
         df = df.sort_values(["source", "rk", "doc_id"], kind="mergesort")
         return df.groupby("source", sort=False).head(k)
 
-    top = partial(collect(
+    top = collect_topk(
         ds.map_batches(partial, batch_format="pandas", batch_size=1024),
         {"doc_id": pa.int64(), "source": pa.string(), "n_chars": pa.int64(),
-         "rk": pa.int64()}))
+         "rk": pa.int64()}, partial, MAX_SOURCES * k)
     out = top[["source", "doc_id", "n_chars"]].reset_index(drop=True)
     out["rank"] = out.groupby("source").cumcount().astype(np.int64) + 1
     return pa.Table.from_pandas(out, preserve_index=False)

@@ -7003,10 +7003,10 @@ def q_bigram_diversity(sf_dir: str) -> "pa.Table":
         key = uk & ((1 << (2 * TOKEN_BITS)) - 1)
         return pa.table(
             {"source": pa.array(src_names, type=pa.string()),
-             "key": pa.array(key),
-             "cnt": pa.array(cnt.astype(np.int64)),
-             # the fold's part key: spreads Zipf-hot b1 prefixes
-             "mix": pa.array((key >> TOKEN_BITS) ^ key)}
+             # (b1, b1 ^ b2): one-to-one with the bigram, and as a part
+             # key it spreads Zipf-hot b1 prefixes
+             "mix": pa.array((key >> TOKEN_BITS) ^ key),
+             "cnt": pa.array(cnt.astype(np.int64))}
         )
 
     # A Ray hash aggregate here would walk millions of near-distinct
@@ -7017,7 +7017,7 @@ def q_bigram_diversity(sf_dir: str) -> "pa.Table":
     # it emits are exact; the final fold merges parts x sources rows.
 
     def fold(df: "pd.DataFrame") -> "pd.DataFrame":
-        g = df.groupby(["source", "key"], as_index=False)["cnt"].sum()
+        g = df.groupby(["source", "mix"], as_index=False)["cnt"].sum()
         g["coll"] = g["cnt"] * (g["cnt"] - 1)
         out = g.groupby("source", as_index=False).agg(
             t_bigrams=("cnt", "sum"), u_bigrams=("cnt", "size"),
@@ -7027,8 +7027,8 @@ def q_bigram_diversity(sf_dir: str) -> "pa.Table":
 
     out = collect_agg(
         fold_by_part(map_docs(_seq_ds(sf_dir), partial, {
-            "source": pa.string(), "key": pa.int64(), "cnt": pa.int64(),
-            "mix": pa.int64()}), "mix", fold, 64),
+            "source": pa.string(), "mix": pa.int64(), "cnt": pa.int64()}),
+            "mix", fold, 64),
         ["source"], {"t_bigrams": "sum", "u_bigrams": "sum",
                      "simpson_num": "sum"}, rp.MAX_SOURCES)
     return pa.Table.from_pandas(out, preserve_index=False)
@@ -7892,7 +7892,7 @@ DAILY_TOP_TYPES_SQL = (
 RARETOK_K = 4  # signature = the K globally-rarest distinct tokens
 
 
-def q_neardup_raretok(sf_dir: str) -> "ray.data.Dataset":
+def q_neardup_raretok(sf_dir: str) -> "pa.Table":
     """Rare-token-signature near-dup blocking (the record-linkage
     complement to minhash: block on each doc's RARETOK_K globally
     rarest distinct tokens, since rare values are the most
@@ -7946,14 +7946,21 @@ def q_neardup_raretok(sf_dir: str) -> "ray.data.Dataset":
              "min_doc": ids, "max_doc": ids}
         )
 
+    def shared(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:  # a fold's empty part has no columns
+            return t
+        return t.filter(pc.greater_equal(t["n_docs"], 2))
+
     cols = {"sig": pa.string(), "n_docs": pa.int64(),
             "min_doc": pa.string(), "max_doc": pa.string()}
-    out = collect(keyed_agg(
+    sigs = keyed_agg(
         map_docs(_seq_ds(sf_dir), sig_scan, cols), ["sig"],
-        {"n_docs": "sum", "min_doc": "min", "max_doc": "max"}), cols)
-    # shared-signature buckets only: duplicates-sized, never the corpus
-    return pa.Table.from_pandas(out[out["n_docs"] >= 2],
-                                schema=pa.schema(cols), preserve_index=False)
+        {"n_docs": "sum", "min_doc": "min", "max_doc": "max"})
+    # shared-signature buckets only, dropped on the workers: the driver
+    # collects a duplicates-sized frame, never one row per doc
+    out = collect(sigs.map_batches(shared, batch_format="pyarrow"), cols)
+    return pa.Table.from_pandas(out, schema=pa.schema(cols),
+                                preserve_index=False)
 
 
 NEARDUP_RARETOK_SQL = (
@@ -8145,10 +8152,11 @@ def q_window_copairs(sf_dir: str) -> pa.Table:
         ok = b < SENT  # a <= b always (rows ascending); b==SENT is padding
         key = a[ok] * SENT + b[ok]
         uk, cnt = np.unique(key, return_counts=True)
+        # (a, a ^ b): one-to-one with the pair key (the fold inverts it),
+        # and as a part key it spreads Zipf-hot prefixes
         return pa.table(
-            {"key": pa.array(uk), "cnt": pa.array(cnt.astype(np.int64)),
-             # the fold's part key: spreads Zipf-hot prefixes
-             "mix": pa.array((uk >> TOKEN_BITS) ^ uk)}
+            {"mix": pa.array((uk >> TOKEN_BITS) ^ uk),
+             "cnt": pa.array(cnt.astype(np.int64))}
         )
 
     # A Ray hash aggregate over millions of near-distinct pair keys walks
@@ -8161,7 +8169,9 @@ def q_window_copairs(sf_dir: str) -> pa.Table:
     def fold(df):
         import pandas as pd
 
-        g = df.groupby("key", as_index=False)["cnt"].sum()
+        g = df.groupby("mix", as_index=False)["cnt"].sum()
+        mix = g["mix"].to_numpy()
+        g["key"] = mix ^ (mix >> TOKEN_BITS)
         # key packing is order-preserving, so (cnt desc, key asc) is
         # exactly (cnt desc, tok_a, tok_b)
         g = g.sort_values(["cnt", "key"], ascending=[False, True],
@@ -8171,7 +8181,7 @@ def q_window_copairs(sf_dir: str) -> pa.Table:
 
     top = fold_by_part(
         map_docs(_seq_ds(sf_dir), partial,
-                 {"key": pa.int64(), "cnt": pa.int64(), "mix": pa.int64()}),
+                 {"mix": pa.int64(), "cnt": pa.int64()}),
         "mix", fold, 64,
     ).take_all()  # 64 x COPAIR_TOPK rows
     top.sort(key=lambda r: (-int(r["cnt"]), int(r["key"])))

@@ -1,4 +1,4 @@
-"""The five skeletons most of the query registry is built from.
+"""The six skeletons most of the query registry is built from.
 
 - :func:`map_docs` — a per-doc token map over a sequences dataset: unpack
   the ``tokens`` list column once, answer an empty batch with the declared
@@ -12,6 +12,9 @@
 - :func:`collect_agg` — the same fold for a key bounded by a small
   domain: each batch reduced to one row per key on the workers, the
   partials folded on the driver under a row bound.
+- :func:`collect_topk` — the driver finish of a per-key top-K: the
+  per-batch top-K partials re-ranked on the driver chunk by chunk under
+  a row bound.
 - :func:`broadcast_dim` — the map-side key join: a small dimension
   (sorted unique keys plus payload columns) put in the object store
   once and probed inside every batch, for a foreign-key lookup
@@ -33,7 +36,9 @@ A wide step takes one of three shapes:
    :func:`fold_by_part` on that key, looping over the keys of its part.
 3. A small key is never a second shuffle: the per-key finish runs in
    the same fold (one fold on the small key over per-batch partials), or
-   on the driver over collected partials bounded by batches x keys x K.
+   on the driver: :func:`collect_agg` for sum / min / max,
+   :func:`collect_topk` for a top-K, each holding its bounded result
+   plus one chunk.
 
 The cardinality rule, checked in code: a key sized by the data (tokens,
 pairs, docs, orders, users, strings) goes through :func:`keyed_agg`; a
@@ -259,6 +264,39 @@ def collect_agg(ds: "ray.data.Dataset", keys: list, aggs: dict,
              if set(cols) <= set(names) else [pa.int64()] * len(cols))
     return _reduce(pa.schema(list(zip(cols, types))).empty_table(), keys,
                    aggs).to_pandas()
+
+
+def collect_topk(ds: "ray.data.Dataset", cols: dict, topk: Callable,
+                 max_rows: int) -> "pd.DataFrame":
+    """Collect the per-batch top-K partials ``ds`` into one pandas frame
+    on the driver: ``topk`` keeps a frame's top-K rows per key and can be
+    re-applied to its own output plus more rows (``topk(concat(topk(a),
+    b))`` equals ``topk(concat(a, b))``). The driver re-applies it every
+    :data:`COLLECT_CHUNK_ROWS` rows, so it holds the result plus one
+    chunk whatever the batch count, and raises ``ValueError`` as soon as
+    the result passes ``max_rows`` (keys x K, which the caller states).
+    The frame has the columns ``cols`` (name -> pyarrow type), also when
+    ``ds`` has no rows."""
+    import pandas as pd
+
+    def fold(parts: list) -> "pd.DataFrame":
+        out = topk(pd.concat(parts, ignore_index=True))
+        if len(out) > max_rows:
+            raise ValueError(
+                f"collect_topk: more than max_rows={max_rows} rows "
+                f"({len(out)} so far)")
+        return out
+
+    acc, n_acc = [], 0
+    for b in ds.iter_batches(batch_format="pandas", batch_size=None):
+        if len(b) == 0:
+            continue
+        acc.append(b[list(cols)])
+        n_acc += len(b)
+        if n_acc > COLLECT_CHUNK_ROWS:
+            acc = [fold(acc)]
+            n_acc = len(acc[0])
+    return fold(acc or [pa.schema(cols).empty_table().to_pandas()])
 
 
 _SIDES: dict = {}
