@@ -85,6 +85,11 @@ def entry() -> Any:
 # the per-batch histogram partials), neardup_raretok (keyed_agg over its
 # signatures), max_quiet, inverted_index, window_copairs,
 # bigram_diversity and retention_cohorts.
+# Round 11: five of those round-10 slots (hod_median, daily_value_bands,
+# max_quiet, inverted_index, window_copairs) rotate out for five
+# never-gated queries that ran on a fixed actor pool and now run as plain
+# batch tasks: tfdf_top3, bloom_prescreen, length_rank, boilerplate_3gram
+# and langid_confusion.
 _PRIORITY = [
     # core §2 pins
     "rollup_t1", "rollup_t3", "rollup_t6", "source_stats", "store_stats",
@@ -93,11 +98,11 @@ _PRIORITY = [
     "parseval_ok", "resample64", "bandpass_coarse", "scale_energy",
     "fft_magnitude", "dwt_haar", "tier_pick", "dau_mau", "normalize",
     "cross_source_diff", "peak_concurrency",
-    # first-time-gated queries (round 10 rotation)
-    "hod_median", "daily_value_bands", "neardup_raretok",
-    "max_quiet", "supplier_hhi", "inverted_index",
-    "repurchase_interval", "window_copairs", "bigram_diversity",
-    "retention_cohorts",
+    # first-time-gated queries (rounds 10 and 11)
+    "neardup_raretok", "supplier_hhi", "repurchase_interval",
+    "bigram_diversity", "retention_cohorts",
+    "tfdf_top3", "bloom_prescreen", "length_rank", "boilerplate_3gram",
+    "langid_confusion",
     # late core additions + the join family
     "store_refresh", "drawdown",
     "mann_kendall", "profit_by_nation_year", "dedup_incremental",

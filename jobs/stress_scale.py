@@ -320,7 +320,7 @@ CLIP_H, CLIP_W = 8, 8
 
 
 def video_stress(tmp: str) -> dict:
-    """200k real AVI containers through the decode actor path: build
+    """200k real AVI containers through the decode path: build
     deterministic greyscale clips (16 frames of 8x8, seeded per id) as
     full RIFF 'AVI ' payloads in parquet, then stream them through
     MediaFeatures (pure-numpy container parse + DIB unfilter) and verify
@@ -358,30 +358,27 @@ def video_stress(tmp: str) -> dict:
         .write_parquet(vdir)
     )
 
-    class DecodeVerify:
-        def __init__(self):
-            self.mf = mm.MediaFeatures()
+    mf = mm.MediaFeatures()
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            f = self.mf(t.select(["doc_id", "payload", "media_type"]))
-            got = f["sum_byte"].to_numpy()
-            exp = t["exp_sum"].to_numpy()
-            if not (got == exp).all():
-                raise AssertionError("decoded pixel sum mismatch")
-            return pa.table(
-                {
-                    "n": pa.array([len(exp)], type=pa.int64()),
-                    "pix": pa.array(
-                        [int(f["n_bytes"].to_numpy().sum())], type=pa.int64()
-                    ),
-                }
-            )
+    def decode_verify(t: pa.Table) -> pa.Table:
+        f = mf(t.select(["doc_id", "payload", "media_type"]))
+        got = f["sum_byte"].to_numpy()
+        exp = t["exp_sum"].to_numpy()
+        if not (got == exp).all():
+            raise AssertionError("decoded pixel sum mismatch")
+        return pa.table(
+            {
+                "n": pa.array([len(exp)], type=pa.int64()),
+                "pix": pa.array(
+                    [int(f["n_bytes"].to_numpy().sum())], type=pa.int64()
+                ),
+            }
+        )
 
     t0 = time.perf_counter()
     agg = (
         ray.data.read_parquet(vdir)
-        .map_batches(DecodeVerify, batch_format="pyarrow",
-                     batch_size=512, concurrency=16)
+        .map_batches(decode_verify, batch_format="pyarrow", batch_size=512)
         .sum(["n", "pix"])
     )
     wall = time.perf_counter() - t0

@@ -305,6 +305,55 @@ def test_propagate_min_labels_matches_union_find(ray_session):
     assert got_map == want
 
 
+_I64 = np.iinfo(np.int64)
+_PAIR_CASES = {
+    "no candidates": [],
+    # doc 7 has no payload row: both of its pairs drop, as in the join
+    "dangling doc": [(0, 1), (1, 7), (7, 2), (2, 3)],
+    "duplicate pairs": [(0, 1), (0, 1), (1, 2), (0, 1), (3, 0)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PAIR_CASES))
+@pytest.mark.parametrize("kind", ["int64", "binary"])
+def test_pair_payload_matches_a_pandas_inner_merge(ray_session, case, kind):
+    """``_pair_payload`` gives what two pandas inner merges give: pairs
+    that name a doc with no payload row drop, duplicates stay, and int64
+    payloads at the ends of their range come back exact (a null-padded
+    union would read them as float64)."""
+    import ray.data
+
+    from wavelet_decomposition_ray.pipelines import data_queries as dq
+    from wavelet_decomposition_ray.pipelines import skeletons as sk
+
+    ids = np.arange(6, dtype=np.int64)
+    if kind == "int64":
+        vals = [_I64.max, _I64.min, _I64.max - 1, _I64.min + 1, 0, -1]
+        typ = pa.int64()
+    else:
+        vals = [b"", b"a", b"\x00\xff", b"abc" * 50, b"z", b"\x00"]
+        typ = pa.binary()
+    pay = pa.table({"doc_id": ids, "v": pa.array(vals, typ)})
+    payload = ray.data.from_arrow([pay.slice(0, 4), pay.slice(4)])
+    e = np.array(_PAIR_CASES[case], dtype=np.int64).reshape(-1, 2)
+    cand = pa.table({"doc_a": e[:, 0], "doc_b": e[:, 1]})
+    pairs = ray.data.from_arrow([cand.slice(0, 2), cand.slice(2)])
+
+    got = sk.collect(dq._pair_payload(pairs, payload, "v", ("va", "vb")),
+                     {"doc_a": pa.int64(), "doc_b": pa.int64(),
+                      "va": typ, "vb": typ})
+    p = pay.to_pandas()
+    want = (cand.to_pandas()
+            .merge(p.rename(columns={"doc_id": "doc_a", "v": "va"}))
+            .merge(p.rename(columns={"doc_id": "doc_b", "v": "vb"})))
+    key = ["doc_a", "doc_b"]
+    got = got[list(want.columns)].sort_values(key, kind="stable")
+    want = want.sort_values(key, kind="stable")
+    assert got.values.tolist() == want.values.tolist()
+    if kind == "int64" and len(got):
+        assert got["va"].dtype == np.int64 and got["vb"].dtype == np.int64
+
+
 def test_dedup_keep_distributed_path_matches_driver_path(ray_session, monkeypatch):
     """Force the >guard branch of q_dedup_keep (guard=0) and check the
     surviving corpus equals the driver union-find path's output."""

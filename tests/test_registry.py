@@ -99,3 +99,44 @@ def test_sweep_artifact_covers_the_registry():
     assert sorted(sweep["queries"]) == sorted(m.queries())
     assert sweep["passed"] == sweep["total"] == len(sweep["queries"])
     assert sweep["failed"] == []
+
+
+# the queries that ran on a fixed actor pool or behind Dataset.join
+ONE_SLOT_QUERIES = (
+    "lang_id", "token_count_bpe", "tfdf_top3", "bloom_prescreen",
+    "length_rank", "boilerplate_3gram", "source_report", "langid_confusion",
+    "clean_text", "dedup_minhash", "simhash_pairs",
+)
+
+
+def test_former_actor_queries_run_exact_on_one_ray_slot():
+    """On one Ray slot, ``sweep_oracle --only`` finishes every query
+    that ran on an actor pool or a ``Dataset.join``, and each matches
+    its oracle exactly. A pool of two actors never gets its slots there,
+    and the sweep hung until it was killed."""
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "RAY_GRAFT_CPUS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.Popen(
+        [sys.executable, os.path.join(root, "jobs", "sweep_oracle.py"),
+         "--only", ",".join(ONE_SLOT_QUERIES)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True, start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=300)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the sweep and its Ray node
+        proc.communicate()
+        raise AssertionError("sweep on one Ray slot still running at 300 s")
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert summary["failed"] == [], out
+    assert summary["total"] == summary["exact_checked"] == \
+        summary["passed"] == len(ONE_SLOT_QUERIES), out
+    assert proc.returncode == 0

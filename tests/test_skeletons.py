@@ -376,3 +376,27 @@ def test_query_modules_join_only_through_broadcast_dim(module):
     for pat in banned:
         hit = re.search(pat, src)
         assert hit is None, f"{module}: {hit.group(0)!r}"
+
+
+_ROOT = os.path.dirname(os.path.dirname(_PIPELINES))
+_JOB_SCRIPTS = tuple(sorted(
+    f"jobs/{f}" for f in os.listdir(os.path.join(_ROOT, "jobs"))
+    if f.endswith(".py")))
+
+
+@pytest.mark.parametrize(
+    "module", (*_SCANNED, "skeletons.py", "materialize.py", *_JOB_SCRIPTS))
+def test_no_actor_pool_and_no_dataset_join(module):
+    """Every step is a plain Ray task: no ``concurrency=`` /
+    ``compute=`` / ``fn_constructor_args`` / ``fn_constructor_kwargs``
+    (an actor pool; Ray rejects a class passed to ``map_batches``
+    without ``concurrency``, so no class either) and no
+    ``Dataset.join`` (its hash-shuffle aggregators are actors too)."""
+    src = (open(os.path.join(_ROOT, module)).read()
+           if module.startswith("jobs/") else _source(module))
+    banned = [r"\b(concurrency|compute)\s*=",
+              r"fn_constructor_(args|kwargs)",
+              r"\.join\(\s*\w+\s*,\s*[\"'](inner|left|right|outer)"]
+    for pat in banned:
+        hit = re.search(pat, src)
+        assert hit is None, f"{module}: {hit.group(0)!r}"

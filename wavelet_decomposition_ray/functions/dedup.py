@@ -95,7 +95,8 @@ def char_shingles(text: str, k: int = 5) -> np.ndarray:
 
 class MinHasher:
     """MinHash signatures (n_perm universal-hash permutations) — stateful:
-    the permutation coefficients are drawn once per actor from a fixed seed."""
+    the permutation coefficients are drawn once per instance from a fixed
+    seed."""
 
     def __init__(self, n_perm: int = 64, seed: int = 7):
         rng = np.random.default_rng(seed)
@@ -252,9 +253,9 @@ def blob_array_from_flat(raw: bytes, set_off: np.ndarray) -> pa.Array:
 
 
 class WordHasher:
-    """Stable word -> uint64 hashes with a per-actor cache. The synthetic
+    """Stable word -> uint64 hashes with a per-instance cache. The synthetic
     corpora (and natural text) reuse a small vocabulary, so hashing each
-    distinct word once per actor removes the per-token md5 loop."""
+    distinct word once per instance removes the per-token md5 loop."""
 
     def __init__(self):
         self.cache: dict[str, int] = {}
@@ -285,7 +286,7 @@ def _mix3(h0: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
 
 
 class GramSets:
-    """Actor/batch fn: (doc_id, text) -> (doc_id, set_blob, set_size) of
+    """Batch fn: (doc_id, text) -> (doc_id, set_blob, set_size) of
     distinct word-3-gram hashes. Word hashes come from the cached
     :class:`WordHasher`; the gram combine is one vectorized mix over all
     grams of the batch (no per-gram Python)."""
@@ -500,7 +501,7 @@ def simhash64(text: str) -> int:
 
 class SimHasher:
     """Vectorized SimHash (identical output to :func:`simhash64`): hash only
-    the batch's DISTINCT words (per-actor cache), expand each distinct hash
+    the batch's DISTINCT words (per-instance cache), expand each distinct hash
     to a ±1 bit-vote row once, then per-doc votes are one ``add.reduceat``
     over the word stream — no per-word Python in the hot path."""
 

@@ -1,5 +1,6 @@
 """Multimodal column plumbing: opaque ``binary`` payloads with typed
-metadata, decode / feature-extract / frame-sample as actor-pool stages.
+metadata, decode / feature-extract / frame-sample as callable batch
+functions.
 
 ``image/png`` payloads are decoded for REAL (``functions.png``: pure
 zlib+numpy per the PNG spec, PIL fast path when installed), as are
@@ -8,7 +9,7 @@ and ``video/avi`` payloads (``functions.avi``: RIFF 'AVI ' container with
 uncompressed 24-bit DIB frames, pure numpy). Compressed video codecs are
 absent from this container, so those media types raise a clearly-marked
 NotImplementedError; everything Ray-side — schema, zero-copy binary
-batches, actor signature, batch sizing, output layout — is identical for
+batches, batch signature, batch sizing, output layout — is identical for
 every media type.
 """
 
@@ -179,15 +180,12 @@ def text_to_avi_payload_batch(batch: pa.Table) -> pa.Table:
 
 
 class MediaFeatures:
-    """Actor-pool stage: payload -> fixed-width feature row.
+    """Batch function: payload -> fixed-width feature row.
 
     Batch size guidance: large binary payloads => SMALL batch_size so a
-    batch x concurrency fits in the worker heap (SURVEY.md §4.2; at real
-    image sizes use batch_size<=64 and num_cpus>=1 per actor).
+    batch per task fits in the worker heap (SURVEY.md §4.2; at real
+    image sizes use batch_size<=64).
     """
-
-    def __init__(self):
-        self.decoded = 0  # per-actor lineage counter
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         payloads = batch["payload"].to_pylist()
@@ -202,7 +200,6 @@ class MediaFeatures:
             head[i] = int(arr[0]) if len(arr) else -1
             crc[i] = zlib.crc32(p)
             sum_val[i] = int(arr.sum(dtype=np.int64))
-        self.decoded += len(payloads)
         # sum_byte (not a float mean): integer-exact, so the PNG-decoded
         # stats compare bit-for-bit against the SQL twin
         return pa.table(
@@ -217,7 +214,7 @@ class MediaFeatures:
 
 
 class MediaResize:
-    """Actor-pool stage: "resize" the decoded payload to a fixed-length
+    """Batch function: "resize" the decoded payload to a fixed-length
     thumbnail by exact integer index sampling — position k of ``size``
     samples byte ``k * (n - 1) // (size - 1)`` (nearest-pixel resize in 1-D;
     swap ``_decode_payload`` + this sampler for PIL's ``Image.resize`` on a
@@ -254,7 +251,7 @@ class MediaResize:
 
 
 class VideoFrameStats:
-    """Actor-pool stage: REAL per-frame extraction — decode the AVI
+    """Batch function: REAL per-frame extraction — decode the AVI
     container, keep every ``stride``-th frame (the keyframe-sampling shape
     of a video curation pipeline), emit long-form per-frame pixel sums.
     Unlike FrameSampler (which strides the flat byte stream of ANY media
@@ -293,7 +290,7 @@ class VideoFrameStats:
 
 
 class FrameSampler:
-    """Actor-pool stage: sample every ``stride``-th byte ("frame") of the
+    """Batch function: sample every ``stride``-th byte ("frame") of the
     payload — the video frame-sampling shape (decode stubbed as above)."""
 
     def __init__(self, stride: int = 16, max_frames: int = 32):

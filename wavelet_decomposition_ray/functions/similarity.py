@@ -1,7 +1,7 @@
 """Similarity search over the ``embeddings`` table (list<float> column).
 
 Baseline: brute-force cosine top-k — numpy matmul per batch against a
-broadcast query matrix (``ray.put`` once, read per actor — the
+broadcast query matrix (``ray.put`` once, read by the batch function — the
 broadcast-small-side pattern; nothing is shuffled). Scale path: LSH-bucketed
 ANN (random hyperplanes), where only same-bucket candidates are scored —
 the groupby key is a small int, exactly the shape that survives 10^12 rows.
@@ -32,11 +32,11 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
 
 
 class CosineTopK:
-    """Actor-pool stage: per batch, cosine of every row against the
+    """Batch function: per batch, cosine of every row against the
     broadcast query matrix; emits (vec_id, query_id, cos_sim) candidates.
 
-    ``queries_ref`` may be a ``ray.ObjectRef`` (fetched once per actor in
-    __init__ — the broadcast pattern) or a plain ndarray for local use.
+    ``queries_ref`` may be a ``ray.ObjectRef`` (fetched once, in
+    ``__init__``) or a plain ndarray for local use.
     """
 
     def __init__(self, queries_ref, query_ids=None):

@@ -2,8 +2,9 @@
 quality scoring, language-ID heuristic, document fingerprinting.
 
 All batch fns are vectorized (pandas string kernels / numpy) and designed
-for ``map_batches``; the stateful ones (compiled regexes, language profiles)
-are callable classes so they run as actor pools with setup in ``__init__``.
+for ``map_batches``; the ones with setup (compiled regexes, language
+profiles) are callable classes: the driver builds one instance, which
+ships with the plain batch tasks as a function.
 """
 
 from __future__ import annotations
@@ -54,12 +55,12 @@ def quality_batch(batch: pa.Table) -> pa.Table:
 
 
 class LangId:
-    """Character-n-gram language-ID heuristic (actor-pool stage).
+    """Character-n-gram language-ID heuristic (a callable batch function).
 
-    Profiles are built once per actor in ``__init__`` from tiny built-in
-    trigram tables; scoring is a vectorized count of profile hits. This is
+    Profiles are built once, in ``__init__``, from tiny built-in trigram
+    tables; scoring is a vectorized count of profile hits. This is
     deterministic and self-contained (no model downloads) — the point at
-    engine level is the actor-pool plumbing + stable schema, not SOTA
+    engine level is the batch plumbing + stable schema, not SOTA
     accuracy (test data's ``lang`` labels are synthetic and uncorrelated
     with its word-soup text, so correctness is determinism, not recovery).
     """
@@ -73,7 +74,7 @@ class LangId:
     }
 
     def __init__(self):
-        # One-pass scorer state (built once per actor): every profile gram
+        # One-pass scorer state (built once per instance): every profile gram
         # is 3 codepoints packed into an int64 (21 bits each); scoring is a
         # single searchsorted of ALL text trigram windows against the sorted
         # gram codes, then a (doc x code) bincount times the code->lang 0/1
@@ -154,7 +155,7 @@ class LangId:
 class BpeishTokenizer:
     """BPE-ish regex token counting (GPT-2-style segmentation classes:
     contractions, letter runs, digit runs, punctuation runs, whitespace) —
-    the compiled pattern is per-actor state; counting is one findall per
+    the pattern is compiled once per instance; counting is one findall per
     doc via pandas str.count on the compiled regex."""
 
     PATTERN = r"'[a-z][a-z]?| ?[A-Za-z]+| ?[0-9]+| ?[^A-Za-z0-9\s]+|\s+"

@@ -111,7 +111,7 @@ QUALITY_FILTER_SQL = (
 def q_lang_id(sf_dir: str):
     """Language ID per document via the packed-trigram profile scorer (one searchsorted pass per batch; deterministic argmax with tie-break)."""
     return _docs(sf_dir).map_batches(
-        tx.LangId, batch_format="pyarrow", batch_size=256, concurrency=2
+        tx.LangId(), batch_format="pyarrow", batch_size=256
     )
 
 
@@ -151,11 +151,11 @@ LANG_ID_SQL = _lang_id_sql()
 
 def q_token_count_bpe(sf_dir: str):
     """BPE-ish regex token count (the brief's second token-counting mode):
-    actor-pool stage holding the compiled pattern; oracle runs the SAME
-    regex through DuckDB's RE2 (verified to agree on these classes)."""
+    one tokenizer instance, its pattern compiled once, shipped with the
+    batch tasks; oracle runs the SAME regex through DuckDB's RE2 (verified
+    to agree on these classes)."""
     return _docs(sf_dir).map_batches(
-        tx.BpeishTokenizer, batch_format="pyarrow", batch_size=256,
-        concurrency=2,
+        tx.BpeishTokenizer(), batch_format="pyarrow", batch_size=256
     )
 
 
@@ -465,44 +465,82 @@ def _dedupe_verified(ds: "ray.data.Dataset", value_col: str
     return keyed_agg(ds, ["doc_a", "doc_b"], {value_col: "min"})
 
 
+def _pair_payload(pairs, payload, col: str, out: tuple
+                  ) -> "ray.data.Dataset":
+    """The inner join of candidate pairs (``doc_a``, ``doc_b``) with a
+    per-doc payload on both sides: each pair with its two docs' ``col``
+    values from ``payload`` (materialized, one ``doc_id`` row per doc),
+    named ``out``.  Two co-partitioned :func:`fold_by_part` folds, keyed
+    on ``doc_a`` and then on ``doc_b``, each over the union of the pair
+    rows and the payload rows, with one pandas merge per part.  A pair
+    whose doc has no payload row is dropped and duplicate pairs stay, as
+    in the join.  A union row pads the other side's columns with ``0`` /
+    ``b""``, never null: pandas reads a null-padded int64 column as
+    float64, which rounds payloads near ±2^63."""
+    typ = payload.schema().base_schema.field(col).type
+    pad = pa.scalar(b"" if pa.types.is_binary(typ) else 0, typ)
+    union = pa.schema({"doc_a": pa.int64(), "doc_b": pa.int64(),
+                       "val": typ, "side": pa.int8()})
+
+    def tag(t: pa.Table, side: int, cols: dict) -> pa.Table:
+        """``t`` as union rows: ``cols`` maps union columns to columns
+        of ``t``, and the others are padding."""
+        n = t.num_rows
+        arrays = {"doc_a": pa.repeat(0, n), "doc_b": pa.repeat(0, n),
+                  "val": pa.repeat(pad, n),
+                  "side": pa.array(np.full(n, side, np.int8))}
+        arrays.update({c: t[src] for c, src in cols.items()})
+        return pa.table(arrays).cast(union)
+
+    def merge(on: str, pair_cols: list):
+        """Fold on ``on``: each pair row (``pair_cols``) gets the payload
+        of its ``on`` doc. The first fold names it ``val``; the second,
+        whose pairs carry ``val``, names the two payloads ``out``."""
+        carry = "val" in pair_cols
+        res = pa.schema({"doc_a": pa.int64(), "doc_b": pa.int64(),
+                         **{c: typ for c in (out if carry else ["val"])}})
+
+        def fold(df):
+            pay = df.loc[df["side"] == 0, [on, "val"]]
+            m = df.loc[df["side"] == 1, pair_cols].merge(
+                pay, on=on, suffixes=("", "_b"))
+            m.columns = res.names
+            return pa.Table.from_pandas(m, schema=res, preserve_index=False)
+
+        return fold
+
+    for on, pair_cols in (("doc_a", ["doc_a", "doc_b"]),
+                          ("doc_b", ["doc_a", "doc_b", "val"])):
+        both = pairs.map_batches(
+            tag, fn_args=(1, {c: c for c in pair_cols}),
+            batch_format="pyarrow",
+        ).union(payload.map_batches(
+            tag, fn_args=(0, {on: "doc_id", "val": col}),
+            batch_format="pyarrow"))
+        pairs = fold_by_part(both, on, merge(on, pair_cols),
+                             4 * _join_parts())
+    return pairs
+
+
 def _verify_pairs(cand, sets_ds, tau: float,
                   measure: str = "jaccard") -> "ray.data.Dataset":
     """Exact set-overlap verification (``measure`` = "jaccard" or
-    "containment") as a distributed hash JOIN of candidate pairs against
-    the doc-keyed set table (set blobs as binary payload — Acero rejects
-    list columns in join non-key fields). Nothing touches the driver: the
-    only wide ops are two bounded-key joins, shuffling set payloads once
-    per pair side, not per corpus scan."""
-    np_ = _join_parts()
-    kv = sets_ds.map_batches(
-        lambda t: t.select(["doc_id", "set_blob"]), batch_format="pyarrow"
-    )
-    j1 = cand.join(kv, "inner", np_, on=("doc_a",), right_on=("doc_id",))
-    j1 = j1.map_batches(
-        lambda t: t.rename_columns(
-            ["blob_a" if c == "set_blob" else c for c in t.column_names]
-        ),
-        batch_format="pyarrow",
-    )
-    j2 = j1.join(kv, "inner", np_, on=("doc_b",), right_on=("doc_id",))
-    j2 = j2.map_batches(
-        lambda t: t.rename_columns(
-            ["blob_b" if c == "set_blob" else c for c in t.column_names]
-        ),
-        batch_format="pyarrow",
-    )
+    "containment") of candidate pairs against the doc-keyed set table
+    (set blobs as binary payload), joined by :func:`_pair_payload`.
+    Nothing touches the driver: the only wide ops are its two folds,
+    shuffling set payloads once per pair side, not per corpus scan."""
     vfn = (dd.verify_containment_blob_batch if measure == "containment"
            else dd.verify_pairs_blob_batch)
-    verified = j2.map_batches(
-        lambda t: vfn(t, tau), batch_format="pyarrow"
-    )
+    verified = _pair_payload(
+        cand, sets_ds, "set_blob", ("blob_a", "blob_b")
+    ).map_batches(lambda t: vfn(t, tau), batch_format="pyarrow")
     return _dedupe_verified(verified, measure)
 
 
 def q_dedup_minhash(sf_dir: str):
     """MinHash+LSH near-dup pairs: shingle sets -> minhash -> band buckets
     -> capped groupby(band) candidates -> exact-Jaccard verify (>=
-    NEAR_DUP_TAU) via a per-doc set JOIN (no driver-side text broadcast).
+    NEAR_DUP_TAU) via a per-doc set join (no driver-side text broadcast).
 
     The groupby key is (band_id, band_hash): fixed-width ints, the shape
     that survives 10^12 docs; buckets larger than LSH_BUCKET_CAP are
@@ -513,10 +551,9 @@ def q_dedup_minhash(sf_dir: str):
     — one shingling scan instead of two/three (VERDICT r2 #6; the store
     spills to disk if sets outgrow memory; a tmp-parquet checkpoint via
     the manifest pattern is the disk-first alternative)."""
-    # NB stateless instance-fns, not actor pools: at test scale a second
-    # fixed pool can reserve every CPU of a tiny cluster and starve the
-    # shuffle between the pools (pool-sizing rule, SURVEY.md §4.2.3); on a
-    # real cluster these become map_batches(cls, concurrency=(a, b))
+    # NB plain batch tasks, never a fixed actor pool: a pool reserves its
+    # slots for the whole run, and on a small cluster it starves the
+    # shuffles around it (pool-sizing rule, SURVEY.md §4.2.3)
     sets = _docs(sf_dir).map_batches(
         dd.shingle_sets_batch, batch_format="pyarrow", batch_size=512
     ).materialize()
@@ -618,8 +655,8 @@ def q_dedup_simhash(sf_dir: str):
     """Per-doc 64-bit SimHash (deterministic, vectorized over the batch's
     distinct words); pair extraction is pytest-covered (hamming <=
     SIMHASH_MAX_HAMMING over the planted near-dups)."""
-    # instance-fn (not an actor pool): see the pool-sizing NB in
-    # q_dedup_minhash — the word cache still amortizes within each batch
+    # an instance shipped with the batch tasks: see the pool-sizing NB
+    # in q_dedup_minhash — the word cache still amortizes within each batch
     return _docs(sf_dir).map_batches(
         dd.SimHasher(), batch_format="pyarrow", batch_size=256
     )
@@ -657,8 +694,10 @@ DEDUP_SIMHASH_SQL = _simhash_sql()
 def q_simhash_pairs(sf_dir: str):
     """SimHash near-dup PAIRS (hamming <= SIMHASH_MAX_HAMMING): 7 pigeonhole
     bands over the 64-bit hash (>6 bands => one clean band per qualifying
-    pair) -> capped candidate groupby -> exact hamming verify via joins on
-    the per-doc simhash (int payload).
+    pair) -> capped candidate groupby -> exact hamming verify via
+    :func:`_pair_payload` on the per-doc simhash (int payload).  ``sims``
+    feeds the bands and both sides of the verify, so it is checkpointed
+    once (``materialize``), as ``sets`` is in q_dedup_minhash.
 
     Recall is exactly 1 ONLY while no bucket exceeds the occupancy cap:
     the cap scales with corpus size (4x the expected bucket load, so only
@@ -686,28 +725,14 @@ def q_simhash_pairs(sf_dir: str):
     cap = max(LSH_BUCKET_CAP, -(-4 * n_docs // key_space))
     sims = _docs(sf_dir).map_batches(
         dd.SimHasher(), batch_format="pyarrow", batch_size=256
-    )
+    ).materialize()
     bands = sims.map_batches(bands_fn, batch_format="pyarrow")
     cand = _dedupe_pairs(fold_by_part(
         bands, "band_hash",
         dd.make_partition_pairs(["band_id", "band_hash"], cap),
         4 * _join_parts(),
     ))
-    np_ = _join_parts()
-    j1 = cand.join(sims, "inner", np_, on=("doc_a",), right_on=("doc_id",))
-    j1 = j1.map_batches(
-        lambda t: t.rename_columns(
-            ["sh_a" if c == "simhash" else c for c in t.column_names]
-        ),
-        batch_format="pyarrow",
-    )
-    j2 = j1.join(sims, "inner", np_, on=("doc_b",), right_on=("doc_id",))
-    j2 = j2.map_batches(
-        lambda t: t.rename_columns(
-            ["sh_b" if c == "simhash" else c for c in t.column_names]
-        ),
-        batch_format="pyarrow",
-    )
+    pairs = _pair_payload(cand, sims, "simhash", ("sh_a", "sh_b"))
 
     def verify(t: pa.Table) -> pa.Table:
         a = t["doc_a"].to_numpy(zero_copy_only=False)
@@ -725,7 +750,7 @@ def q_simhash_pairs(sf_dir: str):
             }
         )
 
-    return _dedupe_verified(j2.map_batches(verify, batch_format="pyarrow"),
+    return _dedupe_verified(pairs.map_batches(verify, batch_format="pyarrow"),
                             "hamming")
 
 
@@ -1359,7 +1384,7 @@ MULTIMODAL_SQL = (
 def q_png_features(sf_dir: str):
     """REAL image decode in the loop (VERDICT r3 #5): deterministic PNG
     payloads (each doc's text bytes as a greyscale raster, full spec-level
-    encode) -> MediaFeatures actors decode the PNGs (zlib inflate +
+    encode) -> MediaFeatures batch tasks decode the PNGs (zlib inflate +
     scanline unfilter; PIL fast path when installed) -> per-image pixel
     stats. Because the decoded raster equals the trimmed text bytes, the
     pixel stats have an exact SQL twin over the text column."""
@@ -1401,7 +1426,7 @@ PNG_FEATURES_SQL = (
 def q_wav_features(sf_dir: str):
     """REAL audio decode in the loop (VERDICT r4 #3): deterministic WAV
     payloads (each doc's text bytes as 16-bit PCM samples, full RIFF
-    container) -> MediaFeatures actors decode the WAVs (pure-numpy
+    container) -> MediaFeatures batch tasks decode the WAVs (pure-numpy
     RIFF/PCM parse, ``functions.wav``) -> per-clip sample stats. Because
     the decoded sample stream equals the text bytes, the stats have an
     exact SQL twin over the text column (the png_features pattern)."""
@@ -1443,7 +1468,7 @@ def q_video_features(sf_dir: str):
     """REAL video decode in the loop (the last r4 multimodal stub closed):
     deterministic AVI payloads (each doc's text bytes as greyscale 8x8
     frames in a full RIFF 'AVI ' container, uncompressed 24-bit DIB) ->
-    MediaFeatures actors decode the AVIs (pure-numpy container parse +
+    MediaFeatures batch tasks decode the AVIs (pure-numpy container parse +
     DIB unfilter, ``functions.avi``) -> per-clip pixel stats. Grey
     replicates to RGB, so the decoded stream is each trimmed text byte
     3x — stats have an exact SQL twin over the text column (the
@@ -1930,38 +1955,36 @@ DECONTAM_TABLE_SQL = (
 TFDF_TOP_K = 3
 
 
-class _TfDfRank:
-    def __init__(self, df_ref):
-        self.df_map = ray.get(df_ref)  # dict term -> global df
+def _tfdf_rank(t: pa.Table, df_map: dict) -> pa.Table:
+    """Top-K terms of each doc of ``t`` by (tf DESC, df ASC, term), with
+    ``df_map`` the global term -> document frequency."""
+    import itertools
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        import itertools
+    import pandas as pd
 
-        import pandas as pd
-
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        words = t["text"].to_pandas().str.split()
-        lens = words.str.len().fillna(0).astype(np.int64).to_numpy()
-        flat = list(itertools.chain.from_iterable(w for w in words if w))
-        g = pd.DataFrame({"doc_id": np.repeat(ids, lens), "term": flat})
-        tf = g.groupby(["doc_id", "term"]).size().reset_index(name="tf")
-        tf["df"] = tf["term"].map(self.df_map).astype(np.int64)
-        tf = tf.sort_values(
-            ["doc_id", "tf", "df", "term"],
-            ascending=[True, False, True, True],
-            kind="mergesort",
-        )
-        tf["rnk"] = tf.groupby("doc_id").cumcount() + 1
-        out = tf[tf["rnk"] <= TFDF_TOP_K].reset_index(drop=True)
-        return pa.table(
-            {
-                "doc_id": pa.array(out["doc_id"].to_numpy()),
-                "term": pa.array(out["term"], type=pa.string()),
-                "tf": pa.array(out["tf"].to_numpy().astype(np.int64)),
-                "df": pa.array(out["df"].to_numpy()),
-                "rnk": pa.array(out["rnk"].to_numpy().astype(np.int64)),
-            }
-        )
+    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    words = t["text"].to_pandas().str.split()
+    lens = words.str.len().fillna(0).astype(np.int64).to_numpy()
+    flat = list(itertools.chain.from_iterable(w for w in words if w))
+    g = pd.DataFrame({"doc_id": np.repeat(ids, lens), "term": flat})
+    tf = g.groupby(["doc_id", "term"]).size().reset_index(name="tf")
+    tf["df"] = tf["term"].map(df_map).astype(np.int64)
+    tf = tf.sort_values(
+        ["doc_id", "tf", "df", "term"],
+        ascending=[True, False, True, True],
+        kind="mergesort",
+    )
+    tf["rnk"] = tf.groupby("doc_id").cumcount() + 1
+    out = tf[tf["rnk"] <= TFDF_TOP_K].reset_index(drop=True)
+    return pa.table(
+        {
+            "doc_id": pa.array(out["doc_id"].to_numpy()),
+            "term": pa.array(out["term"], type=pa.string()),
+            "tf": pa.array(out["tf"].to_numpy().astype(np.int64)),
+            "df": pa.array(out["df"].to_numpy()),
+            "rnk": pa.array(out["rnk"].to_numpy().astype(np.int64)),
+        }
+    )
 
 
 def q_tfdf_top3(sf_dir: str):
@@ -1982,11 +2005,8 @@ def q_tfdf_top3(sf_dir: str):
         dict(zip(df_tbl["word"], df_tbl["df"].astype(np.int64)))
     )
     return _docs(sf_dir).map_batches(
-        _TfDfRank,
-        fn_constructor_args=(df_ref,),
-        batch_format="pyarrow",
-        batch_size=512,
-        concurrency=2,
+        lambda t: _tfdf_rank(t, cached_get(df_ref)),
+        batch_format="pyarrow", batch_size=512,
     )
 
 
@@ -2765,41 +2785,36 @@ def q_bloom_prescreen(sf_dir: str):
     filt[bit_rows] = True
     filt_ref = ray.put(filt)
 
-    class Screen:
-        def __init__(self):
-            self.filt = ray.get(filt_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            import pandas as pd
-
-            ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            keep = ids % DECONTAM_MOD != 0
-            ids_k = ids[keep]
-            g = tx.word3_grams_frame(
-                ids_k, t["text"].to_pandas()[keep].reset_index(drop=True)
+    def screen(t: pa.Table) -> pa.Table:
+        filt = cached_get(filt_ref)
+        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        keep = ids % DECONTAM_MOD != 0
+        ids_k = ids[keep]
+        g = tx.word3_grams_frame(
+            ids_k, t["text"].to_pandas()[keep].reset_index(drop=True)
+        )
+        grams = g["gram"].unique()
+        ok = {
+            w: all(
+                filt[dd._stable_u64(f"bloom{r}:{w}") % BLOOM_M]
+                for r in range(BLOOM_K)
             )
-            grams = g["gram"].unique()
-            ok = {
-                w: all(
-                    self.filt[dd._stable_u64(f"bloom{r}:{w}") % BLOOM_M]
-                    for r in range(BLOOM_K)
-                )
-                for w in grams
+            for w in grams
+        }
+        g["hit"] = g["gram"].map(ok)
+        agg = g.groupby("doc").agg(
+            n_grams=("gram", "size"), n_pass=("hit", "sum")
+        ).reindex(ids_k, fill_value=0)
+        return pa.table(
+            {
+                "doc_id": ids_k,
+                "n_grams": agg["n_grams"].to_numpy().astype(np.int64),
+                "n_pass": agg["n_pass"].to_numpy().astype(np.int64),
             }
-            g["hit"] = g["gram"].map(ok)
-            agg = g.groupby("doc").agg(
-                n_grams=("gram", "size"), n_pass=("hit", "sum")
-            ).reindex(ids_k, fill_value=0)
-            return pa.table(
-                {
-                    "doc_id": ids_k,
-                    "n_grams": agg["n_grams"].to_numpy().astype(np.int64),
-                    "n_pass": agg["n_pass"].to_numpy().astype(np.int64),
-                }
-            )
+        )
 
     return _docs(sf_dir).map_batches(
-        Screen, batch_format="pyarrow", batch_size=512, concurrency=2
+        screen, batch_format="pyarrow", batch_size=512
     )
 
 
@@ -2879,32 +2894,29 @@ def q_length_rank(sf_dir: str):
         side[src] = (vals, below.astype(np.int64))
     side_ref = ray.put(side)
 
-    class Rank:
-        def __init__(self):
-            self.side = ray.get(side_ref)
+    def rank_batch(t: pa.Table) -> pa.Table:
+        import pandas as pd
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            import pandas as pd
-
-            src = t["source"].to_pandas()
-            v = t["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
-            rank = np.empty(len(v), dtype=np.int64)
-            groups = pd.Series(np.arange(len(v))).groupby(src).groups
-            for s, idx in groups.items():
-                vals, below = self.side[s]
-                ii = np.asarray(idx, dtype=np.int64)
-                rank[ii] = below[np.searchsorted(vals, v[ii])] + 1
-            return pa.table(
-                {
-                    "doc_id": t["doc_id"],
-                    "source": t["source"],
-                    "n_chars": t["n_chars"],
-                    "rank": pa.array(rank),
-                }
-            )
+        side = cached_get(side_ref)
+        src = t["source"].to_pandas()
+        v = t["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
+        rank = np.empty(len(v), dtype=np.int64)
+        groups = pd.Series(np.arange(len(v))).groupby(src).groups
+        for s, idx in groups.items():
+            vals, below = side[s]
+            ii = np.asarray(idx, dtype=np.int64)
+            rank[ii] = below[np.searchsorted(vals, v[ii])] + 1
+        return pa.table(
+            {
+                "doc_id": t["doc_id"],
+                "source": t["source"],
+                "n_chars": t["n_chars"],
+                "rank": pa.array(rank),
+            }
+        )
 
     return _docs(sf_dir, columns=("doc_id", "source", "n_chars")).map_batches(
-        Rank, batch_format="pyarrow", batch_size=1024, concurrency=2
+        rank_batch, batch_format="pyarrow", batch_size=1024
     )
 
 
@@ -2993,7 +3005,7 @@ def q_corpus_clean(sf_dir: str):
     benchmark gram set (eval-suite-sized) — then the corpus is filtered in
     ONE streaming pass of stateless tasks (elastic across every CPU, with
     a per-worker side cache — the rollup_pipeline lesson; the r3 actor
-    pool's concurrency=2 capped this scan at 2 workers) that applies every
+    pool of two capped this scan at 2 workers) that applies every
     predicate per batch; the corpus itself is never shuffled.  Stage-order
     note: every predicate is text- or id-deterministic, so computing the
     side sets corpus-wide commutes with the quality filter (duplicate
@@ -3311,26 +3323,22 @@ def q_boilerplate(sf_dir: str):
         )
     hot_ref = ray.put(set(hot_df["gram"]))
 
-    class Score:
-        def __init__(self):
-            self.hot = ray.get(hot_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            g = tx.word3_grams_frame(ids, t["text"].to_pandas())
-            g["boiler"] = g["gram"].isin(self.hot)
-            s = g.groupby("doc").agg(
-                n_grams=("gram", "size"), n_boiler=("boiler", "sum")
-            )
-            s = s.reindex(ids, fill_value=0)
-            return pa.table(
-                {"doc_id": ids,
-                 "n_grams": s["n_grams"].to_numpy().astype(np.int64),
-                 "n_boiler": s["n_boiler"].to_numpy().astype(np.int64)}
-            )
+    def score(t: pa.Table) -> pa.Table:
+        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        g = tx.word3_grams_frame(ids, t["text"].to_pandas())
+        g["boiler"] = g["gram"].isin(cached_get(hot_ref))
+        s = g.groupby("doc").agg(
+            n_grams=("gram", "size"), n_boiler=("boiler", "sum")
+        )
+        s = s.reindex(ids, fill_value=0)
+        return pa.table(
+            {"doc_id": ids,
+             "n_grams": s["n_grams"].to_numpy().astype(np.int64),
+             "n_boiler": s["n_boiler"].to_numpy().astype(np.int64)}
+        )
 
     return _docs(sf_dir).map_batches(
-        Score, batch_format="pyarrow", batch_size=512, concurrency=2
+        score, batch_format="pyarrow", batch_size=512
     )
 
 
@@ -3595,9 +3603,10 @@ CLEAN_URL_RE = r"https?://[^ \t\n\f\r\v]+"
 def q_clean_text(sf_dir: str):
     """Text normalization + PII audit — the scrub step of a curation
     pipeline: lowercase, collapse ASCII-whitespace runs, trim; count
-    email/URL matches (the redaction candidates). One compiled-regex
-    actor pool, no shuffle; output carries the md5 of the normalized text
-    so the transform itself is value-checked, not just counted. Patterns
+    email/URL matches (the redaction candidates). One batch map over
+    regexes compiled once on the driver, no shuffle; output carries the
+    md5 of the normalized text so the transform itself is value-checked,
+    not just counted. Patterns
     use the explicit ASCII whitespace class above so the DuckDB twin runs
     the IDENTICAL regexes (case-mapping divergence on exotic Unicode
     title-case letters remains out of scope — this is an ASCII-curation
@@ -3605,36 +3614,33 @@ def q_clean_text(sf_dir: str):
     import hashlib
     import re
 
-    class CleanText:
-        def __init__(self):
-            self.ws = re.compile(CLEAN_WS_RE)
-            self.email = re.compile(CLEAN_EMAIL_RE)
-            self.url = re.compile(CLEAN_URL_RE)
+    ws = re.compile(CLEAN_WS_RE)
+    email = re.compile(CLEAN_EMAIL_RE)
+    url = re.compile(CLEAN_URL_RE)
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            texts = t["text"].to_pylist()
-            # strip(" ") not strip(): after the collapse every boundary
-            # run is a single space, and DuckDB trim() strips spaces only
-            norm = [self.ws.sub(" ", s.lower()).strip(" ") for s in texts]
-            return pa.table(
-                {
-                    "doc_id": t["doc_id"],
-                    "n_emails": pa.array(
-                        np.array([len(self.email.findall(s)) for s in texts],
-                                 dtype=np.int64)),
-                    "n_urls": pa.array(
-                        np.array([len(self.url.findall(s)) for s in texts],
-                                 dtype=np.int64)),
-                    "norm_len": pa.array(
-                        np.array([len(s) for s in norm], dtype=np.int64)),
-                    "norm_md5": pa.array(
-                        [hashlib.md5(s.encode()).hexdigest() for s in norm]),
-                }
-            )
+    def clean(t: pa.Table) -> pa.Table:
+        texts = t["text"].to_pylist()
+        # strip(" ") not strip(): after the collapse every boundary
+        # run is a single space, and DuckDB trim() strips spaces only
+        norm = [ws.sub(" ", s.lower()).strip(" ") for s in texts]
+        return pa.table(
+            {
+                "doc_id": t["doc_id"],
+                "n_emails": pa.array(
+                    np.array([len(email.findall(s)) for s in texts],
+                             dtype=np.int64)),
+                "n_urls": pa.array(
+                    np.array([len(url.findall(s)) for s in texts],
+                             dtype=np.int64)),
+                "norm_len": pa.array(
+                    np.array([len(s) for s in norm], dtype=np.int64)),
+                "norm_md5": pa.array(
+                    [hashlib.md5(s.encode()).hexdigest() for s in norm]),
+            }
+        )
 
     return _docs(sf_dir).map_batches(
-        CleanText, batch_format="pyarrow", batch_size=512,
-        concurrency=(1, 8),
+        clean, batch_format="pyarrow", batch_size=512
     )
 
 
@@ -3920,29 +3926,25 @@ def q_source_report(sf_dir: str):
     every exchange is source- or dup-sized.  The composite exists so a
     pipeline run can gate promotion on ONE query instead of four."""
     dups = _dup_hashes(sf_dir)
+    lang = tx.LangId()
 
-    class _Score:
-        def __init__(self):
-            self.lang = tx.LangId()
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            h = dd.exact_hash_batch(t.select(["doc_id", "text"]))
-            isdup = dups.member(h["content_hash"]).astype(np.int64)
-            pred = self.lang(t.select(["doc_id", "text"]))["pred_lang"] \
-                .to_numpy(zero_copy_only=False)
-            declared = t["lang"].to_numpy(zero_copy_only=False)
-            return pa.table({
-                "source": t["source"],
-                "n_docs": np.ones(t.num_rows, np.int64),
-                "n_chars": pc.cast(t["n_chars"], pa.int64()),
-                "n_dup": isdup,
-                "n_lang_mismatch": (pred != declared).astype(np.int64)})
+    def score(t: pa.Table) -> pa.Table:
+        h = dd.exact_hash_batch(t.select(["doc_id", "text"]))
+        isdup = dups.member(h["content_hash"]).astype(np.int64)
+        pred = lang(t.select(["doc_id", "text"]))["pred_lang"] \
+            .to_numpy(zero_copy_only=False)
+        declared = t["lang"].to_numpy(zero_copy_only=False)
+        return pa.table({
+            "source": t["source"],
+            "n_docs": np.ones(t.num_rows, np.int64),
+            "n_chars": pc.cast(t["n_chars"], pa.int64()),
+            "n_dup": isdup,
+            "n_lang_mismatch": (pred != declared).astype(np.int64)})
 
     return pa.Table.from_pandas(collect_agg(
         _docs(sf_dir, columns=("doc_id", "text", "source", "lang",
                                "n_chars"))
-        .map_batches(_Score, batch_format="pyarrow", batch_size=256,
-                     concurrency=2),
+        .map_batches(score, batch_format="pyarrow", batch_size=256),
         ["source"], {c: "sum" for c in ("n_docs", "n_chars", "n_dup",
                                         "n_lang_mismatch")}, MAX_SOURCES),
         preserve_index=False)
@@ -3975,30 +3977,20 @@ def q_langid_confusion(sf_dir: str):
     trigram-profile prediction, counted per (declared, pred) cell: the
     accuracy audit of the ``lang_id`` operator itself against the
     corpus labels (off-diagonal mass = either mislabeled feeds or a
-    profile that needs more trigrams — both actionable).  Same actor-
-    pool scorer, plus a (langs²)-sized count rollup."""
-    ds = _docs(sf_dir, columns=("doc_id", "text", "lang"))
-
-    class _LangIdKeep:
-        """LangId drops non-(doc_id, text) columns; re-attach the
-        declared label (row order is preserved by the scorer)."""
-
-        def __init__(self):
-            self.inner = tx.LangId()
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            out = self.inner(t.select(["doc_id", "text"]))
-            return out.append_column("lang", t["lang"])
-
-    scored = ds.map_batches(_LangIdKeep, batch_format="pyarrow",
-                            batch_size=256, concurrency=2)
+    profile that needs more trigrams — both actionable).  Same LangId
+    scorer as ``lang_id``, plus a (langs²)-sized count rollup."""
+    lang = tx.LangId()
 
     def partial(t: pa.Table) -> pa.Table:
-        return pa.table({"declared": t["lang"], "pred": t["pred_lang"],
+        # the scorer keeps the batch's row order, so its predictions line
+        # up with the declared labels
+        pred = lang(t.select(["doc_id", "text"]))["pred_lang"]
+        return pa.table({"declared": t["lang"], "pred": pred,
                          "n": np.ones(t.num_rows, np.int64)})
 
     return pa.Table.from_pandas(collect_agg(
-        scored.map_batches(partial, batch_format="pyarrow"),
+        _docs(sf_dir, columns=("doc_id", "text", "lang")).map_batches(
+            partial, batch_format="pyarrow", batch_size=256),
         ["declared", "pred"], {"n": "sum"}, MAX_TYPES ** 2),
         preserve_index=False)
 
@@ -4505,7 +4497,7 @@ def q_simhash_bit_balance(sf_dir: str):
     documents have it SET: the fingerprint-health check (a bit stuck
     near 0% or 100% carries no Hamming information, silently shrinking
     ``dedup_simhash``'s effective radius; healthy md5-vote bits sit
-    near 50%).  Reuses the SimHasher actor kernel; the exchange is 64
+    near 50%).  Reuses the SimHasher batch kernel; the exchange is 64
     rows per batch."""
     hashed = _docs(sf_dir).map_batches(
         dd.SimHasher(), batch_format="pyarrow", batch_size=256
