@@ -80,7 +80,7 @@ def _headline(sf_dir: str, ncpus: int) -> dict:
             bank="haar",
             n_tiers=10,
             # library defaults: n_buckets=16 (finalize parallelism ~ CPUs,
-            # staged-slice count = tasks x buckets), batch_size adaptive
+            # one staged file per encode batch), batch_size adaptive
             # from the input row count. At cluster scale n_buckets rises
             # with nodes x cores (pipeline docstring).
             resume=False,

@@ -12,6 +12,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray
 
 from wavelet_decomposition_ray import oracle as oc, synth
 from wavelet_decomposition_ray.functions.listops import list_to_numpy
@@ -27,11 +28,12 @@ def seq_dir(ray_session):
 def _encode_row(out_dir, verify):
     """The ``encode`` row of the per-layer ledger in ``metrics.json``,
     after checking the ledger's rows: one per layer of the encode tasks, in
-    chain order with a ``check`` row exactly when ``verify``, then
-    ``finalize``."""
+    chain order with a ``check`` row exactly when ``verify`` and the staged
+    write last, then ``finalize``."""
     with open(os.path.join(out_dir, "metrics.json")) as fh:
         per_stage = json.load(fh)["per_stage"]
-    layers = ["read", "bucket", "gapfill"] + ["check"] * verify + ["encode"]
+    layers = (["read", "bucket", "gapfill"] + ["check"] * verify
+              + ["encode", "stage"])
     assert [s["operator"] for s in per_stage] == layers + ["finalize"]
     return per_stage[layers.index("encode")]
 
@@ -237,9 +239,11 @@ def test_row_group_split_plan_and_bytes(ray_session, tmp_path):
 
 
 def test_staged_write_retry_idempotent(tmp_path):
-    """A re-executed encode task must overwrite its own staged slices
-    (content-hash names), and BucketFinalize must dedupe duplicate metadata
-    rows — together, a task retry can never duplicate rows in the store."""
+    """A re-executed encode task must overwrite its own staged file
+    (content-hash name), and BucketFinalize must dedupe duplicate metadata
+    rows — together, a task retry can never duplicate rows in the store.
+    A re-executed commit finds its staged file still there and rewrites
+    the same bytes and row."""
     from wavelet_decomposition_ray.stages.encode import RollupEncode
 
     stage = str(tmp_path / "staging")
@@ -258,11 +262,13 @@ def test_staged_write_retry_idempotent(tmp_path):
         }
     )
     enc = RollupEncode(n_tiers=3, stage_dir=stage)
-    meta1 = enc(batch)
-    meta2 = RollupEncode(n_tiers=3, stage_dir=stage)(batch)  # "retried task"
-    assert meta1.to_pylist() == meta2.to_pylist()  # same names, overwritten
-    n_files = sum(len(fs) for _, _, fs in os.walk(stage))
-    assert n_files == meta1.num_rows  # no duplicate slices on disk
+    meta1 = enc._stage_batch(enc(batch))
+    retry = RollupEncode(n_tiers=3, stage_dir=stage)  # "retried task"
+    meta2 = retry._stage_batch(retry(batch))
+    assert meta1.to_pylist() == meta2.to_pylist()  # same name, overwritten
+    assert meta1.num_rows > 1
+    # one staged file for the batch, retried or not
+    assert os.listdir(stage) == [meta1["stage_file"][0].as_py()]
 
     # finalize one bucket with DUPLICATED metadata rows
     dup = pa.concat_tables([meta1, meta2])
@@ -278,15 +284,41 @@ def test_staged_write_retry_idempotent(tmp_path):
     )
     assert row["n_docs"] == n_docs_b0
     assert row["n_rows"] == n_docs_b0 * 3  # 3 tiers per doc, no duplicates
-    # staged slices of the finalized bucket were cleaned up
-    assert not glob.glob(
-        os.path.join(stage, f"bucket={b0['bucket'][0].as_py():05d}", "*")
-    )
-    # a re-executed commit (its slices already deleted) returns the
-    # committed row and leaves the bucket's bytes alone
+    # a re-executed commit (its staged file still there) returns the same
+    # row and leaves the bucket's bytes unchanged
     data = open(os.path.join(out, row["file"]), "rb").read()
-    assert mf.BucketFinalize(out, stage)(b0) == row
+    again = mf.BucketFinalize(out, stage)(b0)
+    assert {**again, "elapsed_s": 0} == {**row, "elapsed_s": 0}
     assert open(os.path.join(out, row["file"]), "rb").read() == data
+
+
+def test_job_stages_at_most_one_file_per_batch(seq_dir, tmp_path, monkeypatch):
+    """The map side of a job stages one file per encode batch: after the
+    map phase, staging holds exactly one file per batch of every unit, and
+    a batch's metadata rows (one per bucket it holds) all name its file."""
+    seen = {}
+    real = mf.stage_and_commit
+
+    def counting(out_dir, n_buckets, units, launch, ncpu, staging_dir=None):
+        def launch_and_count(stage_dir):
+            refs = launch(stage_dir)
+            results = ray.get(refs)
+            seen["batches"] = sum(-(-(u.stop - u.start) // 64) for u in units)
+            seen["files"] = sorted(os.listdir(stage_dir))
+            seen["metas"] = [m for metas, *_ in results for m in metas]
+            return refs
+        return real(out_dir, n_buckets, units, launch_and_count, ncpu,
+                    staging_dir)
+
+    monkeypatch.setattr(mf, "stage_and_commit", counting)
+    out = str(tmp_path / "store")
+    rp.run_rollup_job(seq_dir, out, bank="haar", n_tiers=4, n_buckets=8,
+                      batch_size=64, verify=False)
+    assert len(seen["files"]) == len(seen["metas"]) == seen["batches"]
+    for m in seen["metas"]:
+        assert m.num_rows > 1 and len(set(m["stage_file"].to_pylist())) == 1
+    named = {m["stage_file"][0].as_py() for m in seen["metas"]}
+    assert named == set(seen["files"])
 
 
 def test_many_buckets_with_actor_death_and_resume(seq_dir, tmp_path):

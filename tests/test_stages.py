@@ -23,9 +23,11 @@ from wavelet_decomposition_ray.stages.rollup import (
 )
 from wavelet_decomposition_ray.stages.encode import RollupEncode, decode_blocks_batch
 from wavelet_decomposition_ray.state.manifest import (
+    bucket_of_ids,
     commit_bucket,
     slice_name,
     stage_slices,
+    write_bucket_table,
 )
 
 
@@ -233,7 +235,7 @@ def test_rollup_encode_empty_batch_and_empty_row(fused, monkeypatch):
 
 
 def test_slice_name_depends_only_on_doc_ids_and_tiers():
-    """A staged slice's name is a function of its (doc_id, tier) rows
+    """A staged file's name is a function of its (doc_id, tier) rows
     alone: the same rows cut from different batches or offsets name alike;
     other docs, or the same docs at other tiers, do not."""
     def rows(docs, tiers=None):
@@ -273,6 +275,41 @@ def test_slices_of_same_docs_at_other_tiers_keep_their_rows(tmp_path):
     assert len(set(files)) == 2
     row = commit_bucket(str(tmp_path / "store"), stage, 3, files)
     assert row["n_rows"] == 10 and row["partials"]["tier"] == [1, 2]
+
+
+def test_one_staged_file_per_call_commits_like_its_rows(batch, tmp_path):
+    """One ``stage_slices`` call over k buckets leaves exactly one file in
+    staging, holding k record batches in bucket order; every metadata row
+    names that file; and committing each bucket from it gives the same
+    data bytes and manifest row (but ``elapsed_s``) as writing that
+    bucket's rows directly."""
+    import os
+
+    full = RollupEncode(n_tiers=3)(batch.append_column(
+        "bucket", pa.array(bucket_of_ids(batch["doc_id"].to_pylist(), 8),
+                           pa.int32())))
+    stage = str(tmp_path / "staging")
+    meta = stage_slices(stage, full)
+    keys = sorted(set(full["bucket"].to_pylist()))
+    assert len(keys) > 1
+    (name,) = os.listdir(stage)
+    assert meta["bucket"].to_pylist() == keys
+    assert meta["stage_file"].to_pylist() == [name] * len(keys)
+    with pa.OSFile(os.path.join(stage, name), "rb") as fh:
+        reader = pa.ipc.open_file(fh)
+        assert reader.num_record_batches == len(keys)
+        assert [set(reader.get_batch(i)["bucket"].to_pylist())
+                for i in range(len(keys))] == [{k} for k in keys]
+
+    staged, direct = str(tmp_path / "staged"), str(tmp_path / "direct")
+    for k in keys:
+        got = commit_bucket(staged, stage, k, [name])
+        want = write_bucket_table(direct, full.filter(
+            pa.compute.equal(full["bucket"], k)))
+        assert {**got, "elapsed_s": 0} == {**want, "elapsed_s": 0}
+        with open(os.path.join(staged, got["file"]), "rb") as a, \
+                open(os.path.join(direct, want["file"]), "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_explode_rollup(batch):

@@ -21,18 +21,20 @@ queries) stays a Ray Data plan:
               verify=False)
             RollupEncode                                [A2 + ST1]: one
               native pass per row (tier fold -> DoD streams -> framed
-              blob; oracle reference without a compiler); writes
-              per-bucket staged IPC slices in-task, returns (bucket,
-              stage_file) metadata rows
+              blob; oracle reference without a compiler)
+            stage_slices: ONE staged IPC file per batch, in-task: rows
+              sorted by bucket, a record batch per bucket; returns one
+              (bucket, stage_file) metadata row per bucket it holds
           returns the metadata rows, its rows read and its per-layer wall
           and CPU seconds
      state.manifest.stage_and_commit (the commit protocol compaction
      shares; it launches the tasks above into its staging dir):
      -> ray.get + bounded collect       driver checks rows <= unit rows
      -> ray.remote(_finalize_buckets) x min(CPUs, occupied buckets):
-          each task a round-robin share of the sorted buckets; per
-          bucket merge slices, sort, atomic data file, then one
-          manifest row holding its partials             [S5/S6]
+          each task a round-robin share of the sorted buckets; opens
+          each staged file once and reads only its buckets' record
+          batches; per bucket merge them, sort, atomic data file,
+          then one manifest row holding its partials    [S5/S6]
           returns the rows it committed
      -> clear staging; mark the buckets that own no rows empty
      -> driver folds the rows in hand: summary + per-(source,tier)
@@ -42,13 +44,13 @@ queries) stays a Ray Data plan:
     read_parquet -> map_batches(_rollup_chain) -> map_batches(TierRollup)
 
 The heavy tokens column never crosses the object store — a task reads its
-own unit — and neither does the encoded store: each task writes its own
-rows as staged per-bucket Arrow IPC slices (the no-shuffle layout of
-``write_parquet(partition_cols=...)``).  Nothing is shuffled: the driver
-groups the O(tasks x buckets) metadata rows by bucket and deals the
-buckets out to one finalize task per CPU — a bucket's file is a pure
-function of its staged slices, so buckets commit independently and in any
-order, and the bucket doubles as the resume/checkpoint granularity.  The
+own unit — and neither does the encoded store: each task writes each
+batch of its rows as ONE staged Arrow IPC file, sorted by bucket with a
+record batch per bucket.  Nothing is shuffled: the driver groups the
+O(batches x buckets) metadata rows by bucket and deals the buckets out to
+one finalize task per CPU — a bucket's file is a pure function of its
+staged rows, so buckets commit independently and in any order, and the
+bucket doubles as the resume/checkpoint granularity.  The
 manifest is read once, at job start; the rows the job commits come back
 from its tasks.  Every task is deterministic, so a lost one is simply
 re-executed (the D-Streams recovery model).  At cluster scale the same
@@ -179,7 +181,7 @@ def source_tier_aggregate(rollup_ds: "ray.data.Dataset") -> "ray.data.Dataset":
 
 
 # the layers an encode task times, in chain order (metrics.json per_stage)
-LAYERS = ("read", "bucket", "gapfill", "check", "encode")
+LAYERS = ("read", "bucket", "gapfill", "check", "encode", "stage")
 
 
 class _Ledger:
@@ -207,11 +209,11 @@ def _encode_unit(unit: Unit, input_format: str, batch_size: int, add_bucket,
                  check: RoundTripCheck | None, encode: RollupEncode):
     """The whole map side of one read unit: read it, then per
     ``batch_size`` slice the bucket column + resume filter, the chain and
-    the tier tree + codec + staged write.  Returns the slices' metadata
-    rows (one table per slice that kept rows), the rows read and the
-    task's :class:`_Ledger` of per-layer seconds.  Deterministic, so Ray's
-    re-execution of a task whose worker died rewrites the same staged
-    files."""
+    the tier tree + codec, then the staged write of the batch as one file.
+    Returns the staged files' metadata rows (one table per batch that kept
+    rows), the rows read and the task's :class:`_Ledger` of per-layer
+    seconds.  Deterministic, so Ray's re-execution of a task whose worker
+    died rewrites the same staged files."""
     lap = _Ledger()
     table = read_unit(unit, input_format)
     lap("read")
@@ -220,8 +222,10 @@ def _encode_unit(unit: Unit, input_format: str, batch_size: int, add_bucket,
         batch = add_bucket(table.slice(lo, batch_size))
         lap("bucket")
         if batch.num_rows:
-            metas.append(encode(_rollup_chain(batch, check, lap)))
+            full = encode(_rollup_chain(batch, check, lap))
             lap("encode")
+            metas.append(encode._stage_batch(full))
+            lap("stage")
     return metas, table.num_rows, lap
 
 
@@ -247,8 +251,8 @@ def run_rollup_job(
     ``lineage.json``), and ``verify=False`` skips that check and with it
     the DWT.
 
-    **Staging placement contract (multi-node):** encode tasks write
-    per-bucket Arrow IPC slices under the staging directory and the
+    **Staging placement contract (multi-node):** encode tasks write one
+    Arrow IPC file per batch under the staging directory and the
     finalize stage (scheduled on ANY node) reads them back, so staging
     must live on storage reachable by every node — a shared filesystem or
     object store, exactly like ``out_dir`` itself. The default,
@@ -265,14 +269,14 @@ def run_rollup_job(
     each unit runs as ONE plain Ray task (``_encode_unit``) that reads it
     and runs the whole chain per ``batch_size`` slice.  No Ray Data
     execution starts.  A task whose worker dies is re-executed by Ray's
-    task retry; staged-slice names are content hashes, so the retry
+    task retry; staged-file names are content hashes, so the retry
     rewrites the same files.
 
     **Driver collect bound:** a task returns one (bucket, stage_file) row
-    per non-empty (slice, bucket), so never more rows than its unit's
-    input rows — the planned row range of a parquet unit, the rows it
-    read for a line-format file.  The driver checks that per task and
-    raises past it.  The occupied buckets then commit in
+    per (batch, bucket) the batch holds rows of, so never more rows than
+    its unit's input rows — the planned row range of a parquet unit, the
+    rows it read for a line-format file.  The driver checks that per task
+    and raises past it.  The occupied buckets then commit in
     min(cluster CPUs, occupied buckets) Ray tasks, each a round-robin share
     of the sorted buckets.
 
@@ -309,8 +313,9 @@ def run_rollup_job(
 
     Returns a summary dict (also written to ``out_dir/metrics.json``, next
     to the per-layer rows: tasks and summed task wall and CPU seconds per
-    encode layer, then finalize with its tasks, buckets committed, wall and
-    summed commit seconds) with throughput and bucket counts; the
+    encode-task layer, the staged write (``stage``) last, then finalize
+    with its tasks, buckets committed, wall and summed commit seconds)
+    with throughput and bucket counts; the
     driver-side final per-(source, tier) aggregates go to
     ``out_dir/source_stats.parquet``.
     """

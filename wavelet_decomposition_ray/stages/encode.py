@@ -116,14 +116,16 @@ class RollupEncode:
         # Inert in production (None). The retry pytest proves the job
         # completes with byte-identical output anyway.
         self.fault_flag = fault_flag
-        # shuffle-free write path: when set, each task writes its own rows
-        # as per-bucket Arrow IPC slices under stage_dir and emits only
+        # shuffle-free write path: the job's task passes each encoded batch
+        # to _stage_batch, which writes it as ONE staged Arrow IPC file
+        # under stage_dir (a record batch per bucket) and emits only
         # (bucket, stage_file) metadata rows — the encoded bytes never
         # enter the object store; manifest.stage_and_commit commits them.
         self.stage_dir = stage_dir
 
     def _stage_batch(self, full: pa.Table) -> pa.Table:
-        """Stage this batch's rows per bucket; one metadata row per slice."""
+        """Stage this batch's rows as one file; one metadata row per
+        bucket it holds."""
         return mf.stage_slices(self.stage_dir, full)
 
     def _maybe_inject_fault(self):
@@ -169,10 +171,7 @@ class RollupEncode:
         }
         if "bucket" in batch.column_names:
             cols["bucket"] = tile(batch["bucket"], self.n_tiers)
-        full = pa.table(cols)
-        if self.stage_dir is not None and "bucket" in full.column_names:
-            return self._stage_batch(full)
-        return full
+        return pa.table(cols)
 
 
 def blob_headers(arr):

@@ -7,7 +7,8 @@ Compaction never decodes and runs on the job's own write path: one plain
 Ray task per row group of the source's committed data files
 (:func:`..sources.ingest.plan_units`) reads the stored columns, adds
 the destination bucket by the SAME deterministic doc_id hash and stages
-per-bucket slices; :func:`manifest.stage_and_commit` commits every bucket
+its rows as ONE file, a record batch per destination bucket;
+:func:`manifest.stage_and_commit` commits every bucket
 through :func:`manifest.write_bucket_table`, the single writer every path
 shares.  So the compacted store is BYTE-IDENTICAL to what a from-scratch
 build at the new ``n_buckets`` would produce (the pytest pins this), and
@@ -37,8 +38,8 @@ from ..sources.ingest import plan_units, read_unit
 @ray.remote
 def _stage_unit(unit, columns: list[str], add_bucket, stage_dir: str):
     """Read one unit of a source data file, add the destination bucket,
-    drop completed buckets and stage the rest per bucket; returns the
-    slices' metadata tables and the unit's rows."""
+    drop completed buckets and stage the rest as one file; returns its
+    metadata table and the unit's rows."""
     t = read_unit(unit, "parquet", columns)
     kept = add_bucket(t)
     return ([mf.stage_slices(stage_dir, kept)] if kept.num_rows else []), t.num_rows

@@ -1,5 +1,5 @@
 """Per-partition checkpoint manifest: deterministic bucket ids, staged
-slices and the one commit path every store writer shares
+files and the one commit path every store writer shares
 (:func:`stage_and_commit`), atomic partition writes, skip-completed resume.
 
 Reference analog: the skip-if-exists ``.npz`` matrix cache and translation
@@ -467,12 +467,17 @@ def write_bucket_table(out_dir: str, group: pa.Table) -> dict:
     return row
 
 
-# ---- staged slices: the one module that places, names, writes and reads
-# them.  A writer task stages its rows per destination bucket as Arrow IPC
-# slices and returns one (bucket, stage_file) metadata row per slice; the
-# driver groups those rows by bucket and commits each bucket from its
-# slices.  Nothing about a slice is durable: staging is cleared at the start
-# and end of every commit phase.
+# ---- staged files: the one module that places, names, writes and reads
+# them.  A writer task stages each batch of rows as ONE Arrow IPC file,
+# sorted by destination bucket with one record batch per bucket, and
+# returns one (bucket, stage_file) metadata row per bucket the file holds;
+# the driver groups those rows by bucket and commits each bucket from its
+# record batches.  Nothing about a staged file is durable: staging is
+# cleared at the start and end of every commit phase.
+
+# schema metadata key of a staged file: the buckets of its record batches,
+# in file order, so a commit reads its own batches without a scan
+_STAGED_BUCKETS = b"staged_buckets"
 
 
 def stage_root(out_dir: str, staging_dir: str | None = None) -> str:
@@ -489,13 +494,12 @@ def stage_root(out_dir: str, staging_dir: str | None = None) -> str:
 
 
 def slice_name(rows: pa.Table) -> str:
-    """Staged-slice file name: md5 of the slice's ``doc_id`` offsets
-    (rebased to 0), the data bytes those offsets cover and its ``tier``
-    values.  A pure function of the slice's (doc_id, tier) rows, wherever
-    the slice sits in its batch, so a retried task overwrites its own
-    slices instead of duplicating rows, and two slices holding the same
-    docs at different tiers (a store file cut into several read units)
-    never share a name."""
+    """Staged-file name: md5 of the rows' ``doc_id`` offsets (rebased to
+    0), the data bytes those offsets cover and its ``tier`` values.  A pure
+    function of the (doc_id, tier) rows, wherever they sit in their batch,
+    so a retried task overwrites its own file instead of duplicating rows,
+    and two files holding the same docs at different tiers (a store file
+    cut into several read units) never share a name."""
     doc_ids = rows.column("doc_id").chunk(0)
     _, obuf, dbuf = doc_ids.buffers()
     odt = np.int64 if pa.types.is_large_string(doc_ids.type) else np.int32
@@ -510,11 +514,13 @@ def slice_name(rows: pa.Table) -> str:
 
 
 def stage_slices(stage_dir: str, table: pa.Table) -> pa.Table:
-    """Write ``table``'s rows as per-bucket staged IPC slices under
-    ``stage_dir``; return one (bucket, stage_file) metadata row per slice.
-    The rows are sorted by bucket once (stable, so each slice keeps its row
-    order) and cut into one contiguous slice per bucket, named by
-    :func:`slice_name` and renamed into place atomically."""
+    """Write ``table``'s rows as ONE staged IPC file in ``stage_dir``;
+    return one (bucket, stage_file) metadata row per bucket it holds.  The
+    rows are sorted by bucket once (stable, so each bucket keeps its row
+    order) and written as one record batch per bucket, in bucket order,
+    with the bucket list in the schema metadata; the file is named by
+    :func:`slice_name` of the sorted rows and renamed into place
+    atomically."""
     import uuid
 
     b = table["bucket"].to_numpy()
@@ -523,56 +529,59 @@ def stage_slices(stage_dir: str, table: pa.Table) -> pa.Table:
     table = table.take(pa.array(order)).combine_chunks()
     keys, starts = np.unique(bs, return_index=True)
     ends = np.append(starts[1:], len(bs))
-    out_f: list[str] = []
-    for k, lo, hi in zip(keys.tolist(), starts.tolist(), ends.tolist()):
-        sub = table.slice(lo, hi - lo)
-        rel_dir = f"bucket={k:05d}"
-        d = os.path.join(stage_dir, rel_dir)
-        os.makedirs(d, exist_ok=True)
-        name = slice_name(sub)
-        tmp = os.path.join(d, f".{name}.{uuid.uuid4().hex[:8]}.tmp")
-        with pa.OSFile(tmp, "wb") as fh, pa.ipc.new_file(fh, sub.schema) as w:
-            w.write_table(sub)
-        os.replace(tmp, os.path.join(d, name))
-        out_f.append(f"{rel_dir}/{name}")
+    schema = table.schema.with_metadata({
+        **(table.schema.metadata or {}),
+        _STAGED_BUCKETS: " ".join(map(str, keys.tolist())),
+    })
+    os.makedirs(stage_dir, exist_ok=True)
+    name = slice_name(table)
+    tmp = os.path.join(stage_dir, f".{name}.{uuid.uuid4().hex[:8]}.tmp")
+    with pa.OSFile(tmp, "wb") as fh, pa.ipc.new_file(fh, schema) as w:
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            w.write_table(table.slice(lo, hi - lo))
+    os.replace(tmp, os.path.join(stage_dir, name))
     return pa.table({"bucket": pa.array(keys, type=pa.int32()),
-                     "stage_file": pa.array(out_f, type=pa.string())})
+                     "stage_file": pa.array([name] * len(keys), type=pa.string())})
+
+
+def _staged_batches(path: str, buckets) -> dict[int, pa.RecordBatch]:
+    """The record batches of ``buckets`` in one staged file, read without
+    touching the file's other batches.  The reads are memory-mapped, so a
+    batch held past the call costs page cache, not heap."""
+    with pa.memory_map(path) as src:
+        r = pa.ipc.open_file(src)
+        meta = dict(r.schema.metadata)
+        held = meta.pop(_STAGED_BUCKETS).split()
+        return {b: r.get_batch(i).replace_schema_metadata(meta or None)
+                for i, b in enumerate(map(int, held)) if b in buckets}
+
+
+def commit_buckets(out_dir: str, stage_dir: str,
+                   share: list[tuple[int, list[str]]]) -> list[dict]:
+    """Commit a share of the buckets, given as (bucket, [stage_file, ...])
+    pairs (paths relative to ``stage_dir``; duplicates dedupe on the name),
+    and return their manifest rows.  Each staged file is opened once, for
+    the share's buckets it holds; each bucket commits the concatenation of
+    its record batches in file-name order.  Staged files are not deleted
+    here (the commit phase clears staging), so a re-executed commit finds
+    them and rewrites the same bytes."""
+    want = {b for b, _ in share}
+    read = {rel: _staged_batches(os.path.join(stage_dir, rel), want)
+            for rel in sorted({f for _, files in share for f in files})}
+    return [write_bucket_table(out_dir, pa.Table.from_batches(
+                [read[rel][b] for rel in sorted(set(files))]))
+            for b, files in share]
 
 
 def commit_bucket(out_dir: str, stage_dir: str, bucket: int, files) -> dict:
-    """Commit one bucket from its staged slices (paths relative to
-    ``stage_dir``; duplicates dedupe on the name), delete the slices and
-    return the bucket's manifest row.  Slices are deleted only after the
-    commit, so a call that finds one missing is a retry of a commit that
-    already happened: it returns the committed row and finishes the
-    cleanup."""
-    paths = [os.path.join(stage_dir, rel) for rel in sorted(set(files))]
-    if all(map(os.path.isfile, paths)):
-        tables = []
-        for p in paths:
-            with pa.OSFile(p, "rb") as fh:
-                tables.append(pa.ipc.open_file(fh).read_all())
-        row = write_bucket_table(out_dir, pa.concat_tables(tables))
-    else:
-        with open(os.path.join(manifest_dir(out_dir),
-                               f"bucket-{bucket:05d}.json")) as fh:
-            row = json.load(fh)
-    for p in paths:
-        try:
-            os.remove(p)
-        except OSError:
-            pass
-    return row
+    """Commit one bucket from the staged files holding its rows (see
+    :func:`commit_buckets`) and return its manifest row."""
+    return commit_buckets(out_dir, stage_dir, [(bucket, list(files))])[0]
 
 
-@ray.remote
-def _finalize_buckets(out_dir: str, stage_dir: str,
-                      share: list[tuple[int, list[str]]]) -> list[dict]:
-    """Commit a share of the buckets, given as (bucket, [stage_file, ...])
-    pairs, one after another; returns their manifest rows.  Ray re-runs
-    the task if its worker dies: buckets it already committed return
-    their rows, the rest commit."""
-    return [commit_bucket(out_dir, stage_dir, b, files) for b, files in share]
+# one finalize task: Ray re-runs it if its worker dies, and the re-run
+# finds the staged files still there and rewrites the same bytes
+_finalize_buckets = ray.remote(commit_buckets)
 
 
 def stage_and_commit(out_dir: str, n_buckets: int, units, launch, ncpu: int,
@@ -584,9 +593,9 @@ def stage_and_commit(out_dir: str, n_buckets: int, units, launch, ncpu: int,
     :func:`stage_slices` metadata tables and its rows read.  Then:
 
     * **bounded collect** — a task returns at most one metadata row per
-      input row (a slice holds >= 1 row), so the driver checks each task
-      against its unit's planned row range (the rows it read, for a
-      line-format file) and raises past it;
+      input row (each bucket of a staged file holds >= 1 row), so the
+      driver checks each task against its unit's planned row range (the
+      rows it read, for a line-format file) and raises past it;
     * **commit** — the occupied buckets commit in min(``ncpu``, occupied
       buckets) :func:`_finalize_buckets` tasks, each a round-robin share
       of the sorted buckets: a task's fixed cost would outweigh a small
@@ -601,7 +610,7 @@ def stage_and_commit(out_dir: str, n_buckets: int, units, launch, ncpu: int,
     import shutil
 
     stage_dir = stage_root(out_dir, staging_dir)
-    # stale slices from a crashed run are orphans: the retrying run
+    # staged files of a crashed run are orphans: the retrying run
     # re-stages everything it needs (content-hash names make rewrites
     # idempotent), so clear staging up front rather than trust leftovers
     shutil.rmtree(stage_dir, ignore_errors=True)
@@ -643,20 +652,20 @@ class BucketFinalize:
     commit through :func:`stage_and_commit`, which calls
     :func:`commit_bucket` directly, a share of the buckets per task.
 
-    A call reads its bucket's staged slices, globally sorts, and writes the
-    final partition file (byte-identical whatever the slice layout —
-    :func:`write_bucket_table` sorts before writing) and its manifest row,
-    then deletes the slices.  A bucket's commit is a pure function of its
-    slices, so buckets finalize in any order.
+    A call reads its bucket's record batch from each staged file that
+    holds it, globally sorts, and writes the final partition file
+    (byte-identical whatever the staged layout — :func:`write_bucket_table`
+    sorts before writing) and its manifest row.  A bucket's commit is a
+    pure function of its staged rows, so buckets finalize in any order.
 
-    Retry-safe: staged file names are content hashes of the slice's
+    Retry-safe: staged file names are content hashes of the file's
     (doc_id, tier) rows, so a re-executed writer task overwrites its own
-    files instead of duplicating rows; duplicate metadata rows dedupe on
-    the file name here, and a re-executed commit returns the committed row.
-    At 100-TB scale the staged-file count is tasks x occupied buckets —
-    size ``batch_size`` up and ``n_buckets`` to O(nodes) so slices stay
-    megabytes, and staging lives on the job's shared store (here: the
-    store's own output directory)."""
+    file instead of duplicating rows; duplicate metadata rows dedupe on
+    the file name here, and a re-executed commit finds its files (staging
+    is cleared only after the commit phase) and rewrites the same bytes
+    and row.  The staged-file count is one file per encode batch (one per
+    compaction unit), whatever ``n_buckets``; staging lives on the job's
+    shared store (here: the store's own output directory)."""
 
     def __init__(self, out_dir: str, stage_dir: str):
         self.out_dir = out_dir
