@@ -481,11 +481,11 @@ _STAGED_BUCKETS = b"staged_buckets"
 
 
 def stage_root(out_dir: str, staging_dir: str | None = None) -> str:
-    """Where a store stages its slices: ``staging_dir`` > the
+    """Where a store stages its files: ``staging_dir`` > the
     ``WDR_STAGING_DIR`` env var > ``<out_dir>/staging``.  A custom location
     is a ROOT shared by many jobs, so each store stages under a subdir
     keyed on its ``out_dir`` and concurrent jobs never clear each other's
-    slices.  Staging must be reachable by every node, like ``out_dir``."""
+    staged files.  Staging must be reachable by every node, like ``out_dir``."""
     custom_root = staging_dir or os.environ.get("WDR_STAGING_DIR")
     if not custom_root:
         return os.path.join(out_dir, "staging")
@@ -650,7 +650,7 @@ class BucketFinalize:
     """Commit of ONE bucket from its staged-file metadata rows
     (bucket, stage_file); returns the bucket's manifest row.  Store writers
     commit through :func:`stage_and_commit`, which calls
-    :func:`commit_bucket` directly, a share of the buckets per task.
+    :func:`commit_buckets` directly, a share of the buckets per task.
 
     A call reads its bucket's record batch from each staged file that
     holds it, globally sorts, and writes the final partition file
